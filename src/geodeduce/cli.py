@@ -2,7 +2,7 @@
 
 Subcommands: run, saturate, rank, check, rules.  Exit codes: 0 success,
 1 usage error, 2 input parse error, 3 degenerate construction,
-4 soundness violation.
+4 soundness violation, 5 the fact given to ``check`` fails.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNSOUND = 4
+EXIT_FAILS = 5
 
 DEFAULT_RULES = "rules/gddm-default.gr"
 
@@ -124,11 +125,13 @@ def cli_main(argv=None) -> int:
             print(f"{fact}: {verdict}")
             if verdict.kind == "degenerate":
                 return EXIT_DEGENERATE
-            return EXIT_OK if verdict.kind == "holds" else EXIT_OK
+            return EXIT_OK if verdict.kind == "holds" else EXIT_FAILS
 
         rules = parse_rules(_read(args.rules))
         report = run_pipeline(construction, rules, _config(args))
-        if args.command == "saturate":
+        if args.format == "json":
+            sys.stdout.write(emit_report(report, "json"))
+        elif args.command == "saturate":
             for rec in report.records:
                 src = f"  <= {rec.rule}" if rec.rule else "  (hypothesis)"
                 print(f"round {rec.round}  {rec.fact}{src}")
@@ -137,7 +140,7 @@ def cli_main(argv=None) -> int:
             text = emit_report(report, "text")
             print(text.split("\nderivations:\n")[0], end="")
         else:
-            sys.stdout.write(emit_report(report, args.format))
+            sys.stdout.write(emit_report(report, "text"))
         return EXIT_OK
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE

@@ -5,16 +5,23 @@ canonicalizes the conclusions, drops tautologies / degenerate facts /
 duplicates, and commits the survivors in canonical-form lexicographic
 order.  The first derivation of a fact wins; later ones are ignored.
 Both naive and semi-naive evaluation are provided and must agree.
+
+Rules are matched by one indexed join.  At the start of a round every
+fact's symmetry orbit is enumerated once.  For each premise slot, the
+orbit variants of its candidate facts that fit the pattern (constants and
+repeated variables agree) are indexed by their values at the positions
+bound by earlier premises; binding a slot is then one dict lookup.  The
+orbit table and the indexes are dropped when the round ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .facts import Fact, FactSet, canonicalize, is_degenerate, is_tautology
-from .rules import Pattern, Rule, SideCondition, is_variable
-from .facts import orbit
+from .facts import (Fact, FactSet, canonicalize, is_degenerate, is_tautology,
+                    orbit)
+from .rules import Rule, is_variable
 
 # a grounded numeric side condition: (kind, point names)
 GroundCondition = Tuple[str, Tuple[str, ...]]
@@ -93,28 +100,83 @@ class Derivation:
     conditions: Tuple[GroundCondition, ...]
 
 
-def _unify(pattern: Pattern, variant: Tuple[str, ...], binding: Dict[str, str]):
-    """Extend binding so pattern args match this orbit variant, or None."""
-    out = dict(binding)
-    for pat, val in zip(pattern.args, variant):
-        if is_variable(pat):
-            if out.setdefault(pat, val) != val:
-                return None
-        elif pat != val:
-            return None
-    return out
+class _Slot(NamedTuple):
+    """How one premise pattern meets the variables bound before it."""
+
+    consts: Tuple[Tuple[int, str], ...]   # (position, point constant)
+    repeats: Tuple[Tuple[int, int], ...]  # (position, first position of its variable)
+    key_vars: Tuple[str, ...]             # variables bound by earlier premises
+    key_pos: Tuple[int, ...]              # ... and their first positions
+    new_vars: Tuple[str, ...]             # variables this premise binds
+    new_pos: Tuple[int, ...]              # ... and their first positions
 
 
-def _match_premise(pattern: Pattern, fact: Fact, binding: Dict[str, str]):
-    """All binding extensions under which pattern matches fact up to symmetry."""
-    seen = set()
-    for variant in orbit(fact):
-        b = _unify(pattern, variant, binding)
-        if b is not None:
-            key = tuple(sorted(b.items()))
-            if key not in seen:
-                seen.add(key)
-                yield b
+def _slots(rule: Rule) -> List[_Slot]:
+    """Slot layouts in premise order; premise i sees the variables of 0..i-1."""
+    slots: List[_Slot] = []
+    bound: Set[str] = set()
+    for pattern in rule.premises:
+        first: Dict[str, int] = {}
+        consts, repeats = [], []
+        for pos, arg in enumerate(pattern.args):
+            if not is_variable(arg):
+                consts.append((pos, arg))
+            elif arg in first:
+                repeats.append((pos, first[arg]))
+            else:
+                first[arg] = pos
+        key = tuple(v for v in first if v in bound)
+        new = tuple(v for v in first if v not in bound)
+        slots.append(_Slot(tuple(consts), tuple(repeats), key,
+                           tuple(first[v] for v in key), new,
+                           tuple(first[v] for v in new)))
+        bound.update(first)
+    return slots
+
+
+def _orbit_table(facts: Iterable[Fact]) -> Dict[Fact, Tuple[Tuple[str, ...], ...]]:
+    """Each fact's symmetry orbit without repeats, in orbit order."""
+    return {f: tuple(dict.fromkeys(orbit(f))) for f in facts}
+
+
+def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
+    """Variants of facts that fit the slot's pattern, keyed by their values
+    at the already-bound positions: key -> [(fact, variant)].
+
+    Within one fact, a consistent variant and the binding it extends to
+    correspond one to one, so the orbit's own deduplication is the only
+    one needed.  Entries keep fact order, then orbit order.
+    """
+    index: Dict[tuple, list] = {}
+    for f in facts:
+        for v in orbits[f]:
+            if (all(v[i] == c for i, c in slot.consts)
+                    and all(v[i] == v[j] for i, j in slot.repeats)):
+                key = tuple(v[i] for i in slot.key_pos)
+                index.setdefault(key, []).append((f, v))
+    return index
+
+
+def _join(slots: List[_Slot], indexes: List[Dict[tuple, list]]):
+    """Backtracking join over premise slots, one index lookup per slot;
+    yields (binding, facts used)."""
+    return _extend(slots, indexes, 0, {}, ())
+
+
+def _extend(slots, indexes, i: int, binding: Dict[str, str],
+            used: Tuple[Fact, ...]):
+    # a module-level function, not a closure: a self-referencing closure
+    # would keep the round's indexes alive until the cyclic GC runs
+    if i == len(slots):
+        yield binding, used
+        return
+    slot = slots[i]
+    key = tuple(binding[var] for var in slot.key_vars)
+    for fact, variant in indexes[i].get(key, ()):
+        b = dict(binding)
+        for var, pos in zip(slot.new_vars, slot.new_pos):
+            b[var] = variant[pos]
+        yield from _extend(slots, indexes, i + 1, b, used + (fact,))
 
 
 def _distinct_ok(rule: Rule, binding: Dict[str, str]) -> bool:
@@ -130,86 +192,64 @@ def _ground(args: Tuple[str, ...], binding: Dict[str, str]) -> Tuple[str, ...]:
     return tuple(binding.get(a, a) for a in args)
 
 
-def _join(rule: Rule, candidate_lists: List[List[Fact]]):
-    """Backtracking join over premise slots; yields (binding, facts used)."""
+# which part of a predicate's facts a premise slot draws from
+ALL, OLD, DELTA = "all", "old", "delta"
 
-    def rec(i: int, binding: Dict[str, str], used: Tuple[Fact, ...]):
-        if i == len(rule.premises):
-            yield binding, used
-            return
-        for fact in candidate_lists[i]:
-            for b in _match_premise(rule.premises[i], fact, binding):
-                yield from rec(i + 1, b, used + (fact,))
 
-    yield from rec(0, {}, ())
+def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
+    """Join the premises under each plan (one part per slot); yields
+    (binding, facts used, canonical conclusion) with distinct() enforced.
+
+    pools maps (predicate, part) to facts in string order; indexes caches
+    slot indexes by (predicate, part, slot shape) across calls.
+    """
+    slots = _slots(rule)
+    for plan in plans:
+        lists = [pools.get((p.pred, part), ())
+                 for p, part in zip(rule.premises, plan)]
+        if not all(lists):
+            continue
+        slot_indexes = []
+        for slot, pattern, part, facts in zip(slots, rule.premises, plan, lists):
+            key = (pattern.pred, part, slot.consts, slot.repeats,
+                   slot.key_pos, slot.new_pos)
+            if key not in indexes:
+                indexes[key] = _index(slot, facts, orbits)
+            slot_indexes.append(indexes[key])
+        for binding, used in _join(slots, slot_indexes):
+            if not _distinct_ok(rule, binding):
+                continue
+            concl = canonicalize(Fact(rule.conclusion.pred,
+                                      _ground(rule.conclusion.args, binding)))
+            yield binding, used, concl
 
 
 def match_rule(rule: Rule, facts: FactSet) -> List[Dict[str, str]]:
     """All bindings satisfying the premises, deduplicated by canonical
     conclusion; symbolic distinct() conditions already enforced and
     tautological/degenerate conclusions dropped."""
-    lists = [sorted(facts.by_pred(p.pred), key=str) for p in rule.premises]
+    pools = {(pred, ALL): sorted(facts.by_pred(pred), key=str)
+             for pred in {p.pred for p in rule.premises}}
+    orbits = _orbit_table(f for pool in pools.values() for f in pool)
     out: Dict[Fact, Dict[str, str]] = {}
-    for binding, _used in _join(rule, lists):
-        if not _distinct_ok(rule, binding):
-            continue
-        concl = canonicalize(Fact(rule.conclusion.pred,
-                                  _ground(rule.conclusion.args, binding)))
+    plan = (ALL,) * len(rule.premises)
+    for binding, _used, concl in _matches(rule, [plan], pools, orbits, {}):
         if is_tautology(concl) or is_degenerate(concl):
             continue
         out.setdefault(concl, binding)
     return [out[k] for k in sorted(out, key=str)]
 
 
-def _round_candidates(rule: Rule, facts: FactSet, dag: DerivationDag,
-                      round_index: int, strategy: str,
-                      strict_sides: bool) -> Iterable[Derivation]:
-    """All conclusions rule can draw this round from facts of earlier rounds."""
-
-    def usable(f: Fact) -> bool:
-        if not strict_sides:
-            return True
-        node = dag.node(f)
-        return node is None or not node.conditional
-
-    preds = [p.pred for p in rule.premises]
-    pools = {pred: [f for f in sorted(facts.by_pred(pred), key=str) if usable(f)]
-             for pred in set(preds)}
-
-    slot_plans: List[List[List[Fact]]]
-    if strategy == "naive" or round_index == 1:
-        slot_plans = [[pools[p] for p in preds]]
-    else:
-        # semi-naive: slot i drawn from the previous round's delta,
-        # earlier slots from strictly older facts, later slots from all
-        delta = {f for f in facts if facts.generation(f) == round_index - 1}
-        old = {f for f in facts if facts.generation(f) < round_index - 1}
-        slot_plans = []
-        for i in range(len(preds)):
-            plan = []
-            for j, pred in enumerate(preds):
-                if j < i:
-                    plan.append([f for f in pools[pred] if f in old])
-                elif j == i:
-                    plan.append([f for f in pools[pred] if f in delta])
-                else:
-                    plan.append(pools[pred])
-            slot_plans.append(plan)
-
-    for lists in slot_plans:
-        for binding, used in _join(rule, lists):
-            if not _distinct_ok(rule, binding):
-                continue
-            concl = canonicalize(Fact(rule.conclusion.pred,
-                                      _ground(rule.conclusion.args, binding)))
-            conds: List[GroundCondition] = [
-                (s.kind, _ground(s.args, binding)) for s in rule.numeric_sides]
-            for prem in used:
-                node = dag.node(prem)
-                if node is not None:
-                    conds.extend(node.conditions)
-            conditions = tuple(sorted(set(conds)))
-            yield Derivation(concl, rule.name, used, conditions)
+def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],
+                dag: DerivationDag) -> Tuple[GroundCondition, ...]:
+    """The rule's numeric side conditions plus those of the premises."""
+    conds: List[GroundCondition] = [
+        (s.kind, _ground(s.args, binding)) for s in rule.numeric_sides]
+    for prem in used:
+        node = dag.node(prem)
+        if node is not None:
+            conds.extend(node.conditions)
+    return tuple(sorted(set(conds)))
 
 
 def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
@@ -218,26 +258,57 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
     """Collect this round's new derivations plus drop counters.
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate);
-    at most one derivation per new fact, chosen deterministically.
+    at most one derivation per new fact: the least (rule, premises), the
+    first one drawn among equals.
     """
-    best: Dict[Fact, Derivation] = {}
+    semi_naive = strategy != "naive" and round_index > 1
+    usable = sorted(facts, key=str)
+    if strict_sides:  # conditional facts serve as no premise
+        usable = [f for f in usable
+                  if dag.node(f) is None or not dag.node(f).conditional]
+    pools: Dict[Tuple[str, str], List[Fact]] = {}
+    for f in usable:
+        pools.setdefault((f.pred, ALL), []).append(f)
+        if semi_naive:
+            gen = facts.generation(f)
+            if gen < round_index - 1:
+                pools.setdefault((f.pred, OLD), []).append(f)
+            elif gen == round_index - 1:
+                pools.setdefault((f.pred, DELTA), []).append(f)
+    # orbits and slot indexes live for this round only
+    orbits = _orbit_table(usable)
+    indexes: Dict[tuple, Dict[tuple, list]] = {}
+
+    # new fact -> (tie-break key, rule, binding, premises)
+    best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in sorted(rules, key=lambda r: r.name):
-        for d in _round_candidates(rule, facts, dag, round_index, strategy,
-                                   strict_sides):
-            if d.fact in facts:
+        n = len(rule.premises)
+        if semi_naive:
+            # slot i drawn from the previous round's delta,
+            # earlier slots from strictly older facts, later slots from all
+            plans = [(OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1)
+                     for i in range(n)]
+        else:
+            plans = [(ALL,) * n]
+        for binding, used, concl in _matches(rule, plans, pools, orbits, indexes):
+            if concl in facts:
                 continue
-            if is_tautology(d.fact):
+            if is_tautology(concl):
                 n_taut += 1
                 continue
-            if is_degenerate(d.fact):
+            if is_degenerate(concl):
                 n_degen += 1
                 continue
-            key = (d.rule, tuple(str(p) for p in d.premises))
-            cur = best.get(d.fact)
-            if cur is None or key < (cur.rule, tuple(str(p) for p in cur.premises)):
-                best[d.fact] = d
-    ordered = [best[f] for f in sorted(best, key=str)]
+            key = (rule.name, tuple(str(p) for p in used))
+            cur = best.get(concl)
+            if cur is None or key < cur[0]:
+                best[concl] = (key, rule, binding, used)
+    ordered = []
+    for f in sorted(best, key=str):
+        _key, rule, binding, used = best[f]
+        ordered.append(Derivation(f, rule.name, used,
+                                  _conditions(rule, binding, used, dag)))
     return ordered, n_taut, n_degen
 
 

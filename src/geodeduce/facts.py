@@ -89,9 +89,28 @@ def orbit(fact: Fact) -> Iterator[Tuple[str, ...]]:
 
 
 def canonicalize(fact: Fact) -> Fact:
-    """Return the unique representative of the fact's symmetry class."""
+    """Return the unique representative of the fact's symmetry class.
+
+    This is ``min(orbit(fact))``, computed in closed form.  coll/cyclic
+    sort all points and midp its endpoints.  In para/perp/cong/eqangle
+    every 2-point block (segment or ray) flips independently and the two
+    halves swap, so the minimum sorts each block and then takes the
+    smaller of the two half orders.
+    """
     _check(fact.pred, fact.args)
-    return Fact(fact.pred, min(orbit(fact)))
+    a = fact.args
+    if fact.pred in ("coll", "cyclic"):
+        args = tuple(sorted(a))
+    elif fact.pred == "midp":
+        args = (a[0],) + tuple(sorted(a[1:]))
+    else:  # para, perp, cong (two segments), eqangle (two pairs of rays)
+        blocks = [(x, y) if x <= y else (y, x) for x, y in zip(a[0::2], a[1::2])]
+        half = len(blocks) // 2
+        first, second = blocks[:half], blocks[half:]
+        if second < first:
+            first, second = second, first
+        args = tuple(itertools.chain.from_iterable(first + second))
+    return Fact(fact.pred, args)
 
 
 def make_fact(pred: str, *args: str) -> Fact:

@@ -88,6 +88,13 @@ def test_check_subcommand(capsys, root):
     assert "holds" in out
 
 
+def test_check_failing_fact_exit(capsys, root):
+    code, out, _ = run(capsys, "check", str(root / "examples" / "pappus.gc"),
+                       "coll(A,D,G)", "--seeds", "20")
+    assert code == 5
+    assert "fails" in out
+
+
 def test_saturate_subcommand(capsys, root):
     code, out, _ = run(capsys, "saturate", str(root / "examples" / "midline.gc"),
                        "--rules", str(root / "rules" / "gddm-default.gr"))
@@ -109,3 +116,14 @@ def test_weights_file(capsys, tmp_path, root):
                        "--rules", str(root / "rules" / "gddm-default.gr"),
                        "--weights", str(w))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["saturate", "rank"])
+def test_json_format_matches_run(capsys, root, command):
+    argv = [str(root / "examples" / "midline.gc"),
+            "--rules", str(root / "rules" / "gddm-default.gr"), "--format", "json"]
+    code, out, _ = run(capsys, command, *argv)
+    assert code == 0
+    _, expected, _ = run(capsys, "run", *argv)
+    assert out == expected
+    assert json.loads(out)["mode"] == "fixpoint"

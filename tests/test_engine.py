@@ -1,10 +1,15 @@
 """Rule matching, saturation to a fixpoint, derivation DAG structure."""
 
+from collections import Counter
+
 import pytest
 
+from geodeduce import engine
 from geodeduce import initial_facts, make_fact, match_rule, parse_rules, saturate
-from geodeduce.engine import derive_round, DerivationDag
-from geodeduce.facts import FactSet
+from geodeduce.engine import (_index, _join, _orbit_table, _slots, derive_round,
+                              DerivationDag)
+from geodeduce.facts import FactSet, orbit
+from geodeduce.rules import is_variable
 
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
@@ -144,3 +149,71 @@ def test_strict_sides_excludes_conditional_premises(inscribed, default_rules):
     assert set(strict.facts) <= set(loose.facts)
     # the cyclic fact is conditional, so no eqangle may be built on it
     assert not any(f.pred == "eqangle" for f in strict.facts)
+
+
+def _reference_join(rule, candidate_lists):
+    """The orbit-enumerating matcher the indexed join replaced: for every
+    partial binding, unify the pattern with each variant of each fact."""
+
+    def unify(pattern, variant, binding):
+        out = dict(binding)
+        for pat, val in zip(pattern.args, variant):
+            if is_variable(pat):
+                if out.setdefault(pat, val) != val:
+                    return None
+            elif pat != val:
+                return None
+        return out
+
+    def match_premise(pattern, fact, binding):
+        seen = set()
+        for variant in orbit(fact):
+            b = unify(pattern, variant, binding)
+            if b is not None:
+                key = tuple(sorted(b.items()))
+                if key not in seen:
+                    seen.add(key)
+                    yield b
+
+    def rec(i, binding, used):
+        if i == len(rule.premises):
+            yield binding, used
+            return
+        for fact in candidate_lists[i]:
+            for b in match_premise(rule.premises[i], fact, binding):
+                yield from rec(i + 1, b, used + (fact,))
+
+    yield from rec(0, {}, ())
+
+
+def _hashable(pairs):
+    return [(tuple(sorted(b.items())), used) for b, used in pairs]
+
+
+# fuzz figures give coll/cong/midp/para/perp; inscribed adds cyclic/eqangle
+@pytest.mark.parametrize("seed", [*range(10), "inscribed"])
+def test_indexed_join_equals_reference(seed, default_rules, inscribed):
+    c = (inscribed if seed == "inscribed"
+         else parse_construction(random_construction_text(seed)))
+    facts = saturate(initial_facts(c), default_rules, max_rounds=2).facts
+    orbits = _orbit_table(facts)
+    for rule in default_rules:
+        lists = [sorted(facts.by_pred(p.pred), key=str) for p in rule.premises]
+        slots = _slots(rule)
+        indexes = [_index(s, lst, orbits) for s, lst in zip(slots, lists)]
+        got = _hashable(_join(slots, indexes))
+        want = _hashable(_reference_join(rule, lists))
+        assert Counter(got) == Counter(want), rule.name
+        # the order decides which of two equal-ranked derivations is kept
+        assert got == want, rule.name
+
+
+def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
+                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
+    d0 = initial_facts(inscribed)
+    res = saturate(d0, default_rules)
+    present = [sum(1 for f in res.facts if res.facts.generation(f) < r)
+               for r in range(1, res.rounds + 2)]
+    assert calls and len(calls) <= sum(present)

@@ -1,5 +1,7 @@
 """Canonical forms, tautology/degeneracy verdicts, symbol counting."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -45,7 +47,7 @@ preds = st.sampled_from(sorted(ARITIES))
 
 
 @st.composite
-def raw_facts(draw):
+def raw_facts(draw, names=names):
     pred = draw(preds)
     args = tuple(draw(names) for _ in range(ARITIES[pred]))
     return Fact(pred, args)
@@ -70,6 +72,18 @@ def test_equal_canonical_facts_hash_equally(f):
     c2 = canonicalize(Fact(f.pred, next(iter(orbit(f)))))
     if c1 == c2:
         assert hash(c1) == hash(c2)
+
+
+@pytest.mark.parametrize("pred", sorted(ARITIES))
+def test_canonicalize_is_orbit_minimum_exhaustive(pred):
+    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
+        f = Fact(pred, args)
+        assert canonicalize(f).args == min(orbit(f))
+
+
+@given(raw_facts(st.sampled_from("ABCDEF")))
+def test_canonicalize_is_orbit_minimum(f):
+    assert canonicalize(f).args == min(orbit(f))
 
 
 def test_tautology_verdicts():
