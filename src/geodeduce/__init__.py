@@ -2,8 +2,8 @@
 
 from .construction import (Construction, ConstructionError, ConstructionStep,
                            initial_facts, parse_construction)
-from .engine import (DerivationDag, DerivationNode, SaturationResult,
-                     match_rule, saturate)
+from .engine import (Derivation, DerivationDag, SaturationResult, match_rule,
+                     saturate)
 from .facts import (Fact, FactSet, canonicalize, fact_symbols, is_degenerate,
                     is_tautology, make_fact, parse_fact)
 from .numeric import (CoordinateModel, DegenerateModelError, Verdict,
@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Construction", "ConstructionError", "ConstructionStep",
-    "CoordinateModel", "DegenerateModelError", "DerivationDag",
-    "DerivationNode", "Fact", "FactSet", "MetricConfig", "PipelineConfig",
+    "CoordinateModel", "DegenerateModelError", "Derivation",
+    "DerivationDag", "Fact", "FactSet", "MetricConfig", "PipelineConfig",
     "Report", "Rule", "RuleParseError", "SaturationResult", "ScoreCard",
     "SoundnessViolationError", "Verdict", "canonicalize", "emit_report",
     "eval_fact", "fact_symbols", "filter_interesting", "initial_facts",

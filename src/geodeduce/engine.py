@@ -28,9 +28,10 @@ GroundCondition = Tuple[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
-class DerivationNode:
+class Derivation:
     """How one derived fact was obtained."""
 
+    fact: Fact
     rule: str
     premises: Tuple[Fact, ...]
     round: int
@@ -43,61 +44,43 @@ class DerivationNode:
 
 
 class DerivationDag:
-    """Append-only map from derived fact to its (unique) derivation node."""
+    """Append-only map from derived fact to its (unique) derivation."""
 
     def __init__(self) -> None:
-        self.nodes: Dict[Fact, DerivationNode] = {}
+        self.nodes: Dict[Fact, Derivation] = {}
 
-    def add(self, fact: Fact, node: DerivationNode) -> None:
-        if fact in self.nodes:
-            raise ValueError(f"second derivation for {fact}")
-        self.nodes[fact] = node
+    def add(self, d: Derivation) -> None:
+        if d.fact in self.nodes:
+            raise ValueError(f"second derivation for {d.fact}")
+        self.nodes[d.fact] = d
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self.nodes
 
-    def node(self, fact: Fact) -> Optional[DerivationNode]:
+    def node(self, fact: Fact) -> Optional[Derivation]:
         return self.nodes.get(fact)
 
-    def ancestors(self, fact: Fact) -> Set[Fact]:
-        """Derived facts (DAG nodes) in the ancestor closure, fact included."""
+    def closure(self, fact: Fact) -> Set[Fact]:
+        """fact plus every fact reachable through premises, leaves included."""
         out: Set[Fact] = set()
         stack = [fact]
         while stack:
             f = stack.pop()
-            node = self.nodes.get(f)
-            if node is None or f in out:
+            if f in out:
                 continue
             out.add(f)
-            stack.extend(node.premises)
+            d = self.nodes.get(f)
+            if d is not None:
+                stack.extend(d.premises)
         return out
+
+    def ancestors(self, fact: Fact) -> Set[Fact]:
+        """Derived facts (DAG nodes) in the ancestor closure, fact included."""
+        return {f for f in self.closure(fact) if f in self.nodes}
 
     def leaf_ancestors(self, fact: Fact) -> Set[Fact]:
         """Hypothesis facts reachable from fact; {fact} if it is one."""
-        if fact not in self.nodes:
-            return {fact}
-        leaves: Set[Fact] = set()
-        seen: Set[Fact] = set()
-        stack = [fact]
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen.add(f)
-            node = self.nodes.get(f)
-            if node is None:
-                leaves.add(f)
-            else:
-                stack.extend(node.premises)
-        return leaves
-
-
-@dataclass(frozen=True)
-class Derivation:
-    fact: Fact
-    rule: str
-    premises: Tuple[Fact, ...]
-    conditions: Tuple[GroundCondition, ...]
+        return {f for f in self.closure(fact) if f not in self.nodes}
 
 
 class _Slot(NamedTuple):
@@ -246,9 +229,9 @@ def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],
     conds: List[GroundCondition] = [
         (s.kind, _ground(s.args, binding)) for s in rule.numeric_sides]
     for prem in used:
-        node = dag.node(prem)
-        if node is not None:
-            conds.extend(node.conditions)
+        d = dag.node(prem)
+        if d is not None:
+            conds.extend(d.conditions)
     return tuple(sorted(set(conds)))
 
 
@@ -257,9 +240,9 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
                  strict_sides: bool = False):
     """Collect this round's new derivations plus drop counters.
 
-    Returns (derivations sorted by canonical form, n_tautologies, n_degenerate);
-    at most one derivation per new fact: the least (rule, premises), the
-    first one drawn among equals.
+    Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
+    each derivation stamped with round_index; at most one per new fact: the
+    least (rule, premises), the first one drawn among equals.
     """
     semi_naive = strategy != "naive" and round_index > 1
     usable = sorted(facts, key=str)
@@ -307,7 +290,7 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
     ordered = []
     for f in sorted(best, key=str):
         _key, rule, binding, used = best[f]
-        ordered.append(Derivation(f, rule.name, used,
+        ordered.append(Derivation(f, rule.name, used, round_index,
                                   _conditions(rule, binding, used, dag)))
     return ordered, n_taut, n_degen
 
@@ -342,7 +325,7 @@ def saturate(d0: FactSet, rules: List[Rule], max_rounds: int = 10,
             break
         for d in new:
             facts.add(d.fact, r)
-            dag.add(d.fact, DerivationNode(d.rule, d.premises, r, d.conditions))
+            dag.add(d)
         rounds = r
         if len(facts) >= max_facts:
             stop = "budget"

@@ -3,10 +3,15 @@
 Two modes:
 
 * ``fixpoint`` — saturate to the full fixpoint, then numerically filter
-  and rank every derived fact.
+  every derived fact in (round, canonical string) order and rank the
+  survivors.  Premises are judged before the facts derived from them, so a
+  fact derived from a discarded fact is discarded too.
 * ``filtered`` — per round, only facts that pass the run-time filter and
   are judged interesting re-enter the fact list; everything else is
   discarded for the rest of the run.
+
+Both modes send derivations through the same admission routine,
+``_admit``.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical
@@ -18,14 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
-from .engine import (DerivationDag, DerivationNode, SaturationResult,
-                     derive_round, saturate)
+from .engine import Derivation, DerivationDag, derive_round, saturate
 from .facts import Fact, FactSet
-from .numeric import (DEFAULT_TOL, DegenerateModelError, Verdict, eval_condition,
-                      eval_fact, sample_models)
+from .numeric import DEFAULT_TOL, eval_condition, eval_fact, sample_models
 from .rules import Rule
 from .scoring import MetricConfig, ScoreCard, filter_interesting, score_all
 
@@ -82,41 +85,77 @@ def rules_digest(rules: List[Rule]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _filter_derived(fact: Fact, node: DerivationNode, models, tol: float):
+def _filter_derived(d: Derivation, models, tol: float):
     """Run-time filter one derived fact.
 
     Returns "ok", "conditional_failed" or "empirically_false"; raises
     SoundnessViolationError when an unconditional fact is false.
     """
     for m in models:
-        for kind, args in node.conditions:
+        for kind, args in d.conditions:
             if not eval_condition(m, kind, args, tol):
                 return "conditional_failed"
     for m in models:
-        if not eval_fact(m, fact, tol):
-            if node.conditional:
+        if not eval_fact(m, d.fact, tol):
+            if d.conditional:
                 return "empirically_false"
-            raise SoundnessViolationError(fact, m.seed, node.rule)
+            raise SoundnessViolationError(d.fact, m.seed, d.rule)
     return "ok"
 
 
+def _admit(derivations: Iterable[Derivation], models, tol: float,
+           blocked: Set[Fact], discarded: Dict[str, int]) -> List[Derivation]:
+    """The run-time filter shared by both modes; returns the derivations
+    that pass, in order.
+
+    A blocked fact is skipped.  A fact with a blocked premise counts as
+    conditional_failed: it must not outlive the fact it was derived from.
+    Every discarded fact is counted and joins blocked.
+    """
+    passed = []
+    for d in derivations:
+        if d.fact in blocked:
+            continue
+        if any(p in blocked for p in d.premises):
+            status = "conditional_failed"
+        else:
+            status = _filter_derived(d, models, tol)
+        if status == "ok":
+            passed.append(d)
+        else:
+            blocked.add(d.fact)
+            discarded[status] += 1
+    return passed
+
+
+def _graph(d0: FactSet, derivations: Iterable[Derivation]
+           ) -> Tuple[FactSet, DerivationDag]:
+    """The hypotheses plus the derived facts, and their derivation DAG."""
+    facts = d0.copy()
+    dag = DerivationDag()
+    for d in derivations:
+        facts.add(d.fact, d.round)
+        dag.add(d)
+    return facts, dag
+
+
 def _build_records(facts: FactSet, dag: DerivationDag, d0: FactSet,
-                   cfg: PipelineConfig) -> Tuple[List[FactRecord], Dict[Fact, ScoreCard]]:
-    scores = score_all(facts, dag, list(d0), cfg.metrics)
+                   cfg: PipelineConfig) -> List[FactRecord]:
+    scores = score_all(facts, dag, d0, cfg.metrics)
     interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
     records = []
     for f in facts.sorted_facts():
-        node = dag.node(f)
+        d = dag.node(f)
         records.append(FactRecord(
             fact=f,
             round=facts.generation(f),
-            rule=node.rule if node else None,
-            premises=node.premises if node else (),
+            rule=d.rule if d else None,
+            premises=d.premises if d else (),
             verdict="holds",
             score=scores[f],
             interesting=f in interesting,
         ))
-    return records, scores
+    return records
 
 
 def run_pipeline(construction: Construction, rules: List[Rule],
@@ -124,90 +163,47 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     d0 = initial_facts(construction)
     models = sample_models(construction, cfg.seeds, cfg.master_seed)
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
+    blocked: Set[Fact] = set()  # discarded facts never come back within a run
 
     if cfg.mode == "fixpoint":
         sat = saturate(d0, rules, cfg.max_rounds, cfg.max_facts,
                        strict_sides=cfg.strict_sides)
         discarded["tautologies"] = sat.dropped_tautologies
-        kept = FactSet()
-        dag = DerivationDag()
-        removed = set()
-        for f in sat.facts.sorted_facts():
-            node = sat.dag.node(f)
-            if node is None:
-                kept.add(f, 0)
-                continue
-            # a surviving fact must not depend on a discarded one
-            if any(p in removed for p in node.premises):
-                removed.add(f)
-                discarded["conditional_failed"] += 1
-                continue
-            status = _filter_derived(f, node, models, cfg.tol)
-            if status == "ok":
-                kept.add(f, node.round)
-                dag.add(f, node)
-            else:
-                removed.add(f)
-                discarded[status] += 1
-        records, _ = _build_records(kept, dag, d0, cfg)
-        return Report(construction.source(), rules_digest(rules), cfg.mode,
-                      sat.rounds, sat.stop_reason, records, discarded,
-                      cfg.seeds, cfg.master_seed)
-
-    if cfg.mode != "filtered":
+        # round order: every premise is judged before the facts it yields
+        ordered = sorted(sat.dag.nodes.values(),
+                         key=lambda d: (d.round, str(d.fact)))
+        kept = _admit(ordered, models, cfg.tol, blocked, discarded)
+        rounds, stop = sat.rounds, sat.stop_reason
+    elif cfg.mode == "filtered":
+        # only interesting survivors re-enter the fact list
+        kept = []
+        rounds, stop = 0, "budget"
+        for r in range(1, cfg.max_rounds + 1):
+            facts, dag = _graph(d0, kept)
+            candidates, n_taut, _ = derive_round(facts, dag, rules, r,
+                                                 strict_sides=cfg.strict_sides)
+            discarded["tautologies"] += n_taut
+            survivors = _admit(candidates, models, cfg.tol, blocked, discarded)
+            if not survivors:
+                stop = "fixpoint"
+                rounds = r - 1
+                break
+            # score candidates against the current fact list
+            scores = score_all(*_graph(d0, kept + survivors), d0, cfg.metrics)
+            interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
+            added = [d for d in survivors if d.fact in interesting]
+            blocked.update(d.fact for d in survivors if d.fact not in interesting)
+            kept += added
+            rounds = r
+            if not added:
+                stop = "fixpoint"
+                break
+            if len(facts) + len(added) >= cfg.max_facts:
+                stop = "budget"
+                break
+    else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
-
-    # filtered mode: only interesting survivors re-enter the fact list
-    facts = d0.copy()
-    dag = DerivationDag()
-    blocked = set()  # discarded facts never come back within a run
-    rounds = 0
-    stop = "budget"
-    for r in range(1, cfg.max_rounds + 1):
-        candidates, n_taut, _ = derive_round(facts, dag, rules, r,
-                                             strict_sides=cfg.strict_sides)
-        discarded["tautologies"] += n_taut
-        survivors = []
-        for d in candidates:
-            if d.fact in blocked:
-                continue
-            node = DerivationNode(d.rule, d.premises, r, d.conditions)
-            status = _filter_derived(d.fact, node, models, cfg.tol)
-            if status != "ok":
-                blocked.add(d.fact)
-                discarded[status] += 1
-                continue
-            survivors.append((d, node))
-        if not survivors:
-            stop = "fixpoint"
-            rounds = r - 1
-            break
-        # score candidates against the current fact list, keep interesting ones
-        trial = facts.copy()
-        trial_dag = DerivationDag()
-        for f, node in dag.nodes.items():
-            trial_dag.add(f, node)
-        for d, node in survivors:
-            trial.add(d.fact, r)
-            trial_dag.add(d.fact, node)
-        scores = score_all(trial, trial_dag, list(d0), cfg.metrics)
-        interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
-        added = 0
-        for d, node in survivors:
-            if d.fact in interesting:
-                facts.add(d.fact, r)
-                dag.add(d.fact, node)
-                added += 1
-            else:
-                blocked.add(d.fact)
-        rounds = r
-        if added == 0:
-            stop = "fixpoint"
-            break
-        if len(facts) >= cfg.max_facts:
-            stop = "budget"
-            break
-    records, _ = _build_records(facts, dag, d0, cfg)
+    records = _build_records(*_graph(d0, kept), d0, cfg)
     return Report(construction.source(), rules_digest(rules), cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)
 

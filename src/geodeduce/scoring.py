@@ -14,8 +14,9 @@ directions and the threshold are user-configurable.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact, FactSet, fact_symbols
@@ -77,17 +78,18 @@ def complexity(f: Fact) -> int:
     return len(distinct)
 
 
-def surprisingness(f: Fact, d0: Iterable[Fact]) -> float:
+def hypothesis_pairs(d0: Iterable[Fact]) -> Set[FrozenSet[str]]:
+    """Point pairs that co-occur in some hypothesis."""
+    return {frozenset(pq) for h in d0
+            for pq in itertools.combinations(sorted(h.points()), 2)}
+
+
+def surprisingness(f: Fact, hyp_pairs: Set[FrozenSet[str]]) -> float:
     """Fraction of f's point pairs that co-occur in no single hypothesis."""
-    pts = sorted(f.points())
-    pairs = list(itertools.combinations(pts, 2))
+    pairs = list(itertools.combinations(sorted(f.points()), 2))
     if not pairs:
         return 0.0
-    hyp_pairs: Set[frozenset] = set()
-    for h in d0:
-        for p, q in itertools.combinations(sorted(h.points()), 2):
-            hyp_pairs.add(frozenset((p, q)))
-    new = sum(1 for p, q in pairs if frozenset((p, q)) not in hyp_pairs)
+    new = sum(1 for pq in pairs if frozenset(pq) not in hyp_pairs)
     return new / len(pairs)
 
 
@@ -117,29 +119,25 @@ def focus(f: Fact, dag: DerivationDag) -> float:
     return abs(1 - n) / (1 + n)
 
 
-def usefulness(f: Fact, dag: DerivationDag, interesting: Set[Fact]) -> int:
-    """How many interesting facts have f in their ancestor closure."""
-    count = 0
+def usefulness(dag: DerivationDag, interesting: Set[Fact]) -> Counter:
+    """Per fact, how many other derived interesting facts have it in their
+    ancestor closure."""
+    count: Counter = Counter()
     for g in interesting:
-        if g == f:
-            continue
-        node = dag.node(g)
-        if node is None:
-            continue
-        if f in dag.ancestors(g) or f in dag.leaf_ancestors(g):
-            count += 1
+        if g in dag:
+            count.update(dag.closure(g) - {g})
     return count
 
 
 def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
-                d0_facts: List[Fact]) -> Dict[Fact, Dict[str, float]]:
+                hyp_pairs: Set[FrozenSet[str]]) -> Dict[Fact, Dict[str, float]]:
     out = {}
     for f in facts:
         out[f] = {
             "obviousness": float(obviousness(f, dag)),
             "weight": float(weight(f)),
             "complexity": float(complexity(f)),
-            "surprisingness": surprisingness(f, d0_facts),
+            "surprisingness": surprisingness(f, hyp_pairs),
             "intensity": intensity(f, dag),
             "adaptivity": adaptivity(f),
             "focus": focus(f, dag),
@@ -175,16 +173,16 @@ def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
 def score_all(facts: FactSet, dag: DerivationDag, d0: Iterable[Fact],
               cfg: MetricConfig) -> Dict[Fact, ScoreCard]:
     """Two-pass scoring of every fact; normalization over derived facts only."""
-    d0_facts = list(d0)
     all_facts = facts.sorted_facts()
     derived = [f for f in all_facts if f in dag]
 
-    raw = _raw_scores(all_facts, dag, d0_facts)
+    raw = _raw_scores(all_facts, dag, hypothesis_pairs(d0))
     cards = _normalize(raw, derived, cfg)
     provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
 
+    useful = usefulness(dag, provisional)
     for f in all_facts:
-        raw[f]["usefulness"] = float(usefulness(f, dag, provisional))
+        raw[f]["usefulness"] = float(useful[f])
     return _normalize(raw, derived, cfg)
 
 

@@ -18,8 +18,9 @@ from geodeduce.numeric import DegenerateModelError, eval_fact, sample_models
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
                                 emit_report, run_pipeline)
 from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
-                               filter_interesting, focus, intensity,
-                               obviousness, score_all, surprisingness, weight)
+                               filter_interesting, focus, hypothesis_pairs,
+                               intensity, obviousness, score_all,
+                               surprisingness, weight)
 
 from fuzzing import random_construction_text
 
@@ -141,7 +142,7 @@ def test_criterion_8_metric_suite(midline, default_rules):
     cong = make_fact("cong", "M", "A", "M", "B")
     assert weight(cong) == 5
     assert complexity(cong) == 4
-    assert surprisingness(para, list(d0)) == pytest.approx(4 / 6)
+    assert surprisingness(para, hypothesis_pairs(d0)) == pytest.approx(4 / 6)
     assert intensity(para, res.dag) == pytest.approx(0.2)
     assert focus(para, res.dag) == pytest.approx(1 / 3)
     assert adaptivity(cong) == pytest.approx(0.25)

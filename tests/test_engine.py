@@ -107,9 +107,9 @@ def test_first_derivation_wins(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
     dag = DerivationDag()
     f = make_fact("para", "M", "N", "B", "C")
-    dag.add(f, res.dag.node(f))
+    dag.add(res.dag.node(f))
     with pytest.raises(ValueError):
-        dag.add(f, res.dag.node(f))
+        dag.add(res.dag.node(f))
 
 
 def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):

@@ -95,3 +95,61 @@ def test_master_seed_changes_models_not_facts(midline, default_rules):
     a = run_pipeline(midline, default_rules, PipelineConfig(master_seed=0))
     b = run_pipeline(midline, default_rules, PipelineConfig(master_seed=99))
     assert {r.fact for r in a.records} == {r.fact for r in b.records}
+
+
+def test_filtered_report_matches_golden(inscribed, default_rules):
+    rep = run_pipeline(inscribed, default_rules, PipelineConfig(mode="filtered"))
+    golden = (GOLDEN / "inscribed_filtered.json").read_text()
+    assert emit_report(rep, "json") == golden
+
+
+# unsound but conditional: perp is numerically false, so it is discarded;
+# lift then derives the true para from it
+BOGUS_MIDLINE = """\
+rule bogus: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C) => perp(M,N,B,C)
+rule lift: perp(M,N,B,C), midp(M,A,B), midp(N,A,C) => para(M,N,B,C)
+"""
+
+# the same shape on any isosceles triangle: a false perp between the legs,
+# and the true base-angle equality lifted from it
+BOGUS_ISOSCELES = """\
+rule bogus: cong(O,A,O,B), non_collinear(O,A,B) => perp(O,A,O,B)
+rule lift: perp(O,A,O,B), cong(O,A,O,B) => eqangle(A,O,A,B,B,A,B,O)
+"""
+
+
+def _orphans(rep):
+    """Premises of reported facts that are not reported themselves."""
+    reported = {r.fact for r in rep.records}
+    return [(r.fact, p) for r in rep.records for p in r.premises
+            if p not in reported]
+
+
+def test_fixpoint_discards_facts_derived_from_discarded(midline):
+    rep = run_pipeline(midline, parse_rules(BOGUS_MIDLINE), PipelineConfig())
+    assert _orphans(rep) == []
+    assert rep.discarded["empirically_false"] == 1  # perp(B,C,M,N)
+    assert rep.discarded["conditional_failed"] == 1  # para(B,C,M,N)
+    assert all(r.rule is None for r in rep.records)
+
+
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+def test_reported_premises_are_reported(mode, default_rules):
+    from conftest import BUNDLED, load_construction
+    from fuzzing import random_construction_text
+    from geodeduce import parse_construction
+    from geodeduce.numeric import DegenerateModelError
+    cases = [load_construction(n) for n in BUNDLED]
+    cases += [parse_construction(random_construction_text(seed, max_points=8))
+              for seed in range(40)]
+    rules = default_rules + parse_rules(BOGUS_ISOSCELES)
+    cfg = PipelineConfig(mode=mode, max_facts=400)
+    discarded = 0
+    for c in cases:
+        try:
+            rep = run_pipeline(c, rules, cfg)
+        except DegenerateModelError:
+            continue
+        assert _orphans(rep) == [], c.source()
+        discarded += rep.discarded["empirically_false"]
+    assert discarded > 0  # the injected rule must actually fire

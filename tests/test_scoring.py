@@ -3,12 +3,13 @@
 import pytest
 
 from geodeduce import initial_facts, make_fact, saturate
-from geodeduce.engine import DerivationDag, DerivationNode
+from geodeduce.engine import Derivation, DerivationDag
 from geodeduce.facts import FactSet
 from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
                                filter_interesting, focus, intensity,
-                               obviousness, parse_metric_config, score_all,
-                               surprisingness, usefulness, weight)
+                               hypothesis_pairs, obviousness,
+                               parse_metric_config, score_all, surprisingness,
+                               usefulness, weight)
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +32,9 @@ def test_obviousness_closure_counts_shared_nodes():
     f1 = make_fact("coll", "B", "C", "D")
     f2 = make_fact("coll", "A", "C", "D")
     top = make_fact("coll", "C", "D", "E")
-    dag.add(f1, DerivationNode("r", (h1, h2), 1))
-    dag.add(f2, DerivationNode("r", (h1, h2), 1))
-    dag.add(top, DerivationNode("r", (f1, f2), 2))
+    dag.add(Derivation(f1, "r", (h1, h2), 1))
+    dag.add(Derivation(f2, "r", (h1, h2), 1))
+    dag.add(Derivation(top, "r", (f1, f2), 2))
     assert obviousness(top, dag) == 3  # two premise nodes + own node
 
 
@@ -48,9 +49,9 @@ def test_weight_and_complexity():
 
 def test_surprisingness_midline(midline):
     d0 = list(initial_facts(midline))
-    assert surprisingness(PARA, d0) == pytest.approx(4 / 6)
+    assert surprisingness(PARA, hypothesis_pairs(d0)) == pytest.approx(4 / 6)
     for h in d0:
-        assert surprisingness(h, d0) == 0.0
+        assert surprisingness(h, hypothesis_pairs(d0)) == 0.0
 
 
 def test_intensity(midline_sat):
@@ -63,7 +64,7 @@ def test_intensity_full_coverage_is_zero():
     dag = DerivationDag()
     h = make_fact("coll", "A", "B", "C")
     g = make_fact("midp", "A", "B", "C")
-    dag.add(g, DerivationNode("r", (h,), 1))
+    dag.add(Derivation(g, "r", (h,), 1))
     assert intensity(g, dag) == 0.0
 
 
@@ -81,7 +82,7 @@ def test_focus(midline_sat):
     dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
     f = make_fact("cong", "A", "M", "B", "M")
-    dag.add(f, DerivationNode("midp_split", (h,), 1))
+    dag.add(Derivation(f, "midp_split", (h,), 1))
     assert focus(f, dag) == 0.0  # single leaf: |1-1|/2
 
 
@@ -89,10 +90,10 @@ def test_usefulness():
     dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
     f = make_fact("cong", "A", "M", "B", "M")
-    dag.add(f, DerivationNode("midp_split", (h,), 1))
-    assert usefulness(h, dag, set()) == 0
-    assert usefulness(h, dag, {f}) == 1
-    assert usefulness(f, dag, {f}) == 0
+    dag.add(Derivation(f, "midp_split", (h,), 1))
+    assert usefulness(dag, set())[h] == 0
+    assert usefulness(dag, {f})[h] == 1
+    assert usefulness(dag, {f})[f] == 0
 
 
 def test_score_all_midline(midline, midline_sat):
@@ -122,7 +123,7 @@ def test_lighter_fact_ranks_higher():
     heavy = make_fact("eqangle", "A", "M", "A", "B", "B", "M", "B", "A")
     for f in (light, heavy):
         fs.add(f, 1)
-        dag.add(f, DerivationNode("r", (h,), 1))
+        dag.add(Derivation(f, "r", (h,), 1))
     cfg = MetricConfig(weights={"weight": 1.0})
     scores = score_all(fs, dag, [h], cfg)
     assert scores[light].aggregate > scores[heavy].aggregate
@@ -174,3 +175,63 @@ def test_parse_metric_config_errors():
         parse_metric_config("direction.weight = sideways\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_metric_config("threshold 0.5\n")
+
+
+def _reference_ancestors(dag, fact):
+    """The two separate walks the shared closure replaced."""
+    out, stack = set(), [fact]
+    while stack:
+        f = stack.pop()
+        node = dag.node(f)
+        if node is None or f in out:
+            continue
+        out.add(f)
+        stack.extend(node.premises)
+    return out
+
+
+def _reference_leaf_ancestors(dag, fact):
+    if fact not in dag:
+        return {fact}
+    leaves, seen, stack = set(), set(), [fact]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        node = dag.node(f)
+        if node is None:
+            leaves.add(f)
+        else:
+            stack.extend(node.premises)
+    return leaves
+
+
+def _reference_usefulness(f, dag, interesting):
+    """The pairwise count the one-walk-per-interesting-fact Counter replaced."""
+    count = 0
+    for g in interesting:
+        if g == f or dag.node(g) is None:
+            continue
+        if f in _reference_ancestors(dag, g) or f in _reference_leaf_ancestors(dag, g):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("case", [*range(10), "midline", "pappus", "inscribed"])
+def test_closure_walks_equal_reference(case, default_rules):
+    from conftest import load_construction
+    from fuzzing import random_construction_text
+    from geodeduce import parse_construction
+    c = (parse_construction(random_construction_text(case))
+         if isinstance(case, int) else load_construction(case))
+    res = saturate(initial_facts(c), default_rules)
+    dag, facts = res.dag, res.facts.sorted_facts()
+    derived = [f for f in facts if f in dag]
+    for interesting in (set(facts), set(derived), set(derived[::2])):
+        useful = usefulness(dag, interesting)
+        for f in facts:
+            assert useful[f] == _reference_usefulness(f, dag, interesting), f
+    for f in facts:
+        assert dag.ancestors(f) == _reference_ancestors(dag, f), f
+        assert dag.leaf_ancestors(f) == _reference_leaf_ancestors(dag, f), f
