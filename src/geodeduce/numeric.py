@@ -5,13 +5,17 @@ sampled uniformly in [-1,1]^2, semi-free points sampled on their locus,
 determined points computed from their defining steps.  Facts are then
 evaluated within a relative tolerance, which lets the pipeline discard
 conjectures that are false on generic figures and flag unsound rules.
+
+Coordinates are computed in plain IEEE-754 double arithmetic on Python
+floats, so a model is the same on every host; numpy supplies only each
+seed's PCG64 stream (``default_rng(seed)``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,57 +63,78 @@ HOLDS = Verdict("holds")
 DEGENERATE = Verdict("degenerate")
 
 
+def _vec(a, b):
+    """The vector from point a to point b."""
+    return (b[0] - a[0], b[1] - a[1])
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _cross(u, v) -> float:
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _line_intersection(a, b, c, d):
     """Intersection of lines AB and CD, or None if (nearly) parallel."""
-    r = b - a
-    s = d - c
-    denom = r[0] * s[1] - r[1] * s[0]
+    r = _vec(a, b)
+    s = _vec(c, d)
+    denom = _cross(r, s)
     nr = math.hypot(*r) * math.hypot(*s)
     if nr == 0 or abs(denom) / nr < MIN_SIN:
         return None
-    t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
-    return a + t * r
+    t = _cross(_vec(a, c), s) / denom
+    return (a[0] + t * r[0], a[1] + t * r[1])
 
 
 def _circumcenter(a, b, c):
     """Circumcentre of triangle abc, or None if (nearly) collinear."""
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    diam = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
-    if diam == 0 or abs(d) / (diam ** 2) < MIN_SIN:
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    diam2 = max(_pair_d2((a, b, c)))
+    if diam2 == 0 or abs(d) / diam2 < MIN_SIN:
         return None
-    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-    return np.array([ux, uy])
+    aa, bb, cc = _dot(a, a), _dot(b, b), _dot(c, c)
+    ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
+    uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
+    return (ux, uy)
 
 
 def _sample_once(c: Construction, rng: np.random.Generator):
     """One sampling attempt; returns coords dict or None on degeneracy."""
-    pts: Dict[str, np.ndarray] = {}
+    # low + (high - low) * rng.random() is rng.uniform(low, high) bit for bit
+    pts: Dict[str, Tuple[float, float]] = {}
     for step in c.steps:
         a = step.args
         if step.kind == "free_point":
-            pts[a[0]] = rng.uniform(-1.0, 1.0, size=2)
+            pts[a[0]] = (-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random())
         elif step.kind == "on_line":
-            t = rng.uniform(-1.0, 2.0)
-            pts[a[0]] = pts[a[1]] + t * (pts[a[2]] - pts[a[1]])
+            t = -1.0 + 3.0 * rng.random()
+            p, q = pts[a[1]], pts[a[2]]
+            pts[a[0]] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
         elif step.kind == "on_circle":
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            r = np.linalg.norm(pts[a[2]] - pts[a[1]])
-            pts[a[0]] = pts[a[1]] + r * np.array([math.cos(theta), math.sin(theta)])
+            theta = 2.0 * math.pi * rng.random()
+            o = pts[a[1]]
+            u = _vec(o, pts[a[2]])
+            r = math.sqrt(_dot(u, u))
+            pts[a[0]] = (o[0] + r * math.cos(theta), o[1] + r * math.sin(theta))
         elif step.kind == "midpoint":
-            pts[a[0]] = 0.5 * (pts[a[1]] + pts[a[2]])
+            p, q = pts[a[1]], pts[a[2]]
+            pts[a[0]] = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
         elif step.kind == "intersect":
             p = _line_intersection(pts[a[1]], pts[a[2]], pts[a[3]], pts[a[4]])
             if p is None:
                 return None
             pts[a[0]] = p
         elif step.kind == "foot":
-            u = pts[a[3]] - pts[a[2]]
-            nn = u @ u
+            o = pts[a[2]]
+            u = _vec(o, pts[a[3]])
+            nn = _dot(u, u)
             if nn == 0:
                 return None
-            t = (pts[a[1]] - pts[a[2]]) @ u / nn
-            pts[a[0]] = pts[a[2]] + t * u
+            t = _dot(_vec(o, pts[a[1]]), u) / nn
+            pts[a[0]] = (o[0] + t * u[0], o[1] + t * u[1])
         elif step.kind == "circumcenter":
             o = _circumcenter(pts[a[1]], pts[a[2]], pts[a[3]])
             if o is None:
@@ -118,28 +143,21 @@ def _sample_once(c: Construction, rng: np.random.Generator):
     return pts
 
 
-def _nondegenerate(c: Construction, pts: Dict[str, np.ndarray]) -> bool:
-    names = list(pts)
-    arr = np.array([pts[n] for n in names])
-    if len(names) < 2:
-        return False
-    diff = arr[:, None, :] - arr[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    scale = float(d2.max())
-    if scale == 0:
-        return False
-    iu = np.triu_indices(len(names), k=1)
-    if (d2[iu] < (MIN_SPACING ** 2) * scale).any():
-        return False
-    for step in c.steps:
-        if step.kind == "intersect":
-            a = step.args
-            r = pts[a[2]] - pts[a[1]]
-            s = pts[a[4]] - pts[a[3]]
-            sin = abs(r[0] * s[1] - r[1] * s[0]) / (np.linalg.norm(r) * np.linalg.norm(s))
-            if sin < MIN_SIN:
-                return False
-    return True
+def _pair_d2(points) -> List[float]:
+    """Squared distance of every pair of points."""
+    ps = list(points)
+    return [(x - u) * (x - u) + (y - v) * (y - v)
+            for i, (x, y) in enumerate(ps) for u, v in ps[i + 1:]]
+
+
+def _nondegenerate(pts: Dict[str, Tuple[float, float]]) -> Optional[float]:
+    """The squared diameter of the points, or None if two of them lie
+    closer than MIN_SPACING of it (or there are fewer than two)."""
+    d2 = _pair_d2(pts.values())
+    scale = max(d2, default=0.0)
+    if scale == 0 or min(d2) < MIN_SPACING * MIN_SPACING * scale:
+        return None
+    return scale
 
 
 def instantiate(c: Construction, seed: int) -> CoordinateModel:
@@ -150,49 +168,42 @@ def instantiate(c: Construction, seed: int) -> CoordinateModel:
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         pts = _sample_once(c, rng)
-        if pts is None or not _nondegenerate(c, pts):
-            continue
-        return model_from_coords({n: (float(p[0]), float(p[1])) for n, p in pts.items()},
-                                 seed=seed)
+        scale = None if pts is None else _nondegenerate(pts)
+        if scale is not None:
+            return CoordinateModel(coords=pts, seed=seed, scale=scale)
     raise DegenerateModelError(seed)
 
 
 def model_from_coords(coords: Dict[str, Tuple[float, float]], seed: int = 0) -> CoordinateModel:
-    arr = np.array(list(coords.values()))
-    diff = arr[:, None, :] - arr[None, :, :]
-    scale = float((diff ** 2).sum(axis=2).max())
+    scale = max(_pair_d2(coords.values()), default=0.0)
     return CoordinateModel(coords=dict(coords), seed=seed, scale=scale)
-
-
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
 
 
 def eval_fact(m: CoordinateModel, f: Fact, tol_rel: float = DEFAULT_TOL) -> bool:
     """Evaluate a fact on the model within a scale-relative tolerance."""
-    p = [m.xy(name) for name in f.args]
+    p = [m.coords[name] for name in f.args]
     tol = tol_rel
     s = m.scale
-    if f.pred == "coll":
-        return _cross(p[1] - p[0], p[2] - p[0]) ** 2 <= tol * s * s
-    if f.pred == "para":
-        return _cross(p[1] - p[0], p[3] - p[2]) ** 2 <= tol * s * s
-    if f.pred == "perp":
-        return float((p[1] - p[0]) @ (p[3] - p[2])) ** 2 <= tol * s * s
+    if f.pred in ("coll", "para", "perp"):
+        u = _vec(p[0], p[1])
+        v = _vec(p[0], p[2]) if f.pred == "coll" else _vec(p[2], p[3])
+        x = _dot(u, v) if f.pred == "perp" else _cross(u, v)
+        return x * x <= tol * s * s
     if f.pred == "midp":
-        mid = 0.5 * (p[1] + p[2])
-        return float((p[0] - mid) @ (p[0] - mid)) <= tol * s
+        mid = (0.5 * (p[1][0] + p[2][0]), 0.5 * (p[1][1] + p[2][1]))
+        u = _vec(mid, p[0])
+        return _dot(u, u) <= tol * s
     if f.pred == "cong":
-        d1 = float((p[1] - p[0]) @ (p[1] - p[0]))
-        d2 = float((p[3] - p[2]) @ (p[3] - p[2]))
-        return abs(d1 - d2) <= tol * s
+        u = _vec(p[0], p[1])
+        v = _vec(p[2], p[3])
+        return abs(_dot(u, u) - _dot(v, v)) <= tol * s
     if f.pred == "cyclic":
         o = _circumcenter(p[0], p[1], p[2])
         if o is None:
             return False
-        r2 = float((p[0] - o) @ (p[0] - o))
-        d2 = float((p[3] - o) @ (p[3] - o))
-        return abs(d2 - r2) <= tol * s
+        u = _vec(o, p[0])
+        v = _vec(o, p[3])
+        return abs(_dot(v, v) - _dot(u, u)) <= tol * s
     if f.pred == "eqangle":
         t1 = _dirangle(p[0], p[1], p[2], p[3])
         t2 = _dirangle(p[4], p[5], p[6], p[7])
@@ -204,11 +215,11 @@ def eval_fact(m: CoordinateModel, f: Fact, tol_rel: float = DEFAULT_TOL) -> bool
 
 def _dirangle(a, b, c, d):
     """Directed angle between lines ab and cd, modulo pi."""
-    u = b - a
-    v = d - c
-    if (u @ u) == 0 or (v @ v) == 0:
+    u = _vec(a, b)
+    v = _vec(c, d)
+    if _dot(u, u) == 0 or _dot(v, v) == 0:
         return None
-    return math.atan2(_cross(u, v), float(u @ v))
+    return math.atan2(_cross(u, v), _dot(u, v))
 
 
 def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
@@ -217,8 +228,8 @@ def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
     from .facts import make_fact
 
     if kind == "distinct":
-        a, b = (m.xy(n) for n in args)
-        return float((a - b) @ (a - b)) > tol_rel * m.scale
+        u = _vec(*(m.coords[n] for n in args))
+        return _dot(u, u) > tol_rel * m.scale
     if kind == "non_collinear":
         return not eval_fact(m, make_fact("coll", *args), tol_rel)
     if kind == "distinct_lines":
@@ -232,14 +243,23 @@ def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
 def sample_models(c: Construction, n_models: int, master_seed: int = 0):
     """Sample n models with seeds master_seed .. master_seed+n-1.
 
-    Raises DegenerateModelError if any seed exhausts its attempts.
+    Raises DegenerateModelError if any seed exhausts its attempts, and
+    ValueError if n_models < 1.
     """
+    if n_models < 1:
+        raise ValueError(f"need at least one model, got {n_models}")
     return [instantiate(c, master_seed + i) for i in range(n_models)]
 
 
 def verify(f: Fact, c: Construction, n_models: int = 5,
            tol_rel: float = DEFAULT_TOL, master_seed: int = 0) -> Verdict:
-    """holds iff f is true in all n non-degenerate sampled models."""
+    """holds iff f is true in all n non-degenerate sampled models.
+
+    Raises ValueError if f names a point the construction does not define.
+    """
+    undefined = sorted(set(f.args) - set(c.points()))
+    if undefined:
+        raise ValueError(f"{f} names undefined point(s) {', '.join(undefined)}")
     try:
         models = sample_models(c, n_models, master_seed)
     except DegenerateModelError:

@@ -127,3 +127,21 @@ def test_json_format_matches_run(capsys, root, command):
     _, expected, _ = run(capsys, "run", *argv)
     assert out == expected
     assert json.loads(out)["mode"] == "fixpoint"
+
+
+def test_check_undefined_point(capsys, root):
+    code, out, err = run(capsys, "check", str(root / "examples" / "pappus.gc"),
+                         "coll(A,B,Z)")
+    assert code == 2
+    assert err.startswith("error:") and "Z" in err and not out
+
+
+@pytest.mark.parametrize("command", ["run", "saturate", "rank", "check"])
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seeds_below_one_rejected(capsys, root, command, seeds):
+    argv = [command, str(root / "examples" / "pappus.gc")]
+    if command == "check":
+        argv.append("coll(G,H,I)")
+    code, out, err = run(capsys, *argv, "--seeds", seeds)
+    assert code == 1
+    assert "--seeds" in err and not out
