@@ -4,7 +4,7 @@ from .construction import (Construction, ConstructionError, ConstructionStep,
                            initial_facts, parse_construction)
 from .engine import (Derivation, DerivationDag, SaturationResult, match_rule,
                      saturate)
-from .facts import (Fact, FactSet, canonicalize, fact_symbols, is_degenerate,
+from .facts import (Fact, canonicalize, fact_symbols, is_degenerate,
                     is_tautology, make_fact, parse_fact)
 from .numeric import (CoordinateModel, DegenerateModelError, Verdict,
                       eval_fact, instantiate, verify)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Construction", "ConstructionError", "ConstructionStep",
     "CoordinateModel", "DegenerateModelError", "Derivation",
-    "DerivationDag", "Fact", "FactSet", "MetricConfig", "PipelineConfig",
+    "DerivationDag", "Fact", "MetricConfig", "PipelineConfig",
     "Report", "Rule", "RuleParseError", "SaturationResult", "ScoreCard",
     "SoundnessViolationError", "Verdict", "canonicalize", "emit_report",
     "eval_fact", "fact_symbols", "filter_interesting", "initial_facts",

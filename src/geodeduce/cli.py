@@ -46,27 +46,31 @@ def _read(path: str) -> str:
         raise SystemExit(EXIT_PARSE)
 
 
-def _seed_count(text: str) -> int:
-    """--seeds: zero models would verify nothing, so at least one."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type for an integer >= low: zero seeds, rounds or facts
+    would do nothing, and a negative --top would drop a ranked fact."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return n
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", default=DEFAULT_RULES, help="rule file (.gr)")
     p.add_argument("--mode", choices=["fixpoint", "filtered"], default="fixpoint")
-    p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument("--max-facts", type=int, default=100000)
-    p.add_argument("--seeds", type=_seed_count, default=5)
+    p.add_argument("--max-rounds", type=_int_at_least(1), default=10)
+    p.add_argument("--max-facts", type=_int_at_least(1), default=100000)
+    p.add_argument("--seeds", type=_int_at_least(1), default=5)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top", type=int, default=0)
+    p.add_argument("--top", type=_int_at_least(0), default=0)
     p.add_argument("--weights", default=None, help="metric config file")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--strict-sides", action="store_true")
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="numerically verify one fact")
     p_check.add_argument("construction")
     p_check.add_argument("fact", help="e.g. 'coll(G,H,I)'")
-    p_check.add_argument("--seeds", type=_seed_count, default=5)
+    p_check.add_argument("--seeds", type=_int_at_least(1), default=5)
     p_check.add_argument("--tol", type=float, default=1e-8)
     p_check.add_argument("--master-seed", type=int, default=0)
 

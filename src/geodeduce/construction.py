@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .facts import Fact, FactSet, make_fact
+from .facts import Fact, make_fact
 
 _ID = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -131,12 +131,12 @@ def parse_construction(text: str) -> Construction:
     return Construction(tuple(steps))
 
 
-def initial_facts(c: Construction) -> FactSet:
-    """Emit the hypothesis fact set (generation 0) encoded by the steps."""
-    out = FactSet()
+def initial_facts(c: Construction) -> List[Fact]:
+    """The distinct hypothesis facts encoded by the steps, in step order."""
+    out: Dict[Fact, None] = {}  # an ordered set
 
     def put(pred: str, *args: str) -> None:
-        out.add(make_fact(pred, *args), 0)
+        out[make_fact(pred, *args)] = None
 
     for s in c.steps:
         a = s.args
@@ -157,4 +157,4 @@ def initial_facts(c: Construction) -> FactSet:
         elif s.kind == "circumcenter":
             put("cong", a[0], a[1], a[0], a[2])
             put("cong", a[0], a[2], a[0], a[3])
-    return out
+    return list(out)

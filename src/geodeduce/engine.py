@@ -4,7 +4,8 @@ Each round applies every rule to the facts of the previous round,
 canonicalizes the conclusions, drops tautologies / degenerate facts /
 duplicates, and commits the survivors in canonical-form lexicographic
 order.  The first derivation of a fact wins; later ones are ignored.
-Both naive and semi-naive evaluation are provided and must agree.
+Both naive and semi-naive evaluation are provided and must agree.  One
+``DerivationDag`` holds every fact, hypotheses and derived facts alike.
 
 Rules are matched by one indexed join.  At the start of a round every
 fact's symmetry orbit is enumerated once.  For each premise slot, the
@@ -17,10 +18,9 @@ orbit table and the indexes are dropped when the round ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .facts import (Fact, FactSet, canonicalize, is_degenerate, is_tautology,
-                    orbit)
+from .facts import Fact, canonicalize, is_degenerate, is_tautology, orbit
 from .rules import Rule, is_variable
 
 # a grounded numeric side condition: (kind, point names)
@@ -44,21 +44,45 @@ class Derivation:
 
 
 class DerivationDag:
-    """Append-only map from derived fact to its (unique) derivation."""
+    """The append-only fact store: the hypotheses (round 0) and each derived
+    fact with its one derivation.  ``in``, iteration (insertion order) and
+    ``len`` cover every fact; f is derived iff ``node(f) is not None``."""
 
-    def __init__(self) -> None:
-        self.nodes: Dict[Fact, Derivation] = {}
+    def __init__(self, hypotheses: Iterable[Fact] = ()) -> None:
+        # fact -> its derivation, None for a hypothesis
+        self._node: Dict[Fact, Optional[Derivation]] = dict.fromkeys(hypotheses)
 
-    def add(self, d: Derivation) -> None:
-        if d.fact in self.nodes:
-            raise ValueError(f"second derivation for {d.fact}")
-        self.nodes[d.fact] = d
+    def add(self, *derivations: Derivation) -> None:
+        for d in derivations:
+            if d.fact in self._node:
+                raise ValueError(f"{d.fact} is already in the graph")
+            self._node[d.fact] = d
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self.nodes
+        return fact in self._node
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._node)
+
+    def __len__(self) -> int:
+        return len(self._node)
+
+    def copy(self) -> "DerivationDag":
+        out = DerivationDag()
+        out._node = dict(self._node)
+        return out
 
     def node(self, fact: Fact) -> Optional[Derivation]:
-        return self.nodes.get(fact)
+        return self._node.get(fact)
+
+    def generation(self, fact: Fact) -> int:
+        """0 for a hypothesis, else the round that derived the fact."""
+        d = self._node[fact]
+        return 0 if d is None else d.round
+
+    def derivations(self) -> List[Derivation]:
+        """The derived facts' derivations, in the order they were added."""
+        return [d for d in self._node.values() if d is not None]
 
     def closure(self, fact: Fact) -> Set[Fact]:
         """fact plus every fact reachable through premises, leaves included."""
@@ -69,18 +93,18 @@ class DerivationDag:
             if f in out:
                 continue
             out.add(f)
-            d = self.nodes.get(f)
+            d = self._node.get(f)
             if d is not None:
                 stack.extend(d.premises)
         return out
 
     def ancestors(self, fact: Fact) -> Set[Fact]:
-        """Derived facts (DAG nodes) in the ancestor closure, fact included."""
-        return {f for f in self.closure(fact) if f in self.nodes}
+        """Derived facts in the ancestor closure, fact included."""
+        return {f for f in self.closure(fact) if self._node.get(f) is not None}
 
     def leaf_ancestors(self, fact: Fact) -> Set[Fact]:
         """Hypothesis facts reachable from fact; {fact} if it is one."""
-        return {f for f in self.closure(fact) if f not in self.nodes}
+        return {f for f in self.closure(fact) if self._node.get(f) is None}
 
 
 class _Slot(NamedTuple):
@@ -207,11 +231,11 @@ def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
             yield binding, used, concl
 
 
-def match_rule(rule: Rule, facts: FactSet) -> List[Dict[str, str]]:
-    """All bindings satisfying the premises, deduplicated by canonical
-    conclusion; symbolic distinct() conditions already enforced and
-    tautological/degenerate conclusions dropped."""
-    pools = {(pred, ALL): sorted(facts.by_pred(pred), key=str)
+def match_rule(rule: Rule, dag: DerivationDag) -> List[Dict[str, str]]:
+    """All bindings over dag's facts satisfying the premises, deduplicated
+    by canonical conclusion; symbolic distinct() conditions already enforced
+    and tautological/degenerate conclusions dropped."""
+    pools = {(pred, ALL): sorted((f for f in dag if f.pred == pred), key=str)
              for pred in {p.pred for p in rule.premises}}
     orbits = _orbit_table(f for pool in pools.values() for f in pool)
     out: Dict[Fact, Dict[str, str]] = {}
@@ -235,17 +259,17 @@ def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],
     return tuple(sorted(set(conds)))
 
 
-def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
-                 round_index: int, strategy: str = "semi_naive",
-                 strict_sides: bool = False):
-    """Collect this round's new derivations plus drop counters.
+def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
+                 strategy: str = "semi_naive", strict_sides: bool = False):
+    """Collect this round's new derivations over dag's facts plus drop
+    counters; dag is not changed.
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
     each derivation stamped with round_index; at most one per new fact: the
     least (rule, premises), the first one drawn among equals.
     """
     semi_naive = strategy != "naive" and round_index > 1
-    usable = sorted(facts, key=str)
+    usable = sorted(dag, key=str)
     if strict_sides:  # conditional facts serve as no premise
         usable = [f for f in usable
                   if dag.node(f) is None or not dag.node(f).conditional]
@@ -253,7 +277,7 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
     for f in usable:
         pools.setdefault((f.pred, ALL), []).append(f)
         if semi_naive:
-            gen = facts.generation(f)
+            gen = dag.generation(f)
             if gen < round_index - 1:
                 pools.setdefault((f.pred, OLD), []).append(f)
             elif gen == round_index - 1:
@@ -275,7 +299,7 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
         else:
             plans = [(ALL,) * n]
         for binding, used, concl in _matches(rule, plans, pools, orbits, indexes):
-            if concl in facts:
+            if concl in dag:
                 continue
             if is_tautology(concl):
                 n_taut += 1
@@ -297,37 +321,35 @@ def derive_round(facts: FactSet, dag: DerivationDag, rules: List[Rule],
 
 @dataclass
 class SaturationResult:
-    facts: FactSet
-    dag: DerivationDag
+    dag: DerivationDag  # the hypotheses plus every derived fact
     stop_reason: str  # fixpoint | budget
     rounds: int
     dropped_tautologies: int = 0
     dropped_degenerate: int = 0
 
 
-def saturate(d0: FactSet, rules: List[Rule], max_rounds: int = 10,
+def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10,
              max_facts: int = 100000, strategy: str = "semi_naive",
              strict_sides: bool = False) -> SaturationResult:
-    """Run forward chaining until a fixpoint or a budget is hit."""
-    assert max_rounds > 0 and max_facts > 0
-    facts = d0.copy()
-    dag = DerivationDag()
+    """Run forward chaining from the hypotheses until a fixpoint or a
+    budget is hit."""
+    if max_rounds < 1 or max_facts < 1:
+        raise ValueError("max_rounds and max_facts must be at least 1")
+    dag = DerivationDag(hypotheses)
     n_taut = n_degen = 0
     rounds = 0
     stop = "budget"
     for r in range(1, max_rounds + 1):
-        new, t, g = derive_round(facts, dag, rules, r, strategy, strict_sides)
+        new, t, g = derive_round(dag, rules, r, strategy, strict_sides)
         n_taut += t
         n_degen += g
         if not new:
             stop = "fixpoint"
             rounds = r - 1
             break
-        for d in new:
-            facts.add(d.fact, r)
-            dag.add(d)
+        dag.add(*new)
         rounds = r
-        if len(facts) >= max_facts:
+        if len(dag) >= max_facts:
             stop = "budget"
             break
-    return SaturationResult(facts, dag, stop, rounds, n_taut, n_degen)
+    return SaturationResult(dag, stop, rounds, n_taut, n_degen)

@@ -10,8 +10,8 @@ well defined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Tuple
 
 # predicate name -> arity
 ARITIES: Dict[str, int] = {
@@ -182,46 +182,3 @@ def fact_symbols(fact: Fact) -> Tuple[Tuple[str, ...], frozenset]:
     multiset = (fact.pred,) + fact.args
     return multiset, frozenset(multiset)
 
-
-class FactSet:
-    """A set of canonical facts with the round at which each one entered.
-
-    Round (generation) 0 marks hypothesis facts; derived facts carry the
-    positive round index of the saturation step that produced them.
-    """
-
-    def __init__(self) -> None:
-        self._gen: Dict[Fact, int] = {}
-        self._by_pred: Dict[str, list] = {}
-
-    def add(self, fact: Fact, generation: int) -> bool:
-        """Insert; returns False if the fact was already present."""
-        if fact in self._gen:
-            return False
-        self._gen[fact] = generation
-        self._by_pred.setdefault(fact.pred, []).append(fact)
-        return True
-
-    def generation(self, fact: Fact) -> int:
-        return self._gen[fact]
-
-    def by_pred(self, pred: str) -> list:
-        return self._by_pred.get(pred, [])
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self._gen
-
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self._gen)
-
-    def __len__(self) -> int:
-        return len(self._gen)
-
-    def copy(self) -> "FactSet":
-        out = FactSet()
-        for f, g in self._gen.items():
-            out.add(f, g)
-        return out
-
-    def sorted_facts(self) -> list:
-        return sorted(self._gen, key=str)

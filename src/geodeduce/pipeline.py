@@ -8,7 +8,8 @@ Two modes:
   fact derived from a discarded fact is discarded too.
 * ``filtered`` — per round, only facts that pass the run-time filter and
   are judged interesting re-enter the fact list; everything else is
-  discarded for the rest of the run.
+  discarded for the rest of the run.  One graph grows across the rounds;
+  each round scores its survivors on one trial copy of it.
 
 Both modes send derivations through the same admission routine,
 ``_admit``.
@@ -27,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
 from .engine import Derivation, DerivationDag, derive_round, saturate
-from .facts import Fact, FactSet
+from .facts import Fact
 from .numeric import DEFAULT_TOL, eval_condition, eval_fact, sample_models
 from .rules import Rule
 from .scoring import MetricConfig, ScoreCard, filter_interesting, score_all
@@ -128,27 +129,15 @@ def _admit(derivations: Iterable[Derivation], models, tol: float,
     return passed
 
 
-def _graph(d0: FactSet, derivations: Iterable[Derivation]
-           ) -> Tuple[FactSet, DerivationDag]:
-    """The hypotheses plus the derived facts, and their derivation DAG."""
-    facts = d0.copy()
-    dag = DerivationDag()
-    for d in derivations:
-        facts.add(d.fact, d.round)
-        dag.add(d)
-    return facts, dag
-
-
-def _build_records(facts: FactSet, dag: DerivationDag, d0: FactSet,
-                   cfg: PipelineConfig) -> List[FactRecord]:
-    scores = score_all(facts, dag, d0, cfg.metrics)
+def _build_records(dag: DerivationDag, cfg: PipelineConfig) -> List[FactRecord]:
+    scores = score_all(dag, cfg.metrics)
     interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
     records = []
-    for f in facts.sorted_facts():
+    for f in sorted(dag, key=str):
         d = dag.node(f)
         records.append(FactRecord(
             fact=f,
-            round=facts.generation(f),
+            round=dag.generation(f),
             rule=d.rule if d else None,
             premises=d.premises if d else (),
             verdict="holds",
@@ -160,27 +149,25 @@ def _build_records(facts: FactSet, dag: DerivationDag, d0: FactSet,
 
 def run_pipeline(construction: Construction, rules: List[Rule],
                  cfg: PipelineConfig) -> Report:
-    d0 = initial_facts(construction)
+    hypotheses = initial_facts(construction)
     models = sample_models(construction, cfg.seeds, cfg.master_seed)
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
     blocked: Set[Fact] = set()  # discarded facts never come back within a run
+    dag = DerivationDag(hypotheses)  # the hypotheses plus every kept fact
 
     if cfg.mode == "fixpoint":
-        sat = saturate(d0, rules, cfg.max_rounds, cfg.max_facts,
+        sat = saturate(hypotheses, rules, cfg.max_rounds, cfg.max_facts,
                        strict_sides=cfg.strict_sides)
         discarded["tautologies"] = sat.dropped_tautologies
-        # round order: every premise is judged before the facts it yields
-        ordered = sorted(sat.dag.nodes.values(),
-                         key=lambda d: (d.round, str(d.fact)))
-        kept = _admit(ordered, models, cfg.tol, blocked, discarded)
+        # in round order: every premise is judged before the facts it yields
+        dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, blocked,
+                        discarded))
         rounds, stop = sat.rounds, sat.stop_reason
     elif cfg.mode == "filtered":
         # only interesting survivors re-enter the fact list
-        kept = []
         rounds, stop = 0, "budget"
         for r in range(1, cfg.max_rounds + 1):
-            facts, dag = _graph(d0, kept)
-            candidates, n_taut, _ = derive_round(facts, dag, rules, r,
+            candidates, n_taut, _ = derive_round(dag, rules, r,
                                                  strict_sides=cfg.strict_sides)
             discarded["tautologies"] += n_taut
             survivors = _admit(candidates, models, cfg.tol, blocked, discarded)
@@ -189,21 +176,23 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                 rounds = r - 1
                 break
             # score candidates against the current fact list
-            scores = score_all(*_graph(d0, kept + survivors), d0, cfg.metrics)
+            trial = dag.copy()
+            trial.add(*survivors)
+            scores = score_all(trial, cfg.metrics)
             interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
             added = [d for d in survivors if d.fact in interesting]
             blocked.update(d.fact for d in survivors if d.fact not in interesting)
-            kept += added
+            dag.add(*added)
             rounds = r
             if not added:
                 stop = "fixpoint"
                 break
-            if len(facts) + len(added) >= cfg.max_facts:
+            if len(dag) >= cfg.max_facts:
                 stop = "budget"
                 break
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    records = _build_records(*_graph(d0, kept), d0, cfg)
+    records = _build_records(dag, cfg)
     return Report(construction.source(), rules_digest(rules), cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)
 

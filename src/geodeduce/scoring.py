@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .engine import DerivationDag
-from .facts import Fact, FactSet, fact_symbols
+from .facts import Fact, fact_symbols
 
 METRICS = ("obviousness", "weight", "complexity", "surprisingness",
            "intensity", "adaptivity", "focus", "usefulness")
@@ -93,12 +93,15 @@ def surprisingness(f: Fact, hyp_pairs: Set[FrozenSet[str]]) -> float:
     return new / len(pairs)
 
 
-def intensity(f: Fact, dag: DerivationDag) -> float:
-    """How much f condenses the points of its leaf ancestors."""
-    if f not in dag:
-        return 0.0
+def hypotheses_used(f: Fact, dag: DerivationDag) -> Set[Fact]:
+    """The leaf ancestors of a derived fact; empty for a hypothesis."""
+    return dag.leaf_ancestors(f) if dag.node(f) is not None else set()
+
+
+def intensity(f: Fact, leaves: Set[Fact]) -> float:
+    """How much f condenses the points of its leaves (hypotheses_used)."""
     leaf_pts: Set[str] = set()
-    for leaf in dag.leaf_ancestors(f):
+    for leaf in leaves:
         leaf_pts.update(leaf.points())
     if not leaf_pts:
         return 0.0
@@ -111,11 +114,9 @@ def adaptivity(f: Fact) -> float:
     return 1.0 - len(set(f.args)) / len(f.args)
 
 
-def focus(f: Fact, dag: DerivationDag) -> float:
+def focus(f: Fact, leaves: Set[Fact]) -> float:
     """Literal balance of the clause (not h1 or ... or not hn or f)."""
-    if f not in dag:
-        return 1.0
-    n = len(dag.leaf_ancestors(f))
+    n = len(leaves)
     return abs(1 - n) / (1 + n)
 
 
@@ -123,9 +124,8 @@ def usefulness(dag: DerivationDag, interesting: Set[Fact]) -> Counter:
     """Per fact, how many other derived interesting facts have it in their
     ancestor closure."""
     count: Counter = Counter()
-    for g in interesting:
-        if g in dag:
-            count.update(dag.closure(g) - {g})
+    for g in interesting:  # a hypothesis's closure is itself alone
+        count.update(dag.closure(g) - {g})
     return count
 
 
@@ -133,14 +133,15 @@ def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
                 hyp_pairs: Set[FrozenSet[str]]) -> Dict[Fact, Dict[str, float]]:
     out = {}
     for f in facts:
+        leaves = hypotheses_used(f, dag)
         out[f] = {
             "obviousness": float(obviousness(f, dag)),
             "weight": float(weight(f)),
             "complexity": float(complexity(f)),
             "surprisingness": surprisingness(f, hyp_pairs),
-            "intensity": intensity(f, dag),
+            "intensity": intensity(f, leaves),
             "adaptivity": adaptivity(f),
-            "focus": focus(f, dag),
+            "focus": focus(f, leaves),
             "usefulness": 0.0,
         }
     return out
@@ -170,13 +171,14 @@ def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
     return cards
 
 
-def score_all(facts: FactSet, dag: DerivationDag, d0: Iterable[Fact],
-              cfg: MetricConfig) -> Dict[Fact, ScoreCard]:
-    """Two-pass scoring of every fact; normalization over derived facts only."""
-    all_facts = facts.sorted_facts()
-    derived = [f for f in all_facts if f in dag]
+def score_all(dag: DerivationDag, cfg: MetricConfig) -> Dict[Fact, ScoreCard]:
+    """Two-pass scoring of every fact in dag; normalization over derived
+    facts only."""
+    all_facts = sorted(dag, key=str)
+    derived = [f for f in all_facts if dag.node(f) is not None]
+    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
 
-    raw = _raw_scores(all_facts, dag, hypothesis_pairs(d0))
+    raw = _raw_scores(all_facts, dag, hyp_pairs)
     cards = _normalize(raw, derived, cfg)
     provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
 
@@ -206,11 +208,15 @@ def parse_metric_config(text: str, threshold: float = 0.5,
             threshold = float(value)
         elif key == "top_k":
             top_k = int(value)
+            if top_k < 0:
+                raise ValueError(f"metric config line {lineno}: top_k must be >= 0")
         elif key.startswith("weight."):
             m = key[len("weight."):]
             if m not in METRICS:
                 raise ValueError(f"metric config line {lineno}: unknown metric {m!r}")
             weights[m] = float(value)
+            if not weights[m] >= 0:  # also rejects nan
+                raise ValueError(f"metric config line {lineno}: weight must be >= 0")
         elif key.startswith("direction."):
             m = key[len("direction."):]
             if m not in METRICS or value not in ("higher", "lower"):

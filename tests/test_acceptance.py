@@ -19,7 +19,7 @@ from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
                                 emit_report, run_pipeline)
 from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
                                filter_interesting, focus, hypothesis_pairs,
-                               intensity, obviousness, score_all,
+                               hypotheses_used, intensity, obviousness, score_all,
                                surprisingness, weight)
 
 from fuzzing import random_construction_text
@@ -49,11 +49,11 @@ def test_criterion_2_fixpoint_chain(default_rules):
         assert res.stop_reason == "fixpoint", name
         assert res.rounds <= 10
         # chain is monotone: every fact keeps its entry round, premises older
-        for f, node in res.dag.nodes.items():
-            assert res.facts.generation(f) == node.round
+        for node in res.dag.derivations():
+            assert res.dag.generation(node.fact) == node.round
             for p in node.premises:
-                assert res.facts.generation(p) < node.round
-        extra, _, _ = derive_round(res.facts, res.dag, default_rules,
+                assert res.dag.generation(p) < node.round
+        extra, _, _ = derive_round(res.dag, default_rules,
                                    res.rounds + 1, strategy="naive")
         assert extra == [], name
     _ok(2, "all bundled examples reach a stable fixpoint within 10 rounds")
@@ -62,7 +62,7 @@ def test_criterion_2_fixpoint_chain(default_rules):
 def test_criterion_3_midline(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
     target = make_fact("para", "M", "N", "B", "C")
-    assert target in res.facts and res.facts.generation(target) == 1
+    assert target in res.dag and res.dag.generation(target) == 1
     assert obviousness(target, res.dag) == 1
     rep = run_pipeline(midline, default_rules, PipelineConfig())
     assert emit_report(rep, "text") == (GOLDEN / "midline_report.txt").read_text()
@@ -72,8 +72,8 @@ def test_criterion_3_midline(midline, default_rules):
 def test_criterion_4_inscribed_angle_chain(inscribed, default_rules):
     res = saturate(initial_facts(inscribed), default_rules)
     cyc = make_fact("cyclic", "A", "B", "C", "D")
-    assert cyc in res.facts
-    eqangles = [f for f in res.facts if f.pred == "eqangle"]
+    assert cyc in res.dag
+    eqangles = [f for f in res.dag if f.pred == "eqangle"]
     assert eqangles
     assert verify(cyc, inscribed, n_models=100).kind == "holds"
     for f in eqangles:
@@ -91,7 +91,7 @@ def test_criterion_5_soundness_sweep(default_rules):
         except DegenerateModelError:
             skipped += 1
             continue
-        for f in res.facts:
+        for f in res.dag:
             node = res.dag.node(f)
             if node is None or node.conditional:
                 continue
@@ -113,8 +113,8 @@ def test_criterion_6_oracle_equivalence(default_rules):
         d0 = initial_facts(c)
         a = saturate(d0, default_rules, strategy="naive", max_facts=400)
         b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
-        assert {f: a.facts.generation(f) for f in a.facts} == \
-               {f: b.facts.generation(f) for f in b.facts}
+        assert {f: a.dag.generation(f) for f in a.dag} == \
+               {f: b.dag.generation(f) for f in b.dag}
         assert a.rounds == b.rounds and a.stop_reason == b.stop_reason
     _ok(6, "semi-naive equals naive on 3 bundled + 50 fuzz cases")
 
@@ -143,14 +143,14 @@ def test_criterion_8_metric_suite(midline, default_rules):
     assert weight(cong) == 5
     assert complexity(cong) == 4
     assert surprisingness(para, hypothesis_pairs(d0)) == pytest.approx(4 / 6)
-    assert intensity(para, res.dag) == pytest.approx(0.2)
-    assert focus(para, res.dag) == pytest.approx(1 / 3)
+    assert intensity(para, hypotheses_used(para, res.dag)) == pytest.approx(0.2)
+    assert focus(para, hypotheses_used(para, res.dag)) == pytest.approx(1 / 3)
     assert adaptivity(cong) == pytest.approx(0.25)
     for h in d0:
         assert obviousness(h, res.dag) == 0
 
     cfg = MetricConfig()
-    scores = score_all(res.facts, res.dag, d0, cfg)
+    scores = score_all(res.dag, cfg)
     for card in scores.values():
         assert all(0.0 <= v <= 1.0 for v in card.normalized.values())
         assert 0.0 <= card.aggregate <= 1.0
@@ -158,7 +158,7 @@ def test_criterion_8_metric_suite(midline, default_rules):
     # ranking invariance under consistent renaming
     renamed = parse_construction("point X Y Z\nmidpoint U X Y\nmidpoint V X Z\n")
     res2 = saturate(initial_facts(renamed), default_rules)
-    scores2 = score_all(res2.facts, res2.dag, initial_facts(renamed), cfg)
+    scores2 = score_all(res2.dag, cfg)
     r1 = sorted(s.aggregate for _, s in filter_interesting(scores, cfg))
     r2 = sorted(s.aggregate for _, s in filter_interesting(scores2, cfg))
     assert r1 == pytest.approx(r2)

@@ -145,3 +145,33 @@ def test_seeds_below_one_rejected(capsys, root, command, seeds):
     code, out, err = run(capsys, *argv, "--seeds", seeds)
     assert code == 1
     assert "--seeds" in err and not out
+
+
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+@pytest.mark.parametrize("flag,value", [("--max-rounds", "0"),
+                                        ("--max-facts", "0"),
+                                        ("--max-rounds", "-1"),
+                                        ("--top", "-1")])
+def test_budget_and_top_below_bound_rejected(capsys, root, mode, flag, value):
+    code, out, err = run(capsys, "run", str(root / "examples" / "midline.gc"),
+                         "--mode", mode, flag, value)
+    assert code == 1
+    assert flag in err and "Traceback" not in err and not out
+
+
+def test_smallest_budget_and_top_accepted(capsys, root):
+    code, out, _ = run(capsys, "run", str(root / "examples" / "midline.gc"),
+                       "--rules", str(root / "rules" / "gddm-default.gr"),
+                       "--max-rounds", "1", "--max-facts", "1", "--top", "0")
+    assert code == 0
+    assert "stop: budget" in out
+
+
+@pytest.mark.parametrize("line", ["weight.weight = -3", "top_k = -1"])
+def test_negative_weight_or_top_k_in_weights_file(capsys, tmp_path, root, line):
+    w = tmp_path / "metrics.cfg"
+    w.write_text(f"threshold = 0.0\n{line}\n")
+    code, out, err = run(capsys, "run", str(root / "examples" / "inscribed.gc"),
+                         "--weights", str(w))
+    assert code == 2
+    assert "line 2" in err and not out

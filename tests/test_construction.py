@@ -102,6 +102,15 @@ def test_initial_facts_no_tautologies_no_duplicates(bundled):
     assert not any(is_tautology(f) for f in facts)
 
 
+def test_initial_facts_distinct_in_step_order():
+    # intersect P A B B A states coll(A,B,P) twice; it is listed once
+    c = parse_construction("point A B C\nintersect P A B B A\nmidpoint M A C\n")
+    assert initial_facts(c) == [make_fact("coll", "A", "B", "P"),
+                                make_fact("midp", "M", "A", "C"),
+                                make_fact("coll", "A", "C", "M"),
+                                make_fact("cong", "M", "A", "M", "C")]
+
+
 def test_hypothesis_facts_hold_on_sampled_models(bundled):
     d0 = initial_facts(bundled)
     for m in sample_models(bundled, 10, master_seed=7):

@@ -7,8 +7,8 @@ import pytest
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, match_rule, parse_rules, saturate
 from geodeduce.engine import (_index, _join, _orbit_table, _slots, derive_round,
-                              DerivationDag)
-from geodeduce.facts import FactSet, orbit
+                              Derivation, DerivationDag)
+from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
 
 from fuzzing import random_construction_text
@@ -18,16 +18,10 @@ MIDLINE_RULE = ("rule midline: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C)"
                 " => para(M,N,B,C)\n")
 
 
-def _factset(*facts):
-    fs = FactSet()
-    for f in facts:
-        fs.add(f, 0)
-    return fs
-
-
 def test_match_rule_midline_deduplicates_symmetric_binding():
     rule = parse_rules(MIDLINE_RULE)[0]
-    fs = _factset(make_fact("midp", "M", "A", "B"), make_fact("midp", "N", "A", "C"))
+    fs = DerivationDag([make_fact("midp", "M", "A", "B"),
+                        make_fact("midp", "N", "A", "C")])
     bindings = match_rule(rule, fs)
     # the {B,C}/{M,N} swap yields the same canonical conclusion
     assert len(bindings) == 1
@@ -37,27 +31,27 @@ def test_match_rule_midline_deduplicates_symmetric_binding():
 
 def test_match_rule_empty_factset():
     rule = parse_rules(MIDLINE_RULE)[0]
-    assert match_rule(rule, FactSet()) == []
+    assert match_rule(rule, DerivationDag()) == []
 
 
 def test_match_rule_second_premise_unmatched(default_rules):
     para_trans = next(r for r in default_rules if r.name == "para_trans")
-    fs = _factset(make_fact("para", "A", "B", "C", "D"))
+    fs = DerivationDag([make_fact("para", "A", "B", "C", "D")])
     assert match_rule(para_trans, fs) == []
 
 
 def test_match_rule_orbit_matching():
     # stored fact is canonical cong(O,A,O,B); pattern reverses the segments
     rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z) => cong(X,Z,X,Y)")[0]
-    fs = _factset(make_fact("cong", "O", "B", "O", "A"))
+    fs = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
     bindings = match_rule(rule, fs)
     assert bindings and all(b["X"] == "O" for b in bindings)
 
 
 def test_saturate_empty_d0(default_rules):
-    res = saturate(FactSet(), default_rules)
+    res = saturate([], default_rules)
     assert res.stop_reason == "fixpoint"
-    assert len(res.facts) == 0 and not res.dag.nodes
+    assert len(res.dag) == 0 and not res.dag.derivations()
 
 
 def test_saturate_no_rules():
@@ -65,14 +59,14 @@ def test_saturate_no_rules():
     d0 = initial_facts(c)
     res = saturate(d0, [])
     assert res.stop_reason == "fixpoint"
-    assert set(res.facts) == set(d0) and not res.dag.nodes
+    assert set(res.dag) == set(d0) and not res.dag.derivations()
 
 
 def test_saturate_midline_round_one(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
     target = make_fact("para", "M", "N", "B", "C")
-    assert target in res.facts
-    assert res.facts.generation(target) == 1
+    assert target in res.dag
+    assert res.dag.generation(target) == 1
     node = res.dag.node(target)
     assert node.rule == "midline" and node.round == 1
     assert node.conditional
@@ -81,16 +75,16 @@ def test_saturate_midline_round_one(midline, default_rules):
 def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
-    for f, node in res.dag.nodes.items():
-        assert res.facts.generation(f) == node.round
+    for node in res.dag.derivations():
+        assert res.dag.generation(node.fact) == node.round
         for p in node.premises:
-            assert res.facts.generation(p) < node.round
+            assert res.dag.generation(p) < node.round
 
 
 def test_fixpoint_one_extra_round_adds_nothing(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
-    new, _, _ = derive_round(res.facts, res.dag, default_rules,
+    new, _, _ = derive_round(res.dag, default_rules,
                              res.rounds + 1, strategy="naive")
     assert new == []
 
@@ -112,13 +106,41 @@ def test_first_derivation_wins(midline, default_rules):
         dag.add(res.dag.node(f))
 
 
+def test_derivation_dag_contract():
+    h = make_fact("coll", "A", "B", "C")
+    dag = DerivationDag([make_fact("coll", "C", "B", "A"), h])
+    assert len(dag) == 1 and list(dag) == [h] and h in dag  # duplicates collapse
+    assert dag.node(h) is None and dag.generation(h) == 0
+    f = make_fact("coll", "A", "B", "D")
+    d = Derivation(f, "r", (h,), 3)
+    trial = dag.copy()
+    dag.add(d)
+    assert dag.node(f) is d and dag.generation(f) == 3
+    assert list(dag) == [h, f] and dag.derivations() == [d]
+    # a second derivation of a derived fact or of a hypothesis
+    for again in (Derivation(f, "s", (h,), 4), Derivation(h, "r", (f,), 4)):
+        with pytest.raises(ValueError):
+            dag.add(again)
+    # the copy is independent both ways
+    assert f not in trial and len(trial) == 1
+    g = make_fact("coll", "A", "C", "D")
+    trial.add(Derivation(g, "r", (h,), 1))
+    assert g in trial and g not in dag and len(dag) == 2
+
+
+def test_saturate_rejects_empty_budget(midline, default_rules):
+    for budget in ({"max_rounds": 0}, {"max_facts": 0}):
+        with pytest.raises(ValueError):
+            saturate(initial_facts(midline), default_rules, **budget)
+
+
 def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):
     d0 = initial_facts(bundled)
     a = saturate(d0, default_rules, strategy="naive")
     b = saturate(d0, default_rules, strategy="semi_naive")
-    assert set(a.facts) == set(b.facts)
-    assert {f: a.facts.generation(f) for f in a.facts} == \
-           {f: b.facts.generation(f) for f in b.facts}
+    assert set(a.dag) == set(b.dag)
+    assert {f: a.dag.generation(f) for f in a.dag} == \
+           {f: b.dag.generation(f) for f in b.dag}
     assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
 
 
@@ -128,27 +150,27 @@ def test_naive_equals_semi_naive_fuzz(seed, default_rules):
     d0 = initial_facts(c)
     a = saturate(d0, default_rules, strategy="naive", max_facts=400)
     b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
-    assert set(a.facts) == set(b.facts)
-    assert {f: a.facts.generation(f) for f in a.facts} == \
-           {f: b.facts.generation(f) for f in b.facts}
+    assert set(a.dag) == set(b.dag)
+    assert {f: a.dag.generation(f) for f in a.dag} == \
+           {f: b.dag.generation(f) for f in b.dag}
 
 
 def test_deterministic_output(inscribed, default_rules):
     d0 = initial_facts(inscribed)
     r1 = saturate(d0, default_rules)
     r2 = saturate(d0, default_rules)
-    assert [str(f) for f in r1.facts.sorted_facts()] == \
-           [str(f) for f in r2.facts.sorted_facts()]
-    assert r1.dag.nodes == r2.dag.nodes
+    assert [str(f) for f in sorted(r1.dag, key=str)] == \
+           [str(f) for f in sorted(r2.dag, key=str)]
+    assert r1.dag.derivations() == r2.dag.derivations()
 
 
 def test_strict_sides_excludes_conditional_premises(inscribed, default_rules):
     d0 = initial_facts(inscribed)
     loose = saturate(d0, default_rules)
     strict = saturate(d0, default_rules, strict_sides=True)
-    assert set(strict.facts) <= set(loose.facts)
+    assert set(strict.dag) <= set(loose.dag)
     # the cyclic fact is conditional, so no eqangle may be built on it
-    assert not any(f.pred == "eqangle" for f in strict.facts)
+    assert not any(f.pred == "eqangle" for f in strict.dag)
 
 
 def _reference_join(rule, candidate_lists):
@@ -195,10 +217,11 @@ def _hashable(pairs):
 def test_indexed_join_equals_reference(seed, default_rules, inscribed):
     c = (inscribed if seed == "inscribed"
          else parse_construction(random_construction_text(seed)))
-    facts = saturate(initial_facts(c), default_rules, max_rounds=2).facts
+    facts = saturate(initial_facts(c), default_rules, max_rounds=2).dag
     orbits = _orbit_table(facts)
     for rule in default_rules:
-        lists = [sorted(facts.by_pred(p.pred), key=str) for p in rule.premises]
+        lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
+                 for p in rule.premises]
         slots = _slots(rule)
         indexes = [_index(s, lst, orbits) for s, lst in zip(slots, lists)]
         got = _hashable(_join(slots, indexes))
@@ -214,6 +237,6 @@ def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
     monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
     d0 = initial_facts(inscribed)
     res = saturate(d0, default_rules)
-    present = [sum(1 for f in res.facts if res.facts.generation(f) < r)
+    present = [sum(1 for f in res.dag if res.dag.generation(f) < r)
                for r in range(1, res.rounds + 2)]
     assert calls and len(calls) <= sum(present)

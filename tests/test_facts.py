@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodeduce.facts import (ARITIES, Fact, FactSet, MalformedFactError,
+from geodeduce.facts import (ARITIES, Fact, MalformedFactError,
                              canonicalize, fact_symbols, is_degenerate,
                              is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
@@ -139,10 +139,3 @@ def test_tautologies_true_on_100_random_models():
         coords = {n: tuple(rng.uniform(-1, 1, 2)) for n in "AB"}
         assert eval_fact(model_from_coords(coords, seed=seed), taut)
 
-
-def test_factset_dedup_and_generations():
-    fs = FactSet()
-    assert fs.add(make_fact("coll", "C", "B", "A"), 0)
-    assert not fs.add(make_fact("coll", "A", "B", "C"), 1)
-    assert fs.generation(make_fact("coll", "A", "B", "C")) == 0
-    assert len(fs) == 1

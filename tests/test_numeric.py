@@ -324,7 +324,7 @@ def _probe_facts(c, rules):
     the figure supports), each with a copy whose last point is swapped for
     the first point it does not name."""
     out = []
-    for f in saturate(initial_facts(c), rules, max_rounds=2).facts:
+    for f in saturate(initial_facts(c), rules, max_rounds=2).dag:
         out.append(f)
         others = [p for p in c.points() if p not in f.args]
         if others:

@@ -4,10 +4,9 @@ import pytest
 
 from geodeduce import initial_facts, make_fact, saturate
 from geodeduce.engine import Derivation, DerivationDag
-from geodeduce.facts import FactSet
 from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
-                               filter_interesting, focus, intensity,
-                               hypothesis_pairs, obviousness,
+                               filter_interesting, focus, hypothesis_pairs,
+                               hypotheses_used, intensity, obviousness,
                                parse_metric_config, score_all, surprisingness,
                                usefulness, weight)
 
@@ -55,8 +54,9 @@ def test_surprisingness_midline(midline):
 
 
 def test_intensity(midline_sat):
-    assert intensity(HYP, midline_sat.dag) == 0.0
-    assert intensity(PARA, midline_sat.dag) == pytest.approx(0.2)
+    dag = midline_sat.dag
+    assert intensity(HYP, hypotheses_used(HYP, dag)) == 0.0
+    assert intensity(PARA, hypotheses_used(PARA, dag)) == pytest.approx(0.2)
 
 
 def test_intensity_full_coverage_is_zero():
@@ -65,7 +65,7 @@ def test_intensity_full_coverage_is_zero():
     h = make_fact("coll", "A", "B", "C")
     g = make_fact("midp", "A", "B", "C")
     dag.add(Derivation(g, "r", (h,), 1))
-    assert intensity(g, dag) == 0.0
+    assert intensity(g, hypotheses_used(g, dag)) == 0.0
 
 
 def test_adaptivity():
@@ -77,13 +77,14 @@ def test_adaptivity():
 
 
 def test_focus(midline_sat):
-    assert focus(HYP, midline_sat.dag) == 1.0
-    assert focus(PARA, midline_sat.dag) == pytest.approx(1 / 3)
+    sat_dag = midline_sat.dag
+    assert focus(HYP, hypotheses_used(HYP, sat_dag)) == 1.0
+    assert focus(PARA, hypotheses_used(PARA, sat_dag)) == pytest.approx(1 / 3)
     dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
     f = make_fact("cong", "A", "M", "B", "M")
     dag.add(Derivation(f, "midp_split", (h,), 1))
-    assert focus(f, dag) == 0.0  # single leaf: |1-1|/2
+    assert focus(f, hypotheses_used(f, dag)) == 0.0  # single leaf: |1-1|/2
 
 
 def test_usefulness():
@@ -98,8 +99,7 @@ def test_usefulness():
 
 def test_score_all_midline(midline, midline_sat):
     cfg = MetricConfig()
-    scores = score_all(midline_sat.facts, midline_sat.dag,
-                       initial_facts(midline), cfg)
+    scores = score_all(midline_sat.dag, cfg)
     card = scores[PARA]
     assert not card.hypothesis
     # single derived fact: every metric is constant, normalized to 0.5
@@ -115,17 +115,14 @@ def test_score_all_midline(midline, midline_sat):
 
 
 def test_lighter_fact_ranks_higher():
-    fs = FactSet()
-    dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
-    fs.add(h, 0)
+    dag = DerivationDag([h])
     light = make_fact("cong", "A", "M", "B", "M")
     heavy = make_fact("eqangle", "A", "M", "A", "B", "B", "M", "B", "A")
     for f in (light, heavy):
-        fs.add(f, 1)
         dag.add(Derivation(f, "r", (h,), 1))
     cfg = MetricConfig(weights={"weight": 1.0})
-    scores = score_all(fs, dag, [h], cfg)
+    scores = score_all(dag, cfg)
     assert scores[light].aggregate > scores[heavy].aggregate
 
 
@@ -133,7 +130,7 @@ def test_threshold_edges(midline, midline_sat):
     d0 = initial_facts(midline)
     all_cfg = MetricConfig(threshold=0.0)
     none_cfg = MetricConfig(threshold=1.0 + 1e-9)
-    scores = score_all(midline_sat.facts, midline_sat.dag, d0, all_cfg)
+    scores = score_all(midline_sat.dag, all_cfg)
     assert len(filter_interesting(scores, all_cfg)) == 1
     assert filter_interesting(scores, none_cfg) == []
     top = MetricConfig(threshold=0.0, top_k=1)
@@ -148,7 +145,7 @@ def test_ranking_invariant_under_point_renaming(midline, default_rules):
     out = {}
     for c in (midline, renamed):
         sat = saturate(initial_facts(c), default_rules)
-        scores = score_all(sat.facts, sat.dag, initial_facts(c), cfg)
+        scores = score_all(sat.dag, cfg)
         out[id(c)] = sorted(s.aggregate for _, s in filter_interesting(scores, cfg))
     a, b = out.values()
     assert a == pytest.approx(b)
@@ -175,6 +172,9 @@ def test_parse_metric_config_errors():
         parse_metric_config("direction.weight = sideways\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_metric_config("threshold 0.5\n")
+    for text in ("weight.weight = -3\n", "weight.focus = nan\n", "top_k = -1\n"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_metric_config("threshold = 0.4\n" + text)
 
 
 def _reference_ancestors(dag, fact):
@@ -191,7 +191,7 @@ def _reference_ancestors(dag, fact):
 
 
 def _reference_leaf_ancestors(dag, fact):
-    if fact not in dag:
+    if dag.node(fact) is None:
         return {fact}
     leaves, seen, stack = set(), set(), [fact]
     while stack:
@@ -226,8 +226,9 @@ def test_closure_walks_equal_reference(case, default_rules):
     c = (parse_construction(random_construction_text(case))
          if isinstance(case, int) else load_construction(case))
     res = saturate(initial_facts(c), default_rules)
-    dag, facts = res.dag, res.facts.sorted_facts()
-    derived = [f for f in facts if f in dag]
+    dag = res.dag
+    facts = sorted(dag, key=str)
+    derived = [f for f in facts if dag.node(f) is not None]
     for interesting in (set(facts), set(derived), set(derived[::2])):
         useful = usefulness(dag, interesting)
         for f in facts:
