@@ -14,7 +14,7 @@ from dataclasses import replace
 from .construction import ConstructionError, parse_construction
 from .facts import MalformedFactError, parse_fact
 from .numeric import DegenerateModelError, verify
-from .pipeline import (PipelineConfig, Report, SoundnessViolationError,
+from .pipeline import (MODES, PipelineConfig, Report, SoundnessViolationError,
                        emit_report, run_pipeline)
 from .rules import RuleParseError, parse_rules
 from .scoring import MetricConfig, parse_metric_config
@@ -63,7 +63,7 @@ def _int_at_least(low: int):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", default=DEFAULT_RULES, help="rule file (.gr)")
-    p.add_argument("--mode", choices=["fixpoint", "filtered"], default="fixpoint")
+    p.add_argument("--mode", choices=MODES, default="fixpoint")
     p.add_argument("--max-rounds", type=_int_at_least(1), default=10)
     p.add_argument("--max-facts", type=_int_at_least(1), default=100000)
     p.add_argument("--seeds", type=_int_at_least(1), default=5)

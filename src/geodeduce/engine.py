@@ -13,10 +13,22 @@ orbit variants of its candidate facts that fit the pattern (constants and
 repeated variables agree) are indexed by their values at the positions
 bound by earlier premises; binding a slot is then one dict lookup.  The
 orbit table and the indexes are dropped when the round ends.
+
+Each rule is compiled once (``compile_rule``): its slot layouts plus its
+slot-preserving symmetries, disjoint variable swaps (x y) that map every
+premise, the conclusion and each side condition to an equivalent one.  A
+swapped binding uses the same facts and gives the same conclusion, so the
+join keeps only the one it would draw first (symmetry-breaking predicates,
+Crawford, Ginsberg, Luks & Roy 1996): the slot binding x and y admits only
+variants with v[px] <= v[py].  A kept binding stands for 2**k bindings of
+the full join, k the number of its swaps whose two points differ, and the
+drop counters add that weight, so they still count full-join bindings.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -116,6 +128,7 @@ class _Slot(NamedTuple):
     key_pos: Tuple[int, ...]              # ... and their first positions
     new_vars: Tuple[str, ...]             # variables this premise binds
     new_pos: Tuple[int, ...]              # ... and their first positions
+    lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
 
 
 def _slots(rule: Rule) -> List[_Slot]:
@@ -141,6 +154,75 @@ def _slots(rule: Rule) -> List[_Slot]:
     return slots
 
 
+class CompiledRule(NamedTuple):
+    slots: Tuple[_Slot, ...]
+    pairs: Tuple[Tuple[str, str], ...]  # the symmetry swaps (x y), x bound first
+
+
+# predicates whose orbit (see facts.orbit) lists the variants in
+# lexicographic order
+_LEX_ORBITS = ("coll", "cyclic", "midp")
+
+
+def _is_symmetry(rule: Rule, x: str, y: str) -> bool:
+    """Whether swapping variables x and y (x bound first) maps the rule to
+    itself, with the slot that binds them drawing the variant with
+    v[px] <= v[py] before its swapped image."""
+    swap = {x: y, y: x}
+
+    def image(args: Tuple[str, ...]) -> Tuple[str, ...]:
+        return tuple(swap.get(a, a) for a in args)
+
+    for p in rule.premises + (rule.conclusion,):
+        if canonicalize(Fact(p.pred, image(p.args))) != canonicalize(Fact(p.pred, p.args)):
+            return False
+    for side in rule.side_conditions:
+        a, b = side.args, image(side.args)
+        if side.kind in ("distinct", "non_collinear"):
+            if set(a) != set(b):
+                return False
+        elif side.kind == "distinct_lines":
+            if set(a[:2]) != set(b[:2]) or set(a[2:]) != set(b[2:]):
+                return False
+        else:
+            return False
+    # x and y are bound by the first premise naming them.  Outside the
+    # lexicographic orbits, v[px] <= v[py] picks the first-drawn variant only
+    # when the swap flips whole segments or rays, i.e. each two-point block
+    # naming x or y is {x, y}.
+    pattern = next(p for p in rule.premises if x in p.args)
+    if pattern.pred in _LEX_ORBITS:
+        return True
+    return all({u, v} == {x, y} for u, v in zip(pattern.args[0::2], pattern.args[1::2])
+               if {u, v} & {x, y})
+
+
+@functools.lru_cache(maxsize=None)
+def compile_rule(rule: Rule) -> CompiledRule:
+    """The rule's slot layouts and its symmetry swaps, chosen greedily in
+    variable order, each disjoint from those before it."""
+    variables = list(dict.fromkeys(a for p in rule.premises for a in p.args
+                                   if is_variable(a)))
+    pairs: List[Tuple[str, str]] = []
+    taken: Set[str] = set()
+    for x, y in itertools.combinations(variables, 2):
+        if x not in taken and y not in taken and _is_symmetry(rule, x, y):
+            pairs.append((x, y))
+            taken.update((x, y))
+    slots = []
+    for slot in _slots(rule):
+        first = dict(zip(slot.new_vars, slot.new_pos))
+        # a swap's two variables share every premise, so one slot binds both
+        slots.append(slot._replace(lex=tuple(
+            (first[x], first[y]) for x, y in pairs if x in first)))
+    return CompiledRule(tuple(slots), tuple(pairs))
+
+
+def _weight(pairs: Tuple[Tuple[str, str], ...], binding: Dict[str, str]) -> int:
+    """How many full-join bindings a kept binding stands for."""
+    return 1 << sum(binding[x] != binding[y] for x, y in pairs)
+
+
 def _orbit_table(facts: Iterable[Fact]) -> Dict[Fact, Tuple[Tuple[str, ...], ...]]:
     """Each fact's symmetry orbit without repeats, in orbit order."""
     return {f: tuple(dict.fromkeys(orbit(f))) for f in facts}
@@ -155,12 +237,17 @@ def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
     one needed.  Entries keep fact order, then orbit order.
     """
     index: Dict[tuple, list] = {}
+    consts, repeats, lex, key_pos = slot.consts, slot.repeats, slot.lex, slot.key_pos
     for f in facts:
         for v in orbits[f]:
-            if (all(v[i] == c for i, c in slot.consts)
-                    and all(v[i] == v[j] for i, j in slot.repeats)):
-                key = tuple(v[i] for i in slot.key_pos)
-                index.setdefault(key, []).append((f, v))
+            # an empty test costs one truth check per variant
+            if consts and not all(v[i] == c for i, c in consts):
+                continue
+            if repeats and not all(v[i] == v[j] for i, j in repeats):
+                continue
+            if lex and not all(v[i] <= v[j] for i, j in lex):
+                continue
+            index.setdefault(tuple(v[i] for i in key_pos), []).append((f, v))
     return index
 
 
@@ -208,9 +295,10 @@ def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
     (binding, facts used, canonical conclusion) with distinct() enforced.
 
     pools maps (predicate, part) to facts in string order; indexes caches
-    slot indexes by (predicate, part, slot shape) across calls.
+    slot indexes by (predicate, part, slot shape) across calls.  Only the
+    first-drawn binding of each symmetry orbit is yielded.
     """
-    slots = _slots(rule)
+    slots = compile_rule(rule).slots
     for plan in plans:
         lists = [pools.get((p.pred, part), ())
                  for p, part in zip(rule.premises, plan)]
@@ -219,7 +307,7 @@ def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
         slot_indexes = []
         for slot, pattern, part, facts in zip(slots, rule.premises, plan, lists):
             key = (pattern.pred, part, slot.consts, slot.repeats,
-                   slot.key_pos, slot.new_pos)
+                   slot.key_pos, slot.new_pos, slot.lex)
             if key not in indexes:
                 indexes[key] = _index(slot, facts, orbits)
             slot_indexes.append(indexes[key])
@@ -266,7 +354,8 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
     each derivation stamped with round_index; at most one per new fact: the
-    least (rule, premises), the first one drawn among equals.
+    least (rule, premises), the first one drawn among equals.  The counters
+    count bindings of the full join: each kept binding adds its orbit size.
     """
     semi_naive = strategy != "naive" and round_index > 1
     usable = sorted(dag, key=str)
@@ -298,14 +387,15 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
                      for i in range(n)]
         else:
             plans = [(ALL,) * n]
+        pairs = compile_rule(rule).pairs
         for binding, used, concl in _matches(rule, plans, pools, orbits, indexes):
             if concl in dag:
                 continue
             if is_tautology(concl):
-                n_taut += 1
+                n_taut += _weight(pairs, binding)
                 continue
             if is_degenerate(concl):
-                n_degen += 1
+                n_degen += _weight(pairs, binding)
                 continue
             key = (rule.name, tuple(str(p) for p in used))
             cur = best.get(concl)

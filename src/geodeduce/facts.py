@@ -63,6 +63,11 @@ def orbit(fact: Fact) -> Iterator[Tuple[str, ...]]:
     endpoints; para/perp/cong flip each segment and swap the segment pair;
     eqangle swaps its two angles and flips each ray (directed lines are
     taken modulo orientation).
+
+    The engine's symmetry breaking relies on this order (from a canonical
+    fact): coll/cyclic/midp variants come in lexicographic order, and of
+    two variants that differ by flipping blocks, the one whose first
+    flipped block is sorted comes first.
     """
     a = fact.args
     if fact.pred in ("coll", "cyclic"):

@@ -45,6 +45,9 @@ class SoundnessViolationError(RuntimeError):
         self.rule = rule
 
 
+MODES = ("fixpoint", "filtered")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "fixpoint"  # fixpoint | filtered
@@ -55,6 +58,14 @@ class PipelineConfig:
     master_seed: int = 0
     metrics: MetricConfig = field(default_factory=MetricConfig)
     strict_sides: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # zero rounds, facts or models would report a run that never ran
+        for name in ("max_rounds", "max_facts", "seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -163,8 +174,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
         dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, blocked,
                         discarded))
         rounds, stop = sat.rounds, sat.stop_reason
-    elif cfg.mode == "filtered":
-        # only interesting survivors re-enter the fact list
+    else:  # filtered: only interesting survivors re-enter the fact list
         rounds, stop = 0, "budget"
         for r in range(1, cfg.max_rounds + 1):
             candidates, n_taut, _ = derive_round(dag, rules, r,
@@ -190,8 +200,6 @@ def run_pipeline(construction: Construction, rules: List[Rule],
             if len(dag) >= cfg.max_facts:
                 stop = "budget"
                 break
-    else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
     records = _build_records(dag, cfg)
     return Report(construction.source(), rules_digest(rules), cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)

@@ -46,6 +46,14 @@ class MetricConfig:
     threshold: float = 0.5
     top_k: int = 0  # 0 = unlimited
 
+    def __post_init__(self) -> None:
+        # a negative top_k would cut ranked facts off the end of the list
+        if self.top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {self.top_k}")
+        for m, w in self.weights.items():
+            if not w >= 0:  # also rejects nan
+                raise ValueError(f"weight of {m} must be >= 0, got {w}")
+
     def normalized_weights(self) -> Dict[str, float]:
         total = sum(self.weights.get(m, 0.0) for m in METRICS)
         if total <= 0:

@@ -39,6 +39,11 @@ def inscribed():
 BUNDLED = ("midline", "pappus", "inscribed")
 
 
+def concyclic_text(k):
+    """`point O A`, then k - 1 points on the circle centred at O through A."""
+    return "point O A\n" + "".join(f"on_circle {p} O A\n" for p in "BCDEFGHIJ"[:k - 1])
+
+
 @pytest.fixture(scope="session", params=BUNDLED)
 def bundled(request):
     return load_construction(request.param)

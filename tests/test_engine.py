@@ -155,6 +155,22 @@ def test_naive_equals_semi_naive_fuzz(seed, default_rules):
            {f: b.dag.generation(f) for f in b.dag}
 
 
+# the figures where eqangle_trans and cong_trans meet their own symmetries
+@pytest.mark.parametrize("decoration", [
+    "", "midpoint E A C\n", "foot E O A B\non_line F C D\n",
+    "midpoint E A B\nmidpoint F C D\non_line G B C\n", "on_circle E O A\n"],
+    ids=["circle4", "midAC", "footAB+lineCD", "midAB+midCD+lineBC", "circle5"])
+def test_naive_equals_semi_naive_symmetric(decoration, default_rules):
+    from conftest import concyclic_text
+    d0 = initial_facts(parse_construction(concyclic_text(4) + decoration))
+    a = saturate(d0, default_rules, strategy="naive")
+    b = saturate(d0, default_rules, strategy="semi_naive")
+    assert any(f.pred == "eqangle" for f in b.dag)
+    assert a.dag.derivations() == b.dag.derivations()
+    assert set(a.dag) == set(b.dag)
+    assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
+
+
 def test_deterministic_output(inscribed, default_rules):
     d0 = initial_facts(inscribed)
     r1 = saturate(d0, default_rules)

@@ -1,11 +1,12 @@
 """End-to-end pipeline behaviour and report serialization."""
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
-from geodeduce import make_fact, parse_rules
+from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
                                 emit_report, run_pipeline)
 
@@ -19,6 +20,14 @@ def test_midline_fixpoint_report(midline, default_rules):
     assert para.rule == "midline" and para.round == 1
     assert rep.discarded["empirically_false"] == 0
     assert rep.stop_reason == "fixpoint"
+
+
+@pytest.mark.parametrize("kwargs", [{"mode": "filtered", "max_rounds": 0},
+                                    {"max_facts": 0}, {"seeds": 0},
+                                    {"mode": "exhaustive"}])
+def test_pipeline_config_rejects_bad_fields(kwargs):
+    with pytest.raises(ValueError):
+        PipelineConfig(**kwargs)
 
 
 def test_empty_rules(midline):
@@ -101,6 +110,24 @@ def test_filtered_report_matches_golden(inscribed, default_rules):
     rep = run_pipeline(inscribed, default_rules, PipelineConfig(mode="filtered"))
     golden = (GOLDEN / "inscribed_filtered.json").read_text()
     assert emit_report(rep, "json") == golden
+
+
+# sha256 of the fixpoint JSON report on k concyclic points: the scaling
+# ladder's figures, where rule symmetries multiply the join's bindings
+LADDER_SHA256 = {
+    5: "1c8146b8f2cfee619ae5138ba37f08fc4c4d5bbfe11c1bb4f1ecf207101017f0",
+    6: "0e0fabae0df31bf6c70a87b56c41aaeff5be61d3b5a090f114b6c77c2e5cb23c",
+    7: "95e5997712e56d0b305810ed51a56739b154a3debfc92226d8d0652a65b05de3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(LADDER_SHA256))
+def test_concyclic_ladder_reports_pinned(k, default_rules):
+    from conftest import concyclic_text
+    rep = run_pipeline(parse_construction(concyclic_text(k)), default_rules,
+                       PipelineConfig())
+    digest = hashlib.sha256(emit_report(rep, "json").encode()).hexdigest()
+    assert digest == LADDER_SHA256[k]
 
 
 # unsound but conditional: perp is numerically false, so it is discarded;

@@ -177,6 +177,14 @@ def test_parse_metric_config_errors():
             parse_metric_config("threshold = 0.4\n" + text)
 
 
+@pytest.mark.parametrize("kwargs", [{"top_k": -1},
+                                    {"weights": {"weight": -0.5}},
+                                    {"weights": {"focus": float("nan")}}])
+def test_metric_config_rejects_bad_fields(kwargs):
+    with pytest.raises(ValueError):
+        MetricConfig(**kwargs)
+
+
 def _reference_ancestors(dag, fact):
     """The two separate walks the shared closure replaced."""
     out, stack = set(), [fact]
