@@ -2,8 +2,7 @@
 
 from .construction import (Construction, ConstructionError, ConstructionStep,
                            initial_facts, parse_construction)
-from .engine import (Derivation, DerivationDag, SaturationResult, match_rule,
-                     saturate)
+from .engine import Derivation, DerivationDag, SaturationResult, saturate
 from .facts import (Fact, canonicalize, fact_symbols, is_degenerate,
                     is_tautology, make_fact, parse_fact)
 from .numeric import (CoordinateModel, DegenerateModelError, Verdict,
@@ -24,6 +23,6 @@ __all__ = [
     "SoundnessViolationError", "Verdict", "canonicalize", "emit_report",
     "eval_fact", "fact_symbols", "filter_interesting", "initial_facts",
     "instantiate", "is_degenerate", "is_tautology", "make_fact",
-    "match_rule", "parse_construction", "parse_fact", "parse_metric_config",
+    "parse_construction", "parse_fact", "parse_metric_config",
     "parse_rules", "run_pipeline", "saturate", "score_all", "verify",
 ]

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .construction import ConstructionError, parse_construction
 from .facts import MalformedFactError, parse_fact
 from .numeric import DegenerateModelError, verify
-from .pipeline import (MODES, PipelineConfig, Report, SoundnessViolationError,
+from .pipeline import (MODES, PipelineConfig, SoundnessViolationError,
                        emit_report, run_pipeline)
 from .rules import RuleParseError, parse_rules
 from .scoring import MetricConfig, parse_metric_config

@@ -72,8 +72,7 @@ class Construction:
             if s.kind == "free_point":
                 lines.append(f"point {s.defined}")
             else:
-                kw = "midpoint" if s.kind == "midpoint" else s.kind
-                lines.append(f"{kw} {' '.join(s.args)}")
+                lines.append(f"{s.kind} {' '.join(s.args)}")
         return "\n".join(lines) + "\n"
 
 
@@ -121,9 +120,8 @@ def parse_construction(text: str) -> Construction:
             if ref not in defined:
                 raise ConstructionError(f"{ref} undefined", lineno,
                                         raw.index(ref) + 1)
-        kind = "midpoint" if kw == "midpoint" else kw
         defined.add(name)
-        steps.append(ConstructionStep(kind, tuple(args)))
+        steps.append(ConstructionStep(kw, tuple(args)))
 
     if free_count < 2:
         raise ConstructionError("construction needs at least two free points",

@@ -7,12 +7,13 @@ order.  The first derivation of a fact wins; later ones are ignored.
 Both naive and semi-naive evaluation are provided and must agree.  One
 ``DerivationDag`` holds every fact, hypotheses and derived facts alike.
 
-Rules are matched by one indexed join.  At the start of a round every
-fact's symmetry orbit is enumerated once.  For each premise slot, the
-orbit variants of its candidate facts that fit the pattern (constants and
-repeated variables agree) are indexed by their values at the positions
-bound by earlier premises; binding a slot is then one dict lookup.  The
-orbit table and the indexes are dropped when the round ends.
+Rules are matched by one indexed join, and ``derive_round`` is its one
+entry.  At the start of a round every fact's symmetry orbit is enumerated
+once.  For each premise slot, the orbit variants of its candidate facts
+that fit the pattern (constants and repeated variables agree) are indexed
+by their values at the positions bound by earlier premises; binding a
+slot is then one dict lookup.  The orbit table and the indexes are
+dropped when the round ends.
 
 Each rule is compiled once (``compile_rule``): its slot layouts plus its
 slot-preserving symmetries, disjoint variable swaps (x y) that map every
@@ -131,8 +132,10 @@ class _Slot(NamedTuple):
     lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
 
 
-def _slots(rule: Rule) -> List[_Slot]:
-    """Slot layouts in premise order; premise i sees the variables of 0..i-1."""
+def _slots(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> List[_Slot]:
+    """Slot layouts in premise order; premise i sees the variables of 0..i-1.
+    Each swap (x y) of pairs is tested in the slot that binds x: a swap's
+    two variables share every premise, so that slot binds y too."""
     slots: List[_Slot] = []
     bound: Set[str] = set()
     for pattern in rule.premises:
@@ -149,7 +152,8 @@ def _slots(rule: Rule) -> List[_Slot]:
         new = tuple(v for v in first if v not in bound)
         slots.append(_Slot(tuple(consts), tuple(repeats), key,
                            tuple(first[v] for v in key), new,
-                           tuple(first[v] for v in new)))
+                           tuple(first[v] for v in new),
+                           tuple((first[x], first[y]) for x, y in pairs if x in new)))
         bound.update(first)
     return slots
 
@@ -209,13 +213,7 @@ def compile_rule(rule: Rule) -> CompiledRule:
         if x not in taken and y not in taken and _is_symmetry(rule, x, y):
             pairs.append((x, y))
             taken.update((x, y))
-    slots = []
-    for slot in _slots(rule):
-        first = dict(zip(slot.new_vars, slot.new_pos))
-        # a swap's two variables share every premise, so one slot binds both
-        slots.append(slot._replace(lex=tuple(
-            (first[x], first[y]) for x, y in pairs if x in first)))
-    return CompiledRule(tuple(slots), tuple(pairs))
+    return CompiledRule(tuple(_slots(rule, tuple(pairs))), tuple(pairs))
 
 
 def _weight(pairs: Tuple[Tuple[str, str], ...], binding: Dict[str, str]) -> int:
@@ -251,16 +249,13 @@ def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
     return index
 
 
-def _join(slots: List[_Slot], indexes: List[Dict[tuple, list]]):
-    """Backtracking join over premise slots, one index lookup per slot;
+def _join(slots: List[_Slot], indexes: List[Dict[tuple, list]], i: int = 0,
+          binding: Optional[Dict[str, str]] = None, used: Tuple[Fact, ...] = ()):
+    """Backtracking join over premise slots i.., one index lookup per slot;
     yields (binding, facts used)."""
-    return _extend(slots, indexes, 0, {}, ())
-
-
-def _extend(slots, indexes, i: int, binding: Dict[str, str],
-            used: Tuple[Fact, ...]):
     # a module-level function, not a closure: a self-referencing closure
     # would keep the round's indexes alive until the cyclic GC runs
+    binding = {} if binding is None else binding
     if i == len(slots):
         yield binding, used
         return
@@ -270,7 +265,7 @@ def _extend(slots, indexes, i: int, binding: Dict[str, str],
         b = dict(binding)
         for var, pos in zip(slot.new_vars, slot.new_pos):
             b[var] = variant[pos]
-        yield from _extend(slots, indexes, i + 1, b, used + (fact,))
+        yield from _join(slots, indexes, i + 1, b, used + (fact,))
 
 
 def _distinct_ok(rule: Rule, binding: Dict[str, str]) -> bool:
@@ -317,22 +312,6 @@ def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
             concl = canonicalize(Fact(rule.conclusion.pred,
                                       _ground(rule.conclusion.args, binding)))
             yield binding, used, concl
-
-
-def match_rule(rule: Rule, dag: DerivationDag) -> List[Dict[str, str]]:
-    """All bindings over dag's facts satisfying the premises, deduplicated
-    by canonical conclusion; symbolic distinct() conditions already enforced
-    and tautological/degenerate conclusions dropped."""
-    pools = {(pred, ALL): sorted((f for f in dag if f.pred == pred), key=str)
-             for pred in {p.pred for p in rule.premises}}
-    orbits = _orbit_table(f for pool in pools.values() for f in pool)
-    out: Dict[Fact, Dict[str, str]] = {}
-    plan = (ALL,) * len(rule.premises)
-    for binding, _used, concl in _matches(rule, [plan], pools, orbits, {}):
-        if is_tautology(concl) or is_degenerate(concl):
-            continue
-        out.setdefault(concl, binding)
-    return [out[k] for k in sorted(out, key=str)]
 
 
 def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],

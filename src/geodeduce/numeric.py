@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .construction import Construction
-from .facts import Fact
+from .facts import Fact, make_fact
 
 MIN_SPACING = 1e-3        # pairwise distance floor, relative to the diameter
 MIN_SIN = 1e-3            # intersection-angle floor
@@ -225,8 +225,6 @@ def _dirangle(a, b, c, d):
 def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
                    tol_rel: float = DEFAULT_TOL) -> bool:
     """Evaluate a nondegeneracy side condition on the model."""
-    from .facts import make_fact
-
     if kind == "distinct":
         u = _vec(*(m.coords[n] for n in args))
         return _dot(u, u) > tol_rel * m.scale

@@ -1,10 +1,17 @@
 """Deterministic random construction scripts for soundness/equivalence sweeps.
 
-The generator tracks which points are forced collinear so it never emits
-steps that are degenerate by construction (circumcentre of a collinear
-triple, foot of a point already on its line, intersections that land on
-an existing point).  Random near-degeneracy is left to the sampler's
-retry logic.
+The generator tracks which points are forced collinear and skips the
+steps that this alone shows to be degenerate: a circumcentre of a
+collinear triple, a foot of a point already on its line, an intersection
+of one line with itself or at an already named point.  It tracks no
+perpendicularity, equal lengths or coincident points, so some figures are
+still degenerate by construction and every model of them fails to sample:
+of seeds 0-59, seeds 8, 14, 43 and 54.  In seed 8 (``foot E B D A`` then
+``foot F D E B``) D lies on line DA, so its foot on the perpendicular EB
+is E itself; in seed 14 the circumcentre E of the right triangle DBC is
+the later midpoint G of its hypotenuse BC; in seed 43 a second foot of D
+on line CA, named as line CE, repeats the first; seed 54 repeats seed 8's
+pattern.  Random near-degeneracy is left to the sampler's retry logic.
 """
 
 import random

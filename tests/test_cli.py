@@ -6,6 +6,8 @@ import pytest
 
 from geodeduce.cli import cli_main
 
+from fuzzing import random_construction_text
+
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
@@ -51,11 +53,16 @@ def test_unknown_flag(capsys, root):
 
 def test_degenerate_construction(capsys, tmp_path, root):
     bad = tmp_path / "degen.gc"
-    bad.write_text("point A B\non_line C A B\non_line D A B\n"
-                   "intersect X A C B D\n")
-    code, _, err = run(capsys, "run", str(bad),
-                       "--rules", str(root / "rules" / "gddm-default.gr"))
-    assert code == 3
+    # two lines through A and B that are one line; a fuzz figure whose
+    # second foot coincides with its first
+    for text in ("point A B\non_line C A B\non_line D A B\nintersect X A C B D\n",
+                 random_construction_text(8)):
+        bad.write_text(text)
+        code, _, err = run(capsys, "run", str(bad),
+                           "--rules", str(root / "rules" / "gddm-default.gr"))
+        assert code == 3, text
+        assert "error: degenerate construction" in err
+        assert "Traceback" not in err
 
 
 def test_soundness_violation_exit(capsys, tmp_path, root):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from geodeduce import engine
-from geodeduce import initial_facts, make_fact, match_rule, parse_rules, saturate
+from geodeduce import initial_facts, make_fact, parse_rules, saturate
 from geodeduce.engine import (_index, _join, _orbit_table, _slots, derive_round,
                               Derivation, DerivationDag)
 from geodeduce.facts import orbit
@@ -18,34 +18,37 @@ MIDLINE_RULE = ("rule midline: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C)"
                 " => para(M,N,B,C)\n")
 
 
-def test_match_rule_midline_deduplicates_symmetric_binding():
+def test_derive_round_midline_keeps_one_of_symmetric_bindings():
     rule = parse_rules(MIDLINE_RULE)[0]
-    fs = DerivationDag([make_fact("midp", "M", "A", "B"),
-                        make_fact("midp", "N", "A", "C")])
-    bindings = match_rule(rule, fs)
+    hyps = [make_fact("midp", "M", "A", "B"), make_fact("midp", "N", "A", "C")]
+    derivations, _, _ = derive_round(DerivationDag(hyps), [rule], 1)
     # the {B,C}/{M,N} swap yields the same canonical conclusion
-    assert len(bindings) == 1
-    b = bindings[0]
-    assert {b["M"], b["N"]} == {"M", "N"}
+    assert [d.fact for d in derivations] == [make_fact("para", "B", "C", "M", "N")]
+    assert set(derivations[0].premises) == set(hyps)
 
 
-def test_match_rule_empty_factset():
+def test_derive_round_empty_graph():
     rule = parse_rules(MIDLINE_RULE)[0]
-    assert match_rule(rule, DerivationDag()) == []
+    assert derive_round(DerivationDag(), [rule], 1) == ([], 0, 0)
 
 
-def test_match_rule_second_premise_unmatched(default_rules):
+def test_derive_round_second_premise_unmatched(default_rules):
     para_trans = next(r for r in default_rules if r.name == "para_trans")
-    fs = DerivationDag([make_fact("para", "A", "B", "C", "D")])
-    assert match_rule(para_trans, fs) == []
+    dag = DerivationDag([make_fact("para", "A", "B", "C", "D")])
+    derivations, _, _ = derive_round(dag, [para_trans], 1)
+    assert derivations == []
 
 
-def test_match_rule_orbit_matching():
-    # stored fact is canonical cong(O,A,O,B); pattern reverses the segments
-    rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z) => cong(X,Z,X,Y)")[0]
-    fs = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
-    bindings = match_rule(rule, fs)
-    assert bindings and all(b["X"] == "O" for b in bindings)
+def test_derive_round_orbit_matching():
+    # stored fact is canonical cong(A,O,B,O); the pattern reverses both segments
+    rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z)"
+                       " => eqangle(Y,Z,Y,X,Z,X,Z,Y)")[0]
+    dag = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
+    derivations, _, _ = derive_round(dag, [rule], 1)
+    # both bindings put the apex X on O
+    want = {make_fact("eqangle", y, z, y, "O", z, "O", z, y)
+            for y, z in (("A", "B"), ("B", "A"))}
+    assert derivations and {d.fact for d in derivations} == want
 
 
 def test_saturate_empty_d0(default_rules):
