@@ -8,6 +8,7 @@ Subcommands: run, saturate, rank, check, rules.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .construction import ConstructionError, parse_construction
@@ -16,7 +17,7 @@ from .numeric import DegenerateModelError, verify
 from .pipeline import (MODES, PipelineConfig, SoundnessViolationError,
                        emit_report, run_pipeline)
 from .rules import RuleParseError, parse_rules
-from .scoring import MetricConfig, parse_metric_config
+from .scoring import parse_metric_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,19 +46,26 @@ def _read(path: str) -> str:
         raise SystemExit(EXIT_PARSE)
 
 
-def _int_at_least(low: int):
-    """An argparse type for an integer >= low: zero seeds, rounds or facts
-    would do nothing, and a negative --top would drop a ranked fact."""
-    def parse(text: str) -> int:
+def _checked(convert, ok, expected: str):
+    """An argparse type for a value that converts and passes ok, so a bad
+    value is a usage error that names its flag (bounds: README)."""
+    def parse(text: str):
         try:
-            n = int(text)
+            x = convert(text)
         except ValueError:
-            n = low - 1
-        if n < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
-        return n
+            x = None
+        if x is None or not ok(x):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return x
     return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda n: n >= low, f"an integer >= {low}")
+
+
+_TOL = _checked(float, lambda x: 0 < x < 1, "a number > 0 and < 1")
+_THRESHOLD = _checked(float, lambda x: not math.isnan(x), "a number")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -66,9 +74,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rounds", type=_int_at_least(1), default=10)
     p.add_argument("--max-facts", type=_int_at_least(1), default=100000)
     p.add_argument("--seeds", type=_int_at_least(1), default=5)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--tol", type=_TOL, default=1e-8)
+    p.add_argument("--master-seed", type=_int_at_least(0), default=0)
+    p.add_argument("--threshold", type=_THRESHOLD, default=0.5)
     p.add_argument("--top", type=_int_at_least(0), default=0)
     p.add_argument("--weights", default=None, help="metric config file")
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -76,11 +84,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> PipelineConfig:
-    if args.weights:
-        metrics = parse_metric_config(_read(args.weights),
-                                      threshold=args.threshold, top_k=args.top)
-    else:
-        metrics = MetricConfig(threshold=args.threshold, top_k=args.top)
+    metrics = parse_metric_config(_read(args.weights) if args.weights else "",
+                                  threshold=args.threshold, top_k=args.top)
     return PipelineConfig(mode=args.mode, max_rounds=args.max_rounds,
                           max_facts=args.max_facts, seeds=args.seeds,
                           tol=args.tol, master_seed=args.master_seed,
@@ -93,24 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the interesting consequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="full pipeline", add_help=True)
-    p_run.add_argument("construction")
-    _add_common(p_run)
-
-    p_sat = sub.add_parser("saturate", help="saturation only")
-    p_sat.add_argument("construction")
-    _add_common(p_sat)
-
-    p_rank = sub.add_parser("rank", help="ranking table only")
-    p_rank.add_argument("construction")
-    _add_common(p_rank)
+    for name, help_text in (("run", "full pipeline"), ("saturate", "saturation only"),
+                            ("rank", "ranking table only")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("construction")
+        _add_common(p)
 
     p_check = sub.add_parser("check", help="numerically verify one fact")
     p_check.add_argument("construction")
     p_check.add_argument("fact", help="e.g. 'coll(G,H,I)'")
     p_check.add_argument("--seeds", type=_int_at_least(1), default=5)
-    p_check.add_argument("--tol", type=float, default=1e-8)
-    p_check.add_argument("--master-seed", type=int, default=0)
+    p_check.add_argument("--tol", type=_TOL, default=1e-8)
+    p_check.add_argument("--master-seed", type=_int_at_least(0), default=0)
 
     p_rules = sub.add_parser("rules", help="rule file utilities")
     p_rules.add_argument("--validate", metavar="FILE", required=True)

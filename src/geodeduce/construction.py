@@ -16,13 +16,10 @@ defined point, and the defined point must be fresh.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .facts import Fact, make_fact
-
-_ID = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+from .facts import IDENTIFIER, Fact, make_fact
 
 # statement keyword -> number of point arguments (None = variadic, for "point")
 _STEP_ARITY = {
@@ -55,7 +52,9 @@ class ConstructionStep:
         return self.args[0]
 
     def __str__(self) -> str:
-        return f"{self.kind} {' '.join(self.args)}"
+        """The step as a DSL statement (``point A`` for a free point)."""
+        kw = "point" if self.kind == "free_point" else self.kind
+        return f"{kw} {' '.join(self.args)}"
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,13 @@ class Construction:
 
     def source(self) -> str:
         """Re-emit the script (free points one per line)."""
-        lines = []
-        for s in self.steps:
-            if s.kind == "free_point":
-                lines.append(f"point {s.defined}")
-            else:
-                lines.append(f"{s.kind} {' '.join(s.args)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(str(s) for s in self.steps) + "\n"
 
 
 def parse_construction(text: str) -> Construction:
     """Parse a construction script; raises ConstructionError on any defect."""
     steps: List[ConstructionStep] = []
     defined = set()
-    free_count = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -93,7 +85,7 @@ def parse_construction(text: str) -> Construction:
                                     raw.index(kw) + 1)
         args = tokens[1:]
         for tok in args:
-            if not _ID.match(tok):
+            if not IDENTIFIER.match(tok):
                 raise ConstructionError(f"bad identifier {tok!r}", lineno,
                                         raw.index(tok) + 1)
         arity = _STEP_ARITY[kw]
@@ -107,7 +99,6 @@ def parse_construction(text: str) -> Construction:
                                             raw.index(name) + 1)
                 defined.add(name)
                 steps.append(ConstructionStep("free_point", (name,)))
-                free_count += 1
             continue
         if len(args) != arity:
             raise ConstructionError(
@@ -123,7 +114,7 @@ def parse_construction(text: str) -> Construction:
         defined.add(name)
         steps.append(ConstructionStep(kw, tuple(args)))
 
-    if free_count < 2:
+    if sum(s.kind == "free_point" for s in steps) < 2:
         raise ConstructionError("construction needs at least two free points",
                                 max(1, len(text.splitlines())))
     return Construction(tuple(steps))

@@ -33,7 +33,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .facts import Fact, canonicalize, is_degenerate, is_tautology, orbit
+from .facts import (LEX_ORBITS, Fact, canonicalize, is_degenerate, is_tautology,
+                    orbit)
 from .rules import Rule, is_variable
 
 # a grounded numeric side condition: (kind, point names)
@@ -163,11 +164,6 @@ class CompiledRule(NamedTuple):
     pairs: Tuple[Tuple[str, str], ...]  # the symmetry swaps (x y), x bound first
 
 
-# predicates whose orbit (see facts.orbit) lists the variants in
-# lexicographic order
-_LEX_ORBITS = ("coll", "cyclic", "midp")
-
-
 def _is_symmetry(rule: Rule, x: str, y: str) -> bool:
     """Whether swapping variables x and y (x bound first) maps the rule to
     itself, with the slot that binds them drawing the variant with
@@ -195,7 +191,7 @@ def _is_symmetry(rule: Rule, x: str, y: str) -> bool:
     # when the swap flips whole segments or rays, i.e. each two-point block
     # naming x or y is {x, y}.
     pattern = next(p for p in rule.premises if x in p.args)
-    if pattern.pred in _LEX_ORBITS:
+    if pattern.pred in LEX_ORBITS:
         return True
     return all({u, v} == {x, y} for u, v in zip(pattern.args[0::2], pattern.args[1::2])
                if {u, v} & {x, y})
@@ -285,35 +281,6 @@ def _ground(args: Tuple[str, ...], binding: Dict[str, str]) -> Tuple[str, ...]:
 ALL, OLD, DELTA = "all", "old", "delta"
 
 
-def _matches(rule: Rule, plans: List[Tuple[str, ...]], pools, orbits, indexes):
-    """Join the premises under each plan (one part per slot); yields
-    (binding, facts used, canonical conclusion) with distinct() enforced.
-
-    pools maps (predicate, part) to facts in string order; indexes caches
-    slot indexes by (predicate, part, slot shape) across calls.  Only the
-    first-drawn binding of each symmetry orbit is yielded.
-    """
-    slots = compile_rule(rule).slots
-    for plan in plans:
-        lists = [pools.get((p.pred, part), ())
-                 for p, part in zip(rule.premises, plan)]
-        if not all(lists):
-            continue
-        slot_indexes = []
-        for slot, pattern, part, facts in zip(slots, rule.premises, plan, lists):
-            key = (pattern.pred, part, slot.consts, slot.repeats,
-                   slot.key_pos, slot.new_pos, slot.lex)
-            if key not in indexes:
-                indexes[key] = _index(slot, facts, orbits)
-            slot_indexes.append(indexes[key])
-        for binding, used in _join(slots, slot_indexes):
-            if not _distinct_ok(rule, binding):
-                continue
-            concl = canonicalize(Fact(rule.conclusion.pred,
-                                      _ground(rule.conclusion.args, binding)))
-            yield binding, used, concl
-
-
 def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],
                 dag: DerivationDag) -> Tuple[GroundCondition, ...]:
     """The rule's numeric side conditions plus those of the premises."""
@@ -335,6 +302,11 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
     each derivation stamped with round_index; at most one per new fact: the
     least (rule, premises), the first one drawn among equals.  The counters
     count bindings of the full join: each kept binding adds its orbit size.
+
+    Each rule joins its premises under every plan (one part of the facts
+    per slot).  Slot indexes are cached for the round by (predicate, part,
+    slot shape), so rules and plans whose slots draw the same facts the
+    same way share one index.
     """
     semi_naive = strategy != "naive" and round_index > 1
     usable = sorted(dag, key=str)
@@ -366,20 +338,36 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
                      for i in range(n)]
         else:
             plans = [(ALL,) * n]
-        pairs = compile_rule(rule).pairs
-        for binding, used, concl in _matches(rule, plans, pools, orbits, indexes):
-            if concl in dag:
+        slots, pairs = compile_rule(rule)
+        for plan in plans:
+            lists = [pools.get((p.pred, part), ())
+                     for p, part in zip(rule.premises, plan)]
+            if not all(lists):
                 continue
-            if is_tautology(concl):
-                n_taut += _weight(pairs, binding)
-                continue
-            if is_degenerate(concl):
-                n_degen += _weight(pairs, binding)
-                continue
-            key = (rule.name, tuple(str(p) for p in used))
-            cur = best.get(concl)
-            if cur is None or key < cur[0]:
-                best[concl] = (key, rule, binding, used)
+            slot_indexes = []
+            for slot, pattern, part, facts in zip(slots, rule.premises, plan, lists):
+                shape = (pattern.pred, part, slot.consts, slot.repeats,
+                         slot.key_pos, slot.new_pos, slot.lex)
+                if shape not in indexes:
+                    indexes[shape] = _index(slot, facts, orbits)
+                slot_indexes.append(indexes[shape])
+            for binding, used in _join(slots, slot_indexes):
+                if not _distinct_ok(rule, binding):
+                    continue
+                concl = canonicalize(Fact(rule.conclusion.pred,
+                                          _ground(rule.conclusion.args, binding)))
+                if concl in dag:
+                    continue
+                if is_tautology(concl):
+                    n_taut += _weight(pairs, binding)
+                    continue
+                if is_degenerate(concl):
+                    n_degen += _weight(pairs, binding)
+                    continue
+                key = (rule.name, tuple(str(p) for p in used))
+                cur = best.get(concl)
+                if cur is None or key < cur[0]:
+                    best[concl] = (key, rule, binding, used)
     ordered = []
     for f in sorted(best, key=str):
         _key, rule, binding, used = best[f]

@@ -10,6 +10,7 @@ well defined.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
@@ -25,8 +26,13 @@ ARITIES: Dict[str, int] = {
 }
 
 
+# a point name, in facts, rules and constructions alike
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_ATOM = re.compile(r"\s*([a-z_]+)\s*\(\s*([^()]*?)\s*\)\s*$")
+
+
 class MalformedFactError(ValueError):
-    """Raised for unknown predicates or arity mismatches."""
+    """Raised for text that is no atom, unknown predicates or arity mismatches."""
 
 
 @dataclass(frozen=True, order=True)
@@ -54,6 +60,10 @@ def _check(pred: str, args: Tuple[str, ...]) -> None:
         raise MalformedFactError(
             f"{pred} expects {ARITIES[pred]} arguments, got {len(args)}"
         )
+
+
+# predicates whose orbit lists the variants in lexicographic order
+LEX_ORBITS = ("coll", "cyclic", "midp")
 
 
 def orbit(fact: Fact) -> Iterator[Tuple[str, ...]]:
@@ -123,14 +133,24 @@ def make_fact(pred: str, *args: str) -> Fact:
     return canonicalize(Fact(pred, tuple(args)))
 
 
+def parse_atom(text: str) -> Tuple[str, Tuple[str, ...]]:
+    """Split ``pred(X1,...,Xn)`` into the predicate and the identifiers;
+    the predicate and the arity are not checked."""
+    m = _ATOM.match(text)
+    if not m:
+        raise MalformedFactError(f"cannot parse atom {text.strip()!r}")
+    pred, argtext = m.groups()
+    args = tuple(a.strip() for a in argtext.split(",")) if argtext else ()
+    for a in args:
+        if not IDENTIFIER.match(a):
+            raise MalformedFactError(f"bad identifier {a!r} in {text.strip()!r}")
+    return pred, args
+
+
 def parse_fact(text: str) -> Fact:
     """Parse the textual form ``pred(P1,...,Pn)`` into a canonical fact."""
-    text = text.strip()
-    if not text.endswith(")") or "(" not in text:
-        raise MalformedFactError(f"cannot parse fact {text!r}")
-    pred, rest = text[:-1].split("(", 1)
-    args = tuple(s.strip() for s in rest.split(","))
-    return make_fact(pred.strip(), *args)
+    pred, args = parse_atom(text)
+    return make_fact(pred, *args)
 
 
 def is_tautology(fact: Fact) -> bool:

@@ -44,9 +44,6 @@ class CoordinateModel:
     seed: int
     scale: float  # squared diameter of the point set
 
-    def xy(self, name: str) -> np.ndarray:
-        return np.asarray(self.coords[name])
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -57,10 +54,6 @@ class Verdict:
         if self.kind == "fails":
             return f"fails(seed={self.seed})"
         return self.kind
-
-
-HOLDS = Verdict("holds")
-DEGENERATE = Verdict("degenerate")
 
 
 def _vec(a, b):
@@ -238,14 +231,23 @@ def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
     raise ValueError(kind)
 
 
+def check_tol(tol_rel: float) -> None:
+    """Raise ValueError unless 0 < tol_rel < 1: at 1 or more every coll,
+    para, perp, midp, cong and eqangle test holds on every model."""
+    if not 0 < tol_rel < 1:  # also rejects nan
+        raise ValueError(f"tol must be > 0 and < 1, got {tol_rel}")
+
+
 def sample_models(c: Construction, n_models: int, master_seed: int = 0):
     """Sample n models with seeds master_seed .. master_seed+n-1.
 
     Raises DegenerateModelError if any seed exhausts its attempts, and
-    ValueError if n_models < 1.
+    ValueError if n_models < 1 or master_seed < 0.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     return [instantiate(c, master_seed + i) for i in range(n_models)]
 
 
@@ -253,16 +255,18 @@ def verify(f: Fact, c: Construction, n_models: int = 5,
            tol_rel: float = DEFAULT_TOL, master_seed: int = 0) -> Verdict:
     """holds iff f is true in all n non-degenerate sampled models.
 
-    Raises ValueError if f names a point the construction does not define.
+    Raises ValueError for a point f names that c does not define, a bad
+    tol_rel (see check_tol) or master_seed < 0.
     """
+    check_tol(tol_rel)
     undefined = sorted(set(f.args) - set(c.points()))
     if undefined:
         raise ValueError(f"{f} names undefined point(s) {', '.join(undefined)}")
     try:
         models = sample_models(c, n_models, master_seed)
     except DegenerateModelError:
-        return DEGENERATE
+        return Verdict("degenerate")
     for m in models:
         if not eval_fact(m, f, tol_rel):
             return Verdict("fails", seed=m.seed)
-    return HOLDS
+    return Verdict("holds")

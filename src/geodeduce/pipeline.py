@@ -29,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .construction import Construction, initial_facts
 from .engine import Derivation, DerivationDag, derive_round, saturate
 from .facts import Fact
-from .numeric import DEFAULT_TOL, eval_condition, eval_fact, sample_models
+from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
+                      sample_models)
 from .rules import Rule
 from .scoring import MetricConfig, ScoreCard, filter_interesting, score_all
 
@@ -66,6 +67,9 @@ class PipelineConfig:
         for name in ("max_rounds", "max_facts", "seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_tol(self.tol)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -74,7 +78,6 @@ class FactRecord:
     round: int
     rule: Optional[str]          # None for hypotheses
     premises: Tuple[Fact, ...]
-    verdict: str
     score: ScoreCard
     interesting: bool
 
@@ -151,7 +154,6 @@ def _build_records(dag: DerivationDag, cfg: PipelineConfig) -> List[FactRecord]:
             round=dag.generation(f),
             rule=d.rule if d else None,
             premises=d.premises if d else (),
-            verdict="holds",
             score=scores[f],
             interesting=f in interesting,
         ))
@@ -217,7 +219,7 @@ def report_to_dict(report: Report) -> dict:
             "round": rec.round,
             "rule": rec.rule,
             "premises": [str(p) for p in rec.premises],
-            "verdict": rec.verdict,
+            "verdict": "holds",  # failing facts never reach a report
             "interesting": rec.interesting,
             "raw": {k: _round9(v) for k, v in rec.score.raw.items()},
             "normalized": {k: _round9(v) for k, v in rec.score.normalized.items()},

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .facts import ARITIES
+from .facts import ARITIES, IDENTIFIER, MalformedFactError, parse_atom
 
 SIDE_ARITIES = {"distinct": 2, "non_collinear": 3, "distinct_lines": 4}
+_BODY_ARITIES = {**ARITIES, **SIDE_ARITIES}
 
-_ATOM = re.compile(r"\s*([a-z_]+)\s*\(\s*([^()]*?)\s*\)\s*$")
-_ID = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
-_HEAD = re.compile(r"\s*rule\s+([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.*)$")
+_HEAD = re.compile(r"\s*rule\s+(\w+)\s*:\s*(.*)$")
 
 
 class RuleParseError(ValueError):
@@ -80,15 +79,16 @@ class Rule:
         return f"rule {self.name}: {body} => {self.conclusion}"
 
 
-def _parse_atom(text: str, lineno: int):
-    m = _ATOM.match(text)
-    if not m:
-        raise RuleParseError(f"cannot parse atom {text.strip()!r}", lineno)
-    pred, argtext = m.group(1), m.group(2)
-    args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
-    for a in args:
-        if not _ID.match(a):
-            raise RuleParseError(f"bad identifier {a!r} in {text.strip()!r}", lineno)
+def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str):
+    """One atom whose predicate is in arities, with that many arguments."""
+    try:
+        pred, args = parse_atom(text)
+    except MalformedFactError as e:
+        raise RuleParseError(str(e), lineno) from None
+    if pred not in arities:
+        raise RuleParseError(f"unknown {what} {pred!r}", lineno)
+    if len(args) != arities[pred]:
+        raise RuleParseError(f"{pred} expects {arities[pred]} arguments", lineno)
     return pred, args
 
 
@@ -119,7 +119,7 @@ def parse_rules(text: str) -> List[Rule]:
         if not line:
             continue
         m = _HEAD.match(line)
-        if not m:
+        if not m or not IDENTIFIER.match(m.group(1)):
             raise RuleParseError("expected 'rule <name>: ... => ...'", lineno)
         name, rest = m.group(1), m.group(2)
         if name in names:
@@ -131,28 +131,16 @@ def parse_rules(text: str) -> List[Rule]:
         premises: List[Pattern] = []
         sides: List[SideCondition] = []
         for atom_text in _split_atoms(body_text):
-            pred, args = _parse_atom(atom_text, lineno)
+            pred, args = _parse_atom(atom_text, lineno, _BODY_ARITIES, "predicate")
             if pred in SIDE_ARITIES:
-                if len(args) != SIDE_ARITIES[pred]:
-                    raise RuleParseError(
-                        f"{pred} expects {SIDE_ARITIES[pred]} arguments", lineno)
                 sides.append(SideCondition(pred, args))
-            elif pred in ARITIES:
-                if len(args) != ARITIES[pred]:
-                    raise RuleParseError(
-                        f"{pred} expects {ARITIES[pred]} arguments", lineno)
-                premises.append(Pattern(pred, args))
             else:
-                raise RuleParseError(f"unknown predicate {pred!r}", lineno)
+                premises.append(Pattern(pred, args))
         if not premises:
             raise RuleParseError("rule needs at least one premise", lineno)
 
-        pred, args = _parse_atom(concl_text, lineno)
-        if pred not in ARITIES:
-            raise RuleParseError(f"unknown conclusion predicate {pred!r}", lineno)
-        if len(args) != ARITIES[pred]:
-            raise RuleParseError(f"{pred} expects {ARITIES[pred]} arguments", lineno)
-        conclusion = Pattern(pred, args)
+        conclusion = Pattern(*_parse_atom(concl_text, lineno, ARITIES,
+                                          "conclusion predicate"))
 
         bound = set().union(*(p.variables() for p in premises))
         for v in sorted(conclusion.variables() - bound):

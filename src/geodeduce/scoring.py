@@ -14,6 +14,7 @@ directions and the threshold are user-configurable.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
@@ -50,6 +51,9 @@ class MetricConfig:
         # a negative top_k would cut ranked facts off the end of the list
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
+        # a nan threshold would star no fact
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must be a number, got nan")
         for m, w in self.weights.items():
             if not w >= 0:  # also rejects nan
                 raise ValueError(f"weight of {m} must be >= 0, got {w}")
@@ -214,6 +218,8 @@ def parse_metric_config(text: str, threshold: float = 0.5,
         key, value = (s.strip() for s in line.split("=", 1))
         if key == "threshold":
             threshold = float(value)
+            if math.isnan(threshold):
+                raise ValueError(f"metric config line {lineno}: threshold must be a number")
         elif key == "top_k":
             top_k = int(value)
             if top_k < 0:

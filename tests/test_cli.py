@@ -182,3 +182,28 @@ def test_negative_weight_or_top_k_in_weights_file(capsys, tmp_path, root, line):
                          "--weights", str(w))
     assert code == 2
     assert "line 2" in err and not out
+
+
+_OUT_OF_RANGE = [("--tol", "-1"), ("--tol", "0"), ("--tol", "1"), ("--tol", "nan"),
+                 ("--tol", "inf"), ("--master-seed", "-1"), ("--threshold", "nan")]
+
+
+@pytest.mark.parametrize("command,flag,value",
+                         [(c, f, v) for c in ("run", "saturate", "rank", "check")
+                          for f, v in _OUT_OF_RANGE
+                          if not (c == "check" and f == "--threshold")])
+def test_tol_seed_threshold_out_of_range_rejected(capsys, root, command, flag, value):
+    argv = [command, str(root / "examples" / "pappus.gc")]
+    if command == "check":
+        argv.append("coll(G,H,I)")
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 1
+    assert flag in err and "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize("fact", ["coll(A,B,)", "coll(A,B,C))", "coll(A, B C, D)",
+                                  "coll(A,B,(C)"])
+def test_check_malformed_fact(capsys, root, fact):
+    code, out, err = run(capsys, "check", str(root / "examples" / "pappus.gc"), fact)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and not out

@@ -116,3 +116,19 @@ def test_hypothesis_facts_hold_on_sampled_models(bundled):
     for m in sample_models(bundled, 10, master_seed=7):
         for f in d0:
             assert eval_fact(m, f), f"{f} false on seed {m.seed}"
+
+
+def test_source_round_trips():
+    from conftest import BUNDLED, load_construction
+    from fuzzing import random_construction_text
+    cases = [load_construction(n) for n in BUNDLED]
+    cases += [parse_construction(random_construction_text(s)) for s in range(20)]
+    for c in cases:
+        src = c.source()
+        assert parse_construction(src).source() == src
+        assert src == "".join(f"{s}\n" for s in c.steps)
+
+
+def test_step_prints_as_statement():
+    c = parse_construction("point A B\nmidpoint M A B\n")
+    assert [str(s) for s in c.steps] == ["point A", "point B", "midpoint M A B"]

@@ -40,6 +40,7 @@ def test_arity_mismatch():
 def test_parse_fact_roundtrip():
     f = parse_fact("para(M,N,B,C)")
     assert str(f) == "para(B,C,M,N)"  # canonical form
+    assert parse_fact("para( M , N,B,C )") == f
 
 
 names = st.sampled_from(["A", "B", "C", "D", "E", "M", "N", "O"])
@@ -51,6 +52,18 @@ def raw_facts(draw, names=names):
     pred = draw(preds)
     args = tuple(draw(names) for _ in range(ARITIES[pred]))
     return Fact(pred, args)
+
+
+@pytest.mark.parametrize("text", ["coll(A,B,)", "coll(A,B,C))", "coll(A, B C, D)",
+                                  "coll(A,B,(C)", "coll A,B,C", "coll()"])
+def test_parse_fact_rejects_malformed_atoms(text):
+    with pytest.raises(MalformedFactError):
+        parse_fact(text)
+
+
+@given(raw_facts())
+def test_parse_fact_inverts_str(f):
+    assert parse_fact(str(f)) == canonicalize(f)
 
 
 @given(raw_facts())

@@ -18,13 +18,13 @@ from geodeduce.numeric import (DegenerateModelError, eval_condition, eval_fact,
 def test_midpoint_is_exact():
     c = parse_construction("point A B\nmidpoint M A B\n")
     m = instantiate(c, seed=1)
-    a, b, mid = m.xy("A"), m.xy("B"), m.xy("M")
+    a, b, mid = (np.asarray(m.coords[n]) for n in "ABM")
     assert np.allclose(mid, 0.5 * (a + b), atol=0)
 
 
 def test_pappus_intersections_on_their_lines(pappus):
     m = instantiate(pappus, seed=1)
-    g, a, e = m.xy("G"), m.xy("A"), m.xy("E")
+    g, a, e = (np.asarray(m.coords[n]) for n in "GAE")
     cross = (g - a)[0] * (e - a)[1] - (g - a)[1] * (e - a)[0]
     assert abs(cross) ** 2 <= 1e-8 * m.scale ** 2
     assert eval_fact(m, make_fact("coll", "G", "B", "D"))
@@ -275,7 +275,7 @@ def _ref_dirangle(a, b, c, d):
 
 
 def _ref_eval_fact(m, f, tol=numeric.DEFAULT_TOL):
-    p = [m.xy(name) for name in f.args]
+    p = [np.asarray(m.coords[name]) for name in f.args]
     s = m.scale
     if f.pred == "coll":
         return _ref_cross(p[1] - p[0], p[2] - p[0]) ** 2 <= tol * s * s
@@ -308,7 +308,7 @@ def _ref_eval_fact(m, f, tol=numeric.DEFAULT_TOL):
 
 def _ref_eval_condition(m, kind, args, tol=numeric.DEFAULT_TOL):
     if kind == "distinct":
-        a, b = (m.xy(n) for n in args)
+        a, b = (np.asarray(m.coords[n]) for n in args)
         return float((a - b) @ (a - b)) > tol * m.scale
     if kind == "non_collinear":
         return not _ref_eval_fact(m, make_fact("coll", *args), tol)
@@ -366,3 +366,16 @@ def test_plain_floats_match_numpy_reference(case, default_rules, monkeypatch):
                     args = f.args[:arity]
                     assert (eval_condition(m, kind, args)
                             == _ref_eval_condition(ref, kind, args)), (seed, kind, args)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 1.0},
+                                    {"tol_rel": float("inf")},
+                                    {"tol_rel": float("nan")}, {"master_seed": -1}])
+def test_verify_rejects_bad_tol_and_seed(pappus, kwargs):
+    with pytest.raises(ValueError):
+        verify(make_fact("coll", "G", "H", "I"), pappus, **kwargs)
+
+
+def test_sample_models_rejects_negative_seed(midline):
+    with pytest.raises(ValueError, match="master_seed"):
+        sample_models(midline, 5, master_seed=-1)

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from conftest import BUNDLED
 from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
                                 emit_report, run_pipeline)
@@ -16,15 +17,20 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def test_midline_fixpoint_report(midline, default_rules):
     rep = run_pipeline(midline, default_rules, PipelineConfig())
     para = next(r for r in rep.records if r.fact == make_fact("para", "M", "N", "B", "C"))
-    assert para.interesting and para.verdict == "holds"
+    assert para.interesting
     assert para.rule == "midline" and para.round == 1
     assert rep.discarded["empirically_false"] == 0
     assert rep.stop_reason == "fixpoint"
 
 
+# a tolerance of 1 or more holds every coll, para, perp, midp, cong and
+# eqangle test on every model; nan holds none
 @pytest.mark.parametrize("kwargs", [{"mode": "filtered", "max_rounds": 0},
                                     {"max_facts": 0}, {"seeds": 0},
-                                    {"mode": "exhaustive"}])
+                                    {"mode": "exhaustive"},
+                                    {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0},
+                                    {"tol": float("inf")}, {"tol": float("nan")},
+                                    {"master_seed": -1}])
 def test_pipeline_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         PipelineConfig(**kwargs)
@@ -38,7 +44,8 @@ def test_empty_rules(midline):
 
 def test_pappus_all_verdicts_hold(pappus, default_rules):
     rep = run_pipeline(pappus, default_rules, PipelineConfig())
-    assert all(r.verdict == "holds" for r in rep.records)
+    facts = json.loads(emit_report(rep, "json"))["facts"]
+    assert facts and all(f["verdict"] == "holds" for f in facts)
 
 
 def test_inscribed_pipeline(inscribed, default_rules):
@@ -63,12 +70,39 @@ def test_tautologies_never_reported(bundled, default_rules):
     assert not any(is_tautology(r.fact) for r in rep.records)
 
 
-def test_filtered_subset_of_fixpoint(bundled, default_rules):
+def _case(name):
+    """A bundled example by name, or fuzz figure s as ``fuzz<s>``."""
+    from conftest import load_construction
+    from fuzzing import random_construction_text
+    if name.startswith("fuzz"):
+        s = int(name[len("fuzz"):])
+        return parse_construction(random_construction_text(s, max_points=8 + s % 5))
+    return load_construction(name)
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(20)))
+def test_filtered_subset_of_fixpoint(name, default_rules):
+    from geodeduce.numeric import DegenerateModelError
+    c = _case(name)
     cfg_fix = PipelineConfig(mode="fixpoint")
     cfg_fil = PipelineConfig(mode="filtered")
-    fix = run_pipeline(bundled, default_rules, cfg_fix)
-    fil = run_pipeline(bundled, default_rules, cfg_fil)
+    try:
+        fix = run_pipeline(c, default_rules, cfg_fix)
+    except DegenerateModelError:
+        # both modes sample the same models before anything else
+        with pytest.raises(DegenerateModelError):
+            run_pipeline(c, default_rules, cfg_fil)
+        return
+    fil = run_pipeline(c, default_rules, cfg_fil)
     assert {r.fact for r in fil.records} <= {r.fact for r in fix.records}
+
+
+def test_filtered_rounds_count_rounds_without_reported_facts(default_rules):
+    # fuzz seed 26: round 2 derives a fact that passes the run-time filter
+    # but is judged uninteresting, so no fact of round 2 is reported
+    rep = run_pipeline(_case("fuzz26"), default_rules, PipelineConfig(mode="filtered"))
+    assert rep.rounds == 2 and rep.stop_reason == "fixpoint"
+    assert max(r.round for r in rep.records) == 1
 
 
 def test_json_report_deterministic(midline, default_rules):

@@ -172,14 +172,16 @@ def test_parse_metric_config_errors():
         parse_metric_config("direction.weight = sideways\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_metric_config("threshold 0.5\n")
-    for text in ("weight.weight = -3\n", "weight.focus = nan\n", "top_k = -1\n"):
+    for text in ("weight.weight = -3\n", "weight.focus = nan\n", "top_k = -1\n",
+                 "threshold = nan\n"):
         with pytest.raises(ValueError, match="line 2"):
             parse_metric_config("threshold = 0.4\n" + text)
 
 
 @pytest.mark.parametrize("kwargs", [{"top_k": -1},
                                     {"weights": {"weight": -0.5}},
-                                    {"weights": {"focus": float("nan")}}])
+                                    {"weights": {"focus": float("nan")}},
+                                    {"threshold": float("nan")}])
 def test_metric_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         MetricConfig(**kwargs)
