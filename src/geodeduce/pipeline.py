@@ -12,7 +12,12 @@ Two modes:
   each round scores its survivors on one trial copy of it.
 
 Both modes send derivations through the same admission routine,
-``_admit``.
+``_admit``.  A fact it blocks never comes back within the run, and a fact
+the graph holds keeps its one derivation, so a fact's derivation closure
+is fixed from the first time it is scored.  One ``ScoreMemo`` per run
+therefore computes each fact's seven fixed raw metrics and its usefulness
+closure once; each round (and the final scoring) redoes only the
+usefulness counts and both normalizations.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical
@@ -32,7 +37,8 @@ from .facts import Fact
 from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
 from .rules import Rule
-from .scoring import MetricConfig, ScoreCard, filter_interesting, score_all
+from .scoring import (MetricConfig, ScoreCard, ScoreMemo, filter_interesting,
+                      score_all)
 
 
 class SoundnessViolationError(RuntimeError):
@@ -143,8 +149,9 @@ def _admit(derivations: Iterable[Derivation], models, tol: float,
     return passed
 
 
-def _build_records(dag: DerivationDag, cfg: PipelineConfig) -> List[FactRecord]:
-    scores = score_all(dag, cfg.metrics)
+def _build_records(dag: DerivationDag, cfg: PipelineConfig,
+                   memo: ScoreMemo) -> List[FactRecord]:
+    scores = score_all(dag, cfg.metrics, memo)
     interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
     records = []
     for f in sorted(dag, key=str):
@@ -167,6 +174,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
     blocked: Set[Fact] = set()  # discarded facts never come back within a run
     dag = DerivationDag(hypotheses)  # the hypotheses plus every kept fact
+    memo = ScoreMemo()  # each fact's fixed scoring work, for this run only
 
     if cfg.mode == "fixpoint":
         sat = saturate(hypotheses, rules, cfg.max_rounds, cfg.max_facts,
@@ -190,7 +198,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
             # score candidates against the current fact list
             trial = dag.copy()
             trial.add(*survivors)
-            scores = score_all(trial, cfg.metrics)
+            scores = score_all(trial, cfg.metrics, memo)
             interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
             added = [d for d in survivors if d.fact in interesting]
             blocked.update(d.fact for d in survivors if d.fact not in interesting)
@@ -202,7 +210,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
             if len(dag) >= cfg.max_facts:
                 stop = "budget"
                 break
-    records = _build_records(dag, cfg)
+    records = _build_records(dag, cfg, memo)
     return Report(construction.source(), rules_digest(rules), cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)
 

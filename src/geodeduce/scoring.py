@@ -4,8 +4,16 @@ Raw metrics are min-max normalized over the derived facts, direction
 flags orient every metric so that larger means more interesting, and a
 weighted sum yields the aggregate in [0,1].  Usefulness needs an
 interesting set to count against, so scoring runs in two passes: a
-provisional pass with usefulness = 0, then a final pass with usefulness
-computed against the provisional interesting set.
+provisional pass with usefulness = 0 that computes only the derived facts'
+aggregates, then a final pass with usefulness computed against the
+provisional interesting set.
+
+Cost model.  A fact's derivation never changes once the fact is scored:
+the graph is append-only, and a fact that a filtered round blocks never
+comes back.  So a ``ScoreMemo`` that lives for one run keeps, per fact, the
+seven raw metrics other than usefulness and the closure that usefulness
+counts; each is computed once per fact per run.  Every ``score_all`` call
+redoes only the usefulness counts and both normalizations.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -17,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact, fact_symbols
@@ -55,8 +63,9 @@ class MetricConfig:
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
         for m, w in self.weights.items():
-            if not w >= 0:  # also rejects nan
-                raise ValueError(f"weight of {m} must be >= 0, got {w}")
+            # an infinite weight would make every aggregate nan
+            if not 0 <= w < math.inf:  # also rejects nan
+                raise ValueError(f"weight of {m} must be finite and >= 0, got {w}")
 
     def normalized_weights(self) -> Dict[str, float]:
         total = sum(self.weights.get(m, 0.0) for m in METRICS)
@@ -132,13 +141,32 @@ def focus(f: Fact, leaves: Set[Fact]) -> float:
     return abs(1 - n) / (1 + n)
 
 
-def usefulness(dag: DerivationDag, interesting: Set[Fact]) -> Counter:
+def usefulness(dag: DerivationDag, interesting: Set[Fact],
+               above: Optional[Dict[Fact, Set[Fact]]] = None) -> Counter:
     """Per fact, how many other derived interesting facts have it in their
-    ancestor closure."""
+    ancestor closure.  above memoizes closure(g) - {g} per fact g."""
+    above = {} if above is None else above
     count: Counter = Counter()
     for g in interesting:  # a hypothesis's closure is itself alone
-        count.update(dag.closure(g) - {g})
+        if g not in above:
+            above[g] = dag.closure(g) - {g}
+        count.update(above[g])
     return count
+
+
+@dataclass
+class ScoreMemo:
+    """The scoring work that stays fixed for a fact within one run.
+
+    Valid only while every fact keeps the derivation it was first scored
+    with, as on the one growing graph of a pipeline run; never share a memo
+    between runs.
+    """
+
+    # fact -> raw metrics, usefulness left at 0.0
+    raw: Dict[Fact, Dict[str, float]] = field(default_factory=dict)
+    # fact -> closure(fact) - {fact}, for usefulness
+    above: Dict[Fact, Set[Fact]] = field(default_factory=dict)
 
 
 def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
@@ -159,45 +187,84 @@ def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
     return out
 
 
-def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
-               cfg: MetricConfig) -> Dict[Fact, ScoreCard]:
+Scale = Tuple[str, float, float, float, bool]
+
+
+def _scales(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
+            cfg: MetricConfig, metrics: Tuple[str, ...] = METRICS) -> List[Scale]:
+    """Per metric: its name, its min and max over the derived facts, its
+    normalized weight and its direction flag."""
     w = cfg.normalized_weights()
-    lo = {m: min((raw[f][m] for f in derived), default=0.0) for m in METRICS}
-    hi = {m: max((raw[f][m] for f in derived), default=0.0) for m in METRICS}
+    out = []
+    for m in metrics:
+        column = [raw[f][m] for f in derived]
+        out.append((m, min(column, default=0.0), max(column, default=0.0),
+                    w[m], cfg.directions.get(m, True)))
+    return out
+
+
+def _directed(r: Dict[str, float],
+              scales: List[Scale]) -> Tuple[List[float], float]:
+    """r's normalized values in METRICS order (0.5 for a metric constant over
+    the derived facts) and their aggregate: the weighted sum of the values
+    oriented so that larger is more interesting."""
+    norm = []
+    agg = 0.0
+    for m, lo, hi, w, up in scales:
+        n = 0.5 if hi == lo else min(1.0, max(0.0, (r[m] - lo) / (hi - lo)))
+        norm.append(n)
+        agg += w * (n if up else 1.0 - n)
+    return norm, agg
+
+
+def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
+               scales: List[Scale]) -> Dict[Fact, ScoreCard]:
     derived_set = set(derived)
     cards = {}
     for f, r in raw.items():
-        norm = {}
-        agg = 0.0
-        for m in METRICS:
-            if hi[m] == lo[m]:
-                n = 0.5
-            else:
-                n = (r[m] - lo[m]) / (hi[m] - lo[m])
-                n = min(1.0, max(0.0, n))
-            norm[m] = n
-            directed = n if cfg.directions.get(m, True) else 1.0 - n
-            agg += w[m] * directed
-        cards[f] = ScoreCard(raw=dict(r), normalized=norm, aggregate=agg,
-                             hypothesis=f not in derived_set)
+        norm, agg = _directed(r, scales)
+        cards[f] = ScoreCard(raw=r, normalized=dict(zip(METRICS, norm)),
+                             aggregate=agg, hypothesis=f not in derived_set)
     return cards
 
 
-def score_all(dag: DerivationDag, cfg: MetricConfig) -> Dict[Fact, ScoreCard]:
+def score_all(dag: DerivationDag, cfg: MetricConfig,
+              memo: Optional[ScoreMemo] = None) -> Dict[Fact, ScoreCard]:
     """Two-pass scoring of every fact in dag; normalization over derived
-    facts only."""
+    facts only.  Pass the same memo to every call on one growing graph;
+    without one, every fact is scored afresh."""
+    memo = ScoreMemo() if memo is None else memo
     all_facts = sorted(dag, key=str)
     derived = [f for f in all_facts if dag.node(f) is not None]
-    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
+    new = [f for f in all_facts if f not in memo.raw]
+    if new:
+        hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
+        memo.raw.update(_raw_scores(new, dag, hyp_pairs))
+    raw = {f: memo.raw[f] for f in all_facts}
 
-    raw = _raw_scores(all_facts, dag, hyp_pairs)
-    cards = _normalize(raw, derived, cfg)
-    provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
+    # pass 1: usefulness is 0.0 everywhere; only derived aggregates count
+    scales = _scales(raw, derived, cfg)
+    provisional = {f for f in derived
+                   if _directed(raw[f], scales)[1] >= cfg.threshold}
 
-    useful = usefulness(dag, provisional)
-    for f in all_facts:
-        raw[f]["usefulness"] = float(useful[f])
-    return _normalize(raw, derived, cfg)
+    # pass 2: only the usefulness column (the last metric) and its scale change
+    useful = usefulness(dag, provisional, memo.above)
+    final = {f: dict(r, usefulness=float(useful[f])) for f, r in raw.items()}
+    scales[-1:] = _scales(final, derived, cfg, METRICS[-1:])
+    return _normalize(final, derived, scales)
+
+
+def _config_number(convert, key: str, value: str, lineno: int):
+    """value converted by int or float; a ValueError naming the config line
+    if it is no number (nan included)."""
+    try:
+        x = convert(value)
+        if not math.isnan(x):
+            return x
+    except ValueError:
+        pass
+    kind = "an integer" if convert is int else "a number"
+    raise ValueError(f"metric config line {lineno}: {key} must be {kind}")
 
 
 def parse_metric_config(text: str, threshold: float = 0.5,
@@ -217,20 +284,18 @@ def parse_metric_config(text: str, threshold: float = 0.5,
             raise ValueError(f"metric config line {lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key == "threshold":
-            threshold = float(value)
-            if math.isnan(threshold):
-                raise ValueError(f"metric config line {lineno}: threshold must be a number")
+            threshold = _config_number(float, key, value, lineno)
         elif key == "top_k":
-            top_k = int(value)
+            top_k = _config_number(int, key, value, lineno)
             if top_k < 0:
                 raise ValueError(f"metric config line {lineno}: top_k must be >= 0")
         elif key.startswith("weight."):
             m = key[len("weight."):]
             if m not in METRICS:
                 raise ValueError(f"metric config line {lineno}: unknown metric {m!r}")
-            weights[m] = float(value)
-            if not weights[m] >= 0:  # also rejects nan
-                raise ValueError(f"metric config line {lineno}: weight must be >= 0")
+            weights[m] = _config_number(float, key, value, lineno)
+            if not 0 <= weights[m] < math.inf:
+                raise ValueError(f"metric config line {lineno}: weight must be finite and >= 0")
         elif key.startswith("direction."):
             m = key[len("direction."):]
             if m not in METRICS or value not in ("higher", "lower"):

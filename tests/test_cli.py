@@ -184,6 +184,20 @@ def test_negative_weight_or_top_k_in_weights_file(capsys, tmp_path, root, line):
     assert "line 2" in err and not out
 
 
+@pytest.mark.parametrize("line,message", [
+    ("threshold = abc", "threshold must be a number"),
+    ("top_k = 1.5", "top_k must be an integer"),
+    ("weight.focus = x", "weight.focus must be a number"),
+    ("weight.focus = inf", "weight must be finite")])
+def test_bad_number_in_weights_file(capsys, tmp_path, root, line, message):
+    w = tmp_path / "metrics.cfg"
+    w.write_text(f"threshold = 0.0\n{line}\n")
+    code, out, err = run(capsys, "run", str(root / "examples" / "inscribed.gc"),
+                         "--weights", str(w))
+    assert code == 2
+    assert f"metric config line 2: {message}" in err and not out
+
+
 _OUT_OF_RANGE = [("--tol", "-1"), ("--tol", "0"), ("--tol", "1"), ("--tol", "nan"),
                  ("--tol", "inf"), ("--master-seed", "-1"), ("--threshold", "nan")]
 

@@ -97,6 +97,31 @@ def test_filtered_subset_of_fixpoint(name, default_rules):
     assert {r.fact for r in fil.records} <= {r.fact for r in fix.records}
 
 
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(30)))
+def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch):
+    """Every round's scores, computed with the run's memo, equal the scores
+    of the same graph computed afresh, exactly: a fact never comes back
+    with another derivation within a run."""
+    from geodeduce import pipeline
+    from geodeduce.numeric import DegenerateModelError
+    real = pipeline.score_all
+    calls = []
+
+    def checked(dag, cfg, memo):
+        scores = real(dag, cfg, memo)
+        assert scores == real(dag, cfg)
+        calls.append(len(dag))
+        return scores
+
+    monkeypatch.setattr(pipeline, "score_all", checked)
+    try:
+        run_pipeline(_case(name), default_rules, PipelineConfig(mode="filtered"))
+    except DegenerateModelError:
+        assert not calls  # no model could be sampled, so nothing was scored
+        return
+    assert calls
+
+
 def test_filtered_rounds_count_rounds_without_reported_facts(default_rules):
     # fuzz seed 26: round 2 derives a fact that passes the run-time filter
     # but is judged uninteresting, so no fact of round 2 is reported

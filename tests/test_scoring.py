@@ -1,14 +1,16 @@
 """Interestingness metrics, normalization, aggregation and filtering."""
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from geodeduce import initial_facts, make_fact, saturate
 from geodeduce.engine import Derivation, DerivationDag
-from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
-                               filter_interesting, focus, hypothesis_pairs,
-                               hypotheses_used, intensity, obviousness,
-                               parse_metric_config, score_all, surprisingness,
-                               usefulness, weight)
+from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, _directed,
+                               _normalize, _raw_scores, _scales, adaptivity,
+                               complexity, filter_interesting, focus,
+                               hypothesis_pairs, hypotheses_used, intensity,
+                               obviousness, parse_metric_config, score_all,
+                               surprisingness, usefulness, weight)
 
 
 @pytest.fixture(scope="session")
@@ -151,6 +153,96 @@ def test_ranking_invariant_under_point_renaming(midline, default_rules):
     assert a == pytest.approx(b)
 
 
+def _reference_normalize(raw, derived, cfg):
+    """Full ScoreCards for every fact, one metric at a time, as scoring did
+    before the provisional pass computed aggregates only."""
+    w = cfg.normalized_weights()
+    lo = {m: min((raw[f][m] for f in derived), default=0.0) for m in METRICS}
+    hi = {m: max((raw[f][m] for f in derived), default=0.0) for m in METRICS}
+    cards = {}
+    for f, r in raw.items():
+        norm = {}
+        agg = 0.0
+        for m in METRICS:
+            if hi[m] == lo[m]:
+                n = 0.5
+            else:
+                n = (r[m] - lo[m]) / (hi[m] - lo[m])
+                n = min(1.0, max(0.0, n))
+            norm[m] = n
+            directed = n if cfg.directions.get(m, True) else 1.0 - n
+            agg += w[m] * directed
+        cards[f] = ScoreCard(raw=dict(r), normalized=norm, aggregate=agg,
+                             hypothesis=f not in derived)
+    return cards
+
+
+def _reference_score_all(dag, cfg):
+    """Both passes on full ScoreCards, every raw metric computed afresh."""
+    all_facts = sorted(dag, key=str)
+    derived = [f for f in all_facts if dag.node(f) is not None]
+    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
+    raw = _raw_scores(all_facts, dag, hyp_pairs)
+    cards = _reference_normalize(raw, derived, cfg)
+    provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
+    useful = usefulness(dag, provisional)
+    for f in all_facts:
+        raw[f]["usefulness"] = float(useful[f])
+    return _reference_normalize(raw, derived, cfg)
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                    st.floats(0.0, 100.0, allow_nan=False))
+
+
+@st.composite
+def raw_tables(draw):
+    """(raw, derived, cfg): raw metrics of up to 8 facts, some metrics
+    constant, some weights zero, random directions."""
+    facts = [make_fact("coll", "A", "B", p)
+             for p in "CDEFGHIJ"[:draw(st.integers(1, 8))]]
+    derived = draw(st.lists(st.sampled_from(facts), unique=True))
+    columns = {}
+    for m in METRICS:
+        if draw(st.booleans()):
+            columns[m] = dict.fromkeys(facts, draw(_VALUES))
+        else:
+            columns[m] = {f: draw(_VALUES) for f in facts}
+    raw = {f: {m: columns[m][f] for m in METRICS} for f in facts}
+    weights = {m: draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+               for m in METRICS}
+    assume(any(weights.values()))
+    directions = {m: draw(st.booleans()) for m in METRICS}
+    return raw, derived, MetricConfig(weights=weights, directions=directions)
+
+
+@given(raw_tables())
+def test_aggregate_only_pass_equals_full_pass(table):
+    raw, derived, cfg = table
+    scales = _scales(raw, derived, cfg)
+    cards = _normalize(raw, derived, scales)
+    reference = _reference_normalize(raw, derived, cfg)
+    assert cards == reference
+    for f in derived:  # the provisional aggregate, bit for bit
+        assert _directed(raw[f], scales)[1] == cards[f].aggregate == reference[f].aggregate
+
+
+@pytest.mark.parametrize("case", [*range(10), "midline", "pappus", "inscribed"])
+@pytest.mark.parametrize("cfg", [
+    MetricConfig(),
+    MetricConfig(weights={"weight": 2.0, "focus": 0.0, "usefulness": 3.0},
+                 directions={"obviousness": False, "complexity": True},
+                 threshold=0.3)])
+def test_score_all_equals_reference(case, cfg, default_rules):
+    from conftest import load_construction
+    from fuzzing import random_construction_text
+    from geodeduce import parse_construction
+    c = (parse_construction(random_construction_text(case))
+         if isinstance(case, int) else load_construction(case))
+    dag = saturate(initial_facts(c), default_rules).dag
+    assert score_all(dag, cfg) == _reference_score_all(dag, cfg)
+
+
 def test_parse_metric_config():
     cfg = parse_metric_config(
         "threshold = 0.4\n"
@@ -173,7 +265,8 @@ def test_parse_metric_config_errors():
     with pytest.raises(ValueError, match="key = value"):
         parse_metric_config("threshold 0.5\n")
     for text in ("weight.weight = -3\n", "weight.focus = nan\n", "top_k = -1\n",
-                 "threshold = nan\n"):
+                 "threshold = nan\n", "threshold = abc\n", "top_k = 1.5\n",
+                 "weight.focus = x\n", "weight.focus = inf\n"):
         with pytest.raises(ValueError, match="line 2"):
             parse_metric_config("threshold = 0.4\n" + text)
 
@@ -181,6 +274,7 @@ def test_parse_metric_config_errors():
 @pytest.mark.parametrize("kwargs", [{"top_k": -1},
                                     {"weights": {"weight": -0.5}},
                                     {"weights": {"focus": float("nan")}},
+                                    {"weights": {"focus": float("inf")}},
                                     {"threshold": float("nan")}])
 def test_metric_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
