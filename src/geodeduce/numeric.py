@@ -9,13 +9,27 @@ conjectures that are false on generic figures and flag unsound rules.
 Coordinates are computed in plain IEEE-754 double arithmetic on Python
 floats, so a model is the same on every host; numpy supplies only each
 seed's PCG64 stream (``default_rng(seed)``).
+
+Every run samples the seeds ``master_seed .. master_seed+n-1``, so one
+process draws the same streams again for every construction it samples.
+``_prefix`` keeps, per seed, the first PREFIX_DRAWS doubles of its stream
+as an immutable tuple, in a bounded LRU memo of MEMO_SEEDS seeds (about
+2 KB per seed, about 2 MB when full).  A draw past the prefix comes from a
+fresh generator moved on by ``bit_generator.advance(PREFIX_DRAWS)``, which
+equals discarding the prefix's draws.  The memo holds no generator and no
+mutable state, so threads can share it; each ``instantiate`` call restarts
+its seed's stream.  A one-shot CLI ``check`` still builds one generator
+per seed, as it did before the memo.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +40,8 @@ MIN_SPACING = 1e-3        # pairwise distance floor, relative to the diameter
 MIN_SIN = 1e-3            # intersection-angle floor
 DEFAULT_TOL = 1e-8
 MAX_ATTEMPTS = 100
+PREFIX_DRAWS = 64         # memoized doubles per seed; few models draw more
+MEMO_SEEDS = 1024         # seeds whose prefix is kept
 
 
 class DegenerateModelError(RuntimeError):
@@ -94,20 +110,23 @@ def _circumcenter(a, b, c):
     return (ux, uy)
 
 
-def _sample_once(c: Construction, rng: np.random.Generator):
-    """One sampling attempt; returns coords dict or None on degeneracy."""
-    # low + (high - low) * rng.random() is rng.uniform(low, high) bit for bit
+def _sample_once(c: Construction, draw: Callable[[], float]):
+    """One sampling attempt; returns coords dict or None on degeneracy.
+
+    draw() returns the next double in [0, 1) of the seed's stream.
+    """
+    # low + (high - low) * draw() is rng.uniform(low, high) bit for bit
     pts: Dict[str, Tuple[float, float]] = {}
     for step in c.steps:
         a = step.args
         if step.kind == "free_point":
-            pts[a[0]] = (-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random())
+            pts[a[0]] = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
         elif step.kind == "on_line":
-            t = -1.0 + 3.0 * rng.random()
+            t = -1.0 + 3.0 * draw()
             p, q = pts[a[1]], pts[a[2]]
             pts[a[0]] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
         elif step.kind == "on_circle":
-            theta = 2.0 * math.pi * rng.random()
+            theta = 2.0 * math.pi * draw()
             o = pts[a[1]]
             u = _vec(o, pts[a[2]])
             r = math.sqrt(_dot(u, u))
@@ -153,14 +172,35 @@ def _nondegenerate(pts: Dict[str, Tuple[float, float]]) -> Optional[float]:
     return scale
 
 
+@functools.lru_cache(maxsize=MEMO_SEEDS)
+def _prefix(seed: int) -> Tuple[float, ...]:
+    """The first PREFIX_DRAWS doubles of default_rng(seed).random()."""
+    return tuple(np.random.default_rng(seed).random(PREFIX_DRAWS).tolist())
+
+
+def _tail(seed: int) -> Iterator[float]:
+    """The seed's stream after its prefix; builds its generator lazily."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(PREFIX_DRAWS)
+    while True:
+        yield rng.random()
+
+
+def _draws(seed: int) -> Iterator[float]:
+    """The seed's stream of doubles in [0, 1), from its first draw."""
+    return itertools.chain(_prefix(seed), _tail(seed))
+
+
 def instantiate(c: Construction, seed: int) -> CoordinateModel:
     """Sample a non-degenerate model; deterministic for a given seed.
 
-    Raises DegenerateModelError after MAX_ATTEMPTS failed draws.
+    Raises DegenerateModelError after MAX_ATTEMPTS failed draws, TypeError
+    for a seed that is no integer and ValueError for a negative one.
     """
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)  # the memo key: np.int64(3) is seed 3
+    draw = _draws(seed).__next__
     for _ in range(MAX_ATTEMPTS):
-        pts = _sample_once(c, rng)
+        pts = _sample_once(c, draw)
         scale = None if pts is None else _nondegenerate(pts)
         if scale is not None:
             return CoordinateModel(coords=pts, seed=seed, scale=scale)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -69,6 +70,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("max_rounds", "max_facts", "seeds", "master_seed"):
+            value = getattr(self, name)
+            try:  # np.int64(3) is stored as 3, so the JSON report can hold it
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         # zero rounds, facts or models would report a run that never ran
         for name in ("max_rounds", "max_facts", "seeds"):
             if getattr(self, name) < 1:

@@ -12,7 +12,8 @@ Cost model.  A fact's derivation never changes once the fact is scored:
 the graph is append-only, and a fact that a filtered round blocks never
 comes back.  So a ``ScoreMemo`` that lives for one run keeps, per fact, the
 seven raw metrics other than usefulness and the closure that usefulness
-counts; each is computed once per fact per run.  Every ``score_all`` call
+counts; each is computed once per fact per run.  It also keeps the
+hypotheses' point pairs, computed once per run.  Every ``score_all`` call
 redoes only the usefulness counts and both normalizations.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
@@ -167,6 +168,9 @@ class ScoreMemo:
     raw: Dict[Fact, Dict[str, float]] = field(default_factory=dict)
     # fact -> closure(fact) - {fact}, for usefulness
     above: Dict[Fact, Set[Fact]] = field(default_factory=dict)
+    # point pairs of the run's hypotheses, for surprisingness; None until
+    # the first fact is scored
+    hyp_pairs: Optional[Set[FrozenSet[str]]] = None
 
 
 def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
@@ -238,8 +242,10 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     derived = [f for f in all_facts if dag.node(f) is not None]
     new = [f for f in all_facts if f not in memo.raw]
     if new:
-        hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
-        memo.raw.update(_raw_scores(new, dag, hyp_pairs))
+        if memo.hyp_pairs is None:  # the hypotheses are fixed for the run
+            memo.hyp_pairs = hypothesis_pairs(f for f in all_facts
+                                              if dag.node(f) is None)
+        memo.raw.update(_raw_scores(new, dag, memo.hyp_pairs))
     raw = {f: memo.raw[f] for f in all_facts}
 
     # pass 1: usefulness is 0.0 everywhere; only derived aggregates count

@@ -1,5 +1,6 @@
 """Coordinate sampling, fact evaluation, empirical verdicts."""
 
+import itertools
 import json
 import math
 
@@ -379,3 +380,73 @@ def test_verify_rejects_bad_tol_and_seed(pappus, kwargs):
 def test_sample_models_rejects_negative_seed(midline):
     with pytest.raises(ValueError, match="master_seed"):
         sample_models(midline, 5, master_seed=-1)
+
+
+# -- the memoized per-seed stream ---------------------------------------------
+
+def test_memoized_stream_equals_scalar_draws():
+    # 3 * PREFIX_DRAWS crosses from the memoized prefix into the advanced tail
+    n = 3 * numeric.PREFIX_DRAWS
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        expected = [rng.random() for _ in range(n)]
+        for _ in range(2):  # cold, then warm
+            assert list(itertools.islice(numeric._draws(seed), n)) == expected, seed
+
+
+# 40 free points draw 80 doubles, past the prefix
+_MANY_POINTS = parse_construction("point " + " ".join(f"P{i}" for i in range(40)) + "\n")
+
+
+def test_each_model_restarts_its_seed_stream(midline, pappus):
+    for seed in (0, 7, 41):
+        numeric._prefix.cache_clear()
+        cold = instantiate(midline, seed)
+        for c in (pappus, _MANY_POINTS, midline):
+            instantiate(c, seed)
+        warm = instantiate(midline, seed)
+        assert warm.coords == cold.coords and warm.scale == cold.scale
+        numeric._prefix.cache_clear()
+        many_cold = instantiate(_MANY_POINTS, seed)
+        instantiate(midline, seed)
+        assert instantiate(_MANY_POINTS, seed).coords == many_cold.coords
+
+
+def test_degenerate_figure_takes_every_attempt_with_warm_memo(monkeypatch):
+    c = parse_construction("point A B\non_line C A B\non_line D A B\n"
+                           "intersect X A C B D\n")
+    attempts = []
+    sample_once = numeric._sample_once
+    monkeypatch.setattr(numeric, "_sample_once",
+                        lambda *a: attempts.append(1) or sample_once(*a))
+    numeric._prefix.cache_clear()
+    for _ in range(2):  # cold, then warm
+        attempts.clear()
+        with pytest.raises(DegenerateModelError):
+            instantiate(c, 3)
+        assert len(attempts) == numeric.MAX_ATTEMPTS
+
+
+def test_memo_stays_at_its_bound(midline):
+    numeric._prefix.cache_clear()
+    first = instantiate(midline, 0)
+    for seed in range(numeric.MEMO_SEEDS + 10):
+        numeric._prefix(seed)
+    assert numeric._prefix.cache_info().currsize == numeric.MEMO_SEEDS
+    assert instantiate(midline, 0) == first  # seed 0 was evicted
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_seed_must_be_a_nonnegative_integer(midline, warm):
+    numeric._prefix.cache_clear()
+    if warm:
+        for seed in range(4):
+            instantiate(midline, seed)
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            instantiate(midline, bad)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            instantiate(midline, -1)
+    m = instantiate(midline, np.int64(3))
+    assert m == instantiate(midline, 3) and type(m.seed) is int

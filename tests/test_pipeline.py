@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from conftest import BUNDLED
@@ -30,10 +31,20 @@ def test_midline_fixpoint_report(midline, default_rules):
                                     {"mode": "exhaustive"},
                                     {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0},
                                     {"tol": float("inf")}, {"tol": float("nan")},
-                                    {"master_seed": -1}])
+                                    {"master_seed": -1},
+                                    {"seeds": 2.5}, {"master_seed": 0.5},
+                                    {"max_rounds": 3.0}, {"max_facts": 2.5},
+                                    {"seeds": "5"}, {"master_seed": None}])
 def test_pipeline_config_rejects_bad_fields(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=[*kwargs][-1]):  # names the field
         PipelineConfig(**kwargs)
+
+
+def test_pipeline_config_stores_numpy_integers_as_int(midline):
+    cfg = PipelineConfig(seeds=np.int64(3), master_seed=np.int64(2))
+    assert type(cfg.seeds) is int and type(cfg.master_seed) is int
+    report = json.loads(emit_report(run_pipeline(midline, [], cfg), "json"))
+    assert (report["seeds"], report["master_seed"]) == (3, 2)
 
 
 def test_empty_rules(midline):
