@@ -16,6 +16,8 @@ defined point, and the defined point must be fresh.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -31,6 +33,14 @@ _STEP_ARITY = {
     "foot": 4,
     "circumcenter": 4,
 }
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _column(line: str, i: int) -> int:
+    """The 1-based column of the i-th token of line, from where it matched."""
+    return next(itertools.islice(_TOKEN.finditer(line), i, None)).start() + 1
 
 
 class ConstructionError(ValueError):
@@ -82,21 +92,21 @@ def parse_construction(text: str) -> Construction:
         kw = tokens[0]
         if kw not in _STEP_ARITY:
             raise ConstructionError(f"unknown statement {kw!r}", lineno,
-                                    raw.index(kw) + 1)
+                                    _column(line, 0))
         args = tokens[1:]
-        for tok in args:
+        for i, tok in enumerate(args, start=1):
             if not IDENTIFIER.match(tok):
                 raise ConstructionError(f"bad identifier {tok!r}", lineno,
-                                        raw.index(tok) + 1)
+                                        _column(line, i))
         arity = _STEP_ARITY[kw]
         if arity is None:
             if not args:
                 raise ConstructionError("point statement needs at least one name",
                                         lineno)
-            for name in args:
+            for i, name in enumerate(args, start=1):
                 if name in defined:
                     raise ConstructionError(f"{name} redefined", lineno,
-                                            raw.index(name) + 1)
+                                            _column(line, i))
                 defined.add(name)
                 steps.append(ConstructionStep("free_point", (name,)))
             continue
@@ -105,12 +115,11 @@ def parse_construction(text: str) -> Construction:
                 f"{kw} expects {arity} points, got {len(args)}", lineno)
         name, refs = args[0], args[1:]
         if name in defined:
-            raise ConstructionError(f"{name} redefined", lineno,
-                                    raw.index(name) + 1)
-        for ref in refs:
+            raise ConstructionError(f"{name} redefined", lineno, _column(line, 1))
+        for i, ref in enumerate(refs, start=2):
             if ref not in defined:
                 raise ConstructionError(f"{ref} undefined", lineno,
-                                        raw.index(ref) + 1)
+                                        _column(line, i))
         defined.add(name)
         steps.append(ConstructionStep(kw, tuple(args)))
 

@@ -8,12 +8,17 @@ Both naive and semi-naive evaluation are provided and must agree.  One
 ``DerivationDag`` holds every fact, hypotheses and derived facts alike.
 
 Rules are matched by one indexed join, and ``derive_round`` is its one
-entry.  At the start of a round every fact's symmetry orbit is enumerated
-once.  For each premise slot, the orbit variants of its candidate facts
-that fit the pattern (constants and repeated variables agree) are indexed
-by their values at the positions bound by earlier premises; binding a
-slot is then one dict lookup.  The orbit table and the indexes are
-dropped when the round ends.
+entry.  A binding is a tuple: the rule's point constants, then its
+variables in the order the premise slots bind them.  At the start of a
+round every fact's symmetry orbit is enumerated once.  For each premise
+slot, the orbit variants of its candidate facts that fit the pattern
+(constants and repeated variables agree) are indexed by their values at
+the positions bound by earlier premises; an entry holds the fact and the
+values it gives the slot's new variables.  The join extends the list of
+partial bindings one slot at a time, one dict lookup and one tuple
+concatenation per binding, which keeps the depth-first order of a
+backtracking walk.  The orbit table and the indexes are dropped when the
+round ends.
 
 Each rule is compiled once (``compile_rule``): its slot layouts plus its
 slot-preserving symmetries, disjoint variable swaps (x y) that map every
@@ -30,8 +35,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .facts import (LEX_ORBITS, Fact, canonicalize, is_degenerate, is_tautology,
                     orbit)
@@ -121,47 +128,68 @@ class DerivationDag:
         return {f for f in self.closure(fact) if self._node.get(f) is None}
 
 
+def _getter(positions: Tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """An itemgetter for positions that always returns a tuple, so that
+    index keys and join keys have the same shape."""
+    if len(positions) == 1:  # itemgetter(i) would return the bare value
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions) if positions else lambda t: ()
+
+
 class _Slot(NamedTuple):
     """How one premise pattern meets the variables bound before it."""
 
     consts: Tuple[Tuple[int, str], ...]   # (position, point constant)
     repeats: Tuple[Tuple[int, int], ...]  # (position, first position of its variable)
-    key_vars: Tuple[str, ...]             # variables bound by earlier premises
-    key_pos: Tuple[int, ...]              # ... and their first positions
-    new_vars: Tuple[str, ...]             # variables this premise binds
-    new_pos: Tuple[int, ...]              # ... and their first positions
+    key_pos: Tuple[int, ...]              # first positions of variables bound before
+    key: Callable[[tuple], tuple]         # binding -> those variables' values
+    new_pos: Tuple[int, ...]              # first positions of variables bound here
     lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
-
-
-def _slots(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> List[_Slot]:
-    """Slot layouts in premise order; premise i sees the variables of 0..i-1.
-    Each swap (x y) of pairs is tested in the slot that binds x: a swap's
-    two variables share every premise, so that slot binds y too."""
-    slots: List[_Slot] = []
-    bound: Set[str] = set()
-    for pattern in rule.premises:
-        first: Dict[str, int] = {}
-        consts, repeats = [], []
-        for pos, arg in enumerate(pattern.args):
-            if not is_variable(arg):
-                consts.append((pos, arg))
-            elif arg in first:
-                repeats.append((pos, first[arg]))
-            else:
-                first[arg] = pos
-        key = tuple(v for v in first if v in bound)
-        new = tuple(v for v in first if v not in bound)
-        slots.append(_Slot(tuple(consts), tuple(repeats), key,
-                           tuple(first[v] for v in key), new,
-                           tuple(first[v] for v in new),
-                           tuple((first[x], first[y]) for x, y in pairs if x in new)))
-        bound.update(first)
-    return slots
 
 
 class CompiledRule(NamedTuple):
     slots: Tuple[_Slot, ...]
     pairs: Tuple[Tuple[str, str], ...]  # the symmetry swaps (x y), x bound first
+    names: Tuple[str, ...]              # the point at each binding position
+    consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
+    swaps: Tuple[Tuple[int, int], ...]     # pairs as binding positions
+    distinct: Tuple[Tuple[int, int], ...]  # distinct sides as binding positions
+    conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
+
+
+def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRule:
+    """Slot layouts in premise order; premise i sees the variables of 0..i-1.
+    Binding positions number the rule's point constants, then its variables
+    in the order the slots bind them.  Each swap (x y) of pairs is tested
+    in the slot that binds x: a swap's two variables share every premise,
+    so that slot binds y too."""
+    atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
+    consts = tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
+    at = {c: i for i, c in enumerate(consts)}  # point -> binding position
+    slots: List[_Slot] = []
+    for pattern in rule.premises:
+        first: Dict[str, int] = {}
+        fixed, repeats = [], []
+        for pos, arg in enumerate(pattern.args):
+            if not is_variable(arg):
+                fixed.append((pos, arg))
+            elif arg in first:
+                repeats.append((pos, first[arg]))
+            else:
+                first[arg] = pos
+        key = [v for v in first if v in at]
+        new = [v for v in first if v not in at]
+        slots.append(_Slot(tuple(fixed), tuple(repeats), tuple(first[v] for v in key),
+                           _getter(tuple(at[v] for v in key)),
+                           tuple(first[v] for v in new),
+                           tuple((first[x], first[y]) for x, y in pairs if x in new)))
+        for v in new:
+            at[v] = len(at)
+    return CompiledRule(tuple(slots), pairs, tuple(at), consts,
+                        tuple((at[x], at[y]) for x, y in pairs),
+                        tuple((at[a], at[b]) for side in rule.side_conditions
+                              if side.kind == "distinct" for a, b in [side.args]),
+                        _getter(tuple(at[a] for a in rule.conclusion.args)))
 
 
 def _is_symmetry(rule: Rule, x: str, y: str) -> bool:
@@ -209,12 +237,7 @@ def compile_rule(rule: Rule) -> CompiledRule:
         if x not in taken and y not in taken and _is_symmetry(rule, x, y):
             pairs.append((x, y))
             taken.update((x, y))
-    return CompiledRule(tuple(_slots(rule, tuple(pairs))), tuple(pairs))
-
-
-def _weight(pairs: Tuple[Tuple[str, str], ...], binding: Dict[str, str]) -> int:
-    """How many full-join bindings a kept binding stands for."""
-    return 1 << sum(binding[x] != binding[y] for x, y in pairs)
+    return _compile(rule, tuple(pairs))
 
 
 def _orbit_table(facts: Iterable[Fact]) -> Dict[Fact, Tuple[Tuple[str, ...], ...]]:
@@ -224,68 +247,55 @@ def _orbit_table(facts: Iterable[Fact]) -> Dict[Fact, Tuple[Tuple[str, ...], ...
 
 def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
     """Variants of facts that fit the slot's pattern, keyed by their values
-    at the already-bound positions: key -> [(fact, variant)].
+    at the already-bound positions: key -> [(fact, values of the new
+    variables)].
 
     Within one fact, a consistent variant and the binding it extends to
     correspond one to one, so the orbit's own deduplication is the only
     one needed.  Entries keep fact order, then orbit order.
     """
     index: Dict[tuple, list] = {}
-    consts, repeats, lex, key_pos = slot.consts, slot.repeats, slot.lex, slot.key_pos
+    consts, repeats, lex = slot.consts, slot.repeats, slot.lex
+    key, new = _getter(slot.key_pos), _getter(slot.new_pos)
+    # each test compares tuples picked out of the variant
+    at, want = _getter(tuple(i for i, _ in consts)), tuple(c for _, c in consts)
+    rep, first = (_getter(tuple(p[k] for p in repeats)) for k in (0, 1))
+    lo, hi = (_getter(tuple(p[k] for p in lex)) for k in (0, 1))
     for f in facts:
         for v in orbits[f]:
             # an empty test costs one truth check per variant
-            if consts and not all(v[i] == c for i, c in consts):
+            if consts and at(v) != want:
                 continue
-            if repeats and not all(v[i] == v[j] for i, j in repeats):
+            if repeats and rep(v) != first(v):
                 continue
-            if lex and not all(v[i] <= v[j] for i, j in lex):
+            if lex and not all(map(operator.le, lo(v), hi(v))):
                 continue
-            index.setdefault(tuple(v[i] for i in key_pos), []).append((f, v))
+            index.setdefault(key(v), []).append((f, new(v)))
     return index
 
 
-def _join(slots: List[_Slot], indexes: List[Dict[tuple, list]], i: int = 0,
-          binding: Optional[Dict[str, str]] = None, used: Tuple[Fact, ...] = ()):
-    """Backtracking join over premise slots i.., one index lookup per slot;
-    yields (binding, facts used)."""
-    # a module-level function, not a closure: a self-referencing closure
-    # would keep the round's indexes alive until the cyclic GC runs
-    binding = {} if binding is None else binding
-    if i == len(slots):
-        yield binding, used
-        return
-    slot = slots[i]
-    key = tuple(binding[var] for var in slot.key_vars)
-    for fact, variant in indexes[i].get(key, ()):
-        b = dict(binding)
-        for var, pos in zip(slot.new_vars, slot.new_pos):
-            b[var] = variant[pos]
-        yield from _join(slots, indexes, i + 1, b, used + (fact,))
-
-
-def _distinct_ok(rule: Rule, binding: Dict[str, str]) -> bool:
-    for side in rule.side_conditions:
-        if side.kind == "distinct":
-            a, b = (binding.get(x, x) for x in side.args)
-            if a == b:
-                return False
-    return True
-
-
-def _ground(args: Tuple[str, ...], binding: Dict[str, str]) -> Tuple[str, ...]:
-    return tuple(binding.get(a, a) for a in args)
+def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
+    """Every (binding, facts used) of the rule over the slot indexes, in the
+    order of a depth-first walk: the partial bindings are extended one
+    slot at a time, each in place of the one it extends."""
+    rows = [(rule.consts, ())]
+    for slot, index in zip(rule.slots, indexes):
+        key, get = slot.key, index.get
+        rows = [(b + new, used + (f,))
+                for b, used in rows for f, new in get(key(b), ())]
+    return rows
 
 
 # which part of a predicate's facts a premise slot draws from
 ALL, OLD, DELTA = "all", "old", "delta"
 
 
-def _conditions(rule: Rule, binding: Dict[str, str], used: Tuple[Fact, ...],
-                dag: DerivationDag) -> Tuple[GroundCondition, ...]:
+def _conditions(rule: Rule, names: Tuple[str, ...], binding: tuple,
+                used: Tuple[Fact, ...], dag: DerivationDag) -> Tuple[GroundCondition, ...]:
     """The rule's numeric side conditions plus those of the premises."""
+    value = dict(zip(names, binding))
     conds: List[GroundCondition] = [
-        (s.kind, _ground(s.args, binding)) for s in rule.numeric_sides]
+        (s.kind, tuple(value[a] for a in s.args)) for s in rule.numeric_sides]
     for prem in used:
         d = dag.node(prem)
         if d is not None:
@@ -309,7 +319,8 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
     same way share one index.
     """
     semi_naive = strategy != "naive" and round_index > 1
-    usable = sorted(dag, key=str)
+    text = {f: str(f) for f in dag}  # for the sort and the tie-break key
+    usable = sorted(dag, key=text.__getitem__)
     if strict_sides:  # conditional facts serve as no premise
         usable = [f for f in usable
                   if dag.node(f) is None or not dag.node(f).conditional]
@@ -326,7 +337,7 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
     orbits = _orbit_table(usable)
     indexes: Dict[tuple, Dict[tuple, list]] = {}
 
-    # new fact -> (tie-break key, rule, binding, premises)
+    # new fact -> (tie-break key, rule, variable names, binding, premises)
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in sorted(rules, key=lambda r: r.name):
@@ -338,7 +349,9 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
                      for i in range(n)]
         else:
             plans = [(ALL,) * n]
-        slots, pairs = compile_rule(rule)
+        compiled = compile_rule(rule)
+        slots, swaps, distinct = compiled.slots, compiled.swaps, compiled.distinct
+        pred, conclusion = rule.conclusion.pred, compiled.conclusion
         for plan in plans:
             lists = [pools.get((p.pred, part), ())
                      for p, part in zip(rule.premises, plan)]
@@ -351,28 +364,28 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
                 if shape not in indexes:
                     indexes[shape] = _index(slot, facts, orbits)
                 slot_indexes.append(indexes[shape])
-            for binding, used in _join(slots, slot_indexes):
-                if not _distinct_ok(rule, binding):
+            for b, used in _join(compiled, slot_indexes):
+                if distinct and any(b[i] == b[j] for i, j in distinct):
                     continue
-                concl = canonicalize(Fact(rule.conclusion.pred,
-                                          _ground(rule.conclusion.args, binding)))
+                concl = canonicalize(Fact(pred, conclusion(b)))
                 if concl in dag:
                     continue
+                # a kept binding stands for 2**k full-join bindings
                 if is_tautology(concl):
-                    n_taut += _weight(pairs, binding)
+                    n_taut += 1 << sum(b[x] != b[y] for x, y in swaps)
                     continue
                 if is_degenerate(concl):
-                    n_degen += _weight(pairs, binding)
+                    n_degen += 1 << sum(b[x] != b[y] for x, y in swaps)
                     continue
-                key = (rule.name, tuple(str(p) for p in used))
+                key = (rule.name, tuple(map(text.__getitem__, used)))
                 cur = best.get(concl)
                 if cur is None or key < cur[0]:
-                    best[concl] = (key, rule, binding, used)
+                    best[concl] = (key, rule, compiled.names, b, used)
     ordered = []
     for f in sorted(best, key=str):
-        _key, rule, binding, used = best[f]
+        _key, rule, names, binding, used = best[f]
         ordered.append(Derivation(f, rule.name, used, round_index,
-                                  _conditions(rule, binding, used, dag)))
+                                  _conditions(rule, names, binding, used, dag)))
     return ordered, n_taut, n_degen
 
 

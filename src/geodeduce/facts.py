@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 # predicate name -> arity
 ARITIES: Dict[str, int] = {
@@ -35,12 +34,13 @@ class MalformedFactError(ValueError):
     """Raised for text that is no atom, unknown predicates or arity mismatches."""
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
+class Fact(NamedTuple):
     """An atomic geometric proposition over named points.
 
-    Instances are plain records; use :func:`canonicalize` (or
-    :func:`make_fact`) to obtain the canonical representative.
+    A fact is a tuple equal to ``(pred, args)``: it hashes, compares and
+    orders as that tuple, in C.  Instances are plain records; use
+    :func:`canonicalize` (or :func:`make_fact`) to obtain the canonical
+    representative.
     """
 
     pred: str

@@ -40,6 +40,20 @@ def test_bad_identifier():
         parse_construction("point A 1X")
 
 
+@pytest.mark.parametrize("text, message", [
+    # the second A, not the first
+    ("point A B A", "line 1, col 11: A redefined"),
+    # n, not the n inside the keyword
+    ("point A B\non_line P n A", "line 2, col 11: n undefined"),
+    # the token 1, not the 1 inside A1
+    ("point A1 1", "line 1, col 10: bad identifier '1'"),
+])
+def test_error_column_is_the_tokens_own(text, message):
+    with pytest.raises(ConstructionError) as err:
+        parse_construction(text)
+    assert str(err.value) == message
+
+
 def test_needs_two_free_points():
     with pytest.raises(ConstructionError, match="two free points"):
         parse_construction("point A")

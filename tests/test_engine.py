@@ -6,7 +6,7 @@ import pytest
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
-from geodeduce.engine import (_index, _join, _orbit_table, _slots, derive_round,
+from geodeduce.engine import (_compile, _index, _join, _orbit_table, derive_round,
                               Derivation, DerivationDag)
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
@@ -241,9 +241,12 @@ def test_indexed_join_equals_reference(seed, default_rules, inscribed):
     for rule in default_rules:
         lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
                  for p in rule.premises]
-        slots = _slots(rule)
-        indexes = [_index(s, lst, orbits) for s, lst in zip(slots, lists)]
-        got = _hashable(_join(slots, indexes))
+        compiled = _compile(rule)
+        indexes = [_index(s, lst, orbits) for s, lst in zip(compiled.slots, lists)]
+        # tuple bindings as variable -> point, through the compiled variable order
+        k = len(compiled.consts)
+        got = _hashable((dict(zip(compiled.names[k:], b[k:])), used)
+                        for b, used in _join(compiled, indexes))
         want = _hashable(_reference_join(rule, lists))
         assert Counter(got) == Counter(want), rule.name
         # the order decides which of two equal-ranked derivations is kept

@@ -87,6 +87,25 @@ def test_equal_canonical_facts_hash_equally(f):
         assert hash(c1) == hash(c2)
 
 
+# Set iteration order, sort order and hence every report byte rest on
+# these: a fact hashes and orders as the tuple (pred, args).
+@given(raw_facts())
+def test_fact_hashes_as_its_pred_args_tuple(f):
+    assert hash(f) == hash((f.pred, f.args))
+
+
+@given(st.lists(raw_facts(), max_size=12))
+def test_facts_sort_by_pred_then_args(facts):
+    assert sorted(facts) == sorted(facts, key=lambda f: (f.pred, f.args))
+
+
+def test_fact_is_immutable_with_a_stable_repr():
+    f = make_fact("coll", "A", "B", "C")
+    with pytest.raises(AttributeError):
+        f.pred = "para"
+    assert repr(f) == "Fact(pred='coll', args=('A', 'B', 'C'))"
+
+
 @pytest.mark.parametrize("pred", sorted(ARITIES))
 def test_canonicalize_is_orbit_minimum_exhaustive(pred):
     for args in itertools.product("ABCD", repeat=ARITIES[pred]):

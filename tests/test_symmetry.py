@@ -12,9 +12,8 @@ from hypothesis import HealthCheck, Phase, find, given, settings, strategies as 
 
 from geodeduce import (engine, initial_facts, make_fact, parse_construction,
                        parse_rules, saturate)
-from geodeduce.engine import (CompiledRule, DerivationDag, _index, _join,
-                              _orbit_table, _slots, _weight, compile_rule,
-                              derive_round)
+from geodeduce.engine import (DerivationDag, _compile, _index, _join,
+                              _orbit_table, compile_rule, derive_round)
 from geodeduce.facts import ARITIES, Fact, canonicalize, orbit
 from geodeduce.rules import Pattern, Rule, SideCondition
 
@@ -53,15 +52,32 @@ def figure_dag(name):
 
 def _uncompiled(rule):
     """The rule without its symmetries: the full join, every weight 1."""
-    return CompiledRule(tuple(_slots(rule)), ())
+    return _compile(rule)
 
 
-def _join_list(slots, rule, facts):
+def _ground(args, binding):
+    return tuple(binding.get(a, a) for a in args)
+
+
+def _join_list(compiled, rule, facts):
+    """The join's (binding, facts used), each tuple binding mapped to
+    variable -> point through the compiled variable order.  The kernel's
+    conclusion getter and distinct tests read the tuple; they must agree
+    with grounding by name, point constants included."""
     orbits = _orbit_table(facts)
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
-    indexes = [_index(s, lst, orbits) for s, lst in zip(slots, lists)]
-    return [(dict(b), used) for b, used in _join(list(slots), indexes)]
+    indexes = [_index(s, lst, orbits) for s, lst in zip(compiled.slots, lists)]
+    k = len(compiled.consts)
+    distinct = [s.args for s in rule.side_conditions if s.kind == "distinct"]
+    out = []
+    for b, used in _join(compiled, indexes):
+        named = dict(zip(compiled.names[k:], b[k:]))
+        assert compiled.conclusion(b) == _ground(rule.conclusion.args, named)
+        assert ([b[i] == b[j] for i, j in compiled.distinct]
+                == [len(set(_ground(args, named))) == 1 for args in distinct])
+        out.append((named, used))
+    return out
 
 
 def _orbit_key(binding, used, pairs):
@@ -77,14 +93,13 @@ def _orbit_key(binding, used, pairs):
 
 
 def _conclusion(rule, binding):
-    return canonicalize(Fact(rule.conclusion.pred,
-                             tuple(binding.get(a, a) for a in rule.conclusion.args)))
+    return canonicalize(Fact(rule.conclusion.pred, _ground(rule.conclusion.args, binding)))
 
 
 def check_compiled_join(rule, facts):
     compiled = compile_rule(rule)
-    full = _join_list(_slots(rule), rule, facts)
-    got = _join_list(compiled.slots, rule, facts)
+    full = _join_list(_compile(rule), rule, facts)
+    got = _join_list(compiled, rule, facts)
     # the first-drawn binding of each orbit, in full-join order
     first, seen = [], set()
     for b, used in full:
@@ -96,7 +111,8 @@ def check_compiled_join(rule, facts):
     # each kept binding stands for its whole orbit
     weights = Counter()
     for b, used in got:
-        weights[used, _conclusion(rule, b)] += _weight(compiled.pairs, b)
+        weights[used, _conclusion(rule, b)] += 1 << sum(b[x] != b[y]
+                                                        for x, y in compiled.pairs)
     assert weights == Counter((used, _conclusion(rule, b)) for b, used in full), rule
 
 
@@ -211,6 +227,9 @@ def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
     if not variables:
         premises[0] = Pattern(premises[0].pred, ("A",) + premises[0].args[1:])
         variables = ["A"]
+    # conclusions and side conditions name bound variables and, less
+    # often, point constants, which the join keeps in its bindings
+    points = st.sampled_from(variables * 4 + list(constants)[:5])
     # premise 0's arguments under a predicate of its arity keep the symmetries
     # it shares with that predicate; random arguments rarely keep any
     first = premises[0]
@@ -220,12 +239,12 @@ def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
     else:
         pred = draw(st.sampled_from(sorted(ARITIES)))
         conclusion = Pattern(pred, tuple(draw(st.lists(
-            st.sampled_from(variables), min_size=ARITIES[pred], max_size=ARITIES[pred]))))
+            points, min_size=ARITIES[pred], max_size=ARITIES[pred]))))
     sides = []
     for kind, n in (("distinct", 2), ("non_collinear", 3), ("distinct_lines", 4)):
         if draw(st.booleans()):
             sides.append(SideCondition(kind, tuple(draw(st.lists(
-                st.sampled_from(variables), min_size=n, max_size=n)))))
+                points, min_size=n, max_size=n)))))
     return Rule("random", tuple(premises), conclusion, tuple(sides))
 
 
@@ -250,7 +269,13 @@ def test_random_rule_compiled_join(data):
                   for p, s in zip(r.premises, compile_rule(r).slots)),
     lambda r: compile_rule(r).pairs and any(
         not a[0].isupper() for p in r.premises for a in p.args),
-], ids=["two-swaps", "block-flip", "swap-and-constant"])
+    lambda r: compile_rule(r).pairs and any(
+        not a[0].isupper() for a in r.conclusion.args),
+    lambda r: compile_rule(r).pairs and any(
+        s.kind == "distinct" and not all(a[0].isupper() for a in s.args)
+        for s in r.side_conditions),
+], ids=["two-swaps", "block-flip", "swap-and-constant",
+        "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct"])
 def test_random_rules_reach_symmetries(wanted):
     """The generator reaches the swaps the property test is about."""
     find(random_rules(["o", "a"]), wanted,
