@@ -7,19 +7,23 @@ evaluated within a relative tolerance, which lets the pipeline discard
 conjectures that are false on generic figures and flag unsound rules.
 
 Coordinates are computed in plain IEEE-754 double arithmetic on Python
-floats, so a model is the same on every host; numpy supplies only each
-seed's PCG64 stream (``default_rng(seed)``).
+floats, so a model is the same on every host.  Each seed's stream of
+doubles is numpy's ``default_rng(seed).random()``, reimplemented here in
+pure Python and pinned bit for bit: ``_pcg_seed`` is numpy's
+``SeedSequence(seed)`` entropy pool and PCG64 seeding, and each draw is a
+128-bit LCG step, the XSL-RR output and ``(x >> 11) * 2**-53`` (O'Neill,
+"PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", 2014).  numpy is not a run-time
+dependency; the tests keep it as the stream's reference.
 
 Every run samples the seeds ``master_seed .. master_seed+n-1``, so one
 process draws the same streams again for every construction it samples.
 ``_prefix`` keeps, per seed, the first PREFIX_DRAWS doubles of its stream
-as an immutable tuple, in a bounded LRU memo of MEMO_SEEDS seeds (about
-2 KB per seed, about 2 MB when full).  A draw past the prefix comes from a
-fresh generator moved on by ``bit_generator.advance(PREFIX_DRAWS)``, which
-equals discarding the prefix's draws.  The memo holds no generator and no
-mutable state, so threads can share it; each ``instantiate`` call restarts
-its seed's stream.  A one-shot CLI ``check`` still builds one generator
-per seed, as it did before the memo.
+as an immutable tuple, with the PCG64 state and increment after them, in
+a bounded LRU memo of MEMO_SEEDS seeds (about 2 KB per seed, about 2 MB
+when full).  A draw past the prefix continues from that state.  The memo
+holds only immutable values, so threads can share it; each
+``instantiate`` call restarts its seed's stream.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from .construction import Construction
 from .facts import Fact, make_fact
@@ -172,23 +174,80 @@ def _nondegenerate(pts: Dict[str, Tuple[float, float]]) -> Optional[float]:
     return scale
 
 
-@functools.lru_cache(maxsize=MEMO_SEEDS)
-def _prefix(seed: int) -> Tuple[float, ...]:
-    """The first PREFIX_DRAWS doubles of default_rng(seed).random()."""
-    return tuple(np.random.default_rng(seed).random(PREFIX_DRAWS).tolist())
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _tail(seed: int) -> Iterator[float]:
-    """The seed's stream after its prefix; builds its generator lazily."""
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(PREFIX_DRAWS)
+def _pcg_seed(seed: int) -> Tuple[int, int]:
+    """The PCG64 (state, increment) of numpy's default_rng(seed)."""
+    if seed < 0:  # >>= 32 would never reach zero
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed & _M32]  # SeedSequence's little-endian 32-bit words
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    h, out = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    u = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+    return state, inc
+
+
+def _double(state: int) -> float:
+    """PCG64's XSL-RR output of state, as numpy's random() double."""
+    x = (state >> 64 ^ state) & _M64
+    r = state >> 122
+    return ((x >> r | x << (64 - r) & _M64) >> 11) * 2.0 ** -53
+
+
+def _states(state: int, inc: int) -> Iterator[int]:
+    """The PCG64 states that follow state, one per draw."""
     while True:
-        yield rng.random()
+        state = (state * _PCG_MULT + inc) & _M128
+        yield state
+
+
+@functools.lru_cache(maxsize=MEMO_SEEDS)
+def _prefix(seed: int) -> Tuple[Tuple[float, ...], int, int]:
+    """The first PREFIX_DRAWS doubles of default_rng(seed).random(), with
+    the PCG64 state after them and the increment."""
+    state, inc = _pcg_seed(seed)
+    states = list(itertools.islice(_states(state, inc), PREFIX_DRAWS))
+    return tuple(map(_double, states)), states[-1], inc
 
 
 def _draws(seed: int) -> Iterator[float]:
-    """The seed's stream of doubles in [0, 1), from its first draw."""
-    return itertools.chain(_prefix(seed), _tail(seed))
+    """The seed's stream of doubles in [0, 1), from its first draw; past
+    the memoized prefix it continues from the state kept with it."""
+    prefix, state, inc = _prefix(seed)
+    return itertools.chain(prefix, map(_double, _states(state, inc)))
 
 
 def instantiate(c: Construction, seed: int) -> CoordinateModel:

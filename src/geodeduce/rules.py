@@ -93,7 +93,8 @@ def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str):
 
 
 def _split_atoms(text: str) -> List[str]:
-    """Split on commas that sit outside parentheses."""
+    """Split on commas that sit outside parentheses; once a comma is seen,
+    an empty last part is kept, so a trailing comma is an error."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -105,7 +106,7 @@ def _split_atoms(text: str) -> List[str]:
             cur = []
         else:
             cur.append(ch)
-    if "".join(cur).strip():
+    if parts or "".join(cur).strip():
         parts.append("".join(cur))
     return parts
 

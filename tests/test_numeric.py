@@ -385,9 +385,11 @@ def test_sample_models_rejects_negative_seed(midline):
 # -- the memoized per-seed stream ---------------------------------------------
 
 def test_memoized_stream_equals_scalar_draws():
-    # 3 * PREFIX_DRAWS crosses from the memoized prefix into the advanced tail
+    # 3 * PREFIX_DRAWS crosses from the memoized prefix into the tail
     n = 3 * numeric.PREFIX_DRAWS
-    for seed in range(200):
+    # wide seeds take SeedSequence's multi-word and fifth-word mixing paths
+    wide = (2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**200 + 3)
+    for seed in (*range(200), *wide):
         rng = np.random.default_rng(seed)
         expected = [rng.random() for _ in range(n)]
         for _ in range(2):  # cold, then warm

@@ -49,6 +49,10 @@ def test_syntax_errors():
         parse_rules("rule broken: between(A,B,C) => coll(A,B,C)")
     with pytest.raises(RuleParseError, match="expects"):
         parse_rules("rule broken: coll(A,B) => coll(A,B,B)")
+    # an empty atom before, between or after the premises
+    for body in ("coll(A,B,C),", ", coll(A,B,C)", "coll(A,B,C),, para(A,B,A,C)"):
+        with pytest.raises(RuleParseError, match="cannot parse atom ''"):
+            parse_rules(f"rule broken: {body} => coll(B,A,C)")
 
 
 def test_constants_are_lowercase():
