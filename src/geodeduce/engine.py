@@ -10,15 +10,15 @@ Both naive and semi-naive evaluation are provided and must agree.  One
 Rules are matched by one indexed join, and ``derive_round`` is its one
 entry.  A binding is a tuple: the rule's point constants, then its
 variables in the order the premise slots bind them.  At the start of a
-round every fact's symmetry orbit is enumerated once.  For each premise
-slot, the orbit variants of its candidate facts that fit the pattern
-(constants and repeated variables agree) are indexed by their values at
-the positions bound by earlier premises; an entry holds the fact and the
-values it gives the slot's new variables.  The join extends the list of
-partial bindings one slot at a time, one dict lookup and one tuple
-concatenation per binding, which keeps the depth-first order of a
-backtracking walk.  The orbit table and the indexes are dropped when the
-round ends.
+round every fact's symmetry orbit is enumerated once, in
+``facts.SYMMETRIES`` order.  For each premise slot, the orbit variants
+of its candidate facts that fit the pattern (constants and repeated
+variables agree) are indexed by their values at the positions bound by
+earlier premises; an entry holds the fact and the values it gives the
+slot's new variables.  The join extends the list of partial bindings one
+slot at a time, one dict lookup and one tuple concatenation per binding,
+which keeps the depth-first order of a backtracking walk.  The orbit
+table and the indexes are dropped when the round ends.
 
 Each rule is compiled once (``compile_rule``): its slot layouts plus its
 slot-preserving symmetries, disjoint variable swaps (x y) that map every

@@ -10,8 +10,9 @@ well defined.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from typing import Dict, Iterator, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 # predicate name -> arity
 ARITIES: Dict[str, int] = {
@@ -66,51 +67,43 @@ def _check(pred: str, args: Tuple[str, ...]) -> None:
 LEX_ORBITS = ("coll", "cyclic", "midp")
 
 
-def orbit(fact: Fact) -> Iterator[Tuple[str, ...]]:
-    """Yield every argument tuple in the fact's symmetry class.
+def _block_perms(n_blocks: int) -> List[Tuple[int, ...]]:
+    """Flip any subset of the two-point blocks, then keep or swap the halves."""
+    half, perms = n_blocks // 2, []
+    for flips in itertools.product((0, 1), repeat=n_blocks):
+        blocks = [(2 * i + f, 2 * i + 1 - f) for i, f in enumerate(flips)]
+        perms += (sum(blocks, ()), sum(blocks[half:] + blocks[:half], ()))
+    return perms
 
-    coll/cyclic are fully symmetric; midp fixes the midpoint and swaps the
-    endpoints; para/perp/cong flip each segment and swap the segment pair;
-    eqangle swaps its two angles and flips each ray (directed lines are
-    taken modulo orientation).
 
-    The engine's symmetry breaking relies on this order (from a canonical
-    fact): coll/cyclic/midp variants come in lexicographic order, and of
-    two variants that differ by flipping blocks, the one whose first
-    flipped block is sorted comes first.
-    """
-    a = fact.args
-    if fact.pred in ("coll", "cyclic"):
-        yield from itertools.permutations(a)
-    elif fact.pred == "midp":
-        yield a
-        yield (a[0], a[2], a[1])
-    elif fact.pred in ("para", "perp", "cong"):
-        for s1 in ((a[0], a[1]), (a[1], a[0])):
-            for s2 in ((a[2], a[3]), (a[3], a[2])):
-                yield s1 + s2
-                yield s2 + s1
-    elif fact.pred == "eqangle":
-        ang1, ang2 = (a[0:2], a[2:4]), (a[4:6], a[6:8])
-        for first, second in ((ang1, ang2), (ang2, ang1)):
-            rays = (first[0], first[1], second[0], second[1])
-            for flips in itertools.product((False, True), repeat=4):
-                out = []
-                for ray, flip in zip(rays, flips):
-                    out.extend((ray[1], ray[0]) if flip else ray)
-                yield tuple(out)
-    else:  # pragma: no cover - guarded by _check
-        raise MalformedFactError(fact.pred)
+# predicate -> its symmetry group: index permutations in lexicographic order.
+# coll/cyclic are fully symmetric; midp swaps its endpoints; para/perp/cong
+# flip each segment and swap the pair; eqangle flips each ray (lines are
+# taken modulo orientation) and swaps its two angles.
+SYMMETRIES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+    pred: tuple(sorted(perms)) for pred, perms in {
+        "coll": itertools.permutations(range(3)),
+        "cyclic": itertools.permutations(range(4)),
+        "midp": [(0, 1, 2), (0, 2, 1)],
+        **dict.fromkeys(("para", "perp", "cong"), _block_perms(2)),
+        "eqangle": _block_perms(4)}.items()}
+_VARIANTS = {pred: [operator.itemgetter(*p) for p in perms]
+             for pred, perms in SYMMETRIES.items()}
+
+
+def orbit(fact: Fact) -> List[Tuple[str, ...]]:
+    """Every argument tuple in the fact's symmetry class, repeats included,
+    in the lexicographic order of their argument permutations
+    (``SYMMETRIES``): the order the engine's symmetry breaking relies on."""
+    return [variant(fact.args) for variant in _VARIANTS[fact.pred]]
 
 
 def canonicalize(fact: Fact) -> Fact:
     """Return the unique representative of the fact's symmetry class.
 
-    This is ``min(orbit(fact))``, computed in closed form.  coll/cyclic
-    sort all points and midp its endpoints.  In para/perp/cong/eqangle
-    every 2-point block (segment or ray) flips independently and the two
-    halves swap, so the minimum sorts each block and then takes the
-    smaller of the two half orders.
+    This is ``min(orbit(fact))``, computed in closed form: coll/cyclic
+    sort all points and midp its endpoints; para/perp/cong/eqangle sort
+    each 2-point block, then take the smaller of the two half orders.
     """
     _check(fact.pred, fact.args)
     a = fact.args

@@ -176,6 +176,12 @@ def _build_records(dag: DerivationDag, cfg: PipelineConfig,
 
 def run_pipeline(construction: Construction, rules: List[Rule],
                  cfg: PipelineConfig) -> Report:
+    points = set(construction.points())
+    for rule in rules:  # a constant that a premise names too only stops the rule firing
+        bound = {a for p in rule.premises for a in p.args}
+        for atom in (rule.conclusion,) + rule.numeric_sides:
+            for a in sorted(set(atom.args) - bound - points):
+                raise ValueError(f"rule {rule.name}: point {a} is not in the construction")
     hypotheses = initial_facts(construction)
     models = sample_models(construction, cfg.seeds, cfg.master_seed)
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}

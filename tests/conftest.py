@@ -44,6 +44,12 @@ def concyclic_text(k):
     return "point O A\n" + "".join(f"on_circle {p} O A\n" for p in "BCDEFGHIJ"[:k - 1])
 
 
+def feet_text(k):
+    """`point A B`, then k free points Xi, each with its foot Fi on line AB."""
+    return "point A B\n" + "".join(f"point X{i}\nfoot F{i} X{i} A B\n"
+                                    for i in range(1, k + 1))
+
+
 @pytest.fixture(scope="session", params=BUNDLED)
 def bundled(request):
     return load_construction(request.param)

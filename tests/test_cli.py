@@ -74,6 +74,33 @@ def test_soundness_violation_exit(capsys, tmp_path, root):
     assert "seed" in err
 
 
+# a point constant named in a conclusion or a numeric side condition, but
+# defined by neither the construction nor a premise
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+@pytest.mark.parametrize("rule", [
+    "rule r: coll(A,B,C) => coll(A,B,z)",
+    "rule r: coll(A,B,C), non_collinear(A,B,z) => para(A,B,A,C)",
+])
+def test_rule_constant_missing_from_construction(capsys, tmp_path, root, mode, rule):
+    rules = tmp_path / "const.gr"
+    rules.write_text(rule + "\n")
+    code, out, err = run(capsys, "run", str(root / "examples" / "midline.gc"),
+                         "--rules", str(rules), "--mode", mode)
+    assert code == 2 and not out
+    assert err.startswith("error: rule r:") and "point z" in err
+
+
+# a constant that a premise names too only keeps the rule from firing
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+def test_rule_constant_in_premise_runs(capsys, tmp_path, root, mode):
+    rules = tmp_path / "const.gr"
+    rules.write_text("rule r: coll(A,B,z), distinct(A,z), non_collinear(A,B,z)"
+                     " => coll(A,B,z)\n")
+    code, _, err = run(capsys, "run", str(root / "examples" / "midline.gc"),
+                       "--rules", str(rules), "--mode", mode)
+    assert code == 0 and not err
+
+
 def test_rules_validate(capsys, root):
     code, out, _ = run(capsys, "rules", "--validate",
                        str(root / "rules" / "gddm-default.gr"))

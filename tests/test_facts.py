@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodeduce.facts import (ARITIES, Fact, MalformedFactError,
+from geodeduce.facts import (ARITIES, SYMMETRIES, Fact, MalformedFactError,
                              canonicalize, fact_symbols, is_degenerate,
                              is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
@@ -116,6 +116,66 @@ def test_canonicalize_is_orbit_minimum_exhaustive(pred):
 @given(raw_facts(st.sampled_from("ABCDEF")))
 def test_canonicalize_is_orbit_minimum(f):
     assert canonicalize(f).args == min(orbit(f))
+
+
+def _reference_orbit(fact):
+    """The symmetry orbit as hand-written loops, one branch per predicate:
+    the enumeration the permutation tables replaced."""
+    a = fact.args
+    if fact.pred in ("coll", "cyclic"):
+        yield from itertools.permutations(a)
+    elif fact.pred == "midp":
+        yield a
+        yield (a[0], a[2], a[1])
+    elif fact.pred in ("para", "perp", "cong"):
+        for s1 in ((a[0], a[1]), (a[1], a[0])):
+            for s2 in ((a[2], a[3]), (a[3], a[2])):
+                yield s1 + s2
+                yield s2 + s1
+    elif fact.pred == "eqangle":
+        ang1, ang2 = (a[0:2], a[2:4]), (a[4:6], a[6:8])
+        for first, second in ((ang1, ang2), (ang2, ang1)):
+            rays = (first[0], first[1], second[0], second[1])
+            for flips in itertools.product((False, True), repeat=4):
+                out = []
+                for ray, flip in zip(rays, flips):
+                    out.extend((ray[1], ray[0]) if flip else ray)
+                yield tuple(out)
+
+
+# the loops listed para/perp/cong with segment flips outer and the pair
+# swap inner; the table lists every predicate in sorted permutation order
+SAME_ORDER_AS_LOOPS = ("coll", "cyclic", "midp", "eqangle")
+
+
+@pytest.mark.parametrize("pred", sorted(ARITIES))
+def test_orbit_table_matches_reference_loops_exhaustive(pred):
+    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
+        f = Fact(pred, args)
+        got, want = orbit(f), list(_reference_orbit(f))
+        if pred in SAME_ORDER_AS_LOOPS:
+            assert got == want, f
+        else:  # the same multiset
+            assert sorted(got) == sorted(want), f
+
+
+GROUP_SIZES = {"coll": 6, "cyclic": 24, "midp": 2, "para": 8, "perp": 8,
+               "cong": 8, "eqangle": 32}
+
+
+@pytest.mark.parametrize("pred", sorted(ARITIES))
+def test_symmetry_table_is_a_sorted_group(pred):
+    n = ARITIES[pred]
+    names = "ABCDEFGH"[:n]
+    # on distinct points each variant spells out its index permutation
+    perms = [tuple(names.index(x) for x in v) for v in orbit(Fact(pred, tuple(names)))]
+    assert perms == list(SYMMETRIES[pred])
+    assert perms[0] == tuple(range(n))
+    assert perms == sorted(perms)
+    assert len(set(perms)) == len(perms) == GROUP_SIZES[pred]
+    group = set(perms)
+    for p, q in itertools.product(perms, repeat=2):
+        assert tuple(p[i] for i in q) in group
 
 
 def test_tautology_verdicts():

@@ -200,6 +200,28 @@ def test_concyclic_ladder_reports_pinned(k, default_rules):
     assert digest == LADDER_SHA256[k]
 
 
+# sha256 of the JSON report on the feet family, in both modes: para, perp
+# and coll facts, whose orbits the matcher walks; at k = 14 one fact is
+# conditional_failed
+FEET_SHA256 = {
+    ("fixpoint", 8): "5f6fde764d268e39600692fda9906e892be536380839dae8817578410b809f10",
+    ("fixpoint", 12): "e3b4ced7b5c1693688e6cdb45e84f864e199f60ec1f0a5d8108504b19edcaa15",
+    ("fixpoint", 14): "e9e975d7fe60607f9d118bbe8e36a14f945361784fb66dc5fb977bde5c4559d8",
+    ("filtered", 8): "0ed7988f0b81cab4705ee48f919f13f5e0b04f6f126a0f097e18f9069d037277",
+    ("filtered", 12): "fd4d0c96a75130c2471d51a7fa9932682737ef3c150a08fe7848573de8a4be62",
+    ("filtered", 14): "7cee27e6637cec9e1291b7fafd7191859f663136604efcebbf64bd5c3bac679a",
+}
+
+
+@pytest.mark.parametrize("mode, k", sorted(FEET_SHA256))
+def test_feet_reports_pinned(mode, k, default_rules):
+    from conftest import feet_text
+    rep = run_pipeline(parse_construction(feet_text(k)), default_rules,
+                       PipelineConfig(mode=mode))
+    digest = hashlib.sha256(emit_report(rep, "json").encode()).hexdigest()
+    assert digest == FEET_SHA256[mode, k]
+
+
 # unsound but conditional: perp is numerically false, so it is discarded;
 # lift then derives the true para from it
 BOGUS_MIDLINE = """\
