@@ -20,21 +20,20 @@ slot at a time, one dict lookup and one tuple concatenation per binding,
 which keeps the depth-first order of a backtracking walk.  The orbit
 table and the indexes are dropped when the round ends.
 
-Each rule is compiled once (``compile_rule``): its slot layouts plus its
-slot-preserving symmetries, disjoint variable swaps (x y) that map every
-premise, the conclusion and each side condition to an equivalent one.  A
-swapped binding uses the same facts and gives the same conclusion, so the
-join keeps only the one it would draw first (symmetry-breaking predicates,
-Crawford, Ginsberg, Luks & Roy 1996): the slot binding x and y admits only
-variants with v[px] <= v[py].  A kept binding stands for 2**k bindings of
-the full join, k the number of its swaps whose two points differ, and the
-drop counters add that weight, so they still count full-join bindings.
+Each rule is compiled once per run (``compile_rule``, no cache across
+runs) into all that ``derive_round`` reads: its name, predicates, binding
+positions and the symmetries its join breaks, disjoint variable swaps
+(x y) from ``Rule.symmetries``.  A swapped binding uses the same facts
+and gives the same conclusion, so the join keeps only the one it would
+draw first (symmetry-breaking predicates, Crawford, Ginsberg, Luks & Roy
+1996): the slot binding x and y admits only variants with v[px] <= v[py].
+A kept binding stands for 2**k bindings of the full join, k the number of
+its swaps whose two points differ, and the drop counters add that weight,
+so they still count full-join bindings.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -136,25 +135,36 @@ def _getter(positions: Tuple[int, ...]) -> Callable[[tuple], tuple]:
     return operator.itemgetter(*positions) if positions else lambda t: ()
 
 
-class _Slot(NamedTuple):
-    """How one premise pattern meets the variables bound before it."""
+# which part of a predicate's facts a premise slot draws from
+ALL, OLD, DELTA = "all", "old", "delta"
 
+
+class _Slot(NamedTuple):
+    """How one premise meets the variables bound before it.  Plain data, so
+    that slots of one shape share one index in a round."""
+
+    pred: str                             # the premise's predicate
     consts: Tuple[Tuple[int, str], ...]   # (position, point constant)
     repeats: Tuple[Tuple[int, int], ...]  # (position, first position of its variable)
     key_pos: Tuple[int, ...]              # first positions of variables bound before
-    key: Callable[[tuple], tuple]         # binding -> those variables' values
     new_pos: Tuple[int, ...]              # first positions of variables bound here
     lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
 
 
 class CompiledRule(NamedTuple):
+    name: str
+    pred: str                           # the conclusion's predicate
     slots: Tuple[_Slot, ...]
+    keys: Tuple[Callable[[tuple], tuple], ...]  # per slot: binding -> its key_pos values
+    plans: Tuple[Tuple[str, ...], ...]  # semi-naive plans: one part of the facts per slot
     pairs: Tuple[Tuple[str, str], ...]  # the symmetry swaps (x y), x bound first
     names: Tuple[str, ...]              # the point at each binding position
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
     swaps: Tuple[Tuple[int, int], ...]     # pairs as binding positions
     distinct: Tuple[Tuple[int, int], ...]  # distinct sides as binding positions
     conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
+    # numeric side conditions: (kind, binding -> their points)
+    numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
 
 
 def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRule:
@@ -167,6 +177,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     consts = tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
     at = {c: i for i, c in enumerate(consts)}  # point -> binding position
     slots: List[_Slot] = []
+    keys = []
     for pattern in rule.premises:
         first: Dict[str, int] = {}
         fixed, repeats = [], []
@@ -179,62 +190,42 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
                 first[arg] = pos
         key = [v for v in first if v in at]
         new = [v for v in first if v not in at]
-        slots.append(_Slot(tuple(fixed), tuple(repeats), tuple(first[v] for v in key),
-                           _getter(tuple(at[v] for v in key)),
-                           tuple(first[v] for v in new),
+        slots.append(_Slot(pattern.pred, tuple(fixed), tuple(repeats),
+                           tuple(first[v] for v in key), tuple(first[v] for v in new),
                            tuple((first[x], first[y]) for x, y in pairs if x in new)))
+        keys.append(_getter(tuple(at[v] for v in key)))
         for v in new:
             at[v] = len(at)
-    return CompiledRule(tuple(slots), pairs, tuple(at), consts,
-                        tuple((at[x], at[y]) for x, y in pairs),
+    n = len(slots)  # plan i: slot i from the last round's facts, earlier ones older
+    plans = tuple((OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1) for i in range(n))
+    return CompiledRule(rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans,
+                        pairs, tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
                         tuple((at[a], at[b]) for side in rule.side_conditions
                               if side.kind == "distinct" for a, b in [side.args]),
-                        _getter(tuple(at[a] for a in rule.conclusion.args)))
+                        _getter(tuple(at[a] for a in rule.conclusion.args)),
+                        tuple((s.kind, _getter(tuple(at[a] for a in s.args)))
+                              for s in rule.numeric_sides))
 
 
-def _is_symmetry(rule: Rule, x: str, y: str) -> bool:
-    """Whether swapping variables x and y (x bound first) maps the rule to
-    itself, with the slot that binds them drawing the variant with
-    v[px] <= v[py] before its swapped image."""
-    swap = {x: y, y: x}
-
-    def image(args: Tuple[str, ...]) -> Tuple[str, ...]:
-        return tuple(swap.get(a, a) for a in args)
-
-    for p in rule.premises + (rule.conclusion,):
-        if canonicalize(Fact(p.pred, image(p.args))) != canonicalize(Fact(p.pred, p.args)):
-            return False
-    for side in rule.side_conditions:
-        a, b = side.args, image(side.args)
-        if side.kind in ("distinct", "non_collinear"):
-            if set(a) != set(b):
-                return False
-        elif side.kind == "distinct_lines":
-            if set(a[:2]) != set(b[:2]) or set(a[2:]) != set(b[2:]):
-                return False
-        else:
-            return False
-    # x and y are bound by the first premise naming them.  Outside the
-    # lexicographic orbits, v[px] <= v[py] picks the first-drawn variant only
-    # when the swap flips whole segments or rays, i.e. each two-point block
-    # naming x or y is {x, y}.
+def _breaks(rule: Rule, x: str, y: str) -> bool:
+    """Whether the slot binding the symmetry (x y), the first premise that
+    names x, draws the variant with v[px] <= v[py] before its swapped image.
+    Outside the lexicographic orbits only a swap of whole segments or rays
+    does: each two-point block naming x or y is {x, y}."""
     pattern = next(p for p in rule.premises if x in p.args)
-    if pattern.pred in LEX_ORBITS:
-        return True
-    return all({u, v} == {x, y} for u, v in zip(pattern.args[0::2], pattern.args[1::2])
-               if {u, v} & {x, y})
+    return pattern.pred in LEX_ORBITS or all(
+        {u, v} == {x, y} for u, v in zip(pattern.args[0::2], pattern.args[1::2])
+        if {u, v} & {x, y})
 
 
-@functools.lru_cache(maxsize=None)
 def compile_rule(rule: Rule) -> CompiledRule:
-    """The rule's slot layouts and its symmetry swaps, chosen greedily in
-    variable order, each disjoint from those before it."""
-    variables = list(dict.fromkeys(a for p in rule.premises for a in p.args
-                                   if is_variable(a)))
+    """The rule's slot layouts and the symmetries its join breaks, chosen
+    greedily in the order of ``rule.symmetries``, each disjoint from those
+    before it."""
     pairs: List[Tuple[str, str]] = []
     taken: Set[str] = set()
-    for x, y in itertools.combinations(variables, 2):
-        if x not in taken and y not in taken and _is_symmetry(rule, x, y):
+    for x, y in rule.symmetries:
+        if x not in taken and y not in taken and _breaks(rule, x, y):
             pairs.append((x, y))
             taken.update((x, y))
     return _compile(rule, tuple(pairs))
@@ -279,48 +270,32 @@ def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
     order of a depth-first walk: the partial bindings are extended one
     slot at a time, each in place of the one it extends."""
     rows = [(rule.consts, ())]
-    for slot, index in zip(rule.slots, indexes):
-        key, get = slot.key, index.get
+    for key, index in zip(rule.keys, indexes):
+        get = index.get
         rows = [(b + new, used + (f,))
                 for b, used in rows for f, new in get(key(b), ())]
     return rows
 
 
-# which part of a predicate's facts a premise slot draws from
-ALL, OLD, DELTA = "all", "old", "delta"
-
-
-def _conditions(rule: Rule, names: Tuple[str, ...], binding: tuple,
-                used: Tuple[Fact, ...], dag: DerivationDag) -> Tuple[GroundCondition, ...]:
-    """The rule's numeric side conditions plus those of the premises."""
-    value = dict(zip(names, binding))
-    conds: List[GroundCondition] = [
-        (s.kind, tuple(value[a] for a in s.args)) for s in rule.numeric_sides]
-    for prem in used:
-        d = dag.node(prem)
-        if d is not None:
-            conds.extend(d.conditions)
-    return tuple(sorted(set(conds)))
-
-
-def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
+def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int,
                  strategy: str = "semi_naive", strict_sides: bool = False):
     """Collect this round's new derivations over dag's facts plus drop
     counters; dag is not changed.
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
     each derivation stamped with round_index; at most one per new fact: the
-    least (rule, premises), the first one drawn among equals.  The counters
-    count bindings of the full join: each kept binding adds its orbit size.
+    least (rule name, premises), the first one drawn among equals.  Rule
+    names are unique, so the result does not depend on the order of rules.
+    The counters count bindings of the full join: each kept binding adds
+    its orbit size.
 
     Each rule joins its premises under every plan (one part of the facts
-    per slot).  Slot indexes are cached for the round by (predicate, part,
-    slot shape), so rules and plans whose slots draw the same facts the
-    same way share one index.
+    per slot).  Slot indexes are cached for the round by (part, slot), so
+    rules and plans whose slots draw the same facts the same way share one
+    index.
     """
     semi_naive = strategy != "naive" and round_index > 1
-    text = {f: str(f) for f in dag}  # for the sort and the tie-break key
-    usable = sorted(dag, key=text.__getitem__)
+    usable = sorted(dag)
     if strict_sides:  # conditional facts serve as no premise
         usable = [f for f in usable
                   if dag.node(f) is None or not dag.node(f).conditional]
@@ -337,34 +312,22 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
     orbits = _orbit_table(usable)
     indexes: Dict[tuple, Dict[tuple, list]] = {}
 
-    # new fact -> (tie-break key, rule, variable names, binding, premises)
+    # new fact -> ((rule name, premises), rule, binding)
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
-    for rule in sorted(rules, key=lambda r: r.name):
-        n = len(rule.premises)
-        if semi_naive:
-            # slot i drawn from the previous round's delta,
-            # earlier slots from strictly older facts, later slots from all
-            plans = [(OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1)
-                     for i in range(n)]
-        else:
-            plans = [(ALL,) * n]
-        compiled = compile_rule(rule)
-        slots, swaps, distinct = compiled.slots, compiled.swaps, compiled.distinct
-        pred, conclusion = rule.conclusion.pred, compiled.conclusion
+    for rule in rules:
+        plans = rule.plans if semi_naive else [(ALL,) * len(rule.slots)]
+        slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
+        pred, conclusion = rule.pred, rule.conclusion
         for plan in plans:
-            lists = [pools.get((p.pred, part), ())
-                     for p, part in zip(rule.premises, plan)]
+            lists = [pools.get((slot.pred, part), ()) for slot, part in zip(slots, plan)]
             if not all(lists):
                 continue
-            slot_indexes = []
-            for slot, pattern, part, facts in zip(slots, rule.premises, plan, lists):
-                shape = (pattern.pred, part, slot.consts, slot.repeats,
-                         slot.key_pos, slot.new_pos, slot.lex)
-                if shape not in indexes:
-                    indexes[shape] = _index(slot, facts, orbits)
-                slot_indexes.append(indexes[shape])
-            for b, used in _join(compiled, slot_indexes):
+            for slot, part, facts in zip(slots, plan, lists):
+                if (part, slot) not in indexes:
+                    indexes[part, slot] = _index(slot, facts, orbits)
+            for b, used in _join(rule, [indexes[part, slot]
+                                        for slot, part in zip(slots, plan)]):
                 if distinct and any(b[i] == b[j] for i, j in distinct):
                     continue
                 concl = canonicalize(Fact(pred, conclusion(b)))
@@ -377,15 +340,21 @@ def derive_round(dag: DerivationDag, rules: List[Rule], round_index: int,
                 if is_degenerate(concl):
                     n_degen += 1 << sum(b[x] != b[y] for x, y in swaps)
                     continue
-                key = (rule.name, tuple(map(text.__getitem__, used)))
+                # facts order as their text does (facts.Fact)
+                key = (rule.name, used)
                 cur = best.get(concl)
                 if cur is None or key < cur[0]:
-                    best[concl] = (key, rule, compiled.names, b, used)
+                    best[concl] = (key, rule, b)
     ordered = []
-    for f in sorted(best, key=str):
-        _key, rule, names, binding, used = best[f]
-        ordered.append(Derivation(f, rule.name, used, round_index,
-                                  _conditions(rule, names, binding, used, dag)))
+    for f in sorted(best):
+        (name, used), rule, b = best[f]
+        # the rule's numeric side conditions plus those of the premises
+        conds = {(kind, points(b)) for kind, points in rule.numeric}
+        for prem in used:
+            d = dag.node(prem)
+            if d is not None:
+                conds.update(d.conditions)
+        ordered.append(Derivation(f, name, used, round_index, tuple(sorted(conds))))
     return ordered, n_taut, n_degen
 
 
@@ -406,11 +375,12 @@ def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10
     if max_rounds < 1 or max_facts < 1:
         raise ValueError("max_rounds and max_facts must be at least 1")
     dag = DerivationDag(hypotheses)
+    compiled = [compile_rule(rule) for rule in rules]
     n_taut = n_degen = 0
     rounds = 0
     stop = "budget"
     for r in range(1, max_rounds + 1):
-        new, t, g = derive_round(dag, rules, r, strategy, strict_sides)
+        new, t, g = derive_round(dag, compiled, r, strategy, strict_sides)
         n_taut += t
         n_degen += g
         if not new:

@@ -39,7 +39,9 @@ class Fact(NamedTuple):
     """An atomic geometric proposition over named points.
 
     A fact is a tuple equal to ``(pred, args)``: it hashes, compares and
-    orders as that tuple, in C.  Instances are plain records; use
+    orders as that tuple, in C.  That order is the order of the facts'
+    text: identifier characters are all >= '0', above ',' and ')', and no
+    predicate name is a prefix of another.  Instances are plain records; use
     :func:`canonicalize` (or :func:`make_fact`) to obtain the canonical
     representative.
     """

@@ -3,7 +3,7 @@
 Two modes:
 
 * ``fixpoint`` — saturate to the full fixpoint, then numerically filter
-  every derived fact in (round, canonical string) order and rank the
+  every derived fact in (round, canonical form) order and rank the
   survivors.  Premises are judged before the facts derived from them, so a
   fact derived from a discarded fact is discarded too.
 * ``filtered`` — per round, only facts that pass the run-time filter and
@@ -33,13 +33,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
-from .engine import Derivation, DerivationDag, derive_round, saturate
+from .engine import (Derivation, DerivationDag, compile_rule, derive_round,
+                     saturate)
 from .facts import Fact
 from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
 from .rules import Rule
 from .scoring import (MetricConfig, ScoreCard, ScoreMemo, filter_interesting,
-                      score_all)
+                      hypothesis_pairs, score_all)
 
 
 class SoundnessViolationError(RuntimeError):
@@ -161,7 +162,7 @@ def _build_records(dag: DerivationDag, cfg: PipelineConfig,
     scores = score_all(dag, cfg.metrics, memo)
     interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
     records = []
-    for f in sorted(dag, key=str):
+    for f in sorted(dag):
         d = dag.node(f)
         records.append(FactRecord(
             fact=f,
@@ -187,7 +188,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
     blocked: Set[Fact] = set()  # discarded facts never come back within a run
     dag = DerivationDag(hypotheses)  # the hypotheses plus every kept fact
-    memo = ScoreMemo()  # each fact's fixed scoring work, for this run only
+    memo = ScoreMemo(hypothesis_pairs(hypotheses))  # fixed scoring work, this run only
 
     if cfg.mode == "fixpoint":
         sat = saturate(hypotheses, rules, cfg.max_rounds, cfg.max_facts,
@@ -199,8 +200,9 @@ def run_pipeline(construction: Construction, rules: List[Rule],
         rounds, stop = sat.rounds, sat.stop_reason
     else:  # filtered: only interesting survivors re-enter the fact list
         rounds, stop = 0, "budget"
+        compiled = [compile_rule(rule) for rule in rules]
         for r in range(1, cfg.max_rounds + 1):
-            candidates, n_taut, _ = derive_round(dag, rules, r,
+            candidates, n_taut, _ = derive_round(dag, compiled, r,
                                                  strict_sides=cfg.strict_sides)
             discarded["tautologies"] += n_taut
             survivors = _admit(candidates, models, cfg.tol, blocked, discarded)
@@ -278,7 +280,7 @@ def emit_report(report: Report, fmt: str = "json") -> str:
     lines.append("")
     lines.append("rank  aggregate  fact")
     ranked = sorted((r for r in report.records if not r.score.hypothesis),
-                    key=lambda r: (-r.score.aggregate, str(r.fact)))
+                    key=lambda r: (-r.score.aggregate, r.fact))
     for i, rec in enumerate(ranked, 1):
         star = "*" if rec.interesting else " "
         lines.append(f"{i:4d} {star} {rec.score.aggregate:8.6f}  {rec.fact}")

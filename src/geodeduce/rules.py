@@ -10,15 +10,19 @@ lowercase identifiers are point constants.  Side conditions are
 ``distinct_lines(X,Y,U,V)``: distinct is decided symbolically at match
 time, the other two are attached to derived facts and checked by the
 numeric run-time filter.
+
+A rule's symmetries, swaps of two variables that map it to an equivalent
+rule, are found once, when the rule is built (``Rule.symmetries``).
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .facts import ARITIES, IDENTIFIER, MalformedFactError, parse_atom
+from .facts import ARITIES, IDENTIFIER, MalformedFactError, orbit, parse_atom
 
 SIDE_ARITIES = {"distinct": 2, "non_collinear": 3, "distinct_lines": 4}
 _BODY_ARITIES = {**ARITIES, **SIDE_ARITIES}
@@ -68,6 +72,13 @@ class Rule:
     premises: Tuple[Pattern, ...]
     conclusion: Pattern
     side_conditions: Tuple[SideCondition, ...]
+    # every swap (x y) of two premise variables, x named first, that maps each
+    # premise and the conclusion into its orbit and each side condition to an
+    # equivalent one, in itertools.combinations order
+    symmetries: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symmetries", tuple(_symmetries(self)))
 
     @property
     def numeric_sides(self) -> Tuple[SideCondition, ...]:
@@ -77,6 +88,20 @@ class Rule:
         body = ", ".join([str(p) for p in self.premises]
                          + [str(s) for s in self.side_conditions])
         return f"rule {self.name}: {body} => {self.conclusion}"
+
+
+def _symmetries(rule: Rule):
+    atoms = rule.premises + (rule.conclusion,)
+    variants = [set(orbit(p)) for p in atoms]
+    # the side conditions' point sets: distinct_lines names two lines
+    point_sets = [g for s in rule.side_conditions for g in
+                  ((s.args[:2], s.args[2:]) if s.kind == "distinct_lines" else (s.args,))]
+    variables = dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))
+    for x, y in itertools.combinations(variables, 2):
+        swap = {x: y, y: x}
+        if (all(tuple(map(swap.get, p.args, p.args)) in v for p, v in zip(atoms, variants))
+                and all({*map(swap.get, g, g)} == {*g} for g in point_sets)):
+            yield x, y
 
 
 def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str):
@@ -151,6 +176,10 @@ def parse_rules(text: str) -> List[Rule]:
             for v in sorted(s.variables() - bound):
                 raise RuleParseError(
                     f"variable {v} in side condition not bound by premises", lineno)
+            a = s.args  # never holds: a repeated point, or one line named twice
+            if (({*a[2:]} <= {*a[:2]} or a[0] == a[1]) if s.kind == "distinct_lines"
+                    else len({*a}) < len(a)):
+                raise RuleParseError(f"side condition {s} can never hold", lineno)
 
         names.add(name)
         rules.append(Rule(name, tuple(premises), conclusion, tuple(sides)))

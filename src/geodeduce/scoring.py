@@ -12,9 +12,9 @@ Cost model.  A fact's derivation never changes once the fact is scored:
 the graph is append-only, and a fact that a filtered round blocks never
 comes back.  So a ``ScoreMemo`` that lives for one run keeps, per fact, the
 seven raw metrics other than usefulness and the closure that usefulness
-counts; each is computed once per fact per run.  It also keeps the
-hypotheses' point pairs, computed once per run.  Every ``score_all`` call
-redoes only the usefulness counts and both normalizations.
+counts; each is computed once per fact per run.  It is built with the
+run's hypothesis point pairs.  Every ``score_all`` call redoes only the
+usefulness counts and both normalizations.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -164,13 +164,12 @@ class ScoreMemo:
     between runs.
     """
 
+    # point pairs of the run's hypotheses, for surprisingness
+    hyp_pairs: Set[FrozenSet[str]]
     # fact -> raw metrics, usefulness left at 0.0
     raw: Dict[Fact, Dict[str, float]] = field(default_factory=dict)
     # fact -> closure(fact) - {fact}, for usefulness
     above: Dict[Fact, Set[Fact]] = field(default_factory=dict)
-    # point pairs of the run's hypotheses, for surprisingness; None until
-    # the first fact is scored
-    hyp_pairs: Optional[Set[FrozenSet[str]]] = None
 
 
 def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
@@ -237,14 +236,12 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     """Two-pass scoring of every fact in dag; normalization over derived
     facts only.  Pass the same memo to every call on one growing graph;
     without one, every fact is scored afresh."""
-    memo = ScoreMemo() if memo is None else memo
-    all_facts = sorted(dag, key=str)
+    if memo is None:
+        memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f) is None))
+    all_facts = sorted(dag)
     derived = [f for f in all_facts if dag.node(f) is not None]
     new = [f for f in all_facts if f not in memo.raw]
     if new:
-        if memo.hyp_pairs is None:  # the hypotheses are fixed for the run
-            memo.hyp_pairs = hypothesis_pairs(f for f in all_facts
-                                              if dag.node(f) is None)
         memo.raw.update(_raw_scores(new, dag, memo.hyp_pairs))
     raw = {f: memo.raw[f] for f in all_facts}
 
@@ -318,7 +315,7 @@ def filter_interesting(scores: Dict[Fact, ScoreCard],
     """Derived facts above threshold, best first; top_k truncation if set."""
     picked = [(f, s) for f, s in scores.items()
               if not s.hypothesis and s.aggregate >= cfg.threshold]
-    picked.sort(key=lambda fs: (-fs[1].aggregate, str(fs[0])))
+    picked.sort(key=lambda fs: (-fs[1].aggregate, fs[0]))
     if cfg.top_k:
         picked = picked[:cfg.top_k]
     return picked

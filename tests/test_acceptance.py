@@ -12,7 +12,7 @@ import pytest
 
 from geodeduce import (initial_facts, make_fact, parse_construction,
                        parse_rules, saturate, verify)
-from geodeduce.engine import derive_round
+from geodeduce.engine import compile_rule, derive_round
 from geodeduce.facts import is_tautology
 from geodeduce.numeric import DegenerateModelError, eval_fact, sample_models
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
@@ -53,7 +53,7 @@ def test_criterion_2_fixpoint_chain(default_rules):
             assert res.dag.generation(node.fact) == node.round
             for p in node.premises:
                 assert res.dag.generation(p) < node.round
-        extra, _, _ = derive_round(res.dag, default_rules,
+        extra, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
                                    res.rounds + 1, strategy="naive")
         assert extra == [], name
     _ok(2, "all bundled examples reach a stable fixpoint within 10 rounds")

@@ -6,8 +6,8 @@ import pytest
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
-from geodeduce.engine import (_compile, _index, _join, _orbit_table, derive_round,
-                              Derivation, DerivationDag)
+from geodeduce.engine import (_compile, _index, _join, _orbit_table, compile_rule,
+                              derive_round, Derivation, DerivationDag)
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
 
@@ -21,7 +21,7 @@ MIDLINE_RULE = ("rule midline: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C)"
 def test_derive_round_midline_keeps_one_of_symmetric_bindings():
     rule = parse_rules(MIDLINE_RULE)[0]
     hyps = [make_fact("midp", "M", "A", "B"), make_fact("midp", "N", "A", "C")]
-    derivations, _, _ = derive_round(DerivationDag(hyps), [rule], 1)
+    derivations, _, _ = derive_round(DerivationDag(hyps), [compile_rule(rule)], 1)
     # the {B,C}/{M,N} swap yields the same canonical conclusion
     assert [d.fact for d in derivations] == [make_fact("para", "B", "C", "M", "N")]
     assert set(derivations[0].premises) == set(hyps)
@@ -29,13 +29,13 @@ def test_derive_round_midline_keeps_one_of_symmetric_bindings():
 
 def test_derive_round_empty_graph():
     rule = parse_rules(MIDLINE_RULE)[0]
-    assert derive_round(DerivationDag(), [rule], 1) == ([], 0, 0)
+    assert derive_round(DerivationDag(), [compile_rule(rule)], 1) == ([], 0, 0)
 
 
 def test_derive_round_second_premise_unmatched(default_rules):
     para_trans = next(r for r in default_rules if r.name == "para_trans")
     dag = DerivationDag([make_fact("para", "A", "B", "C", "D")])
-    derivations, _, _ = derive_round(dag, [para_trans], 1)
+    derivations, _, _ = derive_round(dag, [compile_rule(para_trans)], 1)
     assert derivations == []
 
 
@@ -44,7 +44,7 @@ def test_derive_round_orbit_matching():
     rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z)"
                        " => eqangle(Y,Z,Y,X,Z,X,Z,Y)")[0]
     dag = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
-    derivations, _, _ = derive_round(dag, [rule], 1)
+    derivations, _, _ = derive_round(dag, [compile_rule(rule)], 1)
     # both bindings put the apex X on O
     want = {make_fact("eqangle", y, z, y, "O", z, "O", z, y)
             for y, z in (("A", "B"), ("B", "A"))}
@@ -87,7 +87,7 @@ def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
 def test_fixpoint_one_extra_round_adds_nothing(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
-    new, _, _ = derive_round(res.dag, default_rules,
+    new, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
                              res.rounds + 1, strategy="naive")
     assert new == []
 
@@ -251,6 +251,15 @@ def test_indexed_join_equals_reference(seed, default_rules, inscribed):
         assert Counter(got) == Counter(want), rule.name
         # the order decides which of two equal-ranked derivations is kept
         assert got == want, rule.name
+
+
+def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "compile_rule",
+                        lambda rule: calls.append(rule) or compile_rule(rule))
+    res = saturate(initial_facts(inscribed), default_rules)
+    assert res.rounds >= 3
+    assert calls == default_rules
 
 
 def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,

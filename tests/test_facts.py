@@ -99,6 +99,20 @@ def test_facts_sort_by_pred_then_args(facts):
     assert sorted(facts) == sorted(facts, key=lambda f: (f.pred, f.args))
 
 
+# point names that share prefixes, end in digits or '_', or differ in case
+ADVERSARIAL = st.sampled_from(["A", "A0", "A1", "A10", "A_", "AB", "Ab", "Aa",
+                               "B", "Z9", "a", "a1", "a_", "b"])
+
+
+# the engine, scoring and the report sort facts as tuples and rely on this
+@given(st.lists(raw_facts(ADVERSARIAL), max_size=12))
+@example([make_fact(p, *["A", "A1", "A_", "Ab", "a", "a1", "AB", "A0"][:n])
+          for p, n in ARITIES.items()])
+def test_canonical_facts_sort_as_their_text(facts):
+    facts = [canonicalize(f) for f in facts]
+    assert sorted(facts) == sorted(facts, key=str)
+
+
 def test_fact_is_immutable_with_a_stable_repr():
     f = make_fact("coll", "A", "B", "C")
     with pytest.raises(AttributeError):

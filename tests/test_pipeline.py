@@ -1,8 +1,10 @@
 """End-to-end pipeline behaviour and report serialization."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -131,6 +133,45 @@ def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch)
         assert not calls  # no model could be sampled, so nothing was scored
         return
     assert calls
+
+
+def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):
+    from geodeduce import engine, pipeline
+    calls = []
+
+    def counted(rule, compile_rule=engine.compile_rule):
+        calls.append(rule)
+        return compile_rule(rule)
+
+    monkeypatch.setattr(engine, "compile_rule", counted)
+    monkeypatch.setattr(pipeline, "compile_rule", counted)
+    rep = run_pipeline(_case("inscribed"), default_rules, PipelineConfig(mode="filtered"))
+    assert rep.rounds >= 2
+    assert calls == default_rules
+
+
+def _outcome(c, rules, mode):
+    """The JSON report, or "degenerate" if no model could be sampled."""
+    from geodeduce.numeric import DegenerateModelError
+    try:
+        return emit_report(run_pipeline(c, rules, PipelineConfig(mode=mode)), "json")
+    except DegenerateModelError:
+        return "degenerate"
+
+
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(10)))
+def test_rule_order_does_not_change_the_report(name, mode, default_rules):
+    c = _case(name)
+    # with each rule twice under two names, every derived fact has two
+    # derivations that tie but for the rule name
+    twice = default_rules + [dataclasses.replace(r, name=f"{r.name}_again")
+                             for r in default_rules]
+    for rules in (default_rules, twice):
+        want = _outcome(c, rules, mode)
+        # reversed swaps every two rules that compete for one fact
+        for order in (rules[::-1], random.Random(name).sample(rules, len(rules))):
+            assert _outcome(c, order, mode) == want
 
 
 def test_filtered_rounds_count_rounds_without_reported_facts(default_rules):

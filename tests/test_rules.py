@@ -53,6 +53,16 @@ def test_syntax_errors():
     for body in ("coll(A,B,C),", ", coll(A,B,C)", "coll(A,B,C),, para(A,B,A,C)"):
         with pytest.raises(RuleParseError, match="cannot parse atom ''"):
             parse_rules(f"rule broken: {body} => coll(B,A,C)")
+    # side conditions that can never hold, over variables or constants
+    for side in ("distinct(A,A)", "distinct(p,p)", "non_collinear(A,B,A)",
+                 "non_collinear(p,A,p)", "distinct_lines(A,A,B,C)",
+                 "distinct_lines(A,B,B,A)", "distinct_lines(A,B,A,A)",
+                 "distinct_lines(p,A,A,p)"):
+        with pytest.raises(RuleParseError, match=r"line 2: side condition .* never hold"):
+            parse_rules(f"\nrule r: coll(A,B,C), {side} => coll(B,C,A)")
+    # a second line through one point of the first can differ from it
+    assert parse_rules("rule r: coll(A,B,C), distinct_lines(A,B,A,C) => coll(B,C,A)")
+    assert parse_rules("rule r: coll(A,B,C), distinct_lines(A,B,C,C) => coll(B,C,A)")
 
 
 def test_constants_are_lowercase():
