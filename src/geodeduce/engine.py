@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from .facts import (LEX_ORBITS, Fact, canonicalize, is_degenerate, is_tautology,
                     orbit)
@@ -66,17 +66,26 @@ class Derivation:
 class DerivationDag:
     """The append-only fact store: the hypotheses (round 0) and each derived
     fact with its one derivation.  ``in``, iteration (insertion order) and
-    ``len`` cover every fact; f is derived iff ``node(f) is not None``."""
+    ``len`` cover every fact; f is derived iff ``node(f) is not None``.
+    A premise must be in the graph before its fact, whose closure is then
+    fixed and is stored when the fact enters."""
 
     def __init__(self, hypotheses: Iterable[Fact] = ()) -> None:
         # fact -> its derivation, None for a hypothesis
         self._node: Dict[Fact, Optional[Derivation]] = dict.fromkeys(hypotheses)
+        self._hypotheses = frozenset(self._node)
+        self._closure = {h: frozenset((h,)) for h in self._node}  # fact -> closure(fact)
 
     def add(self, *derivations: Derivation) -> None:
         for d in derivations:
             if d.fact in self._node:
                 raise ValueError(f"{d.fact} is already in the graph")
+            missing = [p for p in d.premises if p not in self._node]
+            if missing:
+                raise ValueError(f"premise {missing[0]} of {d.fact} is not in the graph")
             self._node[d.fact] = d
+            self._closure[d.fact] = frozenset((d.fact,)).union(
+                *map(self._closure.__getitem__, d.premises))
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._node
@@ -90,6 +99,8 @@ class DerivationDag:
     def copy(self) -> "DerivationDag":
         out = DerivationDag()
         out._node = dict(self._node)
+        out._hypotheses = self._hypotheses
+        out._closure = dict(self._closure)
         return out
 
     def node(self, fact: Fact) -> Optional[Derivation]:
@@ -104,27 +115,17 @@ class DerivationDag:
         """The derived facts' derivations, in the order they were added."""
         return [d for d in self._node.values() if d is not None]
 
-    def closure(self, fact: Fact) -> Set[Fact]:
+    def closure(self, fact: Fact) -> FrozenSet[Fact]:
         """fact plus every fact reachable through premises, leaves included."""
-        out: Set[Fact] = set()
-        stack = [fact]
-        while stack:
-            f = stack.pop()
-            if f in out:
-                continue
-            out.add(f)
-            d = self._node.get(f)
-            if d is not None:
-                stack.extend(d.premises)
-        return out
+        return self._closure[fact]
 
-    def ancestors(self, fact: Fact) -> Set[Fact]:
+    def ancestors(self, fact: Fact) -> FrozenSet[Fact]:
         """Derived facts in the ancestor closure, fact included."""
-        return {f for f in self.closure(fact) if self._node.get(f) is not None}
+        return self._closure[fact] - self._hypotheses
 
-    def leaf_ancestors(self, fact: Fact) -> Set[Fact]:
+    def leaf_ancestors(self, fact: Fact) -> FrozenSet[Fact]:
         """Hypothesis facts reachable from fact; {fact} if it is one."""
-        return {f for f in self.closure(fact) if self._node.get(f) is None}
+        return self._closure[fact] & self._hypotheses
 
 
 def _getter(positions: Tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -243,7 +244,7 @@ def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
 
     Within one fact, a consistent variant and the binding it extends to
     correspond one to one, so the orbit's own deduplication is the only
-    one needed.  Entries keep fact order, then orbit order.
+    one needed.  Entries keep the order of facts, then orbit order.
     """
     index: Dict[tuple, list] = {}
     consts, repeats, lex = slot.consts, slot.repeats, slot.lex
@@ -284,8 +285,9 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
     each derivation stamped with round_index; at most one per new fact: the
-    least (rule name, premises), the first one drawn among equals.  Rule
-    names are unique, so the result does not depend on the order of rules.
+    least (rule name, premises), the first one drawn among equals, which
+    orbit order alone decides.  So the result depends on neither the order
+    of rules (their names are unique) nor graph order.
     The counters count bindings of the full join: each kept binding adds
     its orbit size.
 
@@ -294,8 +296,10 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
     rules and plans whose slots draw the same facts the same way share one
     index.
     """
-    semi_naive = strategy != "naive" and round_index > 1
-    usable = sorted(dag)
+    if strategy not in ("naive", "semi_naive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    semi_naive = strategy == "semi_naive" and round_index > 1
+    usable = list(dag)
     if strict_sides:  # conditional facts serve as no premise
         usable = [f for f in usable
                   if dag.node(f) is None or not dag.node(f).conditional]

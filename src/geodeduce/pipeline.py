@@ -14,9 +14,9 @@ Two modes:
 Both modes send derivations through the same admission routine,
 ``_admit``.  A fact it blocks never comes back within the run, and a fact
 the graph holds keeps its one derivation, so a fact's derivation closure
-is fixed from the first time it is scored.  One ``ScoreMemo`` per run
-therefore computes each fact's seven fixed raw metrics and its usefulness
-closure once; each round (and the final scoring) redoes only the
+is fixed when it enters the graph, which stores it then.  One
+``ScoreMemo`` per run therefore computes each fact's seven fixed raw
+metrics once; each round (and the final scoring) redoes only the
 usefulness counts and both normalizations.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the

@@ -10,11 +10,11 @@ provisional interesting set.
 
 Cost model.  A fact's derivation never changes once the fact is scored:
 the graph is append-only, and a fact that a filtered round blocks never
-comes back.  So a ``ScoreMemo`` that lives for one run keeps, per fact, the
-seven raw metrics other than usefulness and the closure that usefulness
-counts; each is computed once per fact per run.  It is built with the
-run's hypothesis point pairs.  Every ``score_all`` call redoes only the
-usefulness counts and both normalizations.
+comes back.  The graph stores each fact's closure when the fact enters.
+A ``ScoreMemo`` that lives for one run keeps, per fact, the seven raw
+metrics other than usefulness, each computed once per fact per run.  It
+is built with the run's hypothesis point pairs.  Every ``score_all`` call
+redoes only the usefulness counts and both normalizations.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -142,16 +142,12 @@ def focus(f: Fact, leaves: Set[Fact]) -> float:
     return abs(1 - n) / (1 + n)
 
 
-def usefulness(dag: DerivationDag, interesting: Set[Fact],
-               above: Optional[Dict[Fact, Set[Fact]]] = None) -> Counter:
+def usefulness(dag: DerivationDag, interesting: Set[Fact]) -> Counter:
     """Per fact, how many other derived interesting facts have it in their
-    ancestor closure.  above memoizes closure(g) - {g} per fact g."""
-    above = {} if above is None else above
+    ancestor closure."""
     count: Counter = Counter()
     for g in interesting:  # a hypothesis's closure is itself alone
-        if g not in above:
-            above[g] = dag.closure(g) - {g}
-        count.update(above[g])
+        count.update(dag.closure(g) - {g})
     return count
 
 
@@ -168,8 +164,6 @@ class ScoreMemo:
     hyp_pairs: Set[FrozenSet[str]]
     # fact -> raw metrics, usefulness left at 0.0
     raw: Dict[Fact, Dict[str, float]] = field(default_factory=dict)
-    # fact -> closure(fact) - {fact}, for usefulness
-    above: Dict[Fact, Set[Fact]] = field(default_factory=dict)
 
 
 def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
@@ -238,7 +232,7 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     without one, every fact is scored afresh."""
     if memo is None:
         memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f) is None))
-    all_facts = sorted(dag)
+    all_facts = list(dag)
     derived = [f for f in all_facts if dag.node(f) is not None]
     new = [f for f in all_facts if f not in memo.raw]
     if new:
@@ -251,7 +245,7 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
                    if _directed(raw[f], scales)[1] >= cfg.threshold}
 
     # pass 2: only the usefulness column (the last metric) and its scale change
-    useful = usefulness(dag, provisional, memo.above)
+    useful = usefulness(dag, provisional)
     final = {f: dict(r, usefulness=float(useful[f])) for f, r in raw.items()}
     scales[-1:] = _scales(final, derived, cfg, METRICS[-1:])
     return _normalize(final, derived, scales)

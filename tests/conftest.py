@@ -1,10 +1,15 @@
 import pathlib
+import runpy
 
 import pytest
 
 from geodeduce import initial_facts, parse_construction, parse_rules
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the ladder figures, kept in the tool that compares their reports
+_LADDERS = runpy.run_path(str(ROOT / "tools" / "diff_reports.py"))
+concyclic_text, feet_text = _LADDERS["concyclic_text"], _LADDERS["feet_text"]
 
 
 @pytest.fixture(scope="session")
@@ -37,17 +42,6 @@ def inscribed():
 
 
 BUNDLED = ("midline", "pappus", "inscribed")
-
-
-def concyclic_text(k):
-    """`point O A`, then k - 1 points on the circle centred at O through A."""
-    return "point O A\n" + "".join(f"on_circle {p} O A\n" for p in "BCDEFGHIJ"[:k - 1])
-
-
-def feet_text(k):
-    """`point A B`, then k free points Xi, each with its foot Fi on line AB."""
-    return "point A B\n" + "".join(f"point X{i}\nfoot F{i} X{i} A B\n"
-                                    for i in range(1, k + 1))
 
 
 @pytest.fixture(scope="session", params=BUNDLED)

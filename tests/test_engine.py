@@ -11,6 +11,7 @@ from geodeduce.engine import (_compile, _index, _join, _orbit_table, compile_rul
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
 
+from conftest import concyclic_text, feet_text
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -102,7 +103,7 @@ def test_budget_stop():
 
 def test_first_derivation_wins(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
-    dag = DerivationDag()
+    dag = DerivationDag(initial_facts(midline))
     f = make_fact("para", "M", "N", "B", "C")
     dag.add(res.dag.node(f))
     with pytest.raises(ValueError):
@@ -129,6 +130,32 @@ def test_derivation_dag_contract():
     g = make_fact("coll", "A", "C", "D")
     trial.add(Derivation(g, "r", (h,), 1))
     assert g in trial and g not in dag and len(dag) == 2
+
+
+def test_add_rejects_missing_premise():
+    h, g = make_fact("coll", "A", "B", "C"), make_fact("coll", "A", "B", "D")
+    dag = DerivationDag([h])
+    f = make_fact("coll", "A", "C", "D")
+    with pytest.raises(ValueError, match=r"premise coll\(A,B,D\)"):
+        dag.add(Derivation(f, "r", (h, g), 1))
+    assert f not in dag and list(dag) == [h] and dag.derivations() == []
+    for ask in (dag.closure, dag.ancestors, dag.leaf_ancestors, dag.generation):
+        with pytest.raises(KeyError):
+            ask(f)
+
+
+def test_closures_of_a_copy_are_independent():
+    h = make_fact("coll", "A", "B", "C")
+    f, g = make_fact("coll", "A", "B", "D"), make_fact("coll", "A", "C", "D")
+    dag = DerivationDag([h])
+    dag.add(Derivation(f, "r", (h,), 1))
+    trial = dag.copy()
+    trial.add(Derivation(g, "r", (f,), 2))
+    dag.add(Derivation(g, "r", (h,), 2))
+    assert dag.closure(f) == trial.closure(f) == {h, f}
+    assert dag.closure(g) == {h, g} and dag.ancestors(g) == {g}
+    assert trial.closure(g) == {h, f, g} and trial.ancestors(g) == {f, g}
+    assert dag.leaf_ancestors(g) == trial.leaf_ancestors(g) == {h}
 
 
 def test_saturate_rejects_empty_budget(midline, default_rules):
@@ -171,6 +198,30 @@ def test_naive_equals_semi_naive_symmetric(decoration, default_rules):
     assert any(f.pred == "eqangle" for f in b.dag)
     assert a.dag.derivations() == b.dag.derivations()
     assert set(a.dag) == set(b.dag)
+    assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
+
+
+def test_unknown_strategy_rejected(midline, default_rules):
+    d0 = initial_facts(midline)
+    with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
+        derive_round(DerivationDag(d0), [compile_rule(r) for r in default_rules], 1,
+                     strategy="Naive")
+    with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
+        saturate(d0, default_rules, strategy="Naive")
+
+
+ORDER_FIGURES = {**{f"fuzz{s}": random_construction_text(s) for s in range(10)},
+                 "circle4": concyclic_text(4), "circle5": concyclic_text(5),
+                 "feet8": feet_text(8)}
+
+
+@pytest.mark.parametrize("strategy", ["naive", "semi_naive"])
+@pytest.mark.parametrize("figure", ORDER_FIGURES)
+def test_hypothesis_order_does_not_matter(figure, strategy, default_rules):
+    d0 = list(initial_facts(parse_construction(ORDER_FIGURES[figure])))
+    a = saturate(d0, default_rules, strategy=strategy)
+    b = saturate(d0[::-1], default_rules, strategy=strategy)
+    assert a.dag.derivations() == b.dag.derivations()  # conditions included
     assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
 
 

@@ -28,8 +28,8 @@ def test_obviousness(midline_sat):
 
 
 def test_obviousness_closure_counts_shared_nodes():
-    dag = DerivationDag()
     h1, h2 = make_fact("coll", "A", "B", "C"), make_fact("coll", "A", "B", "D")
+    dag = DerivationDag([h1, h2])
     f1 = make_fact("coll", "B", "C", "D")
     f2 = make_fact("coll", "A", "C", "D")
     top = make_fact("coll", "C", "D", "E")
@@ -63,8 +63,8 @@ def test_intensity(midline_sat):
 
 def test_intensity_full_coverage_is_zero():
     # a derived fact mentioning every leaf point scores 0
-    dag = DerivationDag()
     h = make_fact("coll", "A", "B", "C")
+    dag = DerivationDag([h])
     g = make_fact("midp", "A", "B", "C")
     dag.add(Derivation(g, "r", (h,), 1))
     assert intensity(g, hypotheses_used(g, dag)) == 0.0
@@ -82,16 +82,16 @@ def test_focus(midline_sat):
     sat_dag = midline_sat.dag
     assert focus(HYP, hypotheses_used(HYP, sat_dag)) == 1.0
     assert focus(PARA, hypotheses_used(PARA, sat_dag)) == pytest.approx(1 / 3)
-    dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
+    dag = DerivationDag([h])
     f = make_fact("cong", "A", "M", "B", "M")
     dag.add(Derivation(f, "midp_split", (h,), 1))
     assert focus(f, hypotheses_used(f, dag)) == 0.0  # single leaf: |1-1|/2
 
 
 def test_usefulness():
-    dag = DerivationDag()
     h = make_fact("midp", "M", "A", "B")
+    dag = DerivationDag([h])
     f = make_fact("cong", "A", "M", "B", "M")
     dag.add(Derivation(f, "midp_split", (h,), 1))
     assert usefulness(dag, set())[h] == 0
@@ -281,6 +281,20 @@ def test_metric_config_rejects_bad_fields(kwargs):
         MetricConfig(**kwargs)
 
 
+def _reference_closure(dag, fact):
+    """The stack walk the stored closures replaced."""
+    out, stack = set(), [fact]
+    while stack:
+        f = stack.pop()
+        if f in out:
+            continue
+        out.add(f)
+        node = dag.node(f)
+        if node is not None:
+            stack.extend(node.premises)
+    return out
+
+
 def _reference_ancestors(dag, fact):
     """The two separate walks the shared closure replaced."""
     out, stack = set(), [fact]
@@ -338,5 +352,6 @@ def test_closure_walks_equal_reference(case, default_rules):
         for f in facts:
             assert useful[f] == _reference_usefulness(f, dag, interesting), f
     for f in facts:
+        assert dag.closure(f) == _reference_closure(dag, f), f
         assert dag.ancestors(f) == _reference_ancestors(dag, f), f
         assert dag.leaf_ancestors(f) == _reference_leaf_ancestors(dag, f), f

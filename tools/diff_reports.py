@@ -7,8 +7,8 @@ and the feet ladder (k = 8..20 feet on one line) in fixpoint and filtered
 mode through each tree's ``src/`` with that tree's default rules.  Each
 tree runs in its own subprocess, under its own fixed PYTHONHASHSEED, so
 ``diff_reports.py . .`` checks that no report depends on the hash seed.
-The inputs are this checkout's examples and the ladder figures of
-``tests/conftest.py``.  Prints each case whose report differs and exits 1
+The inputs are this checkout's examples and the ladder figures below,
+which the tests import.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
 """
 
