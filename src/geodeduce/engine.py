@@ -5,7 +5,9 @@ canonicalizes the conclusions, drops tautologies / degenerate facts /
 duplicates, and commits the survivors in canonical-form lexicographic
 order.  The first derivation of a fact wins; later ones are ignored.
 Both naive and semi-naive evaluation are provided and must agree.  One
-``DerivationDag`` holds every fact, hypotheses and derived facts alike.
+``DerivationDag`` holds every fact, hypotheses and derived facts alike,
+each with one ``Derivation`` record: a hypothesis's has no rule, no
+premises and round 0.
 
 Rules are matched by one indexed join, and ``derive_round`` is its one
 entry.  A binding is a tuple: the rule's point constants, then its
@@ -43,20 +45,17 @@ from .facts import (LEX_ORBITS, Fact, canonicalize, is_degenerate, is_tautology,
                     orbit)
 from .rules import Rule, is_variable
 
-# a grounded numeric side condition: (kind, point names)
-GroundCondition = Tuple[str, Tuple[str, ...]]
-
 
 @dataclass(frozen=True)
 class Derivation:
-    """How one derived fact was obtained."""
+    """How one fact entered the graph; rule is None for a hypothesis."""
 
     fact: Fact
-    rule: str
+    rule: Optional[str]
     premises: Tuple[Fact, ...]
     round: int
-    # numeric side conditions accumulated along the whole derivation
-    conditions: Tuple[GroundCondition, ...] = ()
+    # the grounded numeric side conditions of the whole derivation, sorted
+    conditions: Tuple[Fact, ...] = ()
 
     @property
     def conditional(self) -> bool:
@@ -64,15 +63,16 @@ class Derivation:
 
 
 class DerivationDag:
-    """The append-only fact store: the hypotheses (round 0) and each derived
-    fact with its one derivation.  ``in``, iteration (insertion order) and
-    ``len`` cover every fact; f is derived iff ``node(f) is not None``.
-    A premise must be in the graph before its fact, whose closure is then
-    fixed and is stored when the fact enters."""
+    """The append-only fact store: every fact with its one record, the
+    hypotheses' first.  ``in``, iteration (insertion order) and ``len``
+    cover every fact; f is derived iff ``node(f).rule is not None``, and a
+    fact the graph lacks raises KeyError.  A premise must be in the graph
+    before its fact, whose closure is then fixed and is stored when the
+    fact enters."""
 
     def __init__(self, hypotheses: Iterable[Fact] = ()) -> None:
-        # fact -> its derivation, None for a hypothesis
-        self._node: Dict[Fact, Optional[Derivation]] = dict.fromkeys(hypotheses)
+        self._node: Dict[Fact, Derivation] = {
+            h: Derivation(h, None, (), 0) for h in hypotheses}
         self._hypotheses = frozenset(self._node)
         self._closure = {h: frozenset((h,)) for h in self._node}  # fact -> closure(fact)
 
@@ -103,17 +103,16 @@ class DerivationDag:
         out._closure = dict(self._closure)
         return out
 
-    def node(self, fact: Fact) -> Optional[Derivation]:
-        return self._node.get(fact)
+    def node(self, fact: Fact) -> Derivation:
+        return self._node[fact]
 
     def generation(self, fact: Fact) -> int:
         """0 for a hypothesis, else the round that derived the fact."""
-        d = self._node[fact]
-        return 0 if d is None else d.round
+        return self._node[fact].round
 
     def derivations(self) -> List[Derivation]:
         """The derived facts' derivations, in the order they were added."""
-        return [d for d in self._node.values() if d is not None]
+        return [d for d in self._node.values() if d.rule is not None]
 
     def closure(self, fact: Fact) -> FrozenSet[Fact]:
         """fact plus every fact reachable through premises, leaves included."""
@@ -164,7 +163,7 @@ class CompiledRule(NamedTuple):
     swaps: Tuple[Tuple[int, int], ...]     # pairs as binding positions
     distinct: Tuple[Tuple[int, int], ...]  # distinct sides as binding positions
     conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
-    # numeric side conditions: (kind, binding -> their points)
+    # numeric side conditions: (predicate, binding -> their points)
     numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
 
 
@@ -202,9 +201,9 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     return CompiledRule(rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans,
                         pairs, tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
                         tuple((at[a], at[b]) for side in rule.side_conditions
-                              if side.kind == "distinct" for a, b in [side.args]),
+                              if side.pred == "distinct" for a, b in [side.args]),
                         _getter(tuple(at[a] for a in rule.conclusion.args)),
-                        tuple((s.kind, _getter(tuple(at[a] for a in s.args)))
+                        tuple((s.pred, _getter(tuple(at[a] for a in s.args)))
                               for s in rule.numeric_sides))
 
 
@@ -301,8 +300,7 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
     semi_naive = strategy == "semi_naive" and round_index > 1
     usable = list(dag)
     if strict_sides:  # conditional facts serve as no premise
-        usable = [f for f in usable
-                  if dag.node(f) is None or not dag.node(f).conditional]
+        usable = [f for f in usable if not dag.node(f).conditional]
     pools: Dict[Tuple[str, str], List[Fact]] = {}
     for f in usable:
         pools.setdefault((f.pred, ALL), []).append(f)
@@ -353,11 +351,9 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
     for f in sorted(best):
         (name, used), rule, b = best[f]
         # the rule's numeric side conditions plus those of the premises
-        conds = {(kind, points(b)) for kind, points in rule.numeric}
+        conds = {Fact(pred, points(b)) for pred, points in rule.numeric}
         for prem in used:
-            d = dag.node(prem)
-            if d is not None:
-                conds.update(d.conditions)
+            conds.update(dag.node(prem).conditions)
         ordered.append(Derivation(f, name, used, round_index, tuple(sorted(conds))))
     return ordered, n_taut, n_degen
 

@@ -4,7 +4,8 @@ A fact is a predicate applied to an ordered tuple of point names, e.g.
 ``coll(A,B,C)`` or ``eqangle(C,A,C,B,D,A,D,B)``.  Facts are stored only in
 canonical form: the lexicographic minimum over the predicate's symmetry
 orbit.  This makes set membership, hashing and fixpoint detection
-well defined.
+well defined.  A rule's atoms use the same record over variable names,
+as written (rules.py).
 """
 
 from __future__ import annotations

@@ -166,9 +166,9 @@ def _build_records(dag: DerivationDag, cfg: PipelineConfig,
         d = dag.node(f)
         records.append(FactRecord(
             fact=f,
-            round=dag.generation(f),
-            rule=d.rule if d else None,
-            premises=d.premises if d else (),
+            round=d.round,
+            rule=d.rule,
+            premises=d.premises,
             score=scores[f],
             interesting=f in interesting,
         ))

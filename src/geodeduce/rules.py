@@ -11,6 +11,10 @@ lowercase identifiers are point constants.  Side conditions are
 time, the other two are attached to derived facts and checked by the
 numeric run-time filter.
 
+Every atom of a rule, premise, conclusion or side condition, is a
+``facts.Fact`` over variable and constant names, kept as written: it is
+never canonicalized, so ``str(rule)`` gives back its text.
+
 A rule's symmetries, swaps of two variables that map it to an equivalent
 rule, are found once, when the rule is built (``Rule.symmetries``).
 """
@@ -22,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .facts import ARITIES, IDENTIFIER, MalformedFactError, orbit, parse_atom
+from .facts import ARITIES, IDENTIFIER, Fact, MalformedFactError, orbit, parse_atom
 
 SIDE_ARITIES = {"distinct": 2, "non_collinear": 3, "distinct_lines": 4}
 _BODY_ARITIES = {**ARITIES, **SIDE_ARITIES}
@@ -40,38 +44,17 @@ def is_variable(token: str) -> bool:
     return token[0].isupper()
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A fact pattern: predicate plus variable/constant arguments."""
-
-    pred: str
-    args: Tuple[str, ...]
-
-    def variables(self) -> set:
-        return {a for a in self.args if is_variable(a)}
-
-    def __str__(self) -> str:
-        return f"{self.pred}({','.join(self.args)})"
-
-
-@dataclass(frozen=True)
-class SideCondition:
-    kind: str
-    args: Tuple[str, ...]
-
-    def variables(self) -> set:
-        return {a for a in self.args if is_variable(a)}
-
-    def __str__(self) -> str:
-        return f"{self.kind}({','.join(self.args)})"
+def variables(atom: Fact) -> set:
+    """The variables an atom names."""
+    return {a for a in atom.args if is_variable(a)}
 
 
 @dataclass(frozen=True)
 class Rule:
     name: str
-    premises: Tuple[Pattern, ...]
-    conclusion: Pattern
-    side_conditions: Tuple[SideCondition, ...]
+    premises: Tuple[Fact, ...]
+    conclusion: Fact
+    side_conditions: Tuple[Fact, ...]
     # every swap (x y) of two premise variables, x named first, that maps each
     # premise and the conclusion into its orbit and each side condition to an
     # equivalent one, in itertools.combinations order
@@ -81,8 +64,8 @@ class Rule:
         object.__setattr__(self, "symmetries", tuple(_symmetries(self)))
 
     @property
-    def numeric_sides(self) -> Tuple[SideCondition, ...]:
-        return tuple(s for s in self.side_conditions if s.kind != "distinct")
+    def numeric_sides(self) -> Tuple[Fact, ...]:
+        return tuple(s for s in self.side_conditions if s.pred != "distinct")
 
     def __str__(self) -> str:
         body = ", ".join([str(p) for p in self.premises]
@@ -95,16 +78,16 @@ def _symmetries(rule: Rule):
     variants = [set(orbit(p)) for p in atoms]
     # the side conditions' point sets: distinct_lines names two lines
     point_sets = [g for s in rule.side_conditions for g in
-                  ((s.args[:2], s.args[2:]) if s.kind == "distinct_lines" else (s.args,))]
-    variables = dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))
-    for x, y in itertools.combinations(variables, 2):
+                  ((s.args[:2], s.args[2:]) if s.pred == "distinct_lines" else (s.args,))]
+    names = dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))
+    for x, y in itertools.combinations(names, 2):
         swap = {x: y, y: x}
         if (all(tuple(map(swap.get, p.args, p.args)) in v for p, v in zip(atoms, variants))
                 and all({*map(swap.get, g, g)} == {*g} for g in point_sets)):
             yield x, y
 
 
-def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str):
+def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str) -> Fact:
     """One atom whose predicate is in arities, with that many arguments."""
     try:
         pred, args = parse_atom(text)
@@ -114,7 +97,7 @@ def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str):
         raise RuleParseError(f"unknown {what} {pred!r}", lineno)
     if len(args) != arities[pred]:
         raise RuleParseError(f"{pred} expects {arities[pred]} arguments", lineno)
-    return pred, args
+    return Fact(pred, args)
 
 
 def _split_atoms(text: str) -> List[str]:
@@ -154,30 +137,26 @@ def parse_rules(text: str) -> List[Rule]:
             raise RuleParseError("missing '=>'", lineno)
         body_text, concl_text = rest.split("=>", 1)
 
-        premises: List[Pattern] = []
-        sides: List[SideCondition] = []
+        premises: List[Fact] = []
+        sides: List[Fact] = []
         for atom_text in _split_atoms(body_text):
-            pred, args = _parse_atom(atom_text, lineno, _BODY_ARITIES, "predicate")
-            if pred in SIDE_ARITIES:
-                sides.append(SideCondition(pred, args))
-            else:
-                premises.append(Pattern(pred, args))
+            atom = _parse_atom(atom_text, lineno, _BODY_ARITIES, "predicate")
+            (sides if atom.pred in SIDE_ARITIES else premises).append(atom)
         if not premises:
             raise RuleParseError("rule needs at least one premise", lineno)
 
-        conclusion = Pattern(*_parse_atom(concl_text, lineno, ARITIES,
-                                          "conclusion predicate"))
+        conclusion = _parse_atom(concl_text, lineno, ARITIES, "conclusion predicate")
 
-        bound = set().union(*(p.variables() for p in premises))
-        for v in sorted(conclusion.variables() - bound):
+        bound = set().union(*map(variables, premises))
+        for v in sorted(variables(conclusion) - bound):
             raise RuleParseError(f"variable {v} in conclusion not bound by premises",
                                  lineno)
         for s in sides:
-            for v in sorted(s.variables() - bound):
+            for v in sorted(variables(s) - bound):
                 raise RuleParseError(
                     f"variable {v} in side condition not bound by premises", lineno)
             a = s.args  # never holds: a repeated point, or one line named twice
-            if (({*a[2:]} <= {*a[:2]} or a[0] == a[1]) if s.kind == "distinct_lines"
+            if (({*a[2:]} <= {*a[:2]} or a[0] == a[1]) if s.pred == "distinct_lines"
                     else len({*a}) < len(a)):
                 raise RuleParseError(f"side condition {s} can never hold", lineno)
 

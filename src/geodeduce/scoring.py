@@ -116,8 +116,9 @@ def surprisingness(f: Fact, hyp_pairs: Set[FrozenSet[str]]) -> float:
 
 
 def hypotheses_used(f: Fact, dag: DerivationDag) -> Set[Fact]:
-    """The leaf ancestors of a derived fact; empty for a hypothesis."""
-    return dag.leaf_ancestors(f) if dag.node(f) is not None else set()
+    """The leaf ancestors of a derived fact; empty for a hypothesis, whose
+    focus is then 1.0."""
+    return dag.leaf_ancestors(f) if dag.node(f).rule is not None else set()
 
 
 def intensity(f: Fact, leaves: Set[Fact]) -> float:
@@ -231,9 +232,9 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     facts only.  Pass the same memo to every call on one growing graph;
     without one, every fact is scored afresh."""
     if memo is None:
-        memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f) is None))
+        memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
     all_facts = list(dag)
-    derived = [f for f in all_facts if dag.node(f) is not None]
+    derived = [f for f in all_facts if dag.node(f).rule is not None]
     new = [f for f in all_facts if f not in memo.raw]
     if new:
         memo.raw.update(_raw_scores(new, dag, memo.hyp_pairs))

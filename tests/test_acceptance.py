@@ -93,7 +93,7 @@ def test_criterion_5_soundness_sweep(default_rules):
             continue
         for f in res.dag:
             node = res.dag.node(f)
-            if node is None or node.conditional:
+            if node.rule is None or node.conditional:
                 continue
             checked += 1
             for m in models:

@@ -136,6 +136,26 @@ def test_saturate_subcommand(capsys, root):
     assert "stop: fixpoint" in out
 
 
+def test_saturate_lines_match_json_report(capsys, root):
+    """One line per reported fact: a hypothesis ends in (hypothesis), a
+    derived fact names the rule and the round of its JSON record."""
+    argv = [str(root / "examples" / "midline.gc"),
+            "--rules", str(root / "rules" / "gddm-default.gr")]
+    code, out, _ = run(capsys, "saturate", *argv)
+    assert code == 0
+    _, report, _ = run(capsys, "saturate", *argv, "--format", "json")
+    facts = json.loads(report)["facts"]
+    lines = out.splitlines()
+    assert lines[-1] == f"{len(facts)} facts, stop: fixpoint"
+    assert len(lines) == len(facts) + 1
+    assert any(rec["rule"] is None for rec in facts)
+    assert any(rec["rule"] is not None for rec in facts)
+    for line, rec in zip(lines, facts):
+        src = "  (hypothesis)" if rec["rule"] is None else f"  <= {rec['rule']}"
+        assert line == f"round {rec['round']}  {rec['fact']}{src}"
+        assert (rec["rule"] is None) == (rec["round"] == 0)
+
+
 def test_rank_subcommand(capsys, root):
     code, out, _ = run(capsys, "rank", str(root / "examples" / "midline.gc"),
                        "--rules", str(root / "rules" / "gddm-default.gr"))

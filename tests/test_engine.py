@@ -114,7 +114,9 @@ def test_derivation_dag_contract():
     h = make_fact("coll", "A", "B", "C")
     dag = DerivationDag([make_fact("coll", "C", "B", "A"), h])
     assert len(dag) == 1 and list(dag) == [h] and h in dag  # duplicates collapse
-    assert dag.node(h) is None and dag.generation(h) == 0
+    hyp = dag.node(h)  # a hypothesis's record: no rule, no premises, round 0
+    assert (hyp.fact, hyp.rule, hyp.premises, hyp.round) == (h, None, (), 0)
+    assert not hyp.conditional and dag.generation(h) == 0
     f = make_fact("coll", "A", "B", "D")
     d = Derivation(f, "r", (h,), 3)
     trial = dag.copy()

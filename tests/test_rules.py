@@ -2,7 +2,7 @@
 
 import pytest
 
-from geodeduce.rules import RuleParseError, parse_rules
+from geodeduce.rules import RuleParseError, parse_rules, variables
 
 
 def test_parse_single_rule():
@@ -14,7 +14,7 @@ def test_parse_single_rule():
     assert r.name == "midline"
     assert len(r.premises) == 2
     assert len(r.side_conditions) == 1
-    assert r.side_conditions[0].kind == "non_collinear"
+    assert r.side_conditions[0].pred == "non_collinear"
     assert r.conclusion.pred == "para"
 
 
@@ -67,7 +67,7 @@ def test_syntax_errors():
 
 def test_constants_are_lowercase():
     rules = parse_rules("rule fixed: coll(p, A, B) => coll(p, A, B)")
-    assert rules[0].premises[0].variables() == {"A", "B"}
+    assert variables(rules[0].premises[0]) == {"A", "B"}
 
 
 def test_comments_and_blanks():
@@ -82,3 +82,13 @@ def test_bundled_default_rules(default_rules):
     conditional = {r.name for r in default_rules if r.numeric_sides}
     assert "midline" in conditional
     assert "cong_trans" not in conditional
+
+
+def test_default_rules_print_back_to_themselves(root):
+    """str(rule) is rule-file text that parses back to the same rule,
+    symmetries included."""
+    rules = parse_rules((root / "rules" / "gddm-default.gr").read_text())
+    assert rules
+    for r in rules:
+        again = parse_rules(str(r))
+        assert again == [r] and again[0].symmetries == r.symmetries, r.name

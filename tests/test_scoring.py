@@ -27,6 +27,17 @@ def test_obviousness(midline_sat):
     assert obviousness(PARA, midline_sat.dag) == 1
 
 
+def test_fact_not_in_graph_raises_key_error():
+    """An unknown fact is neither a hypothesis nor derived: every question
+    about its derivation fails alike."""
+    h, f = make_fact("coll", "A", "B", "C"), make_fact("coll", "A", "B", "D")
+    for dag in (DerivationDag(), DerivationDag([h])):
+        for ask in (dag.node, lambda g: hypotheses_used(g, dag),
+                    lambda g: obviousness(g, dag)):
+            with pytest.raises(KeyError):
+                ask(f)
+
+
 def test_obviousness_closure_counts_shared_nodes():
     h1, h2 = make_fact("coll", "A", "B", "C"), make_fact("coll", "A", "B", "D")
     dag = DerivationDag([h1, h2])
@@ -180,8 +191,8 @@ def _reference_normalize(raw, derived, cfg):
 def _reference_score_all(dag, cfg):
     """Both passes on full ScoreCards, every raw metric computed afresh."""
     all_facts = sorted(dag, key=str)
-    derived = [f for f in all_facts if dag.node(f) is not None]
-    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f) is None)
+    derived = [f for f in all_facts if dag.node(f).rule is not None]
+    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f).rule is None)
     raw = _raw_scores(all_facts, dag, hyp_pairs)
     cards = _reference_normalize(raw, derived, cfg)
     provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
@@ -289,9 +300,7 @@ def _reference_closure(dag, fact):
         if f in out:
             continue
         out.add(f)
-        node = dag.node(f)
-        if node is not None:
-            stack.extend(node.premises)
+        stack.extend(dag.node(f).premises)
     return out
 
 
@@ -301,7 +310,7 @@ def _reference_ancestors(dag, fact):
     while stack:
         f = stack.pop()
         node = dag.node(f)
-        if node is None or f in out:
+        if node.rule is None or f in out:
             continue
         out.add(f)
         stack.extend(node.premises)
@@ -309,7 +318,7 @@ def _reference_ancestors(dag, fact):
 
 
 def _reference_leaf_ancestors(dag, fact):
-    if dag.node(fact) is None:
+    if dag.node(fact).rule is None:
         return {fact}
     leaves, seen, stack = set(), set(), [fact]
     while stack:
@@ -318,7 +327,7 @@ def _reference_leaf_ancestors(dag, fact):
             continue
         seen.add(f)
         node = dag.node(f)
-        if node is None:
+        if node.rule is None:
             leaves.add(f)
         else:
             stack.extend(node.premises)
@@ -329,7 +338,7 @@ def _reference_usefulness(f, dag, interesting):
     """The pairwise count the one-walk-per-interesting-fact Counter replaced."""
     count = 0
     for g in interesting:
-        if g == f or dag.node(g) is None:
+        if g == f or dag.node(g).rule is None:
             continue
         if f in _reference_ancestors(dag, g) or f in _reference_leaf_ancestors(dag, g):
             count += 1
@@ -346,7 +355,7 @@ def test_closure_walks_equal_reference(case, default_rules):
     res = saturate(initial_facts(c), default_rules)
     dag = res.dag
     facts = sorted(dag, key=str)
-    derived = [f for f in facts if dag.node(f) is not None]
+    derived = [f for f in facts if dag.node(f).rule is not None]
     for interesting in (set(facts), set(derived), set(derived[::2])):
         useful = usefulness(dag, interesting)
         for f in facts:

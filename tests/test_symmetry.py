@@ -14,7 +14,7 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
 from geodeduce.engine import (DerivationDag, _compile, _index, _join,
                               _orbit_table, compile_rule, derive_round)
 from geodeduce.facts import ARITIES, Fact, canonicalize, orbit
-from geodeduce.rules import Pattern, Rule, SideCondition
+from geodeduce.rules import Rule
 
 from conftest import ROOT, concyclic_text
 from fuzzing import random_construction_text
@@ -68,7 +68,7 @@ def _join_list(compiled, rule, facts):
              for p in rule.premises]
     indexes = [_index(s, lst, orbits) for s, lst in zip(compiled.slots, lists)]
     k = len(compiled.consts)
-    distinct = [s.args for s in rule.side_conditions if s.kind == "distinct"]
+    distinct = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     out = []
     for b, used in _join(compiled, indexes):
         named = dict(zip(compiled.names[k:], b[k:]))
@@ -169,7 +169,7 @@ def test_lex_constraint_picks_first_drawn_variant(pred):
     rng = random.Random(pred)
     names = "ABCDEFGH"
     for shape in _shapes(ARITIES[pred]):
-        pattern = Pattern(pred, tuple(names[c] for c in shape))
+        pattern = Fact(pred, tuple(names[c] for c in shape))
         n_vars = max(shape) + 1
         rule = Rule("r", (pattern,), pattern, ())
         pairs = [(names.index(x), names.index(y)) for x, y in rule.symmetries
@@ -219,10 +219,10 @@ def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
             args = draw(st.permutations(VARIABLES))[:n]
         else:
             args = draw(st.lists(symbols, min_size=n, max_size=n))
-        premises.append(Pattern(pred, tuple(args)))
+        premises.append(Fact(pred, tuple(args)))
     variables = sorted({a for p in premises for a in p.args if a[0].isupper()})
     if not variables:
-        premises[0] = Pattern(premises[0].pred, ("A",) + premises[0].args[1:])
+        premises[0] = Fact(premises[0].pred, ("A",) + premises[0].args[1:])
         variables = ["A"]
     # conclusions and side conditions name bound variables and, less
     # often, point constants, which the join keeps in its bindings
@@ -232,15 +232,15 @@ def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
     first = premises[0]
     same_arity = sorted(p for p, n in ARITIES.items() if n == len(first.args))
     if draw(st.booleans()):
-        conclusion = Pattern(draw(st.sampled_from(same_arity)), first.args)
+        conclusion = Fact(draw(st.sampled_from(same_arity)), first.args)
     else:
         pred = draw(st.sampled_from(sorted(ARITIES)))
-        conclusion = Pattern(pred, tuple(draw(st.lists(
+        conclusion = Fact(pred, tuple(draw(st.lists(
             points, min_size=ARITIES[pred], max_size=ARITIES[pred]))))
     sides = []
     for kind, n in (("distinct", 2), ("non_collinear", 3), ("distinct_lines", 4)):
         if draw(st.booleans()):
-            sides.append(SideCondition(kind, tuple(draw(st.lists(
+            sides.append(Fact(kind, tuple(draw(st.lists(
                 points, min_size=n, max_size=n)))))
     return Rule("random", tuple(premises), conclusion, tuple(sides))
 
@@ -265,7 +265,7 @@ def _reference_symmetries(rule):
                for p in rule.premises + (rule.conclusion,)):
             continue
         sides = [(set(a[:2]), set(a[2:])) == (set(b[:2]), set(b[2:]))
-                 if s.kind == "distinct_lines" else set(a) == set(b)
+                 if s.pred == "distinct_lines" else set(a) == set(b)
                  for s in rule.side_conditions for a, b in [(s.args, image(s.args))]]
         if all(sides):
             out.append((x, y))
@@ -299,7 +299,7 @@ def test_random_rule_compiled_join(data):
     lambda r: compile_rule(r).pairs and any(
         not a[0].isupper() for a in r.conclusion.args),
     lambda r: compile_rule(r).pairs and any(
-        s.kind == "distinct" and not all(a[0].isupper() for a in s.args)
+        s.pred == "distinct" and not all(a[0].isupper() for a in s.args)
         for s in r.side_conditions),
 ], ids=["two-swaps", "block-flip", "swap-and-constant",
         "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct"])
