@@ -11,16 +11,27 @@ premises and round 0.
 
 Rules are matched by one indexed join, and ``derive_round`` is its one
 entry.  A binding is a tuple: the rule's point constants, then its
-variables in the order the premise slots bind them.  At the start of a
-round every fact's symmetry orbit is enumerated once, in
-``facts.SYMMETRIES`` order.  For each premise slot, the orbit variants
-of its candidate facts that fit the pattern (constants and repeated
-variables agree) are indexed by their values at the positions bound by
-earlier premises; an entry holds the fact and the values it gives the
-slot's new variables.  The join extends the list of partial bindings one
-slot at a time, one dict lookup and one tuple concatenation per binding,
-which keeps the depth-first order of a backtracking walk.  The orbit
-table and the indexes are dropped when the round ends.
+variables in the order the premise slots bind them.  For each premise
+slot, the orbit variants of its candidate facts that fit the pattern
+(constants and repeated variables agree) are indexed by their values at
+the positions bound by earlier premises; an entry holds the fact and the
+values it gives the slot's new variables.  The join extends the list of
+partial bindings one slot at a time, one dict lookup and one tuple
+concatenation per binding, which keeps the depth-first order of a
+backtracking walk.
+
+The loop that grows the graph (``saturate``, and the filtered loop of
+``pipeline.run_pipeline``) keeps one ``JoinState`` for the whole run.
+The graph is append-only and grows one round at a time, so each round
+works on the last round's facts only: their symmetry orbits are
+enumerated once, in ``facts.SYMMETRIES`` order, and added to the known
+variants of their predicate; each slot's index over the older facts is
+the one the last round built, and its index over all facts appends the
+last round's entries to each key, sharing every list it leaves alone.
+Entries keep the order a rebuild would give them: graph order, then orbit
+order.  A conclusion whose arguments are a known variant is a fact the
+graph holds (it lies in that fact's orbit), so it is dropped before it
+is canonicalized.
 
 Each rule is compiled once per run (``compile_rule``, no cache across
 runs) into all that ``derive_round`` reads: its name, predicates, binding
@@ -36,7 +47,9 @@ so they still count full-join bindings.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
@@ -265,6 +278,76 @@ def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
     return index
 
 
+def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, list]:
+    """index with more's entries after its own under each key.  Neither is
+    changed, and the result shares every list it does not lengthen."""
+    if not index or not more:
+        return index or more
+    out = dict(index)
+    for key, entries in more.items():
+        old = out.get(key)
+        out[key] = old + entries if old else entries
+    return out
+
+
+class JoinState:
+    """What the join keeps across the rounds of one run: each graph fact's
+    orbit, the known variants of every graph fact by predicate, the facts
+    the join may use by predicate in graph order, and per slot its index
+    over a prefix of that list.  One state serves one graph, called round
+    after round with the same ``strict_sides``; nothing outlives the run."""
+
+    def __init__(self) -> None:
+        self.seen = 0  # the graph facts taken in: a prefix of graph order
+        self.orbits: Dict[Fact, Tuple[Tuple[str, ...], ...]] = {}
+        self.known: Dict[str, Set[Tuple[str, ...]]] = {}
+        self.pools: Dict[str, List[Fact]] = {}
+        # slot -> (n, its index over the first n facts of its pool)
+        self.indexes: Dict[_Slot, Tuple[int, Dict[tuple, list]]] = {}
+
+    def take_in(self, dag: DerivationDag, round_index: int, semi_naive: bool,
+                strict_sides: bool) -> Dict[str, Dict[str, int]]:
+        """Take in the graph facts added since the last call; returns, per
+        predicate, how many usable facts each part (OLD, DELTA, ALL) holds.
+        A pool lists the older facts, then the last round's, then any
+        later ones; carried round by round, every new fact is the last
+        round's."""
+        new = list(itertools.islice(dag, self.seen, None))
+        self.seen = len(dag)
+        table = _orbit_table(new)
+        self.orbits.update(table)
+        for f, variants in table.items():
+            self.known.setdefault(f.pred, set()).update(variants)
+        if strict_sides:  # conditional facts serve as no premise
+            new = [f for f in new if not dag.node(f).conditional]
+        if semi_naive:  # the older facts first, then the last round's, then later ones
+            last = round_index - 1
+            part = {f: (dag.generation(f) > last) - (dag.generation(f) < last) for f in new}
+            new.sort(key=part.__getitem__)
+        else:
+            part = dict.fromkeys(new, -1)
+        for f in new:
+            self.pools.setdefault(f.pred, []).append(f)
+        count = Counter((f.pred, part[f]) for f in new)  # 0: the last round's, 1: later
+        return {pred: {OLD: len(pool) - count[pred, 0] - count[pred, 1],
+                       DELTA: count[pred, 0], ALL: len(pool)}
+                for pred, pool in self.pools.items()}
+
+    def slot_indexes(self, slot: _Slot, sizes: Dict[str, int]) -> Dict[str, Dict[tuple, list]]:
+        """The slot's OLD, DELTA and ALL indexes for this round.  Only the
+        facts its stored index lacks are indexed; the new ALL index
+        replaces the stored one."""
+        pool = self.pools[slot.pred]
+        n_old, n_last = sizes[OLD], sizes[OLD] + sizes[DELTA]
+        n, index = self.indexes.get(slot, (0, {}))
+        older, delta, later = (_index(slot, pool[lo:hi], self.orbits) if lo < hi else {}
+                               for lo, hi in ((n, n_old), (n_old, n_last), (n_last, len(pool))))
+        old = _extend(index, older)
+        full = _extend(_extend(old, delta), later)
+        self.indexes[slot] = (len(pool), full)
+        return {OLD: old, DELTA: delta, ALL: full}
+
+
 def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
     """Every (binding, facts used) of the rule over the slot indexes, in the
     order of a depth-first walk: the partial bindings are extended one
@@ -277,8 +360,12 @@ def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
     return rows
 
 
+_NO_FACTS = {OLD: 0, DELTA: 0, ALL: 0}
+
+
 def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int,
-                 strategy: str = "semi_naive", strict_sides: bool = False):
+                 strategy: str = "semi_naive", strict_sides: bool = False,
+                 state: Optional[JoinState] = None):
     """Collect this round's new derivations over dag's facts plus drop
     counters; dag is not changed.
 
@@ -291,28 +378,19 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
     its orbit size.
 
     Each rule joins its premises under every plan (one part of the facts
-    per slot).  Slot indexes are cached for the round by (part, slot), so
-    rules and plans whose slots draw the same facts the same way share one
-    index.
+    per slot).  A slot's indexes are built once a round, when a plan first
+    needs them, and rules and plans whose slots draw the same facts the
+    same way share them.  state carries the orbits, known variants and
+    indexes from the last round of the same run, whose graph has since
+    gained only that round's facts; without it a fresh state takes in the
+    whole graph, and the result is the same.
     """
     if strategy not in ("naive", "semi_naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     semi_naive = strategy == "semi_naive" and round_index > 1
-    usable = list(dag)
-    if strict_sides:  # conditional facts serve as no premise
-        usable = [f for f in usable if not dag.node(f).conditional]
-    pools: Dict[Tuple[str, str], List[Fact]] = {}
-    for f in usable:
-        pools.setdefault((f.pred, ALL), []).append(f)
-        if semi_naive:
-            gen = dag.generation(f)
-            if gen < round_index - 1:
-                pools.setdefault((f.pred, OLD), []).append(f)
-            elif gen == round_index - 1:
-                pools.setdefault((f.pred, DELTA), []).append(f)
-    # orbits and slot indexes live for this round only
-    orbits = _orbit_table(usable)
-    indexes: Dict[tuple, Dict[tuple, list]] = {}
+    state = JoinState() if state is None else state
+    sizes = state.take_in(dag, round_index, semi_naive, strict_sides)
+    indexes: Dict[_Slot, Dict[str, Dict[tuple, list]]] = {}  # this round's, by slot
 
     # new fact -> ((rule name, premises), rule, binding)
     best: Dict[Fact, tuple] = {}
@@ -321,20 +399,22 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
         plans = rule.plans if semi_naive else [(ALL,) * len(rule.slots)]
         slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
         pred, conclusion = rule.pred, rule.conclusion
+        known = state.known.get(pred, ())
         for plan in plans:
-            lists = [pools.get((slot.pred, part), ()) for slot, part in zip(slots, plan)]
-            if not all(lists):
+            if not all(sizes.get(slot.pred, _NO_FACTS)[part]
+                       for slot, part in zip(slots, plan)):
                 continue
-            for slot, part, facts in zip(slots, plan, lists):
-                if (part, slot) not in indexes:
-                    indexes[part, slot] = _index(slot, facts, orbits)
-            for b, used in _join(rule, [indexes[part, slot]
+            for slot in slots:
+                if slot not in indexes:
+                    indexes[slot] = state.slot_indexes(slot, sizes[slot.pred])
+            for b, used in _join(rule, [indexes[slot][part]
                                         for slot, part in zip(slots, plan)]):
                 if distinct and any(b[i] == b[j] for i, j in distinct):
                     continue
-                concl = canonicalize(Fact(pred, conclusion(b)))
-                if concl in dag:
+                args = conclusion(b)
+                if args in known:  # in the orbit of a fact the graph holds
                     continue
+                concl = canonicalize(Fact(pred, args))
                 # a kept binding stands for 2**k full-join bindings
                 if is_tautology(concl):
                     n_taut += 1 << sum(b[x] != b[y] for x, y in swaps)
@@ -379,8 +459,9 @@ def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10
     n_taut = n_degen = 0
     rounds = 0
     stop = "budget"
+    state = JoinState()  # the join's orbits and indexes, for this run only
     for r in range(1, max_rounds + 1):
-        new, t, g = derive_round(dag, compiled, r, strategy, strict_sides)
+        new, t, g = derive_round(dag, compiled, r, strategy, strict_sides, state)
         n_taut += t
         n_degen += g
         if not new:

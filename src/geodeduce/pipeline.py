@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
-from .engine import (Derivation, DerivationDag, compile_rule, derive_round,
-                     saturate)
+from .engine import (Derivation, DerivationDag, JoinState, compile_rule,
+                     derive_round, saturate)
 from .facts import Fact
 from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
@@ -114,16 +114,22 @@ def rules_digest(rules: List[Rule]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _filter_derived(d: Derivation, models, tol: float):
+def _filter_derived(d: Derivation, models, tol: float, held: Set[Fact]):
     """Run-time filter one derived fact.
 
     Returns "ok", "conditional_failed" or "empirically_false"; raises
-    SoundnessViolationError when an unconditional fact is false.
+    SoundnessViolationError when an unconditional fact is false.  held
+    holds the side conditions already found to hold on every model; the
+    models and tol are fixed for the run, so none of them is evaluated
+    again, and each condition found to hold joins it.
     """
-    for m in models:
-        for kind, args in d.conditions:
-            if not eval_condition(m, kind, args, tol):
-                return "conditional_failed"
+    for cond in d.conditions:
+        if cond in held:
+            continue
+        kind, args = cond
+        if not all(eval_condition(m, kind, args, tol) for m in models):
+            return "conditional_failed"
+        held.add(cond)
     for m in models:
         if not eval_fact(m, d.fact, tol):
             if d.conditional:
@@ -132,7 +138,7 @@ def _filter_derived(d: Derivation, models, tol: float):
     return "ok"
 
 
-def _admit(derivations: Iterable[Derivation], models, tol: float,
+def _admit(derivations: Iterable[Derivation], models, tol: float, held: Set[Fact],
            blocked: Set[Fact], discarded: Dict[str, int]) -> List[Derivation]:
     """The run-time filter shared by both modes; returns the derivations
     that pass, in order.
@@ -148,7 +154,7 @@ def _admit(derivations: Iterable[Derivation], models, tol: float,
         if any(p in blocked for p in d.premises):
             status = "conditional_failed"
         else:
-            status = _filter_derived(d, models, tol)
+            status = _filter_derived(d, models, tol, held)
         if status == "ok":
             passed.append(d)
         else:
@@ -187,6 +193,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     models = sample_models(construction, cfg.seeds, cfg.master_seed)
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
     blocked: Set[Fact] = set()  # discarded facts never come back within a run
+    held: Set[Fact] = set()  # side conditions true on every model of the run
     dag = DerivationDag(hypotheses)  # the hypotheses plus every kept fact
     memo = ScoreMemo(hypothesis_pairs(hypotheses))  # fixed scoring work, this run only
 
@@ -195,17 +202,19 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                        strict_sides=cfg.strict_sides)
         discarded["tautologies"] = sat.dropped_tautologies
         # in round order: every premise is judged before the facts it yields
-        dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, blocked,
+        dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, held, blocked,
                         discarded))
         rounds, stop = sat.rounds, sat.stop_reason
     else:  # filtered: only interesting survivors re-enter the fact list
         rounds, stop = 0, "budget"
         compiled = [compile_rule(rule) for rule in rules]
+        state = JoinState()  # the join's orbits and indexes, for this run only
         for r in range(1, cfg.max_rounds + 1):
             candidates, n_taut, _ = derive_round(dag, compiled, r,
-                                                 strict_sides=cfg.strict_sides)
+                                                 strict_sides=cfg.strict_sides,
+                                                 state=state)
             discarded["tautologies"] += n_taut
-            survivors = _admit(candidates, models, cfg.tol, blocked, discarded)
+            survivors = _admit(candidates, models, cfg.tol, held, blocked, discarded)
             if not survivors:
                 stop = "fixpoint"
                 rounds = r - 1

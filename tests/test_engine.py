@@ -3,11 +3,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
 from geodeduce.engine import (_compile, _index, _join, _orbit_table, compile_rule,
-                              derive_round, Derivation, DerivationDag)
+                              derive_round, Derivation, DerivationDag, JoinState)
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
 
@@ -324,3 +325,77 @@ def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
     present = [sum(1 for f in res.dag if res.dag.generation(f) < r)
                for r in range(1, res.rounds + 2)]
     assert calls and len(calls) <= sum(present)
+
+
+STRATEGIES = ("naive", "semi_naive")
+
+
+def _check_carried_state(text, rules, strategy, strict_sides):
+    """Grow the figure's graph round by round as ``saturate`` does, with one
+    carried JoinState, and check that every round returns exactly what a
+    fresh state returns, that each stored index equals a rebuild over its
+    facts, and that no index a round began with was changed; the number of
+    rounds run."""
+    compiled = [compile_rule(r) for r in rules]
+    dag, state = DerivationDag(initial_facts(parse_construction(text))), JoinState()
+    for r in range(1, 11):
+        before = [(index, {k: list(v) for k, v in index.items()})
+                  for _, index in state.indexes.values()]
+        got = derive_round(dag, compiled, r, strategy, strict_sides, state)
+        assert got == derive_round(dag, compiled, r, strategy, strict_sides), r
+        assert all(index == copy for index, copy in before), r
+        for slot, (n, index) in state.indexes.items():
+            assert index == _index(slot, state.pools[slot.pred][:n], state.orbits)
+        if not got[0]:
+            break
+        dag.add(*got[0])
+    return r
+
+
+LADDER = {**{f"circle{k}": concyclic_text(k) for k in range(4, 8)},
+          **{f"feet{k}": feet_text(k) for k in (2, 4, 8, 12)}}
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("figure", LADDER)
+def test_carried_join_state_equals_fresh_ladder(figure, strategy, strict_sides,
+                                                default_rules):
+    assert _check_carried_state(LADDER[figure], default_rules, strategy,
+                                strict_sides) >= 2
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10 ** 6), max_points=st.integers(4, 10),
+       strategy=st.sampled_from(STRATEGIES), strict_sides=st.booleans())
+def test_carried_join_state_equals_fresh_fuzz(seed, max_points, strategy, strict_sides,
+                                              default_rules):
+    _check_carried_state(random_construction_text(seed, max_points), default_rules,
+                         strategy, strict_sides)
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("figure", ["fuzz1", "circle6"])
+def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
+                                           monkeypatch):
+    """Over a graph that holds facts of any round, later ones included, a
+    fresh state's slot indexes split the usable facts as a rebuild does:
+    OLD before the last round, DELTA of it, ALL every one, in graph order."""
+    text = random_construction_text(1) if figure == "fuzz1" else LADDER[figure]
+    dag = saturate(initial_facts(parse_construction(text)), default_rules,
+                   max_rounds=2, strict_sides=strict_sides).dag
+    compiled = [compile_rule(r) for r in default_rules]
+    usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
+    for r in range(1, 6):
+        got = derive_round(dag, compiled, r, strict_sides=strict_sides)
+
+        def rebuilt(state, slot, sizes):
+            facts = [f for f in usable if f.pred == slot.pred]
+            parts = {engine.OLD: [f for f in facts if dag.generation(f) < r - 1],
+                     engine.DELTA: [f for f in facts if dag.generation(f) == r - 1],
+                     engine.ALL: facts}
+            return {part: _index(slot, fs, state.orbits) for part, fs in parts.items()}
+
+        with monkeypatch.context() as m:
+            m.setattr(JoinState, "slot_indexes", rebuilt)
+            assert got == derive_round(dag, compiled, r, strict_sides=strict_sides), r

@@ -5,11 +5,12 @@ import hashlib
 import json
 import pathlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import BUNDLED
+from conftest import BUNDLED, concyclic_text
 from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
                                 emit_report, run_pipeline)
@@ -148,6 +149,60 @@ def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):
     rep = run_pipeline(_case("inscribed"), default_rules, PipelineConfig(mode="filtered"))
     assert rep.rounds >= 2
     assert calls == default_rules
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(20)))
+def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
+                                                         default_rules, monkeypatch):
+    """Each round of a filtered run, which scores a trial copy of the graph
+    between rounds and keeps only the interesting facts, derives with the
+    run's one JoinState exactly what a fresh state derives."""
+    from geodeduce import pipeline
+    from geodeduce.numeric import DegenerateModelError
+    real = pipeline.derive_round
+    states = []
+
+    def checked(dag, rules, r, strategy="semi_naive", strict_sides=False, state=None):
+        got = real(dag, rules, r, strategy, strict_sides, state)
+        assert got == real(dag, rules, r, strategy, strict_sides), r
+        states.append(state)
+        return got
+
+    monkeypatch.setattr(pipeline, "derive_round", checked)
+    try:
+        run_pipeline(_case(name), default_rules,
+                     PipelineConfig(mode="filtered", strict_sides=strict_sides))
+    except DegenerateModelError:
+        assert not states  # no model could be sampled, so nothing was derived
+        return
+    assert states and states[0] is not None
+    assert all(s is states[0] for s in states)
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_one_orbit_enumeration_per_graph_fact(name, mode, strict_sides, default_rules,
+                                              monkeypatch):
+    """A run enumerates each graph fact's orbit once, conditional facts
+    included: the join's state keeps them across rounds."""
+    from geodeduce import engine
+    from geodeduce.construction import initial_facts
+    from geodeduce.facts import orbit
+    calls = []
+    monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
+    c = _case(name)
+    rep = run_pipeline(c, default_rules, PipelineConfig(mode=mode, strict_sides=strict_sides))
+    monkeypatch.undo()
+    assert rep.stop_reason == "fixpoint"
+    if mode == "fixpoint":  # the saturated graph, before the run-time filter
+        graph = list(engine.saturate(initial_facts(c), default_rules,
+                                     strict_sides=strict_sides).dag)
+    else:
+        graph = [r.fact for r in rep.records]
+    assert Counter(calls) == Counter(graph)
+    assert len(set(graph)) == len(graph)
 
 
 def _outcome(c, rules, mode):
@@ -313,3 +368,41 @@ def test_reported_premises_are_reported(mode, default_rules):
         assert _orphans(rep) == [], c.source()
         discarded += rep.discarded["empirically_false"]
     assert discarded > 0  # the injected rule must actually fire
+
+
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_side_condition_that_held_is_not_evaluated_again(k, mode, default_rules,
+                                                         monkeypatch):
+    """A run evaluates a side condition that holds on every model once per
+    model, however many derivations carry it: the models and tol are fixed
+    for the run, so its verdict cannot change."""
+    from geodeduce import pipeline
+    real = pipeline.eval_condition
+    log = []
+
+    def logged(m, kind, args, tol):
+        held = real(m, kind, args, tol)
+        log.append(((kind, args), held))
+        return held
+
+    monkeypatch.setattr(pipeline, "eval_condition", logged)
+    cfg = PipelineConfig(mode=mode)
+    run_pipeline(parse_construction(concyclic_text(k)), default_rules, cfg)
+    failed = {cond for cond, held in log if not held}
+    calls = Counter(cond for cond, _ in log)
+    assert calls
+    assert all(n == cfg.seeds for cond, n in calls.items() if cond not in failed)
+
+
+@pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
+def test_side_condition_that_failed_fails_every_derivation(mode):
+    """Three facts, two of them with the same side condition, which fails
+    on every model: all three are discarded, the last one too although its
+    condition already failed for the first."""
+    c = parse_construction("point A B\nmidpoint M A B\n")
+    rules = parse_rules("rule r1: midp(M,A,B), non_collinear(M,A,B) => cong(A,B,A,M)\n"
+                        "rule r2: midp(M,A,B), non_collinear(M,A,B) => para(M,A,M,B)\n")
+    rep = run_pipeline(c, rules, PipelineConfig(mode=mode))
+    assert rep.discarded["conditional_failed"] == 3
+    assert all(r.rule is None for r in rep.records)

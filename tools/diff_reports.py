@@ -4,7 +4,8 @@
 
 Runs the bundled examples, the circle ladder (k = 4..10 concyclic points)
 and the feet ladder (k = 8..20 feet on one line) in fixpoint and filtered
-mode through each tree's ``src/`` with that tree's default rules.  Each
+mode through each tree's ``src/`` with that tree's default rules, and the
+bundled examples once more in both modes with ``strict_sides``.  Each
 tree runs in its own subprocess, under its own fixed PYTHONHASHSEED, so
 ``diff_reports.py . .`` checks that no report depends on the hash seed.
 The inputs are this checkout's examples and the ladder figures below,
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HASH_SEEDS = ("1", "2")  # OLD_TREE's, NEW_TREE's
 MODES = ("fixpoint", "filtered")
 
-# reads [[name, construction text, mode], ...] on stdin and prints
+# reads [[name, construction text, mode, strict_sides], ...] on stdin and prints
 # {name: JSON report, or "error: ..."}; runs with the tree as its cwd
 WORKER = """
 import json, sys
@@ -33,9 +34,10 @@ from geodeduce import parse_construction, parse_rules
 from geodeduce.pipeline import PipelineConfig, emit_report, run_pipeline
 rules = parse_rules(open("rules/gddm-default.gr").read())
 out = {}
-for name, text, mode in json.load(sys.stdin):
+for name, text, mode, strict in json.load(sys.stdin):
     try:
-        report = run_pipeline(parse_construction(text), rules, PipelineConfig(mode=mode))
+        cfg = PipelineConfig(mode=mode, strict_sides=strict)
+        report = run_pipeline(parse_construction(text), rules, cfg)
         out[name] = emit_report(report, "json")
     except Exception as e:
         out[name] = f"error: {type(e).__name__}: {e}"
@@ -55,11 +57,13 @@ def feet_text(k: int) -> str:
 
 
 def cases() -> list:
-    figures = [(path.stem, path.read_text())
-               for path in sorted((ROOT / "examples").glob("*.gc"))]
-    figures += [(f"circle{k}", concyclic_text(k)) for k in range(4, 11)]
+    examples = [(path.stem, path.read_text())
+                for path in sorted((ROOT / "examples").glob("*.gc"))]
+    figures = examples + [(f"circle{k}", concyclic_text(k)) for k in range(4, 11)]
     figures += [(f"feet{k}", feet_text(k)) for k in range(8, 21)]
-    return [[f"{name} {mode}", text, mode] for name, text in figures for mode in MODES]
+    return ([[f"{name} {mode}", text, mode, False] for name, text in figures for mode in MODES]
+            + [[f"{name} {mode} strict", text, mode, True]
+               for name, text in examples for mode in MODES])
 
 
 def start(tree: Path, hash_seed: str, todo: list) -> subprocess.Popen:
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
             return 1
         reports.append(json.loads(out))
     old, new = reports
-    differ = [name for name, _, _ in todo if old[name] != new[name]]
+    differ = [name for name, *_ in todo if old[name] != new[name]]
     for name in differ:
         print(f"DIFF {name}: {first_difference(old[name], new[name])}")
     print(f"{len(todo)} reports, {len(differ)} differ")
