@@ -1,13 +1,14 @@
 """Breadth-first forward chaining to a fixpoint, with derivation recording.
 
-Each round applies every rule to the facts of the previous round,
-canonicalizes the conclusions, drops tautologies / degenerate facts /
-duplicates, and commits the survivors in canonical-form lexicographic
-order.  The first derivation of a fact wins; later ones are ignored.
-Both naive and semi-naive evaluation are provided and must agree.  One
-``DerivationDag`` holds every fact, hypotheses and derived facts alike,
-each with one ``Derivation`` record: a hypothesis's has no rule, no
-premises and round 0.
+Each round applies every rule to the graph's facts, canonicalizes the
+conclusions, drops tautologies / degenerate facts / duplicates, and
+commits the survivors in canonical-form lexicographic order.  The first
+derivation of a fact wins; later ones are ignored.  One ``DerivationDag``
+holds every fact, each with one ``Derivation`` record: a hypothesis's has
+no rule, no premises and round 0.  The graph enforces round order, and
+``derive_round`` stamps the round after its last.  Naive and semi-naive
+evaluation must agree; semi-naive joins the last round's facts with
+strictly older ones (Bancilhon & Ramakrishnan 1986).
 
 Rules are matched by one indexed join, and ``derive_round`` is its one
 entry.  A binding is a tuple: the rule's point constants, then its
@@ -79,15 +80,21 @@ class DerivationDag:
     """The append-only fact store: every fact with its one record, the
     hypotheses' first.  ``in``, iteration (insertion order) and ``len``
     cover every fact; f is derived iff ``node(f).rule is not None``, and a
-    fact the graph lacks raises KeyError.  A premise must be in the graph
-    before its fact, whose closure is then fixed and is stored when the
-    fact enters."""
+    fact the graph lacks raises KeyError.  A fact enters after its premises,
+    which fix its closure, stored then; its round is at least 1, at least
+    the round added last and above each of its premises'."""
 
     def __init__(self, hypotheses: Iterable[Fact] = ()) -> None:
         self._node: Dict[Fact, Derivation] = {
             h: Derivation(h, None, (), 0) for h in hypotheses}
         self._hypotheses = frozenset(self._node)
         self._closure = {h: frozenset((h,)) for h in self._node}  # fact -> closure(fact)
+        self._rounds = 0
+
+    @property
+    def rounds(self) -> int:
+        """The round of the fact added last; 0 for hypotheses only."""
+        return self._rounds
 
     def add(self, *derivations: Derivation) -> None:
         for d in derivations:
@@ -96,6 +103,10 @@ class DerivationDag:
             missing = [p for p in d.premises if p not in self._node]
             if missing:
                 raise ValueError(f"premise {missing[0]} of {d.fact} is not in the graph")
+            least = max([self._rounds, 1] + [self._node[p].round + 1 for p in d.premises])
+            if d.round < least:
+                raise ValueError(f"round {d.round} of {d.fact} is below round {least}")
+            self._rounds = d.round
             self._node[d.fact] = d
             self._closure[d.fact] = frozenset((d.fact,)).union(
                 *map(self._closure.__getitem__, d.premises))
@@ -114,14 +125,11 @@ class DerivationDag:
         out._node = dict(self._node)
         out._hypotheses = self._hypotheses
         out._closure = dict(self._closure)
+        out._rounds = self._rounds
         return out
 
     def node(self, fact: Fact) -> Derivation:
         return self._node[fact]
-
-    def generation(self, fact: Fact) -> int:
-        """0 for a hypothesis, else the round that derived the fact."""
-        return self._node[fact].round
 
     def derivations(self) -> List[Derivation]:
         """The derived facts' derivations, in the order they were added."""
@@ -298,39 +306,32 @@ class JoinState:
     after round with the same ``strict_sides``; nothing outlives the run."""
 
     def __init__(self) -> None:
-        self.seen = 0  # the graph facts taken in: a prefix of graph order
+        self.rounds = -1  # the graph's last round at the last call
+        # each graph fact taken in, a prefix of graph order -> its orbit
         self.orbits: Dict[Fact, Tuple[Tuple[str, ...], ...]] = {}
         self.known: Dict[str, Set[Tuple[str, ...]]] = {}
         self.pools: Dict[str, List[Fact]] = {}
         # slot -> (n, its index over the first n facts of its pool)
         self.indexes: Dict[_Slot, Tuple[int, Dict[tuple, list]]] = {}
 
-    def take_in(self, dag: DerivationDag, round_index: int, semi_naive: bool,
-                strict_sides: bool) -> Dict[str, Dict[str, int]]:
+    def take_in(self, dag: DerivationDag, strict_sides: bool) -> Dict[str, Dict[str, int]]:
         """Take in the graph facts added since the last call; returns, per
         predicate, how many usable facts each part (OLD, DELTA, ALL) holds.
-        A pool lists the older facts, then the last round's, then any
-        later ones; carried round by round, every new fact is the last
-        round's."""
-        new = list(itertools.islice(dag, self.seen, None))
-        self.seen = len(dag)
+        DELTA, the facts of round ``dag.rounds``, is each pool's suffix."""
+        if dag.rounds <= self.rounds:  # the stored indexes would hold DELTA facts
+            raise ValueError(f"the graph gained no round since round {self.rounds}")
+        self.rounds = dag.rounds
+        new = list(itertools.islice(dag, len(self.orbits), None))
         table = _orbit_table(new)
         self.orbits.update(table)
         for f, variants in table.items():
             self.known.setdefault(f.pred, set()).update(variants)
         if strict_sides:  # conditional facts serve as no premise
             new = [f for f in new if not dag.node(f).conditional]
-        if semi_naive:  # the older facts first, then the last round's, then later ones
-            last = round_index - 1
-            part = {f: (dag.generation(f) > last) - (dag.generation(f) < last) for f in new}
-            new.sort(key=part.__getitem__)
-        else:
-            part = dict.fromkeys(new, -1)
         for f in new:
             self.pools.setdefault(f.pred, []).append(f)
-        count = Counter((f.pred, part[f]) for f in new)  # 0: the last round's, 1: later
-        return {pred: {OLD: len(pool) - count[pred, 0] - count[pred, 1],
-                       DELTA: count[pred, 0], ALL: len(pool)}
+        delta = Counter(f.pred for f in new if dag.node(f).round == dag.rounds)
+        return {pred: {OLD: len(pool) - delta[pred], DELTA: delta[pred], ALL: len(pool)}
                 for pred, pool in self.pools.items()}
 
     def slot_indexes(self, slot: _Slot, sizes: Dict[str, int]) -> Dict[str, Dict[tuple, list]]:
@@ -338,12 +339,12 @@ class JoinState:
         facts its stored index lacks are indexed; the new ALL index
         replaces the stored one."""
         pool = self.pools[slot.pred]
-        n_old, n_last = sizes[OLD], sizes[OLD] + sizes[DELTA]
+        n_old = sizes[OLD]
         n, index = self.indexes.get(slot, (0, {}))
-        older, delta, later = (_index(slot, pool[lo:hi], self.orbits) if lo < hi else {}
-                               for lo, hi in ((n, n_old), (n_old, n_last), (n_last, len(pool))))
+        older, delta = (_index(slot, pool[lo:hi], self.orbits) if lo < hi else {}
+                        for lo, hi in ((n, n_old), (n_old, len(pool))))
         old = _extend(index, older)
-        full = _extend(_extend(old, delta), later)
+        full = _extend(old, delta)
         self.indexes[slot] = (len(pool), full)
         return {OLD: old, DELTA: delta, ALL: full}
 
@@ -363,40 +364,40 @@ def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
 _NO_FACTS = {OLD: 0, DELTA: 0, ALL: 0}
 
 
-def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int,
+def derive_round(dag: DerivationDag, rules: List[CompiledRule],
                  strategy: str = "semi_naive", strict_sides: bool = False,
                  state: Optional[JoinState] = None):
-    """Collect this round's new derivations over dag's facts plus drop
+    """Collect the next round's new derivations over dag's facts plus drop
     counters; dag is not changed.
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
-    each derivation stamped with round_index; at most one per new fact: the
-    least (rule name, premises), the first one drawn among equals, which
-    orbit order alone decides.  So the result depends on neither the order
-    of rules (their names are unique) nor graph order.
+    each derivation stamped with round ``dag.rounds + 1``; at most one per
+    new fact: the least (rule name, premises), the first one drawn among
+    equals, which orbit order alone decides.  So the result depends on
+    neither the order of rules (their names are unique) nor graph order.
     The counters count bindings of the full join: each kept binding adds
     its orbit size.
 
-    Each rule joins its premises under every plan (one part of the facts
-    per slot).  A slot's indexes are built once a round, when a plan first
-    needs them, and rules and plans whose slots draw the same facts the
-    same way share them.  state carries the orbits, known variants and
-    indexes from the last round of the same run, whose graph has since
-    gained only that round's facts; without it a fresh state takes in the
-    whole graph, and the result is the same.
+    Semi-naive evaluation joins each rule under every plan: one slot over
+    DELTA, the facts of round ``dag.rounds``, the slots before it over OLD,
+    and those after over ALL; naive joins every slot over ALL.  A slot's
+    indexes are built once a round, when a plan first needs them, and
+    plans whose slots draw the same facts share them.  state carries them
+    from the last call of the same run, whose graph has since gained one
+    round; without it a fresh state takes in the whole graph, and the
+    result is the same.
     """
     if strategy not in ("naive", "semi_naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    semi_naive = strategy == "semi_naive" and round_index > 1
     state = JoinState() if state is None else state
-    sizes = state.take_in(dag, round_index, semi_naive, strict_sides)
+    sizes = state.take_in(dag, strict_sides)
     indexes: Dict[_Slot, Dict[str, Dict[tuple, list]]] = {}  # this round's, by slot
 
     # new fact -> ((rule name, premises), rule, binding)
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in rules:
-        plans = rule.plans if semi_naive else [(ALL,) * len(rule.slots)]
+        plans = rule.plans if strategy == "semi_naive" else [(ALL,) * len(rule.slots)]
         slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
         pred, conclusion = rule.pred, rule.conclusion
         known = state.known.get(pred, ())
@@ -434,7 +435,7 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule], round_index: int
         conds = {Fact(pred, points(b)) for pred, points in rule.numeric}
         for prem in used:
             conds.update(dag.node(prem).conditions)
-        ordered.append(Derivation(f, name, used, round_index, tuple(sorted(conds))))
+        ordered.append(Derivation(f, name, used, dag.rounds + 1, tuple(sorted(conds))))
     return ordered, n_taut, n_degen
 
 
@@ -457,20 +458,15 @@ def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10
     dag = DerivationDag(hypotheses)
     compiled = [compile_rule(rule) for rule in rules]
     n_taut = n_degen = 0
-    rounds = 0
-    stop = "budget"
     state = JoinState()  # the join's orbits and indexes, for this run only
-    for r in range(1, max_rounds + 1):
-        new, t, g = derive_round(dag, compiled, r, strategy, strict_sides, state)
+    for _ in range(max_rounds):
+        new, t, g = derive_round(dag, compiled, strategy, strict_sides, state)
         n_taut += t
         n_degen += g
         if not new:
-            stop = "fixpoint"
-            rounds = r - 1
             break
         dag.add(*new)
-        rounds = r
         if len(dag) >= max_facts:
-            stop = "budget"
             break
-    return SaturationResult(dag, stop, rounds, n_taut, n_degen)
+    stop = "budget" if new else "fixpoint"  # fixpoint: the last round derived nothing
+    return SaturationResult(dag, stop, dag.rounds, n_taut, n_degen)

@@ -210,7 +210,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
         compiled = [compile_rule(rule) for rule in rules]
         state = JoinState()  # the join's orbits and indexes, for this run only
         for r in range(1, cfg.max_rounds + 1):
-            candidates, n_taut, _ = derive_round(dag, compiled, r,
+            candidates, n_taut, _ = derive_round(dag, compiled,
                                                  strict_sides=cfg.strict_sides,
                                                  state=state)
             discarded["tautologies"] += n_taut

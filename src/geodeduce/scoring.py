@@ -63,6 +63,9 @@ class MetricConfig:
         # a nan threshold would star no fact
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
+        for m in [*self.weights, *self.directions]:  # a misspelt name would weigh 0
+            if m not in METRICS:
+                raise ValueError(f"unknown metric {m!r}; known: {', '.join(METRICS)}")
         for m, w in self.weights.items():
             # an infinite weight would make every aggregate nan
             if not 0 <= w < math.inf:  # also rejects nan

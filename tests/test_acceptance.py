@@ -50,11 +50,11 @@ def test_criterion_2_fixpoint_chain(default_rules):
         assert res.rounds <= 10
         # chain is monotone: every fact keeps its entry round, premises older
         for node in res.dag.derivations():
-            assert res.dag.generation(node.fact) == node.round
+            assert res.dag.node(node.fact) is node
             for p in node.premises:
-                assert res.dag.generation(p) < node.round
+                assert res.dag.node(p).round < node.round
         extra, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
-                                   res.rounds + 1, strategy="naive")
+                                   strategy="naive")
         assert extra == [], name
     _ok(2, "all bundled examples reach a stable fixpoint within 10 rounds")
 
@@ -62,7 +62,7 @@ def test_criterion_2_fixpoint_chain(default_rules):
 def test_criterion_3_midline(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
     target = make_fact("para", "M", "N", "B", "C")
-    assert target in res.dag and res.dag.generation(target) == 1
+    assert target in res.dag and res.dag.node(target).round == 1
     assert obviousness(target, res.dag) == 1
     rep = run_pipeline(midline, default_rules, PipelineConfig())
     assert emit_report(rep, "text") == (GOLDEN / "midline_report.txt").read_text()
@@ -113,8 +113,8 @@ def test_criterion_6_oracle_equivalence(default_rules):
         d0 = initial_facts(c)
         a = saturate(d0, default_rules, strategy="naive", max_facts=400)
         b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
-        assert {f: a.dag.generation(f) for f in a.dag} == \
-               {f: b.dag.generation(f) for f in b.dag}
+        assert {f: a.dag.node(f).round for f in a.dag} == \
+               {f: b.dag.node(f).round for f in b.dag}
         assert a.rounds == b.rounds and a.stop_reason == b.stop_reason
     _ok(6, "semi-naive equals naive on 3 bundled + 50 fuzz cases")
 

@@ -23,7 +23,7 @@ MIDLINE_RULE = ("rule midline: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C)"
 def test_derive_round_midline_keeps_one_of_symmetric_bindings():
     rule = parse_rules(MIDLINE_RULE)[0]
     hyps = [make_fact("midp", "M", "A", "B"), make_fact("midp", "N", "A", "C")]
-    derivations, _, _ = derive_round(DerivationDag(hyps), [compile_rule(rule)], 1)
+    derivations, _, _ = derive_round(DerivationDag(hyps), [compile_rule(rule)])
     # the {B,C}/{M,N} swap yields the same canonical conclusion
     assert [d.fact for d in derivations] == [make_fact("para", "B", "C", "M", "N")]
     assert set(derivations[0].premises) == set(hyps)
@@ -31,13 +31,13 @@ def test_derive_round_midline_keeps_one_of_symmetric_bindings():
 
 def test_derive_round_empty_graph():
     rule = parse_rules(MIDLINE_RULE)[0]
-    assert derive_round(DerivationDag(), [compile_rule(rule)], 1) == ([], 0, 0)
+    assert derive_round(DerivationDag(), [compile_rule(rule)]) == ([], 0, 0)
 
 
 def test_derive_round_second_premise_unmatched(default_rules):
     para_trans = next(r for r in default_rules if r.name == "para_trans")
     dag = DerivationDag([make_fact("para", "A", "B", "C", "D")])
-    derivations, _, _ = derive_round(dag, [compile_rule(para_trans)], 1)
+    derivations, _, _ = derive_round(dag, [compile_rule(para_trans)])
     assert derivations == []
 
 
@@ -46,7 +46,7 @@ def test_derive_round_orbit_matching():
     rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z)"
                        " => eqangle(Y,Z,Y,X,Z,X,Z,Y)")[0]
     dag = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
-    derivations, _, _ = derive_round(dag, [compile_rule(rule)], 1)
+    derivations, _, _ = derive_round(dag, [compile_rule(rule)])
     # both bindings put the apex X on O
     want = {make_fact("eqangle", y, z, y, "O", z, "O", z, y)
             for y, z in (("A", "B"), ("B", "A"))}
@@ -71,7 +71,6 @@ def test_saturate_midline_round_one(midline, default_rules):
     res = saturate(initial_facts(midline), default_rules)
     target = make_fact("para", "M", "N", "B", "C")
     assert target in res.dag
-    assert res.dag.generation(target) == 1
     node = res.dag.node(target)
     assert node.rule == "midline" and node.round == 1
     assert node.conditional
@@ -80,17 +79,19 @@ def test_saturate_midline_round_one(midline, default_rules):
 def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
+    rounds = [node.round for node in res.dag.derivations()]
+    # graph order is round order, and the last round is the graph's
+    assert rounds == sorted(rounds) and max(rounds, default=0) == res.dag.rounds == res.rounds
     for node in res.dag.derivations():
-        assert res.dag.generation(node.fact) == node.round
         for p in node.premises:
-            assert res.dag.generation(p) < node.round
+            assert res.dag.node(p).round < node.round
 
 
 def test_fixpoint_one_extra_round_adds_nothing(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
     new, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
-                             res.rounds + 1, strategy="naive")
+                             strategy="naive")
     assert new == []
 
 
@@ -117,12 +118,12 @@ def test_derivation_dag_contract():
     assert len(dag) == 1 and list(dag) == [h] and h in dag  # duplicates collapse
     hyp = dag.node(h)  # a hypothesis's record: no rule, no premises, round 0
     assert (hyp.fact, hyp.rule, hyp.premises, hyp.round) == (h, None, (), 0)
-    assert not hyp.conditional and dag.generation(h) == 0
+    assert not hyp.conditional and dag.rounds == 0
     f = make_fact("coll", "A", "B", "D")
     d = Derivation(f, "r", (h,), 3)
     trial = dag.copy()
     dag.add(d)
-    assert dag.node(f) is d and dag.generation(f) == 3
+    assert dag.node(f) is d and dag.rounds == 3
     assert list(dag) == [h, f] and dag.derivations() == [d]
     # a second derivation of a derived fact or of a hypothesis
     for again in (Derivation(f, "s", (h,), 4), Derivation(h, "r", (f,), 4)):
@@ -142,9 +143,34 @@ def test_add_rejects_missing_premise():
     with pytest.raises(ValueError, match=r"premise coll\(A,B,D\)"):
         dag.add(Derivation(f, "r", (h, g), 1))
     assert f not in dag and list(dag) == [h] and dag.derivations() == []
-    for ask in (dag.closure, dag.ancestors, dag.leaf_ancestors, dag.generation):
+    for ask in (dag.closure, dag.ancestors, dag.leaf_ancestors, dag.node):
         with pytest.raises(KeyError):
             ask(f)
+
+
+def test_add_keeps_round_order():
+    h = make_fact("coll", "A", "B", "C")
+    f, g, e, x = (make_fact("coll", "A", "B", p) for p in "DEFG")
+    dag = DerivationDag([h])
+    assert dag.rounds == 0
+    with pytest.raises(ValueError, match="round 0 of coll"):
+        dag.add(Derivation(f, "r", (h,), 0))  # round 0 is the hypotheses'
+    dag.add(Derivation(f, "r", (h,), 2))
+    assert dag.rounds == 2
+    for bad in (Derivation(g, "r", (h,), 1),   # below the last round added
+                Derivation(g, "r", (f,), 2),   # a premise of the same round
+                Derivation(g, "r", (f,), 1)):  # a premise of a later round
+        with pytest.raises(ValueError, match="is below round"):
+            dag.add(bad)
+    assert list(dag) == [h, f] and dag.rounds == 2
+    dag.add(Derivation(g, "r", (f,), 3), Derivation(e, "r", (h,), 3))
+    assert dag.rounds == 3
+    with pytest.raises(AttributeError):
+        dag.rounds = 4
+    trial = dag.copy()
+    assert trial.rounds == 3
+    trial.add(Derivation(x, "r", (g,), 4))
+    assert trial.rounds == 4 and dag.rounds == 3
 
 
 def test_closures_of_a_copy_are_independent():
@@ -172,8 +198,8 @@ def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):
     a = saturate(d0, default_rules, strategy="naive")
     b = saturate(d0, default_rules, strategy="semi_naive")
     assert set(a.dag) == set(b.dag)
-    assert {f: a.dag.generation(f) for f in a.dag} == \
-           {f: b.dag.generation(f) for f in b.dag}
+    assert {f: a.dag.node(f).round for f in a.dag} == \
+           {f: b.dag.node(f).round for f in b.dag}
     assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
 
 
@@ -184,8 +210,8 @@ def test_naive_equals_semi_naive_fuzz(seed, default_rules):
     a = saturate(d0, default_rules, strategy="naive", max_facts=400)
     b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
     assert set(a.dag) == set(b.dag)
-    assert {f: a.dag.generation(f) for f in a.dag} == \
-           {f: b.dag.generation(f) for f in b.dag}
+    assert {f: a.dag.node(f).round for f in a.dag} == \
+           {f: b.dag.node(f).round for f in b.dag}
 
 
 # the figures where eqangle_trans and cong_trans meet their own symmetries
@@ -207,7 +233,7 @@ def test_naive_equals_semi_naive_symmetric(decoration, default_rules):
 def test_unknown_strategy_rejected(midline, default_rules):
     d0 = initial_facts(midline)
     with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
-        derive_round(DerivationDag(d0), [compile_rule(r) for r in default_rules], 1,
+        derive_round(DerivationDag(d0), [compile_rule(r) for r in default_rules],
                      strategy="Naive")
     with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
         saturate(d0, default_rules, strategy="Naive")
@@ -322,7 +348,7 @@ def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
     monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
     d0 = initial_facts(inscribed)
     res = saturate(d0, default_rules)
-    present = [sum(1 for f in res.dag if res.dag.generation(f) < r)
+    present = [sum(1 for f in res.dag if res.dag.node(f).round < r)
                for r in range(1, res.rounds + 2)]
     assert calls and len(calls) <= sum(present)
 
@@ -341,8 +367,9 @@ def _check_carried_state(text, rules, strategy, strict_sides):
     for r in range(1, 11):
         before = [(index, {k: list(v) for k, v in index.items()})
                   for _, index in state.indexes.values()]
-        got = derive_round(dag, compiled, r, strategy, strict_sides, state)
-        assert got == derive_round(dag, compiled, r, strategy, strict_sides), r
+        got = derive_round(dag, compiled, strategy, strict_sides, state)
+        assert got == derive_round(dag, compiled, strategy, strict_sides), r
+        assert all(d.round == r for d in got[0]), r
         assert all(index == copy for index, copy in before), r
         for slot, (n, index) in state.indexes.items():
             assert index == _index(slot, state.pools[slot.pred][:n], state.orbits)
@@ -378,24 +405,54 @@ def test_carried_join_state_equals_fresh_fuzz(seed, max_points, strategy, strict
 @pytest.mark.parametrize("figure", ["fuzz1", "circle6"])
 def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
                                            monkeypatch):
-    """Over a graph that holds facts of any round, later ones included, a
-    fresh state's slot indexes split the usable facts as a rebuild does:
-    OLD before the last round, DELTA of it, ALL every one, in graph order."""
+    """Over a graph saturated 1, 2 or 3 rounds, a fresh state's slot indexes
+    split the usable facts as a rebuild does: OLD before the last round,
+    DELTA of it, ALL every one, in graph order."""
     text = random_construction_text(1) if figure == "fuzz1" else LADDER[figure]
-    dag = saturate(initial_facts(parse_construction(text)), default_rules,
-                   max_rounds=2, strict_sides=strict_sides).dag
+    d0 = initial_facts(parse_construction(text))
     compiled = [compile_rule(r) for r in default_rules]
-    usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
-    for r in range(1, 6):
-        got = derive_round(dag, compiled, r, strict_sides=strict_sides)
+    for rounds in (1, 2, 3):
+        dag = saturate(d0, default_rules, max_rounds=rounds, strict_sides=strict_sides).dag
+        last = dag.rounds  # below rounds if the fixpoint came first
+        usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
+        got = derive_round(dag, compiled, strict_sides=strict_sides)
 
         def rebuilt(state, slot, sizes):
             facts = [f for f in usable if f.pred == slot.pred]
-            parts = {engine.OLD: [f for f in facts if dag.generation(f) < r - 1],
-                     engine.DELTA: [f for f in facts if dag.generation(f) == r - 1],
+            parts = {engine.OLD: [f for f in facts if dag.node(f).round < last],
+                     engine.DELTA: [f for f in facts if dag.node(f).round == last],
                      engine.ALL: facts}
             return {part: _index(slot, fs, state.orbits) for part, fs in parts.items()}
 
         with monkeypatch.context() as m:
             m.setattr(JoinState, "slot_indexes", rebuilt)
-            assert got == derive_round(dag, compiled, r, strict_sides=strict_sides), r
+            assert got == derive_round(dag, compiled, strict_sides=strict_sides), rounds
+    assert last >= 2
+
+
+def test_carried_state_needs_a_new_round(midline, default_rules):
+    compiled = [compile_rule(r) for r in default_rules]
+    dag, state = DerivationDag(initial_facts(midline)), JoinState()
+    new, _, _ = derive_round(dag, compiled, state=state)
+    # its stored indexes hold the facts that DELTA would need again
+    with pytest.raises(ValueError, match="gained no round since round 0"):
+        derive_round(dag, compiled, state=state)
+    dag.add(*new)
+    assert derive_round(dag, compiled, state=state) == derive_round(dag, compiled)
+
+
+@pytest.mark.parametrize("seed", [1, 10, 19])
+def test_next_round_naive_equals_semi_naive(seed, default_rules):
+    """On the hypotheses and on every saturate prefix, the next round
+    derives the same facts under both strategies.  These figures once split
+    them when a graph was asked again for a round it already held."""
+    d0 = initial_facts(parse_construction(random_construction_text(seed)))
+    compiled = [compile_rule(r) for r in default_rules]
+    dag = DerivationDag(d0)
+    for rounds in range(1, 11):
+        naive, _, _ = derive_round(dag, compiled, "naive")
+        assert naive == derive_round(dag, compiled, "semi_naive")[0], dag.rounds
+        if not naive:
+            break
+        dag = saturate(d0, default_rules, max_rounds=rounds).dag
+    assert rounds >= 3

@@ -163,9 +163,9 @@ def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
     real = pipeline.derive_round
     states = []
 
-    def checked(dag, rules, r, strategy="semi_naive", strict_sides=False, state=None):
-        got = real(dag, rules, r, strategy, strict_sides, state)
-        assert got == real(dag, rules, r, strategy, strict_sides), r
+    def checked(dag, rules, strategy="semi_naive", strict_sides=False, state=None):
+        got = real(dag, rules, strategy, strict_sides, state)
+        assert got == real(dag, rules, strategy, strict_sides), dag.rounds
         states.append(state)
         return got
 

@@ -286,10 +286,19 @@ def test_parse_metric_config_errors():
                                     {"weights": {"weight": -0.5}},
                                     {"weights": {"focus": float("nan")}},
                                     {"weights": {"focus": float("inf")}},
-                                    {"threshold": float("nan")}])
+                                    {"threshold": float("nan")},
+                                    {"weights": {"obviousnes": 1.0, "weight": 1.0}}])
 def test_metric_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         MetricConfig(**kwargs)
+
+
+def test_metric_config_names_an_unknown_metric():
+    # a misspelt weight would otherwise weigh 0, a misspelt direction be ignored
+    for kwargs, name in (({"weights": {"obviousnes": 1.0, "weight": 1.0}}, "obviousnes"),
+                         ({"directions": {"focus": True, "surprise": False}}, "surprise")):
+        with pytest.raises(ValueError, match=f"unknown metric '{name}'"):
+            MetricConfig(**kwargs)
 
 
 def _reference_closure(dag, fact):

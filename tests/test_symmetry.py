@@ -119,8 +119,8 @@ def _rounds(dag, compiled, strategy, rounds=3):
     """derive_round's output round by round, the dag growing as in saturate."""
     dag = dag.copy()
     out = []
-    for r in range(1, rounds + 1):
-        new, t, g = derive_round(dag, compiled, r, strategy)
+    for _ in range(rounds):
+        new, t, g = derive_round(dag, compiled, strategy)
         out.append((new, t, g))
         dag.add(*new)
     return out
