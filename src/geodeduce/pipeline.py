@@ -22,14 +22,17 @@ usefulness counts and both normalizations.
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical
 counterexample means a bad rule or a bug, never a valid outcome.
+
+``emit_report`` writes JSON bytes equal to ``json.dumps``'s (docs/report-schema.md).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as q  # json.dumps's, in C
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
@@ -39,8 +42,8 @@ from .facts import Fact
 from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
 from .rules import Rule
-from .scoring import (MetricConfig, ScoreCard, ScoreMemo, filter_interesting,
-                      hypothesis_pairs, score_all)
+from .scoring import (METRICS, MetricConfig, ScoreCard, ScoreMemo,
+                      filter_interesting, hypothesis_pairs, score_all)
 
 
 class SoundnessViolationError(RuntimeError):
@@ -239,41 +242,58 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)
 
 
-def _round9(x: float) -> float:
-    return float(f"{x:.9g}")
+def _block(items: List[str], indent: str, ends: str) -> str:
+    """Encoded items between ends ("[]" or "{}"), as json.dumps(indent=2) lays them out."""
+    if not items:
+        return ends
+    return f"{ends[0]}\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}{ends[1]}"
 
 
-def report_to_dict(report: Report) -> dict:
-    facts = []
-    for rec in report.records:
-        facts.append({
-            "fact": str(rec.fact),
-            "round": rec.round,
-            "rule": rec.rule,
-            "premises": [str(p) for p in rec.premises],
-            "verdict": "holds",  # failing facts never reach a report
-            "interesting": rec.interesting,
-            "raw": {k: _round9(v) for k, v in rec.score.raw.items()},
-            "normalized": {k: _round9(v) for k, v in rec.score.normalized.items()},
-            "aggregate": _round9(rec.score.aggregate),
-        })
-    return {
-        "construction": report.construction,
-        "rules_digest": report.rules_digest,
-        "mode": report.mode,
-        "rounds": report.rounds,
-        "stop_reason": report.stop_reason,
-        "seeds": report.seeds,
-        "master_seed": report.master_seed,
-        "discarded": dict(report.discarded),
-        "facts": facts,
-    }
+def _object(members: Dict[str, object], indent: str) -> str:
+    """A JSON object of encoded values, laid out with its keys sorted."""
+    return _block([f"{q(k)}: {v}" for k, v in sorted(members.items())], indent, "{}")
+
+
+# a fact's %-template: it takes the values in sorted key order, each metric object's in place
+_SCORES = _object(dict.fromkeys(METRICS, "%s"), "      ")
+_FACT = _object({"verdict": '"holds"', "normalized": _SCORES, "raw": _SCORES, **dict.fromkeys(
+    ["aggregate", "fact", "interesting", "premises", "round", "rule"], "%s")}, "    ")
+_metric_values = operator.itemgetter(*sorted(METRICS))
+
+
+def _json_report(report: Report) -> str:
+    memo: Dict[float, str] = {}  # each nonzero number of this report, as written
+
+    def num(x: float) -> str:
+        if not x:  # 0.0 == -0.0 as keys, so a zero is told apart by its sign
+            return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+        s = memo.get(x)
+        if s is None:
+            v = float(f"{x:.9g}")  # 9 significant digits
+            s = memo[x] = (repr(v) if math.isfinite(v) else "NaN" if v != v
+                           else "Infinity" if v > 0 else "-Infinity")
+        return s
+
+    facts = [_FACT % (
+        num(rec.score.aggregate), q(str(rec.fact)), "true" if rec.interesting else "false",
+        *map(num, _metric_values(rec.score.normalized)),
+        _block([q(str(p)) for p in rec.premises], "      ", "[]"),
+        *map(num, _metric_values(rec.score.raw)),
+        rec.round, "null" if rec.rule is None else q(rec.rule))
+        for rec in report.records]
+    return _object({
+        "construction": q(report.construction), "discarded": _object(report.discarded, "  "),
+        "facts": _block(facts, "  ", "[]"), "master_seed": report.master_seed,
+        "mode": q(report.mode), "rounds": report.rounds,
+        "rules_digest": q(report.rules_digest), "seeds": report.seeds,
+        "stop_reason": q(report.stop_reason)}, "") + "\n"
 
 
 def emit_report(report: Report, fmt: str = "json") -> str:
-    """Serialize the report; identical inputs yield identical bytes."""
+    """Serialize the report; identical inputs yield identical bytes, for JSON those of
+    json.dumps(obj, sort_keys=True, indent=2) + "\\n" (docs/report-schema.md)."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        return _json_report(report)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 
