@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the interesting consequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("run", "full pipeline"), ("saturate", "saturation only"),
+    for name, help_text in (("run", "full pipeline"),
+                            ("saturate", "fact list with derivations"),
                             ("rank", "ranking table only")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("construction")

@@ -22,12 +22,13 @@ concatenation per binding, which keeps the depth-first order of a
 backtracking walk.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
-``pipeline.run_pipeline``) keeps one ``JoinState`` for the whole run.
-The graph is append-only and grows one round at a time, so each round
-works on the last round's facts only: their symmetry orbits are
-enumerated once, in ``facts.SYMMETRIES`` order, and added to the known
-variants of their predicate; each slot's index over the older facts is
-the one the last round built, and its index over all facts appends the
+``pipeline.run_pipeline``) keeps one ``JoinState``, built with the run's
+compiled rules, for the whole run.  The graph is append-only and grows
+one round at a time, so each round takes in the last round's facts only:
+their symmetry orbits are enumerated once, in ``facts.SYMMETRIES`` order,
+added to the known variants of their predicate and indexed in every slot
+of that predicate, and then dropped.  A slot's index over the older facts
+is the one the last round left, and its index over all facts appends the
 last round's entries to each key, sharing every list it leaves alone.
 Entries keep the order a rebuild would give them: graph order, then orbit
 order.  A conclusion whose arguments are a known variant is a fact the
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
@@ -299,54 +299,47 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
 
 
 class JoinState:
-    """What the join keeps across the rounds of one run: each graph fact's
-    orbit, the known variants of every graph fact by predicate, the facts
-    the join may use by predicate in graph order, and per slot its index
-    over a prefix of that list.  One state serves one graph, called round
-    after round with the same ``strict_sides``; nothing outlives the run."""
+    """What the join keeps across the rounds of one run: the known variants
+    of every graph fact by predicate, and per slot of the run's rules its
+    index over every usable fact taken in, in graph order.  One state
+    serves one graph and the rules it was built with, called round after
+    round with the same ``strict_sides``; nothing outlives the run."""
 
-    def __init__(self) -> None:
+    def __init__(self, rules: Iterable[CompiledRule]) -> None:
         self.rounds = -1  # the graph's last round at the last call
-        # each graph fact taken in, a prefix of graph order -> its orbit
-        self.orbits: Dict[Fact, Tuple[Tuple[str, ...], ...]] = {}
+        self.taken = 0  # graph facts taken in, a prefix of graph order
         self.known: Dict[str, Set[Tuple[str, ...]]] = {}
-        self.pools: Dict[str, List[Fact]] = {}
-        # slot -> (n, its index over the first n facts of its pool)
-        self.indexes: Dict[_Slot, Tuple[int, Dict[tuple, list]]] = {}
+        self.indexes: Dict[_Slot, Dict[tuple, list]] = {
+            slot: {} for rule in rules for slot in rule.slots}
 
-    def take_in(self, dag: DerivationDag, strict_sides: bool) -> Dict[str, Dict[str, int]]:
-        """Take in the graph facts added since the last call; returns, per
-        predicate, how many usable facts each part (OLD, DELTA, ALL) holds.
-        DELTA, the facts of round ``dag.rounds``, is each pool's suffix."""
+    def take_in(self, dag: DerivationDag,
+                strict_sides: bool) -> Dict[_Slot, Dict[str, Dict[tuple, list]]]:
+        """Take in the graph facts added since the last call and index them
+        in every slot of their predicate; returns each slot's OLD, DELTA and
+        ALL index.  DELTA holds the facts of round ``dag.rounds``."""
         if dag.rounds <= self.rounds:  # the stored indexes would hold DELTA facts
             raise ValueError(f"the graph gained no round since round {self.rounds}")
         self.rounds = dag.rounds
-        new = list(itertools.islice(dag, len(self.orbits), None))
-        table = _orbit_table(new)
-        self.orbits.update(table)
-        for f, variants in table.items():
+        new = list(itertools.islice(dag, self.taken, None))
+        self.taken = len(dag)
+        orbits = _orbit_table(new)
+        for f, variants in orbits.items():
             self.known.setdefault(f.pred, set()).update(variants)
-        if strict_sides:  # conditional facts serve as no premise
-            new = [f for f in new if not dag.node(f).conditional]
+        groups: Dict[Tuple[str, str], List[Fact]] = {}  # (part, predicate) -> usable facts
         for f in new:
-            self.pools.setdefault(f.pred, []).append(f)
-        delta = Counter(f.pred for f in new if dag.node(f).round == dag.rounds)
-        return {pred: {OLD: len(pool) - delta[pred], DELTA: delta[pred], ALL: len(pool)}
-                for pred, pool in self.pools.items()}
-
-    def slot_indexes(self, slot: _Slot, sizes: Dict[str, int]) -> Dict[str, Dict[tuple, list]]:
-        """The slot's OLD, DELTA and ALL indexes for this round.  Only the
-        facts its stored index lacks are indexed; the new ALL index
-        replaces the stored one."""
-        pool = self.pools[slot.pred]
-        n_old = sizes[OLD]
-        n, index = self.indexes.get(slot, (0, {}))
-        older, delta = (_index(slot, pool[lo:hi], self.orbits) if lo < hi else {}
-                        for lo, hi in ((n, n_old), (n_old, len(pool))))
-        old = _extend(index, older)
-        full = _extend(old, delta)
-        self.indexes[slot] = (len(pool), full)
-        return {OLD: old, DELTA: delta, ALL: full}
+            d = dag.node(f)
+            if not (strict_sides and d.conditional):  # conditional facts serve as no premise
+                groups.setdefault((DELTA if d.round == dag.rounds else OLD, f.pred),
+                                  []).append(f)
+        views = {}
+        for slot, old in self.indexes.items():
+            older, delta = groups.get((OLD, slot.pred)), groups.get((DELTA, slot.pred))
+            if older:
+                old = _extend(old, _index(slot, older, orbits))
+            delta = _index(slot, delta, orbits) if delta else {}
+            self.indexes[slot] = full = _extend(old, delta)
+            views[slot] = {OLD: old, DELTA: delta, ALL: full}
+        return views
 
 
 def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
@@ -359,9 +352,6 @@ def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
         rows = [(b + new, used + (f,))
                 for b, used in rows for f, new in get(key(b), ())]
     return rows
-
-
-_NO_FACTS = {OLD: 0, DELTA: 0, ALL: 0}
 
 
 def derive_round(dag: DerivationDag, rules: List[CompiledRule],
@@ -380,18 +370,17 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule],
 
     Semi-naive evaluation joins each rule under every plan: one slot over
     DELTA, the facts of round ``dag.rounds``, the slots before it over OLD,
-    and those after over ALL; naive joins every slot over ALL.  A slot's
-    indexes are built once a round, when a plan first needs them, and
-    plans whose slots draw the same facts share them.  state carries them
-    from the last call of the same run, whose graph has since gained one
-    round; without it a fresh state takes in the whole graph, and the
-    result is the same.
+    and those after over ALL; naive joins every slot over ALL.  Slots of
+    one shape share their indexes, and a plan with an empty one is skipped.
+    state, built with these rules, carries the indexes from the last call
+    of the same run, whose graph has since gained one round; without it a
+    fresh state takes in the whole graph, and the result is the same.  A
+    state lacks the slots of a rule it was not built with: KeyError.
     """
     if strategy not in ("naive", "semi_naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    state = JoinState() if state is None else state
-    sizes = state.take_in(dag, strict_sides)
-    indexes: Dict[_Slot, Dict[str, Dict[tuple, list]]] = {}  # this round's, by slot
+    state = JoinState(rules) if state is None else state
+    views = state.take_in(dag, strict_sides)
 
     # new fact -> ((rule name, premises), rule, binding)
     best: Dict[Fact, tuple] = {}
@@ -402,14 +391,10 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule],
         pred, conclusion = rule.pred, rule.conclusion
         known = state.known.get(pred, ())
         for plan in plans:
-            if not all(sizes.get(slot.pred, _NO_FACTS)[part]
-                       for slot, part in zip(slots, plan)):
+            indexes = [views[slot][part] for slot, part in zip(slots, plan)]
+            if not all(indexes):  # a join over an empty index yields no row
                 continue
-            for slot in slots:
-                if slot not in indexes:
-                    indexes[slot] = state.slot_indexes(slot, sizes[slot.pred])
-            for b, used in _join(rule, [indexes[slot][part]
-                                        for slot, part in zip(slots, plan)]):
+            for b, used in _join(rule, indexes):
                 if distinct and any(b[i] == b[j] for i, j in distinct):
                     continue
                 args = conclusion(b)
@@ -458,7 +443,7 @@ def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10
     dag = DerivationDag(hypotheses)
     compiled = [compile_rule(rule) for rule in rules]
     n_taut = n_degen = 0
-    state = JoinState()  # the join's orbits and indexes, for this run only
+    state = JoinState(compiled)  # the join's indexes, for this run only
     for _ in range(max_rounds):
         new, t, g = derive_round(dag, compiled, strategy, strict_sides, state)
         n_taut += t

@@ -211,7 +211,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     else:  # filtered: only interesting survivors re-enter the fact list
         rounds, stop = 0, "budget"
         compiled = [compile_rule(rule) for rule in rules]
-        state = JoinState()  # the join's orbits and indexes, for this run only
+        state = JoinState(compiled)  # the join's indexes, for this run only
         for r in range(1, cfg.max_rounds + 1):
             candidates, n_taut, _ = derive_round(dag, compiled,
                                                  strict_sides=cfg.strict_sides,

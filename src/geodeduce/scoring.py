@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -57,6 +58,10 @@ class MetricConfig:
     top_k: int = 0  # 0 = unlimited
 
     def __post_init__(self) -> None:
+        try:  # np.int64(3) is stored as 3; 2.0 would fail as a slice index mid-run
+            object.__setattr__(self, "top_k", operator.index(self.top_k))
+        except TypeError:
+            raise ValueError(f"top_k must be an integer, got {self.top_k!r}") from None
         # a negative top_k would cut ranked facts off the end of the list
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")

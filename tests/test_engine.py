@@ -359,20 +359,23 @@ STRATEGIES = ("naive", "semi_naive")
 def _check_carried_state(text, rules, strategy, strict_sides):
     """Grow the figure's graph round by round as ``saturate`` does, with one
     carried JoinState, and check that every round returns exactly what a
-    fresh state returns, that each stored index equals a rebuild over its
-    facts, and that no index a round began with was changed; the number of
-    rounds run."""
+    fresh state returns, that each stored index equals a rebuild over the
+    graph's usable facts, and that no index a round began with was changed;
+    the number of rounds run."""
     compiled = [compile_rule(r) for r in rules]
-    dag, state = DerivationDag(initial_facts(parse_construction(text))), JoinState()
+    dag = DerivationDag(initial_facts(parse_construction(text)))
+    state = JoinState(compiled)
     for r in range(1, 11):
         before = [(index, {k: list(v) for k, v in index.items()})
-                  for _, index in state.indexes.values()]
+                  for index in state.indexes.values()]
         got = derive_round(dag, compiled, strategy, strict_sides, state)
         assert got == derive_round(dag, compiled, strategy, strict_sides), r
         assert all(d.round == r for d in got[0]), r
         assert all(index == copy for index, copy in before), r
-        for slot, (n, index) in state.indexes.items():
-            assert index == _index(slot, state.pools[slot.pred][:n], state.orbits)
+        usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
+        orbits = _orbit_table(usable)
+        for slot, index in state.indexes.items():
+            assert index == _index(slot, [f for f in usable if f.pred == slot.pred], orbits)
         if not got[0]:
             break
         dag.add(*got[0])
@@ -411,34 +414,56 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
     text = random_construction_text(1) if figure == "fuzz1" else LADDER[figure]
     d0 = initial_facts(parse_construction(text))
     compiled = [compile_rule(r) for r in default_rules]
+    take_in = JoinState.take_in
     for rounds in (1, 2, 3):
         dag = saturate(d0, default_rules, max_rounds=rounds, strict_sides=strict_sides).dag
         last = dag.rounds  # below rounds if the fixpoint came first
         usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
         got = derive_round(dag, compiled, strict_sides=strict_sides)
 
-        def rebuilt(state, slot, sizes):
-            facts = [f for f in usable if f.pred == slot.pred]
-            parts = {engine.OLD: [f for f in facts if dag.node(f).round < last],
-                     engine.DELTA: [f for f in facts if dag.node(f).round == last],
-                     engine.ALL: facts}
-            return {part: _index(slot, fs, state.orbits) for part, fs in parts.items()}
+        def rebuilt(state, graph, strict):
+            views = take_in(state, graph, strict)  # fills state.known
+            orbits = _orbit_table(usable)
+            out = {}
+            for slot in views:
+                facts = [f for f in usable if f.pred == slot.pred]
+                parts = {engine.OLD: [f for f in facts if dag.node(f).round < last],
+                         engine.DELTA: [f for f in facts if dag.node(f).round == last],
+                         engine.ALL: facts}
+                out[slot] = {part: _index(slot, fs, orbits) for part, fs in parts.items()}
+            return out
 
         with monkeypatch.context() as m:
-            m.setattr(JoinState, "slot_indexes", rebuilt)
+            m.setattr(JoinState, "take_in", rebuilt)
             assert got == derive_round(dag, compiled, strict_sides=strict_sides), rounds
     assert last >= 2
 
 
 def test_carried_state_needs_a_new_round(midline, default_rules):
     compiled = [compile_rule(r) for r in default_rules]
-    dag, state = DerivationDag(initial_facts(midline)), JoinState()
+    dag, state = DerivationDag(initial_facts(midline)), JoinState(compiled)
     new, _, _ = derive_round(dag, compiled, state=state)
     # its stored indexes hold the facts that DELTA would need again
     with pytest.raises(ValueError, match="gained no round since round 0"):
         derive_round(dag, compiled, state=state)
     dag.add(*new)
     assert derive_round(dag, compiled, state=state) == derive_round(dag, compiled)
+
+
+def test_carried_state_serves_only_its_rules(midline, default_rules):
+    """A state indexes the slots of the rules it was built with; asked for
+    a rule with a slot of its own, it raises rather than join an index
+    that lacks the facts of earlier rounds."""
+    compiled = [compile_rule(r) for r in default_rules]
+    slots = Counter(s for r in compiled for s in set(r.slots))
+    rule = next(r for r in compiled if any(slots[s] == 1 for s in r.slots))
+    others = [r for r in compiled if r is not rule]
+    dag, state = DerivationDag(initial_facts(midline)), JoinState(others)
+    new, _, _ = derive_round(dag, others, state=state)
+    assert new
+    dag.add(*new)
+    with pytest.raises(KeyError):
+        derive_round(dag, compiled, state=state)
 
 
 @pytest.mark.parametrize("seed", [1, 10, 19])

@@ -299,6 +299,19 @@ def test_concyclic_ladder_reports_pinned(k, default_rules):
     assert digest == LADDER_SHA256[k]
 
 
+def test_concyclic_text_names_every_point():
+    from conftest import concyclic_text
+    # the names once stopped at J, so k = 12 gave the k = 10 figure
+    for k in (12, 25):  # k points on the circle, and its centre O
+        points = parse_construction(concyclic_text(k)).points()
+        assert len(set(points)) == len(points) == k + 1
+    for k in range(2, 11):  # the pinned texts keep their bytes
+        assert concyclic_text(k) == "point O A\n" + "".join(
+            f"on_circle {p} O A\n" for p in "BCDEFGHIJ"[:k - 1])
+    with pytest.raises(ValueError, match="at most 25 concyclic points"):
+        concyclic_text(26)
+
+
 # sha256 of the JSON report on the feet family, in both modes: para, perp
 # and coll facts, whose orbits the matcher walks; at k = 14 one fact is
 # conditional_failed

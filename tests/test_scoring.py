@@ -293,6 +293,19 @@ def test_metric_config_rejects_bad_fields(kwargs):
         MetricConfig(**kwargs)
 
 
+@pytest.mark.parametrize("top_k", [1.5, 2.0, "2"])
+def test_metric_config_rejects_a_non_integer_top_k(top_k):
+    # a float top_k once passed and crashed filter_interesting's slice mid-run
+    with pytest.raises(ValueError, match="top_k must be an integer"):
+        MetricConfig(top_k=top_k)
+
+
+def test_metric_config_stores_an_integer_top_k_as_int():
+    np = pytest.importorskip("numpy")
+    cfg = MetricConfig(top_k=np.int64(2))
+    assert cfg.top_k == 2 and type(cfg.top_k) is int
+
+
 def test_metric_config_names_an_unknown_metric():
     # a misspelt weight would otherwise weigh 0, a misspelt direction be ignored
     for kwargs, name in (({"weights": {"obviousnes": 1.0, "weight": 1.0}}, "obviousnes"),

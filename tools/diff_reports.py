@@ -2,12 +2,13 @@
 
     python3 tools/diff_reports.py OLD_TREE NEW_TREE
 
-Runs the bundled examples, the circle ladder (k = 4..10 concyclic points)
-and the feet ladder (k = 8..20 feet on one line) in fixpoint and filtered
-mode through each tree's ``src/`` with that tree's default rules, and the
-bundled examples once more in both modes with ``strict_sides``.  Each
-tree runs in its own subprocess, under its own fixed PYTHONHASHSEED, so
-``diff_reports.py . .`` checks that no report depends on the hash seed.
+Runs the bundled examples, the circle ladder (k = 4..10 and 12 concyclic
+points) and the feet ladder (k = 8..20 and 26 feet on one line) in
+fixpoint and filtered mode through each tree's ``src/`` with that tree's
+default rules, and the bundled examples once more in both modes with
+``strict_sides``: 56 reports per tree.  Each tree runs in its own
+subprocess, under its own fixed PYTHONHASHSEED, so ``diff_reports.py . .``
+checks that no report depends on the hash seed.
 The inputs are this checkout's examples and the ladder figures below,
 which the tests import.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
@@ -45,9 +46,15 @@ json.dump(out, sys.stdout)
 """
 
 
+# the circle points' names: the letters after A, O left out
+ON_CIRCLE = "BCDEFGHIJKLMNPQRSTUVWXYZ"
+
+
 def concyclic_text(k: int) -> str:
     """`point O A`, then k - 1 points on the circle centred at O through A."""
-    return "point O A\n" + "".join(f"on_circle {p} O A\n" for p in "BCDEFGHIJ"[:k - 1])
+    if k - 1 > len(ON_CIRCLE):
+        raise ValueError(f"at most {len(ON_CIRCLE) + 1} concyclic points, got {k}")
+    return "point O A\n" + "".join(f"on_circle {p} O A\n" for p in ON_CIRCLE[:k - 1])
 
 
 def feet_text(k: int) -> str:
@@ -59,8 +66,9 @@ def feet_text(k: int) -> str:
 def cases() -> list:
     examples = [(path.stem, path.read_text())
                 for path in sorted((ROOT / "examples").glob("*.gc"))]
-    figures = examples + [(f"circle{k}", concyclic_text(k)) for k in range(4, 11)]
-    figures += [(f"feet{k}", feet_text(k)) for k in range(8, 21)]
+    # the two ladders, and each at its milestone size
+    figures = examples + [(f"circle{k}", concyclic_text(k)) for k in [*range(4, 11), 12]]
+    figures += [(f"feet{k}", feet_text(k)) for k in [*range(8, 21), 26]]
     return ([[f"{name} {mode}", text, mode, False] for name, text in figures for mode in MODES]
             + [[f"{name} {mode} strict", text, mode, True]
                for name, text in examples for mode in MODES])
