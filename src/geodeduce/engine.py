@@ -22,29 +22,29 @@ concatenation per binding, which keeps the depth-first order of a
 backtracking walk.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
-``pipeline.run_pipeline``) keeps one ``JoinState``, built with the run's
-compiled rules, for the whole run.  The graph is append-only and grows
-one round at a time, so each round takes in the last round's facts only:
-their symmetry orbits are enumerated once, in ``facts.SYMMETRIES`` order,
-added to the known variants of their predicate and indexed in every slot
-of that predicate, and then dropped.  A slot's index over the older facts
-is the one the last round left, and its index over all facts appends the
-last round's entries to each key, sharing every list it leaves alone.
-Entries keep the order a rebuild would give them: graph order, then orbit
-order.  A conclusion whose arguments are a known variant is a fact the
-graph holds (it lies in that fact's orbit), so it is dropped before it
-is canonicalized.
+``pipeline.run_pipeline``) builds one ``JoinState`` per run, holding all
+that is fixed for it; ``derive_round`` takes only the state.  The graph is
+append-only and grows one round at a time, so each round takes in the last
+round's facts only: their symmetry orbits are enumerated once, in
+``facts.SYMMETRIES`` order, added to the known variants of their predicate
+and indexed in every slot of that predicate, and then dropped.  A slot's
+index over the older facts is the one the last round left, and its index
+over all facts appends the last round's entries to each key, sharing every
+list it leaves alone.  Entries keep the order a rebuild would give them:
+graph order, then orbit order.  A conclusion whose arguments are a known
+variant is a fact the graph holds (it lies in that fact's orbit), so it is
+dropped before it is canonicalized.
 
-Each rule is compiled once per run (``compile_rule``, no cache across
-runs) into all that ``derive_round`` reads: its name, predicates, binding
-positions and the symmetries its join breaks, disjoint variable swaps
-(x y) from ``Rule.symmetries``.  A swapped binding uses the same facts
-and gives the same conclusion, so the join keeps only the one it would
-draw first (symmetry-breaking predicates, Crawford, Ginsberg, Luks & Roy
-1996): the slot binding x and y admits only variants with v[px] <= v[py].
-A kept binding stands for 2**k bindings of the full join, k the number of
-its swaps whose two points differ, and the drop counters add that weight,
-so they still count full-join bindings.
+Each rule is compiled once per run, by ``JoinState`` (``compile_rule``, no
+cache across runs) into all that ``derive_round`` reads: its name,
+predicates, binding positions and the symmetries its join breaks, disjoint
+variable swaps (x y) from ``Rule.symmetries``.  A swapped binding uses the
+same facts and gives the same conclusion, so the join keeps only the one
+it would draw first (symmetry-breaking predicates, Crawford, Ginsberg,
+Luks & Roy 1996): the slot binding x and y admits only variants with
+v[px] <= v[py].  A kept binding stands for 2**k bindings of the full
+join, k the number of its swaps whose two points differ, and the drop
+counters add that weight, so they still count full-join bindings.
 """
 
 from __future__ import annotations
@@ -299,24 +299,31 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
 
 
 class JoinState:
-    """What the join keeps across the rounds of one run: the known variants
-    of every graph fact by predicate, and per slot of the run's rules its
-    index over every usable fact taken in, in graph order.  One state
-    serves one graph and the rules it was built with, called round after
-    round with the same ``strict_sides``; nothing outlives the run."""
+    """One run of the join: the graph it reads, the run's rules compiled,
+    the strategy and ``strict_sides``, and what it keeps across rounds: the
+    known variants of every graph fact by predicate, and per slot of the
+    rules its index over every usable fact taken in, in graph order.
+    Nothing outlives the run."""
 
-    def __init__(self, rules: Iterable[CompiledRule]) -> None:
+    def __init__(self, dag: DerivationDag, rules: Iterable[Rule],
+                 strategy: str = "semi_naive", strict_sides: bool = False) -> None:
+        if strategy not in ("naive", "semi_naive"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.dag = dag
+        self.rules = [compile_rule(rule) for rule in rules]
+        self.strategy = strategy
+        self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
         self.taken = 0  # graph facts taken in, a prefix of graph order
         self.known: Dict[str, Set[Tuple[str, ...]]] = {}
         self.indexes: Dict[_Slot, Dict[tuple, list]] = {
-            slot: {} for rule in rules for slot in rule.slots}
+            slot: {} for rule in self.rules for slot in rule.slots}
 
-    def take_in(self, dag: DerivationDag,
-                strict_sides: bool) -> Dict[_Slot, Dict[str, Dict[tuple, list]]]:
+    def take_in(self) -> Dict[_Slot, Dict[str, Dict[tuple, list]]]:
         """Take in the graph facts added since the last call and index them
         in every slot of their predicate; returns each slot's OLD, DELTA and
-        ALL index.  DELTA holds the facts of round ``dag.rounds``."""
+        ALL index.  DELTA holds the facts of the graph's last round."""
+        dag = self.dag
         if dag.rounds <= self.rounds:  # the stored indexes would hold DELTA facts
             raise ValueError(f"the graph gained no round since round {self.rounds}")
         self.rounds = dag.rounds
@@ -328,7 +335,7 @@ class JoinState:
         groups: Dict[Tuple[str, str], List[Fact]] = {}  # (part, predicate) -> usable facts
         for f in new:
             d = dag.node(f)
-            if not (strict_sides and d.conditional):  # conditional facts serve as no premise
+            if not (self.strict_sides and d.conditional):  # conditional facts serve as no premise
                 groups.setdefault((DELTA if d.round == dag.rounds else OLD, f.pred),
                                   []).append(f)
         views = {}
@@ -354,11 +361,9 @@ def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
     return rows
 
 
-def derive_round(dag: DerivationDag, rules: List[CompiledRule],
-                 strategy: str = "semi_naive", strict_sides: bool = False,
-                 state: Optional[JoinState] = None):
-    """Collect the next round's new derivations over dag's facts plus drop
-    counters; dag is not changed.
+def derive_round(state: JoinState):
+    """Collect the next round over the state's graph: its new derivations
+    plus drop counters; the graph is not changed.
 
     Returns (derivations sorted by canonical form, n_tautologies, n_degenerate),
     each derivation stamped with round ``dag.rounds + 1``; at most one per
@@ -372,21 +377,18 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule],
     DELTA, the facts of round ``dag.rounds``, the slots before it over OLD,
     and those after over ALL; naive joins every slot over ALL.  Slots of
     one shape share their indexes, and a plan with an empty one is skipped.
-    state, built with these rules, carries the indexes from the last call
-    of the same run, whose graph has since gained one round; without it a
-    fresh state takes in the whole graph, and the result is the same.  A
-    state lacks the slots of a rule it was not built with: KeyError.
+    The state carries the indexes from its last call, whose graph has since
+    gained one round; a fresh state takes in the whole graph, and the
+    result is the same.
     """
-    if strategy not in ("naive", "semi_naive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    state = JoinState(rules) if state is None else state
-    views = state.take_in(dag, strict_sides)
+    dag = state.dag
+    views = state.take_in()
 
     # new fact -> ((rule name, premises), rule, binding)
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
-    for rule in rules:
-        plans = rule.plans if strategy == "semi_naive" else [(ALL,) * len(rule.slots)]
+    for rule in state.rules:
+        plans = rule.plans if state.strategy == "semi_naive" else [(ALL,) * len(rule.slots)]
         slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
         pred, conclusion = rule.pred, rule.conclusion
         known = state.known.get(pred, ())
@@ -428,9 +430,7 @@ def derive_round(dag: DerivationDag, rules: List[CompiledRule],
 class SaturationResult:
     dag: DerivationDag  # the hypotheses plus every derived fact
     stop_reason: str  # fixpoint | budget
-    rounds: int
     dropped_tautologies: int = 0
-    dropped_degenerate: int = 0
 
 
 def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10,
@@ -441,17 +441,15 @@ def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10
     if max_rounds < 1 or max_facts < 1:
         raise ValueError("max_rounds and max_facts must be at least 1")
     dag = DerivationDag(hypotheses)
-    compiled = [compile_rule(rule) for rule in rules]
-    n_taut = n_degen = 0
-    state = JoinState(compiled)  # the join's indexes, for this run only
+    state = JoinState(dag, rules, strategy, strict_sides)  # for this run only
+    n_taut = 0
     for _ in range(max_rounds):
-        new, t, g = derive_round(dag, compiled, strategy, strict_sides, state)
+        new, t, _ = derive_round(state)
         n_taut += t
-        n_degen += g
         if not new:
             break
         dag.add(*new)
         if len(dag) >= max_facts:
             break
     stop = "budget" if new else "fixpoint"  # fixpoint: the last round derived nothing
-    return SaturationResult(dag, stop, dag.rounds, n_taut, n_degen)
+    return SaturationResult(dag, stop, n_taut)

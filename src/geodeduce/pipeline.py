@@ -36,8 +36,7 @@ from json.encoder import encode_basestring_ascii as q  # json.dumps's, in C
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
-from .engine import (Derivation, DerivationDag, JoinState, compile_rule,
-                     derive_round, saturate)
+from .engine import Derivation, DerivationDag, JoinState, derive_round, saturate
 from .facts import Fact
 from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
@@ -87,6 +86,8 @@ class PipelineConfig:
         check_tol(self.tol)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not isinstance(self.strict_sides, bool):  # "no" would run strict
+            raise ValueError(f"strict_sides must be a bool, got {self.strict_sides!r}")
 
 
 @dataclass
@@ -207,15 +208,12 @@ def run_pipeline(construction: Construction, rules: List[Rule],
         # in round order: every premise is judged before the facts it yields
         dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, held, blocked,
                         discarded))
-        rounds, stop = sat.rounds, sat.stop_reason
+        rounds, stop = sat.dag.rounds, sat.stop_reason
     else:  # filtered: only interesting survivors re-enter the fact list
         rounds, stop = 0, "budget"
-        compiled = [compile_rule(rule) for rule in rules]
-        state = JoinState(compiled)  # the join's indexes, for this run only
+        state = JoinState(dag, rules, strict_sides=cfg.strict_sides)  # for this run only
         for r in range(1, cfg.max_rounds + 1):
-            candidates, n_taut, _ = derive_round(dag, compiled,
-                                                 strict_sides=cfg.strict_sides,
-                                                 state=state)
+            candidates, n_taut, _ = derive_round(state)
             discarded["tautologies"] += n_taut
             survivors = _admit(candidates, models, cfg.tol, held, blocked, discarded)
             if not survivors:

@@ -75,11 +75,14 @@ class MetricConfig:
             # an infinite weight would make every aggregate nan
             if not 0 <= w < math.inf:  # also rejects nan
                 raise ValueError(f"weight of {m} must be finite and >= 0, got {w}")
+        if not any(self.weights.values()):  # else caught only after saturation
+            raise ValueError("metric weights must not all be zero")
+        for m, d in self.directions.items():  # "lower" is truthy and would read higher
+            if not isinstance(d, bool):
+                raise ValueError(f"direction of {m} must be a bool, got {d!r}")
 
     def normalized_weights(self) -> Dict[str, float]:
         total = sum(self.weights.get(m, 0.0) for m in METRICS)
-        if total <= 0:
-            raise ValueError("metric weights must not all be zero")
         return {m: self.weights.get(m, 0.0) / total for m in METRICS}
 
 

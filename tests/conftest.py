@@ -3,7 +3,7 @@ import runpy
 
 import pytest
 
-from geodeduce import initial_facts, parse_construction, parse_rules
+from geodeduce import parse_construction, parse_rules
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

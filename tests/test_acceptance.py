@@ -12,7 +12,7 @@ import pytest
 
 from geodeduce import (initial_facts, make_fact, parse_construction,
                        parse_rules, saturate, verify)
-from geodeduce.engine import compile_rule, derive_round
+from geodeduce.engine import JoinState, derive_round
 from geodeduce.facts import is_tautology
 from geodeduce.numeric import DegenerateModelError, eval_fact, sample_models
 from geodeduce.pipeline import (PipelineConfig, SoundnessViolationError,
@@ -47,14 +47,13 @@ def test_criterion_2_fixpoint_chain(default_rules):
         c = load_construction(name)
         res = saturate(initial_facts(c), default_rules, max_rounds=10)
         assert res.stop_reason == "fixpoint", name
-        assert res.rounds <= 10
+        assert res.dag.rounds <= 10
         # chain is monotone: every fact keeps its entry round, premises older
         for node in res.dag.derivations():
             assert res.dag.node(node.fact) is node
             for p in node.premises:
                 assert res.dag.node(p).round < node.round
-        extra, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
-                                   strategy="naive")
+        extra, _, _ = derive_round(JoinState(res.dag, default_rules, strategy="naive"))
         assert extra == [], name
     _ok(2, "all bundled examples reach a stable fixpoint within 10 rounds")
 
@@ -115,7 +114,7 @@ def test_criterion_6_oracle_equivalence(default_rules):
         b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
         assert {f: a.dag.node(f).round for f in a.dag} == \
                {f: b.dag.node(f).round for f in b.dag}
-        assert a.rounds == b.rounds and a.stop_reason == b.stop_reason
+        assert a.dag.rounds == b.dag.rounds and a.stop_reason == b.stop_reason
     _ok(6, "semi-naive equals naive on 3 bundled + 50 fuzz cases")
 
 

@@ -23,7 +23,7 @@ MIDLINE_RULE = ("rule midline: midp(M,A,B), midp(N,A,C), non_collinear(A,B,C)"
 def test_derive_round_midline_keeps_one_of_symmetric_bindings():
     rule = parse_rules(MIDLINE_RULE)[0]
     hyps = [make_fact("midp", "M", "A", "B"), make_fact("midp", "N", "A", "C")]
-    derivations, _, _ = derive_round(DerivationDag(hyps), [compile_rule(rule)])
+    derivations, _, _ = derive_round(JoinState(DerivationDag(hyps), [rule]))
     # the {B,C}/{M,N} swap yields the same canonical conclusion
     assert [d.fact for d in derivations] == [make_fact("para", "B", "C", "M", "N")]
     assert set(derivations[0].premises) == set(hyps)
@@ -31,13 +31,13 @@ def test_derive_round_midline_keeps_one_of_symmetric_bindings():
 
 def test_derive_round_empty_graph():
     rule = parse_rules(MIDLINE_RULE)[0]
-    assert derive_round(DerivationDag(), [compile_rule(rule)]) == ([], 0, 0)
+    assert derive_round(JoinState(DerivationDag(), [rule])) == ([], 0, 0)
 
 
 def test_derive_round_second_premise_unmatched(default_rules):
     para_trans = next(r for r in default_rules if r.name == "para_trans")
     dag = DerivationDag([make_fact("para", "A", "B", "C", "D")])
-    derivations, _, _ = derive_round(dag, [compile_rule(para_trans)])
+    derivations, _, _ = derive_round(JoinState(dag, [para_trans]))
     assert derivations == []
 
 
@@ -46,7 +46,7 @@ def test_derive_round_orbit_matching():
     rule = parse_rules("rule r: cong(X,Y,X,Z), distinct(Y,Z)"
                        " => eqangle(Y,Z,Y,X,Z,X,Z,Y)")[0]
     dag = DerivationDag([make_fact("cong", "O", "B", "O", "A")])
-    derivations, _, _ = derive_round(dag, [compile_rule(rule)])
+    derivations, _, _ = derive_round(JoinState(dag, [rule]))
     # both bindings put the apex X on O
     want = {make_fact("eqangle", y, z, y, "O", z, "O", z, y)
             for y, z in (("A", "B"), ("B", "A"))}
@@ -81,7 +81,7 @@ def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
     assert res.stop_reason == "fixpoint"
     rounds = [node.round for node in res.dag.derivations()]
     # graph order is round order, and the last round is the graph's
-    assert rounds == sorted(rounds) and max(rounds, default=0) == res.dag.rounds == res.rounds
+    assert rounds == sorted(rounds) and max(rounds, default=0) == res.dag.rounds
     for node in res.dag.derivations():
         for p in node.premises:
             assert res.dag.node(p).round < node.round
@@ -90,8 +90,7 @@ def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
 def test_fixpoint_one_extra_round_adds_nothing(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
-    new, _, _ = derive_round(res.dag, [compile_rule(r) for r in default_rules],
-                             strategy="naive")
+    new, _, _ = derive_round(JoinState(res.dag, default_rules, strategy="naive"))
     assert new == []
 
 
@@ -200,7 +199,7 @@ def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):
     assert set(a.dag) == set(b.dag)
     assert {f: a.dag.node(f).round for f in a.dag} == \
            {f: b.dag.node(f).round for f in b.dag}
-    assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
+    assert a.stop_reason == b.stop_reason and a.dag.rounds == b.dag.rounds
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -227,14 +226,13 @@ def test_naive_equals_semi_naive_symmetric(decoration, default_rules):
     assert any(f.pred == "eqangle" for f in b.dag)
     assert a.dag.derivations() == b.dag.derivations()
     assert set(a.dag) == set(b.dag)
-    assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
+    assert a.stop_reason == b.stop_reason and a.dag.rounds == b.dag.rounds
 
 
 def test_unknown_strategy_rejected(midline, default_rules):
     d0 = initial_facts(midline)
     with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
-        derive_round(DerivationDag(d0), [compile_rule(r) for r in default_rules],
-                     strategy="Naive")
+        JoinState(DerivationDag(d0), default_rules, strategy="Naive")
     with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
         saturate(d0, default_rules, strategy="Naive")
 
@@ -251,7 +249,7 @@ def test_hypothesis_order_does_not_matter(figure, strategy, default_rules):
     a = saturate(d0, default_rules, strategy=strategy)
     b = saturate(d0[::-1], default_rules, strategy=strategy)
     assert a.dag.derivations() == b.dag.derivations()  # conditions included
-    assert a.stop_reason == b.stop_reason and a.rounds == b.rounds
+    assert a.stop_reason == b.stop_reason and a.dag.rounds == b.dag.rounds
 
 
 def test_deterministic_output(inscribed, default_rules):
@@ -338,7 +336,7 @@ def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch)
     monkeypatch.setattr(engine, "compile_rule",
                         lambda rule: calls.append(rule) or compile_rule(rule))
     res = saturate(initial_facts(inscribed), default_rules)
-    assert res.rounds >= 3
+    assert res.dag.rounds >= 3
     assert calls == default_rules
 
 
@@ -349,7 +347,7 @@ def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
     d0 = initial_facts(inscribed)
     res = saturate(d0, default_rules)
     present = [sum(1 for f in res.dag if res.dag.node(f).round < r)
-               for r in range(1, res.rounds + 2)]
+               for r in range(1, res.dag.rounds + 2)]
     assert calls and len(calls) <= sum(present)
 
 
@@ -362,14 +360,13 @@ def _check_carried_state(text, rules, strategy, strict_sides):
     fresh state returns, that each stored index equals a rebuild over the
     graph's usable facts, and that no index a round began with was changed;
     the number of rounds run."""
-    compiled = [compile_rule(r) for r in rules]
     dag = DerivationDag(initial_facts(parse_construction(text)))
-    state = JoinState(compiled)
+    state = JoinState(dag, rules, strategy, strict_sides)
     for r in range(1, 11):
         before = [(index, {k: list(v) for k, v in index.items()})
                   for index in state.indexes.values()]
-        got = derive_round(dag, compiled, strategy, strict_sides, state)
-        assert got == derive_round(dag, compiled, strategy, strict_sides), r
+        got = derive_round(state)
+        assert got == derive_round(JoinState(dag, rules, strategy, strict_sides)), r
         assert all(d.round == r for d in got[0]), r
         assert all(index == copy for index, copy in before), r
         usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
@@ -413,16 +410,15 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
     DELTA of it, ALL every one, in graph order."""
     text = random_construction_text(1) if figure == "fuzz1" else LADDER[figure]
     d0 = initial_facts(parse_construction(text))
-    compiled = [compile_rule(r) for r in default_rules]
     take_in = JoinState.take_in
     for rounds in (1, 2, 3):
         dag = saturate(d0, default_rules, max_rounds=rounds, strict_sides=strict_sides).dag
         last = dag.rounds  # below rounds if the fixpoint came first
         usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
-        got = derive_round(dag, compiled, strict_sides=strict_sides)
+        got = derive_round(JoinState(dag, default_rules, strict_sides=strict_sides))
 
-        def rebuilt(state, graph, strict):
-            views = take_in(state, graph, strict)  # fills state.known
+        def rebuilt(state):
+            views = take_in(state)  # fills state.known
             orbits = _orbit_table(usable)
             out = {}
             for slot in views:
@@ -435,35 +431,20 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
 
         with monkeypatch.context() as m:
             m.setattr(JoinState, "take_in", rebuilt)
-            assert got == derive_round(dag, compiled, strict_sides=strict_sides), rounds
+            assert got == derive_round(JoinState(dag, default_rules,
+                                                 strict_sides=strict_sides)), rounds
     assert last >= 2
 
 
 def test_carried_state_needs_a_new_round(midline, default_rules):
-    compiled = [compile_rule(r) for r in default_rules]
-    dag, state = DerivationDag(initial_facts(midline)), JoinState(compiled)
-    new, _, _ = derive_round(dag, compiled, state=state)
+    dag = DerivationDag(initial_facts(midline))
+    state = JoinState(dag, default_rules)
+    new, _, _ = derive_round(state)
     # its stored indexes hold the facts that DELTA would need again
     with pytest.raises(ValueError, match="gained no round since round 0"):
-        derive_round(dag, compiled, state=state)
+        derive_round(state)
     dag.add(*new)
-    assert derive_round(dag, compiled, state=state) == derive_round(dag, compiled)
-
-
-def test_carried_state_serves_only_its_rules(midline, default_rules):
-    """A state indexes the slots of the rules it was built with; asked for
-    a rule with a slot of its own, it raises rather than join an index
-    that lacks the facts of earlier rounds."""
-    compiled = [compile_rule(r) for r in default_rules]
-    slots = Counter(s for r in compiled for s in set(r.slots))
-    rule = next(r for r in compiled if any(slots[s] == 1 for s in r.slots))
-    others = [r for r in compiled if r is not rule]
-    dag, state = DerivationDag(initial_facts(midline)), JoinState(others)
-    new, _, _ = derive_round(dag, others, state=state)
-    assert new
-    dag.add(*new)
-    with pytest.raises(KeyError):
-        derive_round(dag, compiled, state=state)
+    assert derive_round(state) == derive_round(JoinState(dag, default_rules))
 
 
 @pytest.mark.parametrize("seed", [1, 10, 19])
@@ -472,11 +453,10 @@ def test_next_round_naive_equals_semi_naive(seed, default_rules):
     derives the same facts under both strategies.  These figures once split
     them when a graph was asked again for a round it already held."""
     d0 = initial_facts(parse_construction(random_construction_text(seed)))
-    compiled = [compile_rule(r) for r in default_rules]
     dag = DerivationDag(d0)
     for rounds in range(1, 11):
-        naive, _, _ = derive_round(dag, compiled, "naive")
-        assert naive == derive_round(dag, compiled, "semi_naive")[0], dag.rounds
+        naive, _, _ = derive_round(JoinState(dag, default_rules, "naive"))
+        assert naive == derive_round(JoinState(dag, default_rules, "semi_naive"))[0], dag.rounds
         if not naive:
             break
         dag = saturate(d0, default_rules, max_rounds=rounds).dag

@@ -1,5 +1,6 @@
 """The package's export list and its run-time imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +26,27 @@ def test_runtime_does_not_import_numpy():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "coll(G,H,I): holds\n"
+
+
+def _unused_imports(path):
+    """(line, name) for each name the module imports and never reads.
+    Scopes are not told apart: a name read anywhere in the module counts."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import a.b binds a
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them
+    files = [p for p in (ROOT / "src" / "geodeduce").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "tools").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in sorted(files)}
+    assert {p: names for p, names in unused.items() if names} == {}

@@ -40,7 +40,8 @@ def test_midline_fixpoint_report(midline, default_rules):
                                     {"master_seed": -1},
                                     {"seeds": 2.5}, {"master_seed": 0.5},
                                     {"max_rounds": 3.0}, {"max_facts": 2.5},
-                                    {"seeds": "5"}, {"master_seed": None}])
+                                    {"seeds": "5"}, {"master_seed": None},
+                                    {"strict_sides": "no"}, {"strict_sides": 1}])
 def test_pipeline_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError, match=[*kwargs][-1]):  # names the field
         PipelineConfig(**kwargs)
@@ -140,7 +141,7 @@ def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch)
 
 
 def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):
-    from geodeduce import engine, pipeline
+    from geodeduce import engine
     calls = []
 
     def counted(rule, compile_rule=engine.compile_rule):
@@ -148,7 +149,6 @@ def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):
         return compile_rule(rule)
 
     monkeypatch.setattr(engine, "compile_rule", counted)
-    monkeypatch.setattr(pipeline, "compile_rule", counted)
     rep = run_pipeline(_case("inscribed"), default_rules, PipelineConfig(mode="filtered"))
     assert rep.rounds >= 2
     assert calls == default_rules
@@ -162,13 +162,15 @@ def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
     between rounds and keeps only the interesting facts, derives with the
     run's one JoinState exactly what a fresh state derives."""
     from geodeduce import pipeline
+    from geodeduce.engine import JoinState
     from geodeduce.numeric import DegenerateModelError
     real = pipeline.derive_round
     states = []
 
-    def checked(dag, rules, strategy="semi_naive", strict_sides=False, state=None):
-        got = real(dag, rules, strategy, strict_sides, state)
-        assert got == real(dag, rules, strategy, strict_sides), dag.rounds
+    def checked(state):
+        got = real(state)
+        fresh = JoinState(state.dag, default_rules, strict_sides=strict_sides)
+        assert got == real(fresh), state.dag.rounds
         states.append(state)
         return got
 
@@ -179,8 +181,7 @@ def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
     except DegenerateModelError:
         assert not states  # no model could be sampled, so nothing was derived
         return
-    assert states and states[0] is not None
-    assert all(s is states[0] for s in states)
+    assert states and all(s is states[0] for s in states)
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])

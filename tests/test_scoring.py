@@ -287,10 +287,20 @@ def test_parse_metric_config_errors():
                                     {"weights": {"focus": float("nan")}},
                                     {"weights": {"focus": float("inf")}},
                                     {"threshold": float("nan")},
-                                    {"weights": {"obviousnes": 1.0, "weight": 1.0}}])
+                                    {"weights": {"obviousnes": 1.0, "weight": 1.0}},
+                                    # all zero once failed only in scoring
+                                    {"weights": {}}, {"weights": {"weight": 0.0}},
+                                    {"weights": dict.fromkeys(METRICS, 0.0)}])
 def test_metric_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         MetricConfig(**kwargs)
+
+
+@pytest.mark.parametrize("direction", ["lower", "higher", 0, 1, None])
+def test_metric_config_rejects_a_non_bool_direction(direction):
+    # "lower" is truthy: it was once accepted and read as higher
+    with pytest.raises(ValueError, match="direction of weight must be a bool"):
+        MetricConfig(directions={"weight": direction})
 
 
 @pytest.mark.parametrize("top_k", [1.5, 2.0, "2"])
