@@ -309,6 +309,8 @@ class JoinState:
                  strategy: str = "semi_naive", strict_sides: bool = False) -> None:
         if strategy not in ("naive", "semi_naive"):
             raise ValueError(f"unknown strategy {strategy!r}")
+        if not isinstance(strict_sides, bool):  # "no" would run strict
+            raise ValueError(f"strict_sides must be a bool, got {strict_sides!r}")
         self.dag = dag
         self.rules = [compile_rule(rule) for rule in rules]
         self.strategy = strategy

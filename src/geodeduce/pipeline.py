@@ -9,15 +9,15 @@ Two modes:
 * ``filtered`` — per round, only facts that pass the run-time filter and
   are judged interesting re-enter the fact list; everything else is
   discarded for the rest of the run.  One graph grows across the rounds;
-  each round scores its survivors on one trial copy of it.
+  each round judges only its survivors, on one trial copy of it.
 
 Both modes send derivations through the same admission routine,
 ``_admit``.  A fact it blocks never comes back within the run, and a fact
 the graph holds keeps its one derivation, so a fact's derivation closure
 is fixed when it enters the graph, which stores it then.  One
 ``ScoreMemo`` per run therefore computes each fact's seven fixed raw
-metrics once; each round (and the final scoring) redoes only the
-usefulness counts and both normalizations.
+metrics once; each round (and the final scoring) redoes only pass 1,
+the usefulness counts and scale, and the final aggregates it reads.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical
@@ -42,7 +42,7 @@ from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
 from .rules import Rule
 from .scoring import (METRICS, MetricConfig, ScoreCard, ScoreMemo,
-                      filter_interesting, hypothesis_pairs, score_all)
+                      filter_interesting, hypothesis_pairs, interesting_among, score_all)
 
 
 class SoundnessViolationError(RuntimeError):
@@ -220,11 +220,11 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                 stop = "fixpoint"
                 rounds = r - 1
                 break
-            # score candidates against the current fact list
+            # score the survivors against the current fact list
             trial = dag.copy()
             trial.add(*survivors)
-            scores = score_all(trial, cfg.metrics, memo)
-            interesting = {f for f, _ in filter_interesting(scores, cfg.metrics)}
+            interesting = interesting_among(trial, [d.fact for d in survivors],
+                                            cfg.metrics, memo)
             added = [d for d in survivors if d.fact in interesting]
             blocked.update(d.fact for d in survivors if d.fact not in interesting)
             dag.add(*added)

@@ -13,8 +13,10 @@ the graph is append-only, and a fact that a filtered round blocks never
 comes back.  The graph stores each fact's closure when the fact enters.
 A ``ScoreMemo`` that lives for one run keeps, per fact, the seven raw
 metrics other than usefulness, each computed once per fact per run.  It
-is built with the run's hypothesis point pairs.  Every ``score_all`` call
-redoes only the usefulness counts and both normalizations.
+is built with the run's hypothesis point pairs.  Every call redoes pass 1
+over the derived facts and the usefulness counts and scale.  ``score_all``
+builds every fact's card; ``interesting_among`` builds none and computes
+final aggregates only for the facts asked about (all when top_k ranks).
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -27,7 +29,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact, fact_symbols
@@ -237,19 +239,17 @@ def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
     return cards
 
 
-def score_all(dag: DerivationDag, cfg: MetricConfig,
-              memo: Optional[ScoreMemo] = None) -> Dict[Fact, ScoreCard]:
-    """Two-pass scoring of every fact in dag; normalization over derived
-    facts only.  Pass the same memo to every call on one growing graph;
-    without one, every fact is scored afresh."""
+def _final_scales(dag: DerivationDag, cfg: MetricConfig, memo: Optional[ScoreMemo]
+                  ) -> Tuple[List[Fact], List[Scale], Callable[[Fact], Dict[str, float]]]:
+    """The core of both passes: dag's derived facts, the final scales and a
+    function giving a fact's final raw metrics."""
     if memo is None:
         memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
-    all_facts = list(dag)
-    derived = [f for f in all_facts if dag.node(f).rule is not None]
-    new = [f for f in all_facts if f not in memo.raw]
+    raw = memo.raw
+    new = [f for f in dag if f not in raw]
     if new:
-        memo.raw.update(_raw_scores(new, dag, memo.hyp_pairs))
-    raw = {f: memo.raw[f] for f in all_facts}
+        raw.update(_raw_scores(new, dag, memo.hyp_pairs))
+    derived = [f for f in dag if dag.node(f).rule is not None]
 
     # pass 1: usefulness is 0.0 everywhere; only derived aggregates count
     scales = _scales(raw, derived, cfg)
@@ -258,9 +258,29 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
 
     # pass 2: only the usefulness column (the last metric) and its scale change
     useful = usefulness(dag, provisional)
-    final = {f: dict(r, usefulness=float(useful[f])) for f, r in raw.items()}
-    scales[-1:] = _scales(final, derived, cfg, METRICS[-1:])
-    return _normalize(final, derived, scales)
+    column = {f: {"usefulness": float(useful[f])} for f in derived}
+    scales[-1:] = _scales(column, derived, cfg, METRICS[-1:])
+    return derived, scales, lambda f: dict(raw[f], usefulness=float(useful[f]))
+
+
+def score_all(dag: DerivationDag, cfg: MetricConfig,
+              memo: Optional[ScoreMemo] = None) -> Dict[Fact, ScoreCard]:
+    """Two-pass scoring of every fact in dag; normalization over derived
+    facts only.  Pass the same memo to every call on one growing graph;
+    without one, every fact is scored afresh."""
+    derived, scales, final = _final_scales(dag, cfg, memo)
+    return _normalize({f: final(f) for f in dag}, derived, scales)
+
+
+def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConfig,
+                      memo: Optional[ScoreMemo] = None) -> Set[Fact]:
+    """The facts of ``facts`` that filter_interesting(score_all(dag, cfg, memo),
+    cfg) picks, found without score cards: final aggregates are computed for
+    those facts alone, or for every derived fact when top_k ranks them."""
+    derived, scales, final = _final_scales(dag, cfg, memo)
+    wanted = set(facts)
+    pool = derived if cfg.top_k else [f for f in derived if f in wanted]
+    return wanted.intersection(_best({f: _directed(final(f), scales)[1] for f in pool}, cfg))
 
 
 def _config_number(convert, key: str, value: str, lineno: int):
@@ -316,12 +336,15 @@ def parse_metric_config(text: str, threshold: float = 0.5,
                         threshold=threshold, top_k=top_k)
 
 
+def _best(aggregates: Dict[Fact, float], cfg: MetricConfig) -> List[Fact]:
+    """The facts reaching the threshold, best first; the top_k best if set."""
+    picked = sorted((f for f, a in aggregates.items() if a >= cfg.threshold),
+                    key=lambda f: (-aggregates[f], f))
+    return picked[:cfg.top_k] if cfg.top_k else picked
+
+
 def filter_interesting(scores: Dict[Fact, ScoreCard],
                        cfg: MetricConfig) -> List[Tuple[Fact, ScoreCard]]:
     """Derived facts above threshold, best first; top_k truncation if set."""
-    picked = [(f, s) for f, s in scores.items()
-              if not s.hypothesis and s.aggregate >= cfg.threshold]
-    picked.sort(key=lambda fs: (-fs[1].aggregate, fs[0]))
-    if cfg.top_k:
-        picked = picked[:cfg.top_k]
-    return picked
+    aggregates = {f: s.aggregate for f, s in scores.items() if not s.hypothesis}
+    return [(f, scores[f]) for f in _best(aggregates, cfg)]

@@ -270,6 +270,16 @@ def test_strict_sides_excludes_conditional_premises(inscribed, default_rules):
     assert not any(f.pred == "eqangle" for f in strict.dag)
 
 
+@pytest.mark.parametrize("strict_sides", ["no", 0, 1, None])
+def test_strict_sides_must_be_a_bool(strict_sides, inscribed, default_rules):
+    # "no" was once read as true: the run went strict, 7 graph facts instead of 19
+    d0 = initial_facts(inscribed)
+    with pytest.raises(ValueError, match="strict_sides must be a bool"):
+        JoinState(DerivationDag(d0), default_rules, strict_sides=strict_sides)
+    with pytest.raises(ValueError, match="strict_sides must be a bool"):
+        saturate(d0, default_rules, strict_sides=strict_sides)
+
+
 def _reference_join(rule, candidate_lists):
     """The orbit-enumerating matcher the indexed join replaced: for every
     partial binding, unify the pattern with each variant of each fact."""

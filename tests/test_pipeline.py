@@ -16,7 +16,7 @@ from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.facts import Fact
 from geodeduce.pipeline import (MODES, FactRecord, PipelineConfig, Report,
                                 SoundnessViolationError, emit_report, run_pipeline)
-from geodeduce.scoring import METRICS, ScoreCard
+from geodeduce.scoring import DEFAULT_DIRECTIONS, METRICS, MetricConfig, ScoreCard
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -117,9 +117,9 @@ def test_filtered_subset_of_fixpoint(name, default_rules):
 
 @pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(30)))
 def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch):
-    """Every round's scores, computed with the run's memo, equal the scores
-    of the same graph computed afresh, exactly: a fact never comes back
-    with another derivation within a run."""
+    """The final scores, computed with the memo that every round filled,
+    equal the scores of the same graph computed afresh, exactly: a fact
+    never comes back with another derivation within a run."""
     from geodeduce import pipeline
     from geodeduce.numeric import DegenerateModelError
     real = pipeline.score_all
@@ -138,6 +138,46 @@ def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch)
         assert not calls  # no model could be sampled, so nothing was scored
         return
     assert calls
+
+
+# the default, top_k ranking, lower thresholds, flipped directions and a heavy usefulness
+ROUND_CONFIGS = {
+    "default": MetricConfig(),
+    "top2": MetricConfig(top_k=2),
+    "t0.3-top3": MetricConfig(threshold=0.3, top_k=3),
+    "t0.35": MetricConfig(threshold=0.35),
+    "flipped": MetricConfig(directions={m: not up for m, up in DEFAULT_DIRECTIONS.items()}),
+    "useful5-top1": MetricConfig(weights={**dict.fromkeys(METRICS, 1.0), "usefulness": 5.0},
+                                 top_k=1),
+}
+
+
+@pytest.mark.parametrize("metrics", ROUND_CONFIGS.values(), ids=ROUND_CONFIGS.keys())
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(30)))
+def test_round_picks_what_full_ranking_picks(name, metrics, default_rules, monkeypatch):
+    """Every filtered round keeps exactly the survivors that the full ranking,
+    score cards for the trial graph computed afresh, judges interesting."""
+    from geodeduce import pipeline
+    from geodeduce.numeric import DegenerateModelError
+    from geodeduce.scoring import filter_interesting, score_all
+    real = pipeline.interesting_among
+    rounds = []
+
+    def checked(trial, facts, cfg, memo):
+        got = real(trial, facts, cfg, memo)
+        picked = {f for f, _ in filter_interesting(score_all(trial, cfg), cfg)}
+        assert got == picked & set(facts)
+        rounds.append(got)
+        return got
+
+    monkeypatch.setattr(pipeline, "interesting_among", checked)
+    try:
+        rep = run_pipeline(_case(name), default_rules,
+                           PipelineConfig(mode="filtered", metrics=metrics))
+    except DegenerateModelError:
+        assert not rounds  # no model could be sampled, so nothing was scored
+        return
+    assert len(rounds) == rep.rounds  # one call per round that had survivors
 
 
 def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):

@@ -5,8 +5,11 @@
 Runs the bundled examples, the circle ladder (k = 4..10 and 12 concyclic
 points) and the feet ladder (k = 8..20 and 26 feet on one line) in
 fixpoint and filtered mode through each tree's ``src/`` with that tree's
-default rules, and the bundled examples once more in both modes with
-``strict_sides``: 56 reports per tree.  Each tree runs in its own
+default rules, the bundled examples once more in both modes with
+``strict_sides``, and the bundled examples, circle 8 and feet 12 in
+filtered mode under three ranking metric configs (``top_k`` = 2;
+threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1):
+71 reports per tree.  Each tree runs in its own
 subprocess, under its own fixed PYTHONHASHSEED, so ``diff_reports.py . .``
 checks that no report depends on the hash seed.
 The inputs are this checkout's examples and the ladder figures below,
@@ -27,23 +30,34 @@ ROOT = Path(__file__).resolve().parents[1]
 HASH_SEEDS = ("1", "2")  # OLD_TREE's, NEW_TREE's
 MODES = ("fixpoint", "filtered")
 
-# reads [[name, construction text, mode, strict_sides], ...] on stdin and prints
-# {name: JSON report, or "error: ..."}; runs with the tree as its cwd
+# reads [[name, construction text, mode, strict_sides, MetricConfig keywords], ...]
+# on stdin and prints {name: JSON report, or "error: ..."}; runs with the tree as its cwd
 WORKER = """
 import json, sys
 from geodeduce import parse_construction, parse_rules
 from geodeduce.pipeline import PipelineConfig, emit_report, run_pipeline
+from geodeduce.scoring import MetricConfig
 rules = parse_rules(open("rules/gddm-default.gr").read())
 out = {}
-for name, text, mode, strict in json.load(sys.stdin):
+for name, text, mode, strict, metrics in json.load(sys.stdin):
     try:
-        cfg = PipelineConfig(mode=mode, strict_sides=strict)
+        cfg = PipelineConfig(mode=mode, strict_sides=strict, metrics=MetricConfig(**metrics))
         report = run_pipeline(parse_construction(text), rules, cfg)
         out[name] = emit_report(report, "json")
     except Exception as e:
         out[name] = f"error: {type(e).__name__}: {e}"
 json.dump(out, sys.stdout)
 """
+
+
+# filtered-mode metric configs whose rounds rank by top_k: name -> MetricConfig keywords
+RANKED = {
+    "top2": {"top_k": 2},
+    "t0.3-top3": {"threshold": 0.3, "top_k": 3},
+    "useful5-top1": {"weights": {"obviousness": 1.0, "weight": 1.0, "complexity": 1.0,
+                                 "surprisingness": 1.0, "intensity": 1.0, "adaptivity": 1.0,
+                                 "focus": 1.0, "usefulness": 5.0}, "top_k": 1},
+}
 
 
 # the circle points' names: the letters after A, O left out
@@ -69,9 +83,12 @@ def cases() -> list:
     # the two ladders, and each at its milestone size
     figures = examples + [(f"circle{k}", concyclic_text(k)) for k in [*range(4, 11), 12]]
     figures += [(f"feet{k}", feet_text(k)) for k in [*range(8, 21), 26]]
-    return ([[f"{name} {mode}", text, mode, False] for name, text in figures for mode in MODES]
-            + [[f"{name} {mode} strict", text, mode, True]
-               for name, text in examples for mode in MODES])
+    ranked = examples + [("circle8", concyclic_text(8)), ("feet12", feet_text(12))]
+    return ([[f"{name} {mode}", text, mode, False, {}] for name, text in figures for mode in MODES]
+            + [[f"{name} {mode} strict", text, mode, True, {}]
+               for name, text in examples for mode in MODES]
+            + [[f"{name} filtered {key}", text, "filtered", False, metrics]
+               for name, text in ranked for key, metrics in RANKED.items()])
 
 
 def start(tree: Path, hash_seed: str, todo: list) -> subprocess.Popen:
