@@ -23,40 +23,46 @@ backtracking walk.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
 ``pipeline.run_pipeline``) builds one ``JoinState`` per run, holding all
-that is fixed for it; ``derive_round`` takes only the state.  The graph is
-append-only and grows one round at a time, so each round takes in the last
-round's facts only: their symmetry orbits are enumerated once, in
-``facts.SYMMETRIES`` order, added to the known variants of their predicate
-and indexed in every slot of that predicate, and then dropped.  A slot's
-index over the older facts is the one the last round left, and its index
-over all facts appends the last round's entries to each key, sharing every
-list it leaves alone.  Entries keep the order a rebuild would give them:
-graph order, then orbit order.  A conclusion whose arguments are a known
-variant is a fact the graph holds (it lies in that fact's orbit), so it is
-dropped before it is canonicalized.
+that is fixed for it and only the rules that can fire; ``derive_round``
+takes only the state.  The graph is append-only and grows one round at a
+time, so each round takes in the last round's facts only: their symmetry
+orbits are added to the known variants of their predicate, and the facts
+are indexed in every slot of that predicate.  A slot's index over the
+older facts is the one the last round left, and its index over all facts
+appends the last round's entries to each key, sharing every list it leaves
+alone.  Entries keep the order a rebuild would give them: graph order,
+then orbit order.  A conclusion whose arguments are a known variant is a
+fact the graph holds (it lies in that fact's orbit), so it is dropped
+before it is canonicalized.
 
-Each rule is compiled once per run, by ``JoinState`` (``compile_rule``, no
-cache across runs) into all that ``derive_round`` reads: its name,
-predicates, binding positions and the symmetries its join breaks, disjoint
+What depends on the rules alone is memoized once per process, with a fixed
+bound.  ``compile_rule`` makes all that ``derive_round`` reads: names,
+predicates, binding positions and the symmetries the join breaks, disjoint
 variable swaps (x y) from ``Rule.symmetries``.  A swapped binding uses the
 same facts and gives the same conclusion, so the join keeps only the one
 it would draw first (symmetry-breaking predicates, Crawford, Ginsberg,
 Luks & Roy 1996): the slot binding x and y admits only variants with
-v[px] <= v[py].  A kept binding stands for 2**k bindings of the full
-join, k the number of its swaps whose two points differ, and the drop
-counters add that weight, so they still count full-join bindings.
+v[px] <= v[py].  A ``distinct`` side is tested in a slot too if one
+premise names both its variables.  These tests read only a fact's shape,
+its arguments as ranks among its points, so ``_admitted`` runs them once
+per slot and shape, as Rete's alpha memories do (Forgy 1982); indexing a
+fact compares only point constants.  A kept binding stands for 2**k
+bindings of the full join, k the number of its swaps whose two points
+differ, and the drop counters add that weight, so they still count
+full-join bindings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .facts import (LEX_ORBITS, Fact, canonicalize, is_degenerate, is_tautology,
-                    orbit)
+from .facts import (LEX_ORBITS, SYMMETRIES, Fact, canonicalize, is_degenerate,
+                    is_tautology, orbit)
 from .rules import Rule, is_variable
 
 
@@ -170,6 +176,7 @@ class _Slot(NamedTuple):
     key_pos: Tuple[int, ...]              # first positions of variables bound before
     new_pos: Tuple[int, ...]              # first positions of variables bound here
     lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
+    distinct: Tuple[Tuple[int, int], ...] = ()  # (p, q): admit v[p] != v[q] only
 
 
 class CompiledRule(NamedTuple):
@@ -182,7 +189,7 @@ class CompiledRule(NamedTuple):
     names: Tuple[str, ...]              # the point at each binding position
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
     swaps: Tuple[Tuple[int, int], ...]     # pairs as binding positions
-    distinct: Tuple[Tuple[int, int], ...]  # distinct sides as binding positions
+    distinct: Tuple[Tuple[int, int], ...]  # distinct sides no slot tests, as binding positions
     conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
     # numeric side conditions: (predicate, binding -> their points)
     numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
@@ -193,8 +200,10 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     Binding positions number the rule's point constants, then its variables
     in the order the slots bind them.  Each swap (x y) of pairs is tested
     in the slot that binds x: a swap's two variables share every premise,
-    so that slot binds y too."""
+    so that slot binds y too.  A distinct side is tested in the first slot
+    that names both its variables."""
     atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
+    sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     consts = tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
     at = {c: i for i, c in enumerate(consts)}  # point -> binding position
     slots: List[_Slot] = []
@@ -211,9 +220,12 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
                 first[arg] = pos
         key = [v for v in first if v in at]
         new = [v for v in first if v not in at]
+        inside = [(x, y) for x, y in sides if x in first and y in first]
+        sides = [side for side in sides if side not in inside]
         slots.append(_Slot(pattern.pred, tuple(fixed), tuple(repeats),
                            tuple(first[v] for v in key), tuple(first[v] for v in new),
-                           tuple((first[x], first[y]) for x, y in pairs if x in new)))
+                           tuple((first[x], first[y]) for x, y in pairs if x in new),
+                           tuple((first[x], first[y]) for x, y in inside)))
         keys.append(_getter(tuple(at[v] for v in key)))
         for v in new:
             at[v] = len(at)
@@ -221,8 +233,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     plans = tuple((OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1) for i in range(n))
     return CompiledRule(rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans,
                         pairs, tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
-                        tuple((at[a], at[b]) for side in rule.side_conditions
-                              if side.pred == "distinct" for a, b in [side.args]),
+                        tuple((at[a], at[b]) for a, b in sides),
                         _getter(tuple(at[a] for a in rule.conclusion.args)),
                         tuple((s.pred, _getter(tuple(at[a] for a in s.args)))
                               for s in rule.numeric_sides))
@@ -239,10 +250,11 @@ def _breaks(rule: Rule, x: str, y: str) -> bool:
         if {u, v} & {x, y})
 
 
+@functools.lru_cache(maxsize=256)
 def compile_rule(rule: Rule) -> CompiledRule:
     """The rule's slot layouts and the symmetries its join breaks, chosen
     greedily in the order of ``rule.symmetries``, each disjoint from those
-    before it."""
+    before it; memoized, as it depends on the rule alone."""
     pairs: List[Tuple[str, str]] = []
     taken: Set[str] = set()
     for x, y in rule.symmetries:
@@ -252,37 +264,43 @@ def compile_rule(rule: Rule) -> CompiledRule:
     return _compile(rule, tuple(pairs))
 
 
-def _orbit_table(facts: Iterable[Fact]) -> Dict[Fact, Tuple[Tuple[str, ...], ...]]:
-    """Each fact's symmetry orbit without repeats, in orbit order."""
-    return {f: tuple(dict.fromkeys(orbit(f))) for f in facts}
+@functools.lru_cache(maxsize=4096)
+def _admitted(slot: _Slot, shape: Tuple[int, ...]) -> Tuple[Tuple[Callable, ...], ...]:
+    """The orbit permutations whose variant of a fact of this shape passes the
+    slot's repeat, lex and distinct tests, in orbit order and the first of
+    equal variants only, each as getters of the fact's arguments at the
+    variant's constant, key and new positions."""
+    tests = ([(operator.eq, p, q) for p, q in slot.repeats]
+             + [(operator.le, p, q) for p, q in slot.lex]
+             + [(operator.ne, p, q) for p, q in slot.distinct])
+    at = [i for i, _ in slot.consts]
+    out, seen = [], set()
+    for perm in SYMMETRIES[slot.pred]:
+        v = operator.itemgetter(*perm)(shape)
+        if v not in seen and all([test(v[p], v[q]) for test, p, q in tests]):
+            out.append(tuple(_getter(tuple(map(perm.__getitem__, pos)))
+                             for pos in (at, slot.key_pos, slot.new_pos)))
+        seen.add(v)
+    return tuple(out)
 
 
-def _index(slot: _Slot, facts: Iterable[Fact], orbits) -> Dict[tuple, list]:
+def _index(slot: _Slot, facts: Iterable[Fact]) -> Dict[tuple, list]:
     """Variants of facts that fit the slot's pattern, keyed by their values
     at the already-bound positions: key -> [(fact, values of the new
     variables)].
 
     Within one fact, a consistent variant and the binding it extends to
-    correspond one to one, so the orbit's own deduplication is the only
-    one needed.  Entries keep the order of facts, then orbit order.
+    correspond one to one, so dropping equal variants is the only
+    deduplication needed.  Entries keep the order of facts, then orbit order.
     """
     index: Dict[tuple, list] = {}
-    consts, repeats, lex = slot.consts, slot.repeats, slot.lex
-    key, new = _getter(slot.key_pos), _getter(slot.new_pos)
-    # each test compares tuples picked out of the variant
-    at, want = _getter(tuple(i for i, _ in consts)), tuple(c for _, c in consts)
-    rep, first = (_getter(tuple(p[k] for p in repeats)) for k in (0, 1))
-    lo, hi = (_getter(tuple(p[k] for p in lex)) for k in (0, 1))
+    want = tuple(c for _, c in slot.consts)
     for f in facts:
-        for v in orbits[f]:
-            # an empty test costs one truth check per variant
-            if consts and at(v) != want:
+        args = f.args  # its shape: each argument's rank among its points
+        for at, key, new in _admitted(slot, tuple(map(sorted(set(args)).index, args))):
+            if want and at(args) != want:
                 continue
-            if repeats and rep(v) != first(v):
-                continue
-            if lex and not all(map(operator.le, lo(v), hi(v))):
-                continue
-            index.setdefault(key(v), []).append((f, new(v)))
+            index.setdefault(key(args), []).append((f, new(args)))
     return index
 
 
@@ -299,11 +317,11 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
 
 
 class JoinState:
-    """One run of the join: the graph it reads, the run's rules compiled,
-    the strategy and ``strict_sides``, and what it keeps across rounds: the
-    known variants of every graph fact by predicate, and per slot of the
-    rules its index over every usable fact taken in, in graph order.
-    Nothing outlives the run."""
+    """One run of the join: the graph, grown by the state's derivations only,
+    the predicates it can reach, the compiled rules that can fire, the
+    strategy and ``strict_sides``, and what it keeps across rounds: the known
+    variants of every graph fact by predicate, and per slot of the rules its
+    index over every usable fact taken in, in graph order."""
 
     def __init__(self, dag: DerivationDag, rules: Iterable[Rule],
                  strategy: str = "semi_naive", strict_sides: bool = False) -> None:
@@ -312,7 +330,13 @@ class JoinState:
         if not isinstance(strict_sides, bool):  # "no" would run strict
             raise ValueError(f"strict_sides must be a bool, got {strict_sides!r}")
         self.dag = dag
-        self.rules = [compile_rule(rule) for rule in rules]
+        rules = [compile_rule(rule) for rule in rules]
+        self.preds, n = {f.pred for f in dag}, -1
+        while n < len(self.preds):  # close the graph's predicates under the conclusions
+            n = len(self.preds)
+            self.preds.update(r.pred for r in rules
+                              if all(s.pred in self.preds for s in r.slots))
+        self.rules = [r for r in rules if all(s.pred in self.preds for s in r.slots)]
         self.strategy = strategy
         self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
@@ -331,9 +355,10 @@ class JoinState:
         self.rounds = dag.rounds
         new = list(itertools.islice(dag, self.taken, None))
         self.taken = len(dag)
-        orbits = _orbit_table(new)
-        for f, variants in orbits.items():
-            self.known.setdefault(f.pred, set()).update(variants)
+        for f in new:
+            self.known.setdefault(f.pred, set()).update(orbit(f))
+        if not self.preds.issuperset(self.known):  # a rule left out could fire
+            raise ValueError("the graph gained a fact that no rule of the state concludes")
         groups: Dict[Tuple[str, str], List[Fact]] = {}  # (part, predicate) -> usable facts
         for f in new:
             d = dag.node(f)
@@ -344,8 +369,8 @@ class JoinState:
         for slot, old in self.indexes.items():
             older, delta = groups.get((OLD, slot.pred)), groups.get((DELTA, slot.pred))
             if older:
-                old = _extend(old, _index(slot, older, orbits))
-            delta = _index(slot, delta, orbits) if delta else {}
+                old = _extend(old, _index(slot, older))
+            delta = _index(slot, delta) if delta else {}
             self.indexes[slot] = full = _extend(old, delta)
             views[slot] = {OLD: old, DELTA: delta, ALL: full}
         return views

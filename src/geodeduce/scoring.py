@@ -216,16 +216,19 @@ def _scales(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
 
 def _directed(r: Dict[str, float],
               scales: List[Scale]) -> Tuple[List[float], float]:
-    """r's normalized values in METRICS order (0.5 for a metric constant over
-    the derived facts) and their aggregate: the weighted sum of the values
-    oriented so that larger is more interesting."""
-    norm = []
+    """r's normalized values in METRICS order and their aggregate."""
+    return ([0.5 if hi == lo else min(1.0, max(0.0, (r[m] - lo) / (hi - lo)))
+             for m, lo, hi, _, _ in scales], _aggregate(r, scales))
+
+
+def _aggregate(r: Dict[str, float], scales: List[Scale]) -> float:
+    """The weighted sum of r's normalized values (0.5 for a metric constant
+    over the derived facts), oriented so that larger is more interesting."""
     agg = 0.0
     for m, lo, hi, w, up in scales:
         n = 0.5 if hi == lo else min(1.0, max(0.0, (r[m] - lo) / (hi - lo)))
-        norm.append(n)
         agg += w * (n if up else 1.0 - n)
-    return norm, agg
+    return agg
 
 
 def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
@@ -253,8 +256,7 @@ def _final_scales(dag: DerivationDag, cfg: MetricConfig, memo: Optional[ScoreMem
 
     # pass 1: usefulness is 0.0 everywhere; only derived aggregates count
     scales = _scales(raw, derived, cfg)
-    provisional = {f for f in derived
-                   if _directed(raw[f], scales)[1] >= cfg.threshold}
+    provisional = {f for f in derived if _aggregate(raw[f], scales) >= cfg.threshold}
 
     # pass 2: only the usefulness column (the last metric) and its scale change
     useful = usefulness(dag, provisional)
@@ -280,7 +282,7 @@ def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConf
     derived, scales, final = _final_scales(dag, cfg, memo)
     wanted = set(facts)
     pool = derived if cfg.top_k else [f for f in derived if f in wanted]
-    return wanted.intersection(_best({f: _directed(final(f), scales)[1] for f in pool}, cfg))
+    return wanted.intersection(_best({f: _aggregate(final(f), scales) for f in pool}, cfg))
 
 
 def _config_number(convert, key: str, value: str, lineno: int):

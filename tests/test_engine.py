@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
-from geodeduce.engine import (_compile, _index, _join, _orbit_table, compile_rule,
+from geodeduce.engine import (_compile, _index, _join, compile_rule,
                               derive_round, Derivation, DerivationDag, JoinState)
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
@@ -325,12 +325,11 @@ def test_indexed_join_equals_reference(seed, default_rules, inscribed):
     c = (inscribed if seed == "inscribed"
          else parse_construction(random_construction_text(seed)))
     facts = saturate(initial_facts(c), default_rules, max_rounds=2).dag
-    orbits = _orbit_table(facts)
     for rule in default_rules:
         lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
                  for p in rule.premises]
         compiled = _compile(rule)
-        indexes = [_index(s, lst, orbits) for s, lst in zip(compiled.slots, lists)]
+        indexes = [_index(s, lst) for s, lst in zip(compiled.slots, lists)]
         # tuple bindings as variable -> point, through the compiled variable order
         k = len(compiled.consts)
         got = _hashable((dict(zip(compiled.names[k:], b[k:])), used)
@@ -380,9 +379,8 @@ def _check_carried_state(text, rules, strategy, strict_sides):
         assert all(d.round == r for d in got[0]), r
         assert all(index == copy for index, copy in before), r
         usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
-        orbits = _orbit_table(usable)
         for slot, index in state.indexes.items():
-            assert index == _index(slot, [f for f in usable if f.pred == slot.pred], orbits)
+            assert index == _index(slot, [f for f in usable if f.pred == slot.pred])
         if not got[0]:
             break
         dag.add(*got[0])
@@ -429,14 +427,13 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
 
         def rebuilt(state):
             views = take_in(state)  # fills state.known
-            orbits = _orbit_table(usable)
             out = {}
             for slot in views:
                 facts = [f for f in usable if f.pred == slot.pred]
                 parts = {engine.OLD: [f for f in facts if dag.node(f).round < last],
                          engine.DELTA: [f for f in facts if dag.node(f).round == last],
                          engine.ALL: facts}
-                out[slot] = {part: _index(slot, fs, orbits) for part, fs in parts.items()}
+                out[slot] = {part: _index(slot, fs) for part, fs in parts.items()}
             return out
 
         with monkeypatch.context() as m:
@@ -471,3 +468,18 @@ def test_next_round_naive_equals_semi_naive(seed, default_rules):
             break
         dag = saturate(d0, default_rules, max_rounds=rounds).dag
     assert rounds >= 3
+
+
+def test_state_leaves_out_rules_that_cannot_fire(default_rules):
+    """The feet figures give coll and perp facts; only para comes of them,
+    so no rule with a midp, cong, cyclic or eqangle premise is kept."""
+    dag = DerivationDag(initial_facts(parse_construction(feet_text(4))))
+    assert {f.pred for f in dag} == {"coll", "perp"}
+    state = JoinState(dag, default_rules)
+    assert [r.name for r in state.rules] == [
+        "coll_merge", "para_trans", "perp_perp_para", "para_perp_perp"]
+    assert {slot.pred for slot in state.indexes} == {"coll", "para", "perp"}
+    # a fact no kept rule concludes would need a rule the state left out
+    dag.add(Derivation(make_fact("cong", "A", "B", "F1", "X1"), "given", (), 1))
+    with pytest.raises(ValueError, match="no rule of the state concludes"):
+        derive_round(state)

@@ -180,6 +180,24 @@ def test_round_picks_what_full_ranking_picks(name, metrics, default_rules, monke
     assert len(rounds) == rep.rounds  # one call per round that had survivors
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cold_memos_give_the_warm_report(name, mode, default_rules):
+    """The process-level memos (compiled rules, slot tables, draw prefixes)
+    change no report byte: a run after clearing them equals a warm run."""
+    from geodeduce import engine, numeric
+
+    def report():
+        return emit_report(run_pipeline(_case(name), default_rules,
+                                        PipelineConfig(mode=mode)), "json")
+
+    for memo in (engine.compile_rule, engine._admitted, numeric._prefix):
+        memo.cache_clear()
+    cold = report()
+    assert engine._admitted.cache_info().currsize > 0
+    assert report() == cold
+
+
 def test_filtered_run_compiles_each_rule_once(default_rules, monkeypatch):
     from geodeduce import engine
     calls = []

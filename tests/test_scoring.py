@@ -5,7 +5,7 @@ from hypothesis import assume, given, strategies as st
 
 from geodeduce import initial_facts, make_fact, saturate
 from geodeduce.engine import Derivation, DerivationDag
-from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, _directed,
+from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, _aggregate, _directed,
                                _normalize, _raw_scores, _scales, adaptivity,
                                complexity, filter_interesting, focus,
                                hypothesis_pairs, hypotheses_used, intensity,
@@ -235,7 +235,8 @@ def test_aggregate_only_pass_equals_full_pass(table):
     reference = _reference_normalize(raw, derived, cfg)
     assert cards == reference
     for f in derived:  # the provisional aggregate, bit for bit
-        assert _directed(raw[f], scales)[1] == cards[f].aggregate == reference[f].aggregate
+        assert (_aggregate(raw[f], scales) == _directed(raw[f], scales)[1]
+                == cards[f].aggregate == reference[f].aggregate)
 
 
 @pytest.mark.parametrize("case", [*range(10), "midline", "pappus", "inscribed"])

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, Phase, find, given, settings, strategies as 
 from geodeduce import (engine, initial_facts, make_fact, parse_construction,
                        parse_rules, saturate)
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, _join,
-                              _orbit_table, compile_rule, derive_round)
+                              compile_rule, derive_round)
 from geodeduce.facts import ARITIES, Fact, canonicalize, orbit
-from geodeduce.rules import Rule
+from geodeduce.rules import Rule, is_variable
 
 from conftest import ROOT, concyclic_text
 from fuzzing import random_construction_text
@@ -63,19 +63,26 @@ def _join_list(compiled, rule, facts):
     """The join's (binding, facts used), each tuple binding mapped to
     variable -> point through the compiled variable order.  The kernel's
     conclusion getter and distinct tests read the tuple; they must agree
-    with grounding by name, point constants included."""
-    orbits = _orbit_table(facts)
+    with grounding by name, point constants included.  A distinct side
+    whose two variables share a premise is tested in that premise's slot,
+    so every drawn binding satisfies it; the others are tested per
+    binding, by ``compiled.distinct``."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
-    indexes = [_index(s, lst, orbits) for s, lst in zip(compiled.slots, lists)]
+    indexes = [_index(s, lst) for s, lst in zip(compiled.slots, lists)]
     k = len(compiled.consts)
-    distinct = [s.args for s in rule.side_conditions if s.pred == "distinct"]
+    in_slot, spanning = [], []
+    for s in rule.side_conditions:
+        if s.pred == "distinct":
+            shared = any({*s.args} <= {*p.args} for p in rule.premises)
+            (in_slot if shared and all(map(is_variable, s.args)) else spanning).append(s.args)
     out = []
     for b, used in _join(compiled, indexes):
         named = dict(zip(compiled.names[k:], b[k:]))
         assert compiled.conclusion(b) == _ground(rule.conclusion.args, named)
+        assert all(len(set(_ground(args, named))) == 2 for args in in_slot)
         assert ([b[i] == b[j] for i, j in compiled.distinct]
-                == [len(set(_ground(args, named))) == 1 for args in distinct])
+                == [len(set(_ground(args, named))) == 1 for args in spanning])
         out.append((named, used))
     return out
 
@@ -307,9 +314,75 @@ def test_random_rule_compiled_join(data):
     lambda r: compile_rule(r).pairs and any(
         s.pred == "distinct" and not all(a[0].isupper() for a in s.args)
         for s in r.side_conditions),
+    lambda r: any(s.distinct for s in compile_rule(r).slots),
+    lambda r: len(r.premises) == 2 and compile_rule(r).distinct and all(
+        a[0].isupper() for s in r.side_conditions if s.pred == "distinct" for a in s.args),
 ], ids=["two-swaps", "block-flip", "swap-and-constant",
-        "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct"])
+        "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct",
+        "distinct-in-slot", "distinct-across-slots"])
 def test_random_rules_reach_symmetries(wanted):
     """The generator reaches the swaps the property test is about."""
     find(random_rules(["o", "a"]), wanted,
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+# --- slot indexes -------------------------------------------------------
+
+def _reference_index(slot, facts):
+    """The slot's index built by testing every orbit variant of every fact,
+    equal ones once: key -> [(fact, values of the new variables)]."""
+    index = {}
+    for f in facts:
+        for v in dict.fromkeys(orbit(f)):
+            if (all(v[p] == c for p, c in slot.consts)
+                    and all(v[p] == v[q] for p, q in slot.repeats)
+                    and all(v[p] <= v[q] for p, q in slot.lex)
+                    and all(v[p] != v[q] for p, q in slot.distinct)):
+                index.setdefault(tuple(v[p] for p in slot.key_pos), []).append(
+                    (f, tuple(v[p] for p in slot.new_pos)))
+    return index
+
+
+# uppercase points, and lowercase ones that random rules name as constants
+INDEX_POINTS = ("A", "B", "C", "D", "E", "a", "o")
+
+
+@st.composite
+def random_facts(draw, pred):
+    """Facts of pred, as written or canonical: few points, so often with
+    repeats, or all points distinct."""
+    n = ARITIES[pred]
+    points = st.sampled_from(INDEX_POINTS[:draw(st.integers(2, len(INDEX_POINTS)))])
+    args = st.one_of(st.lists(points, min_size=n, max_size=n),
+                     st.permutations(INDEX_POINTS + tuple("FGH")).map(lambda p: p[:n]))
+    facts = [Fact(pred, tuple(a)) for a in draw(st.lists(args, max_size=10))]
+    return [canonicalize(f) for f in facts] if draw(st.booleans()) else facts
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_index_equals_variant_filtering_reference(data, default_rules):
+    """Slot tables decided by fact shape index the same entries, in the same
+    order under each key and the same key order, as testing every variant."""
+    rule = data.draw(st.one_of(st.sampled_from(default_rules),
+                               random_rules(INDEX_POINTS[-2:])))
+    for compiled in (compile_rule(rule), _compile(rule)):
+        for slot in compiled.slots:
+            facts = data.draw(random_facts(slot.pred))
+            got, want = _index(slot, facts), _reference_index(slot, facts)
+            assert list(got.items()) == list(want.items()), (rule, slot)
+
+
+def test_distinct_sides_move_into_slots(default_rules):
+    compiled = {r.name: compile_rule(r) for r in default_rules}
+    assert all(not c.distinct for c in compiled.values())
+    # coll_merge: coll(A,B,C), coll(A,B,D), distinct(A,B); the first slot tests it
+    assert [s.distinct for s in compiled["coll_merge"].slots] == [((0, 1),), ()]
+    rule, = parse_rules("rule r: coll(A,B,C), coll(C,D,E), distinct(A,D) => coll(A,B,D)")
+    assert [s.distinct for s in compile_rule(rule).slots] == [(), ()]
+    assert compile_rule(rule).distinct == ((0, 3),)
+
+
+def test_compiled_rules_are_memoized(default_rules):
+    again = parse_rules((ROOT / "rules" / "gddm-default.gr").read_text())
+    assert all(compile_rule(a) is compile_rule(b) for a, b in zip(default_rules, again))

@@ -10,8 +10,10 @@ default rules, the bundled examples once more in both modes with
 filtered mode under three ranking metric configs (``top_k`` = 2;
 threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1):
 71 reports per tree.  Each tree runs in its own
-subprocess, under its own fixed PYTHONHASHSEED, so ``diff_reports.py . .``
-checks that no report depends on the hash seed.
+subprocess, under its own fixed PYTHONHASHSEED, and NEW_TREE runs the cases
+in reverse order, so ``diff_reports.py . .`` checks that no report depends
+on the hash seed or on what earlier runs left in a process-level memo
+(compiled rules, slot tables, draw prefixes).
 The inputs are this checkout's examples and the ladder figures below,
 which the tests import.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
@@ -115,7 +117,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     todo = cases()
     trees = (args.old_tree.resolve(), args.new_tree.resolve())
-    procs = [start(tree, seed, todo) for tree, seed in zip(trees, HASH_SEEDS)]
+    procs = [start(tree, seed, order) for tree, seed, order
+             in zip(trees, HASH_SEEDS, (todo, todo[::-1]))]
     reports = []
     for tree, proc in zip(trees, procs):
         out = proc.stdout.read()
