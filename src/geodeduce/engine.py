@@ -6,9 +6,11 @@ commits the survivors in canonical-form lexicographic order.  The first
 derivation of a fact wins; later ones are ignored.  One ``DerivationDag``
 holds every fact, each with one ``Derivation`` record: a hypothesis's has
 no rule, no premises and round 0.  The graph enforces round order, and
-``derive_round`` stamps the round after its last.  Naive and semi-naive
-evaluation must agree; semi-naive joins the last round's facts with
-strictly older ones (Bancilhon & Ramakrishnan 1986).
+``derive_round`` stamps the round after its last.  Evaluation is
+semi-naive: each round joins the last round's facts with strictly older
+ones (Bancilhon & Ramakrishnan 1986).  The tests hold it to naive
+evaluation, which joins every fact with every fact, as the reference it
+must agree with.
 
 Rules are matched by one indexed join, and ``derive_round`` is its one
 entry.  A binding is a tuple: the rule's point constants, then its
@@ -184,11 +186,10 @@ class CompiledRule(NamedTuple):
     pred: str                           # the conclusion's predicate
     slots: Tuple[_Slot, ...]
     keys: Tuple[Callable[[tuple], tuple], ...]  # per slot: binding -> its key_pos values
-    plans: Tuple[Tuple[str, ...], ...]  # semi-naive plans: one part of the facts per slot
-    pairs: Tuple[Tuple[str, str], ...]  # the symmetry swaps (x y), x bound first
+    plans: Tuple[Tuple[str, ...], ...]  # a round's joins: per slot, the part of the facts
     names: Tuple[str, ...]              # the point at each binding position
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
-    swaps: Tuple[Tuple[int, int], ...]     # pairs as binding positions
+    swaps: Tuple[Tuple[int, int], ...]     # symmetry swaps (x y) as binding positions, x first
     distinct: Tuple[Tuple[int, int], ...]  # distinct sides no slot tests, as binding positions
     conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
     # numeric side conditions: (predicate, binding -> their points)
@@ -232,7 +233,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     n = len(slots)  # plan i: slot i from the last round's facts, earlier ones older
     plans = tuple((OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1) for i in range(n))
     return CompiledRule(rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans,
-                        pairs, tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
+                        tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
                         tuple((at[a], at[b]) for a, b in sides),
                         _getter(tuple(at[a] for a in rule.conclusion.args)),
                         tuple((s.pred, _getter(tuple(at[a] for a in s.args)))
@@ -318,15 +319,13 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
 
 class JoinState:
     """One run of the join: the graph, grown by the state's derivations only,
-    the predicates it can reach, the compiled rules that can fire, the
-    strategy and ``strict_sides``, and what it keeps across rounds: the known
+    the predicates it can reach, the compiled rules that can fire,
+    ``strict_sides``, and what it keeps across rounds: the known
     variants of every graph fact by predicate, and per slot of the rules its
     index over every usable fact taken in, in graph order."""
 
     def __init__(self, dag: DerivationDag, rules: Iterable[Rule],
-                 strategy: str = "semi_naive", strict_sides: bool = False) -> None:
-        if strategy not in ("naive", "semi_naive"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+                 strict_sides: bool = False) -> None:
         if not isinstance(strict_sides, bool):  # "no" would run strict
             raise ValueError(f"strict_sides must be a bool, got {strict_sides!r}")
         self.dag = dag
@@ -337,7 +336,6 @@ class JoinState:
             self.preds.update(r.pred for r in rules
                               if all(s.pred in self.preds for s in r.slots))
         self.rules = [r for r in rules if all(s.pred in self.preds for s in r.slots)]
-        self.strategy = strategy
         self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
         self.taken = 0  # graph facts taken in, a prefix of graph order
@@ -400,10 +398,10 @@ def derive_round(state: JoinState):
     The counters count bindings of the full join: each kept binding adds
     its orbit size.
 
-    Semi-naive evaluation joins each rule under every plan: one slot over
-    DELTA, the facts of round ``dag.rounds``, the slots before it over OLD,
-    and those after over ALL; naive joins every slot over ALL.  Slots of
-    one shape share their indexes, and a plan with an empty one is skipped.
+    Each rule is joined under every plan of its compiled form, semi-naive:
+    one slot over DELTA, the facts of round ``dag.rounds``, the slots before
+    it over OLD, and those after over ALL.  Slots of one shape share their
+    indexes, and a plan with an empty one is skipped.
     The state carries the indexes from its last call, whose graph has since
     gained one round; a fresh state takes in the whole graph, and the
     result is the same.
@@ -415,11 +413,10 @@ def derive_round(state: JoinState):
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in state.rules:
-        plans = rule.plans if state.strategy == "semi_naive" else [(ALL,) * len(rule.slots)]
         slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
         pred, conclusion = rule.pred, rule.conclusion
         known = state.known.get(pred, ())
-        for plan in plans:
+        for plan in rule.plans:
             indexes = [views[slot][part] for slot, part in zip(slots, plan)]
             if not all(indexes):  # a join over an empty index yields no row
                 continue
@@ -461,14 +458,13 @@ class SaturationResult:
 
 
 def saturate(hypotheses: Iterable[Fact], rules: List[Rule], max_rounds: int = 10,
-             max_facts: int = 100000, strategy: str = "semi_naive",
-             strict_sides: bool = False) -> SaturationResult:
+             max_facts: int = 100000, strict_sides: bool = False) -> SaturationResult:
     """Run forward chaining from the hypotheses until a fixpoint or a
     budget is hit."""
     if max_rounds < 1 or max_facts < 1:
         raise ValueError("max_rounds and max_facts must be at least 1")
     dag = DerivationDag(hypotheses)
-    state = JoinState(dag, rules, strategy, strict_sides)  # for this run only
+    state = JoinState(dag, rules, strict_sides)  # for this run only
     n_taut = 0
     for _ in range(max_rounds):
         new, t, _ = derive_round(state)

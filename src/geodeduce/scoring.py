@@ -214,19 +214,18 @@ def _scales(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
     return out
 
 
-def _directed(r: Dict[str, float],
-              scales: List[Scale]) -> Tuple[List[float], float]:
-    """r's normalized values in METRICS order and their aggregate."""
-    return ([0.5 if hi == lo else min(1.0, max(0.0, (r[m] - lo) / (hi - lo)))
-             for m, lo, hi, _, _ in scales], _aggregate(r, scales))
+def _unit(v: float, lo: float, hi: float) -> float:
+    """v mapped onto [0, 1] by a metric's min and max over the derived facts
+    and clamped there; 0.5 for a metric constant over them."""
+    return 0.5 if hi == lo else min(1.0, max(0.0, (v - lo) / (hi - lo)))
 
 
 def _aggregate(r: Dict[str, float], scales: List[Scale]) -> float:
-    """The weighted sum of r's normalized values (0.5 for a metric constant
-    over the derived facts), oriented so that larger is more interesting."""
+    """The weighted sum of r's normalized values, oriented so that larger
+    is more interesting."""
     agg = 0.0
     for m, lo, hi, w, up in scales:
-        n = 0.5 if hi == lo else min(1.0, max(0.0, (r[m] - lo) / (hi - lo)))
+        n = _unit(r[m], lo, hi)
         agg += w * (n if up else 1.0 - n)
     return agg
 
@@ -236,9 +235,9 @@ def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
     derived_set = set(derived)
     cards = {}
     for f, r in raw.items():
-        norm, agg = _directed(r, scales)
-        cards[f] = ScoreCard(raw=r, normalized=dict(zip(METRICS, norm)),
-                             aggregate=agg, hypothesis=f not in derived_set)
+        norm = {m: _unit(r[m], lo, hi) for m, lo, hi, _, _ in scales}
+        cards[f] = ScoreCard(raw=r, normalized=norm, aggregate=_aggregate(r, scales),
+                             hypothesis=f not in derived_set)
     return cards
 
 

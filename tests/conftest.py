@@ -1,15 +1,45 @@
+import contextlib
 import pathlib
 import runpy
+from unittest import mock
 
 import pytest
 
-from geodeduce import parse_construction, parse_rules
+from geodeduce import engine, parse_construction, parse_rules
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # the ladder figures, kept in the tool that compares their reports
 _LADDERS = runpy.run_path(str(ROOT / "tools" / "diff_reports.py"))
 concyclic_text, feet_text = _LADDERS["concyclic_text"], _LADDERS["feet_text"]
+
+_compile_rule = engine.compile_rule  # while naive_plans runs, engine's is the patch
+
+
+@contextlib.contextmanager
+def naive_plans(compile=None):
+    """Naive evaluation, the reference that the engine's semi-naive join
+    must agree with (Bancilhon & Ramakrishnan 1986): while it runs, every
+    rule that a JoinState, or saturate's, compiles has one plan, each slot
+    over ALL, so each round joins every fact with every fact.  ``compile``
+    (the engine's compile_rule by default) gives the rest of the rule's
+    compiled form."""
+    compile = compile or _compile_rule
+
+    def naive(rule):
+        compiled = compile(rule)
+        return compiled._replace(plans=((engine.ALL,) * len(compiled.slots),))
+
+    with mock.patch.object(engine, "compile_rule", naive):
+        yield
+
+
+EVALUATIONS = ("naive", "semi_naive")
+
+
+def evaluating(name):
+    """A context that runs the engine under the named evaluation."""
+    return {"naive": naive_plans, "semi_naive": contextlib.nullcontext}[name]()
 
 
 @pytest.fixture(scope="session")

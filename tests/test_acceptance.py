@@ -22,6 +22,7 @@ from geodeduce.scoring import (MetricConfig, adaptivity, complexity,
                                hypotheses_used, intensity, obviousness, score_all,
                                surprisingness, weight)
 
+from conftest import naive_plans
 from fuzzing import random_construction_text
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -53,7 +54,8 @@ def test_criterion_2_fixpoint_chain(default_rules):
             assert res.dag.node(node.fact) is node
             for p in node.premises:
                 assert res.dag.node(p).round < node.round
-        extra, _, _ = derive_round(JoinState(res.dag, default_rules, strategy="naive"))
+        with naive_plans():
+            extra, _, _ = derive_round(JoinState(res.dag, default_rules))
         assert extra == [], name
     _ok(2, "all bundled examples reach a stable fixpoint within 10 rounds")
 
@@ -110,8 +112,9 @@ def test_criterion_6_oracle_equivalence(default_rules):
               for s in range(50)]
     for c in cases:
         d0 = initial_facts(c)
-        a = saturate(d0, default_rules, strategy="naive", max_facts=400)
-        b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
+        with naive_plans():
+            a = saturate(d0, default_rules, max_facts=400)
+        b = saturate(d0, default_rules, max_facts=400)
         assert {f: a.dag.node(f).round for f in a.dag} == \
                {f: b.dag.node(f).round for f in b.dag}
         assert a.dag.rounds == b.dag.rounds and a.stop_reason == b.stop_reason

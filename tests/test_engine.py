@@ -12,7 +12,7 @@ from geodeduce.engine import (_compile, _index, _join, compile_rule,
 from geodeduce.facts import orbit
 from geodeduce.rules import is_variable
 
-from conftest import concyclic_text, feet_text
+from conftest import EVALUATIONS, concyclic_text, evaluating, feet_text, naive_plans
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -90,7 +90,8 @@ def test_monotone_chain_and_dag_wellfounded(bundled, default_rules):
 def test_fixpoint_one_extra_round_adds_nothing(bundled, default_rules):
     res = saturate(initial_facts(bundled), default_rules)
     assert res.stop_reason == "fixpoint"
-    new, _, _ = derive_round(JoinState(res.dag, default_rules, strategy="naive"))
+    with naive_plans():
+        new, _, _ = derive_round(JoinState(res.dag, default_rules))
     assert new == []
 
 
@@ -194,8 +195,9 @@ def test_saturate_rejects_empty_budget(midline, default_rules):
 
 def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):
     d0 = initial_facts(bundled)
-    a = saturate(d0, default_rules, strategy="naive")
-    b = saturate(d0, default_rules, strategy="semi_naive")
+    with naive_plans():
+        a = saturate(d0, default_rules)
+    b = saturate(d0, default_rules)
     assert set(a.dag) == set(b.dag)
     assert {f: a.dag.node(f).round for f in a.dag} == \
            {f: b.dag.node(f).round for f in b.dag}
@@ -206,8 +208,9 @@ def test_naive_equals_semi_naive_on_bundled(bundled, default_rules):
 def test_naive_equals_semi_naive_fuzz(seed, default_rules):
     c = parse_construction(random_construction_text(seed))
     d0 = initial_facts(c)
-    a = saturate(d0, default_rules, strategy="naive", max_facts=400)
-    b = saturate(d0, default_rules, strategy="semi_naive", max_facts=400)
+    with naive_plans():
+        a = saturate(d0, default_rules, max_facts=400)
+    b = saturate(d0, default_rules, max_facts=400)
     assert set(a.dag) == set(b.dag)
     assert {f: a.dag.node(f).round for f in a.dag} == \
            {f: b.dag.node(f).round for f in b.dag}
@@ -221,20 +224,35 @@ def test_naive_equals_semi_naive_fuzz(seed, default_rules):
 def test_naive_equals_semi_naive_symmetric(decoration, default_rules):
     from conftest import concyclic_text
     d0 = initial_facts(parse_construction(concyclic_text(4) + decoration))
-    a = saturate(d0, default_rules, strategy="naive")
-    b = saturate(d0, default_rules, strategy="semi_naive")
+    with naive_plans():
+        a = saturate(d0, default_rules)
+    b = saturate(d0, default_rules)
     assert any(f.pred == "eqangle" for f in b.dag)
     assert a.dag.derivations() == b.dag.derivations()
     assert set(a.dag) == set(b.dag)
     assert a.stop_reason == b.stop_reason and a.dag.rounds == b.dag.rounds
 
 
-def test_unknown_strategy_rejected(midline, default_rules):
-    d0 = initial_facts(midline)
-    with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
-        JoinState(DerivationDag(d0), default_rules, strategy="Naive")
-    with pytest.raises(ValueError, match="unknown strategy 'Naive'"):
-        saturate(d0, default_rules, strategy="Naive")
+def test_naive_reference_reaches_the_engine(default_rules):
+    """Under naive_plans each rule of a JoinState has one plan, every slot
+    over ALL, so the naive-equals-semi-naive tests do not compare semi-naive
+    with itself.  saturate then finds the same facts in the same rounds, and
+    counts more tautologies: naive joins old facts with old facts again in
+    every round."""
+    dag = DerivationDag(initial_facts(parse_construction(random_construction_text(1))))
+    with naive_plans():
+        naive = JoinState(dag, default_rules)
+    semi = JoinState(dag, default_rules)
+    assert any(len(r.plans) > 1 for r in semi.rules)
+    assert [r.plans for r in naive.rules] == [((engine.ALL,) * len(r.slots),)
+                                              for r in semi.rules]
+    for seed in (1, 10):
+        d0 = initial_facts(parse_construction(random_construction_text(seed)))
+        with naive_plans():
+            a = saturate(d0, default_rules)
+        b = saturate(d0, default_rules)
+        assert set(a.dag) == set(b.dag) and a.dag.rounds == b.dag.rounds
+        assert a.dropped_tautologies > b.dropped_tautologies, seed
 
 
 ORDER_FIGURES = {**{f"fuzz{s}": random_construction_text(s) for s in range(10)},
@@ -242,12 +260,13 @@ ORDER_FIGURES = {**{f"fuzz{s}": random_construction_text(s) for s in range(10)},
                  "feet8": feet_text(8)}
 
 
-@pytest.mark.parametrize("strategy", ["naive", "semi_naive"])
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
 @pytest.mark.parametrize("figure", ORDER_FIGURES)
-def test_hypothesis_order_does_not_matter(figure, strategy, default_rules):
+def test_hypothesis_order_does_not_matter(figure, evaluation, default_rules):
     d0 = list(initial_facts(parse_construction(ORDER_FIGURES[figure])))
-    a = saturate(d0, default_rules, strategy=strategy)
-    b = saturate(d0[::-1], default_rules, strategy=strategy)
+    with evaluating(evaluation):
+        a = saturate(d0, default_rules)
+        b = saturate(d0[::-1], default_rules)
     assert a.dag.derivations() == b.dag.derivations()  # conditions included
     assert a.stop_reason == b.stop_reason and a.dag.rounds == b.dag.rounds
 
@@ -360,30 +379,28 @@ def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
     assert calls and len(calls) <= sum(present)
 
 
-STRATEGIES = ("naive", "semi_naive")
-
-
-def _check_carried_state(text, rules, strategy, strict_sides):
+def _check_carried_state(text, rules, evaluation, strict_sides):
     """Grow the figure's graph round by round as ``saturate`` does, with one
     carried JoinState, and check that every round returns exactly what a
     fresh state returns, that each stored index equals a rebuild over the
     graph's usable facts, and that no index a round began with was changed;
     the number of rounds run."""
     dag = DerivationDag(initial_facts(parse_construction(text)))
-    state = JoinState(dag, rules, strategy, strict_sides)
-    for r in range(1, 11):
-        before = [(index, {k: list(v) for k, v in index.items()})
-                  for index in state.indexes.values()]
-        got = derive_round(state)
-        assert got == derive_round(JoinState(dag, rules, strategy, strict_sides)), r
-        assert all(d.round == r for d in got[0]), r
-        assert all(index == copy for index, copy in before), r
-        usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
-        for slot, index in state.indexes.items():
-            assert index == _index(slot, [f for f in usable if f.pred == slot.pred])
-        if not got[0]:
-            break
-        dag.add(*got[0])
+    with evaluating(evaluation):
+        state = JoinState(dag, rules, strict_sides)
+        for r in range(1, 11):
+            before = [(index, {k: list(v) for k, v in index.items()})
+                      for index in state.indexes.values()]
+            got = derive_round(state)
+            assert got == derive_round(JoinState(dag, rules, strict_sides)), r
+            assert all(d.round == r for d in got[0]), r
+            assert all(index == copy for index, copy in before), r
+            usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
+            for slot, index in state.indexes.items():
+                assert index == _index(slot, [f for f in usable if f.pred == slot.pred])
+            if not got[0]:
+                break
+            dag.add(*got[0])
     return r
 
 
@@ -392,21 +409,21 @@ LADDER = {**{f"circle{k}": concyclic_text(k) for k in range(4, 8)},
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
 @pytest.mark.parametrize("figure", LADDER)
-def test_carried_join_state_equals_fresh_ladder(figure, strategy, strict_sides,
+def test_carried_join_state_equals_fresh_ladder(figure, evaluation, strict_sides,
                                                 default_rules):
-    assert _check_carried_state(LADDER[figure], default_rules, strategy,
+    assert _check_carried_state(LADDER[figure], default_rules, evaluation,
                                 strict_sides) >= 2
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10 ** 6), max_points=st.integers(4, 10),
-       strategy=st.sampled_from(STRATEGIES), strict_sides=st.booleans())
-def test_carried_join_state_equals_fresh_fuzz(seed, max_points, strategy, strict_sides,
+       evaluation=st.sampled_from(EVALUATIONS), strict_sides=st.booleans())
+def test_carried_join_state_equals_fresh_fuzz(seed, max_points, evaluation, strict_sides,
                                               default_rules):
     _check_carried_state(random_construction_text(seed, max_points), default_rules,
-                         strategy, strict_sides)
+                         evaluation, strict_sides)
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])
@@ -457,13 +474,14 @@ def test_carried_state_needs_a_new_round(midline, default_rules):
 @pytest.mark.parametrize("seed", [1, 10, 19])
 def test_next_round_naive_equals_semi_naive(seed, default_rules):
     """On the hypotheses and on every saturate prefix, the next round
-    derives the same facts under both strategies.  These figures once split
+    derives the same facts under both evaluations.  These figures once split
     them when a graph was asked again for a round it already held."""
     d0 = initial_facts(parse_construction(random_construction_text(seed)))
     dag = DerivationDag(d0)
     for rounds in range(1, 11):
-        naive, _, _ = derive_round(JoinState(dag, default_rules, "naive"))
-        assert naive == derive_round(JoinState(dag, default_rules, "semi_naive"))[0], dag.rounds
+        with naive_plans():
+            naive, _, _ = derive_round(JoinState(dag, default_rules))
+        assert naive == derive_round(JoinState(dag, default_rules))[0], dag.rounds
         if not naive:
             break
         dag = saturate(d0, default_rules, max_rounds=rounds).dag

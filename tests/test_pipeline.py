@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BUNDLED, concyclic_text, feet_text
+from conftest import BUNDLED, concyclic_text, feet_text, naive_plans
 from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.facts import Fact
 from geodeduce.pipeline import (MODES, FactRecord, PipelineConfig, Report,
@@ -178,6 +178,34 @@ def test_round_picks_what_full_ranking_picks(name, metrics, default_rules, monke
         assert not rounds  # no model could be sampled, so nothing was scored
         return
     assert len(rounds) == rep.rounds  # one call per round that had survivors
+
+
+NAIVE_LADDER = {"circle6": concyclic_text(6), "feet8": feet_text(8)}
+
+
+@pytest.mark.parametrize("metrics", [MetricConfig(), MetricConfig(top_k=2)],
+                         ids=["default", "top2"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", BUNDLED + tuple(f"fuzz{s}" for s in range(20))
+                         + tuple(NAIVE_LADDER))
+def test_naive_equals_semi_naive_pipeline(name, mode, metrics, default_rules):
+    """A whole run, either mode, reports the same under the naive reference
+    as under the engine's semi-naive join; in filtered mode the graph grows
+    only by each round's interesting survivors.  Only the tautology counter
+    may differ: naive joins old facts with old facts again every round."""
+    from geodeduce.numeric import DegenerateModelError
+    c = parse_construction(NAIVE_LADDER[name]) if name in NAIVE_LADDER else _case(name)
+    cfg = PipelineConfig(mode=mode, metrics=metrics)
+    try:
+        semi = run_pipeline(c, default_rules, cfg)
+    except DegenerateModelError:
+        return
+    with naive_plans():
+        naive = run_pipeline(c, default_rules, cfg)
+    assert naive.records == semi.records
+    assert (naive.rounds, naive.stop_reason) == (semi.rounds, semi.stop_reason)
+    del naive.discarded["tautologies"], semi.discarded["tautologies"]
+    assert naive.discarded == semi.discarded
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -17,7 +17,7 @@ from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, _join,
 from geodeduce.facts import ARITIES, Fact, canonicalize, orbit
 from geodeduce.rules import Rule, is_variable
 
-from conftest import ROOT, concyclic_text
+from conftest import ROOT, concyclic_text, naive_plans
 from fuzzing import random_construction_text
 
 CIRCLE4 = concyclic_text(4)
@@ -53,6 +53,16 @@ def figure_dag(name):
 def _uncompiled(rule):
     """The rule without its symmetries: the full join, every weight 1."""
     return _compile(rule)
+
+
+def _semi_naive(compile=compile_rule):
+    """The engine's own evaluation, with compile giving each rule's form."""
+    return mock.patch.object(engine, "compile_rule", compile)
+
+
+def _pairs(compiled):
+    """The compiled rule's symmetry swaps (x y) as point names."""
+    return tuple((compiled.names[x], compiled.names[y]) for x, y in compiled.swaps)
 
 
 def _ground(args, binding):
@@ -105,12 +115,13 @@ def _conclusion(rule, binding):
 
 def check_compiled_join(rule, facts):
     compiled = compile_rule(rule)
+    pairs = _pairs(compiled)
     full = _join_list(_compile(rule), rule, facts)
     got = _join_list(compiled, rule, facts)
     # the first-drawn binding of each orbit, in full-join order
     first, seen = [], set()
     for b, used in full:
-        key = _orbit_key(b, used, compiled.pairs)
+        key = _orbit_key(b, used, pairs)
         if key not in seen:
             seen.add(key)
             first.append((b, used))
@@ -118,15 +129,14 @@ def check_compiled_join(rule, facts):
     # each kept binding stands for its whole orbit
     weights = Counter()
     for b, used in got:
-        weights[used, _conclusion(rule, b)] += 1 << sum(b[x] != b[y]
-                                                        for x, y in compiled.pairs)
+        weights[used, _conclusion(rule, b)] += 1 << sum(b[x] != b[y] for x, y in pairs)
     assert weights == Counter((used, _conclusion(rule, b)) for b, used in full), rule
 
 
-def _rounds(dag, rules, strategy, rounds=3):
+def _rounds(dag, rules, rounds=3):
     """derive_round's output round by round, the dag growing as in saturate."""
     dag = dag.copy()
-    state = JoinState(dag, rules, strategy)
+    state = JoinState(dag, rules)
     out = []
     for _ in range(rounds):
         new, t, g = derive_round(state)
@@ -138,16 +148,17 @@ def _rounds(dag, rules, strategy, rounds=3):
 
 
 def check_derive_round(dag, rules):
-    for strategy in ("naive", "semi_naive"):
-        got = _rounds(dag, rules, strategy)
+    for evaluation in (naive_plans, _semi_naive):
+        with evaluation():
+            got = _rounds(dag, rules)
         # the reference state compiles each rule without its symmetries
-        with mock.patch.object(engine, "compile_rule", _uncompiled):
-            want = _rounds(dag, rules, strategy)
-        assert got == want, (strategy, [str(r) for r in rules])
+        with evaluation(_uncompiled):
+            want = _rounds(dag, rules)
+        assert got == want, (evaluation.__name__, [str(r) for r in rules])
 
 
 def test_default_rule_symmetries(default_rules):
-    found = {r.name: compile_rule(r).pairs for r in default_rules}
+    found = {r.name: _pairs(compile_rule(r)) for r in default_rules}
     assert {n: p for n, p in found.items() if p} == EXPECTED_PAIRS
 
 
@@ -155,12 +166,12 @@ def test_side_conditions_must_be_preserved():
     # C<->D maps non_collinear(A,B,C) to non_collinear(A,B,D): no symmetry
     rule, = parse_rules("rule r: eqangle(C,A,C,B,D,A,D,B), non_collinear(A,B,C),"
                         " non_collinear(A,B,D) => cyclic(A,B,C,D)")
-    assert compile_rule(rule).pairs == ()
+    assert _pairs(compile_rule(rule)) == ()
     # distinct_lines is symmetric within each of its pairs only
     rule, = parse_rules("rule r: cong(A,B,C,D), distinct_lines(A,C,B,D) => cong(A,B,C,D)")
-    assert compile_rule(rule).pairs == ()
+    assert _pairs(compile_rule(rule)) == ()
     rule, = parse_rules("rule r: cong(A,B,C,D), distinct_lines(A,B,D,C) => cong(A,B,C,D)")
-    assert compile_rule(rule).pairs == (("A", "B"), ("C", "D"))
+    assert _pairs(compile_rule(rule)) == (("A", "B"), ("C", "D"))
 
 
 def _shapes(n):
@@ -304,14 +315,14 @@ def test_random_rule_compiled_join(data):
 
 
 @pytest.mark.parametrize("wanted", [
-    lambda r: len(compile_rule(r).pairs) >= 2,
+    lambda r: len(_pairs(compile_rule(r))) >= 2,
     lambda r: any(p.pred in ("para", "perp", "cong", "eqangle") and s.lex
                   for p, s in zip(r.premises, compile_rule(r).slots)),
-    lambda r: compile_rule(r).pairs and any(
+    lambda r: _pairs(compile_rule(r)) and any(
         not a[0].isupper() for p in r.premises for a in p.args),
-    lambda r: compile_rule(r).pairs and any(
+    lambda r: _pairs(compile_rule(r)) and any(
         not a[0].isupper() for a in r.conclusion.args),
-    lambda r: compile_rule(r).pairs and any(
+    lambda r: _pairs(compile_rule(r)) and any(
         s.pred == "distinct" and not all(a[0].isupper() for a in s.args)
         for s in r.side_conditions),
     lambda r: any(s.distinct for s in compile_rule(r).slots),
