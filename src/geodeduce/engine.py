@@ -18,10 +18,23 @@ variables in the order the premise slots bind them.  For each premise
 slot, the orbit variants of its candidate facts that fit the pattern
 (constants and repeated variables agree) are indexed by their values at
 the positions bound by earlier premises; an entry holds the fact and the
-values it gives the slot's new variables.  The join extends the list of
-partial bindings one slot at a time, one dict lookup and one tuple
-concatenation per binding, which keeps the depth-first order of a
-backtracking walk.
+values it gives the slot's new variables.  Each rule's join is a kernel,
+one loop nest generated for the rule once per process, as compiled
+Datalog engines specialize each rule (Soufflé; Jordan, Scholz & Subotić
+2016): one ``for`` loop per slot over that slot's index, the binding's
+points as locals, and index keys and the conclusion as tuple displays.
+The loops keep the depth-first order of a backtracking walk, and no list
+of rows or partial bindings is built.  A pair of points that must differ
+is tested at the loop that binds the later one: a ``distinct`` side that
+no single premise names, and a pair of conclusion arguments whose
+equality makes the fact degenerate and never a tautology
+(``facts.DEGENERATE_PAIRS``: any two points of a cyclic, a zero-length
+side of a perp or eqangle).  Innermost, the kernel does the whole
+per-binding work: the known-variant test, the verdict, the drop counters
+and the choice of the least derivation.  The generated text holds only
+local names and numbers; the rule's name, predicates and points reach the
+kernel as values.  ``_join`` runs the same loop nest with an innermost
+body that collects the rows, for the tests.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
 ``pipeline.run_pipeline``) builds one ``JoinState`` per run, holding all
@@ -33,25 +46,29 @@ are indexed in every slot of that predicate.  A slot's index over the
 older facts is the one the last round left, and its index over all facts
 appends the last round's entries to each key, sharing every list it leaves
 alone.  Entries keep the order a rebuild would give them: graph order,
-then orbit order.  A conclusion whose arguments are a known variant is a
-fact the graph holds (it lies in that fact's orbit), so it is dropped
-before it is canonicalized.
+then orbit order.  Each fact's shape is computed once, when it is taken
+in.  A conclusion whose arguments are a known variant is a fact the graph
+holds (it lies in that fact's orbit), so it is dropped before it is
+canonicalized.  Any other conclusion is judged once per run: the state's
+memo maps its arguments to its canonical fact, TAUTOLOGY or DEGENERATE.
 
 What depends on the rules alone is memoized once per process, with a fixed
 bound.  ``compile_rule`` makes all that ``derive_round`` reads: names,
-predicates, binding positions and the symmetries the join breaks, disjoint
-variable swaps (x y) from ``Rule.symmetries``.  A swapped binding uses the
-same facts and gives the same conclusion, so the join keeps only the one
-it would draw first (symmetry-breaking predicates, Crawford, Ginsberg,
-Luks & Roy 1996): the slot binding x and y admits only variants with
-v[px] <= v[py].  A ``distinct`` side is tested in a slot too if one
+predicates, binding positions, the kernel and the symmetries it breaks,
+disjoint variable swaps (x y) from ``Rule.symmetries``.  A ``JoinState``
+compiles only the rules that can fire, and rules of one layout share one
+kernel.  A swapped binding uses the same facts and gives the same
+conclusion, so the join keeps only the one it would draw first
+(symmetry-breaking predicates, Crawford, Ginsberg, Luks & Roy 1996): the
+slot binding x and y admits only variants with v[px] <= v[py].  A ``distinct`` side is tested in a slot too if one
 premise names both its variables.  These tests read only a fact's shape,
 its arguments as ranks among its points, so ``_admitted`` runs them once
 per slot and shape, as Rete's alpha memories do (Forgy 1982); indexing a
 fact compares only point constants.  A kept binding stands for 2**k
 bindings of the full join, k the number of its swaps whose two points
 differ, and the drop counters add that weight, so they still count
-full-join bindings.
+full-join bindings; the degenerate counter counts only the bindings that
+no slot or loop test rules out.
 """
 
 from __future__ import annotations
@@ -63,9 +80,9 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .facts import (LEX_ORBITS, SYMMETRIES, Fact, canonicalize, is_degenerate,
-                    is_tautology, orbit)
-from .rules import Rule, is_variable
+from .facts import (DEGENERATE_PAIRS, LEX_ORBITS, SYMMETRIES, Fact, canonicalize,
+                    is_degenerate, is_tautology, orbit)
+from .rules import MAX_PREMISES, Rule, is_variable
 
 
 @dataclass(frozen=True)
@@ -167,6 +184,9 @@ def _getter(positions: Tuple[int, ...]) -> Callable[[tuple], tuple]:
 # which part of a predicate's facts a premise slot draws from
 ALL, OLD, DELTA = "all", "old", "delta"
 
+# a conclusion's verdict in JoinState.memo, unless it is a canonical fact
+TAUTOLOGY, DEGENERATE = "tautology", "degenerate"
+
 
 class _Slot(NamedTuple):
     """How one premise meets the variables bound before it.  Plain data, so
@@ -185,15 +205,19 @@ class CompiledRule(NamedTuple):
     name: str
     pred: str                           # the conclusion's predicate
     slots: Tuple[_Slot, ...]
-    keys: Tuple[Callable[[tuple], tuple], ...]  # per slot: binding -> its key_pos values
+    keys: Tuple[Tuple[int, ...], ...]   # per slot: the binding positions of its key
     plans: Tuple[Tuple[str, ...], ...]  # a round's joins: per slot, the part of the facts
     names: Tuple[str, ...]              # the point at each binding position
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
     swaps: Tuple[Tuple[int, int], ...]     # symmetry swaps (x y) as binding positions, x first
-    distinct: Tuple[Tuple[int, int], ...]  # distinct sides no slot tests, as binding positions
-    conclusion: Callable[[tuple], tuple]   # binding -> the conclusion's arguments
+    # binding positions that must differ: distinct sides no slot tests and the
+    # conclusion's degenerate pairs, each tested at the loop that binds it
+    distinct: Tuple[Tuple[int, int], ...]
+    conclusion: Tuple[int, ...]         # the binding positions of the conclusion's arguments
     # numeric side conditions: (predicate, binding -> their points)
     numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
+    source: str = ""                    # the kernel's generated source
+    kernel: Optional[Callable] = None   # (indexes, known, memo, best, rule) -> counters
 
 
 def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRule:
@@ -202,7 +226,12 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     in the order the slots bind them.  Each swap (x y) of pairs is tested
     in the slot that binds x: a swap's two variables share every premise,
     so that slot binds y too.  A distinct side is tested in the first slot
-    that names both its variables."""
+    that names both its variables, or else at the loop that binds the later
+    one, as is each pair of conclusion arguments in ``DEGENERATE_PAIRS``.
+    The kernel is generated last."""
+    if len(rule.premises) > MAX_PREMISES:  # one nested loop per premise
+        raise ValueError(f"rule {rule.name!r} has {len(rule.premises)} premises; "
+                         f"the join takes at most {MAX_PREMISES}")
     atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
     sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     consts = tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
@@ -227,17 +256,21 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
                            tuple(first[v] for v in key), tuple(first[v] for v in new),
                            tuple((first[x], first[y]) for x, y in pairs if x in new),
                            tuple((first[x], first[y]) for x, y in inside)))
-        keys.append(_getter(tuple(at[v] for v in key)))
+        keys.append(tuple(at[v] for v in key))
         for v in new:
             at[v] = len(at)
     n = len(slots)  # plan i: slot i from the last round's facts, earlier ones older
     plans = tuple((OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1) for i in range(n))
-    return CompiledRule(rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans,
-                        tuple(at), consts, tuple((at[x], at[y]) for x, y in pairs),
-                        tuple((at[a], at[b]) for a, b in sides),
-                        _getter(tuple(at[a] for a in rule.conclusion.args)),
-                        tuple((s.pred, _getter(tuple(at[a] for a in s.args)))
-                              for s in rule.numeric_sides))
+    head = tuple(at[a] for a in rule.conclusion.args)
+    differ = [(at[a], at[b]) for a, b in sides]
+    differ += [(head[i], head[j]) for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())]
+    compiled = CompiledRule(
+        rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans, tuple(at),
+        consts, tuple((at[x], at[y]) for x, y in pairs),
+        tuple(dict.fromkeys((min(p), max(p)) for p in differ)), head,
+        tuple((s.pred, _getter(tuple(at[a] for a in s.args))) for s in rule.numeric_sides))
+    source = _source(compiled)
+    return compiled._replace(source=source, kernel=_kernel(source))
 
 
 def _breaks(rule: Rule, x: str, y: str) -> bool:
@@ -253,9 +286,10 @@ def _breaks(rule: Rule, x: str, y: str) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def compile_rule(rule: Rule) -> CompiledRule:
-    """The rule's slot layouts and the symmetries its join breaks, chosen
-    greedily in the order of ``rule.symmetries``, each disjoint from those
-    before it; memoized, as it depends on the rule alone."""
+    """The rule's slot layouts and kernel, and the symmetries its join
+    breaks, chosen greedily in the order of ``rule.symmetries``, each
+    disjoint from those before it; memoized, as it depends on the rule
+    alone.  A rule of more than MAX_PREMISES premises raises ValueError."""
     pairs: List[Tuple[str, str]] = []
     taken: Set[str] = set()
     for x, y in rule.symmetries:
@@ -263,6 +297,98 @@ def compile_rule(rule: Rule) -> CompiledRule:
             pairs.append((x, y))
             taken.update((x, y))
     return _compile(rule, tuple(pairs))
+
+
+def _tuple(prefix: str, items: Iterable[int]) -> str:
+    """A tuple display of the names prefix + item."""
+    names = [f"{prefix}{i}" for i in items]
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _source(rule: CompiledRule, rows: bool = False) -> str:
+    """The source of the rule's loop nest, a function ``kernel``.  Loop i
+    walks slot i's index under the key of the variables bound before it;
+    binding position p is the local ``vp``, and slot i's fact is ``fi``.
+    A pair of positions that must differ is tested at the loop that binds
+    the later of the two, at the first loop if both are constants.  The
+    text holds only these names and numbers: the rule's name, predicates
+    and points reach the kernel through its ``rule`` argument and the
+    indexes.
+
+    The kernel ``(indexes, known, memo, best, rule)`` does the whole
+    per-binding work of ``derive_round`` innermost and returns its
+    (tautology, degenerate) counters; with ``rows``, the kernel
+    ``(indexes, rule)`` returns every (binding, facts used) instead."""
+    k, n = len(rule.consts), len(rule.slots)
+    depth = [0] * k  # binding position -> the loop that binds it
+    for i, slot in enumerate(rule.slots):
+        depth += [i] * len(slot.new_pos)
+    tests: List[List[str]] = [[] for _ in range(n)]
+    for x, y in rule.distinct:
+        tests[max(depth[x], depth[y])].append(f"v{x} == v{y}")
+    binding, used = _tuple("v", range(len(depth))), _tuple("f", range(n))
+    if rows:
+        lines = ["def kernel(indexes, rule):", "    rows = []"]
+    else:
+        lines = ["def kernel(indexes, known, memo, best, rule):",
+                 "    name, pred = rule.name, rule.pred",
+                 "    memo_get, best_get = memo.get, best.get",
+                 "    n_taut = n_degen = 0"]
+    if k:
+        lines.append(f"    {_tuple('v', range(k))} = rule.consts")
+    lines.append(f"    {_tuple('get', range(n))} = [index.get for index in indexes]")
+    pad = "    "
+    for i in range(n):
+        new = [p for p in range(k, len(depth)) if depth[p] == i]
+        lines.append(f"{pad}for f{i}, {_tuple('v', new) if new else '_'} in "
+                     f"get{i}({_tuple('v', rule.keys[i])}, ()):")
+        pad += "    "
+        if tests[i]:
+            lines += [f"{pad}if {' or '.join(tests[i])}:", f"{pad}    continue"]
+    if rows:
+        lines += [f"{pad}rows.append(({binding}, {used}))", "    return rows"]
+    else:
+        # a kept binding stands for 2**s full-join bindings, s the number of
+        # its swaps whose two points differ
+        weight = " + ".join(f"(v{x} != v{y})" for x, y in rule.swaps)
+        weight = f"1 << ({weight})" if weight else "1"
+        lines += [f"{pad}args = {_tuple('v', rule.conclusion)}",
+                  f"{pad}if args in known:  # in the orbit of a fact the graph holds",
+                  f"{pad}    continue",
+                  f"{pad}verdict = memo_get(args)",
+                  f"{pad}if verdict is None:",
+                  f"{pad}    verdict = _judge(memo, pred, args)",
+                  f"{pad}if verdict is TAUTOLOGY:",
+                  f"{pad}    n_taut += {weight}",
+                  f"{pad}elif verdict is DEGENERATE:",
+                  f"{pad}    n_degen += {weight}",
+                  f"{pad}else:  # facts order as their text does (facts.Fact)",
+                  f"{pad}    key = (name, {used})",
+                  f"{pad}    old = best_get(verdict)",
+                  f"{pad}    if old is None or key < old[0]:",
+                  f"{pad}        best[verdict] = (key, rule, {binding})",
+                  "    return n_taut, n_degen"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(source: str) -> Callable:
+    """The function a generated source defines; rules of one layout share
+    it.  Its globals are this module's, so it reads ``_judge`` and, through
+    it, ``canonicalize`` at call time."""
+    namespace: Dict[str, Callable] = {}
+    exec(compile(source, "<join kernel>", "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
+def _judge(memo: Dict[tuple, object], pred: str, args: Tuple[str, ...]) -> object:
+    """The verdict on a conclusion's arguments, stored in the memo: its
+    canonical fact, TAUTOLOGY or DEGENERATE."""
+    fact = canonicalize(Fact(pred, args))
+    verdict = (TAUTOLOGY if is_tautology(fact) else
+               DEGENERATE if is_degenerate(fact) else fact)
+    memo[args] = verdict
+    return verdict
 
 
 @functools.lru_cache(maxsize=4096)
@@ -285,10 +411,15 @@ def _admitted(slot: _Slot, shape: Tuple[int, ...]) -> Tuple[Tuple[Callable, ...]
     return tuple(out)
 
 
-def _index(slot: _Slot, facts: Iterable[Fact]) -> Dict[tuple, list]:
+def _shape(args: Tuple[str, ...]) -> Tuple[int, ...]:
+    """A fact's shape: each argument's rank among its points."""
+    return tuple(map(sorted(set(args)).index, args))
+
+
+def _index(slot: _Slot, shaped: Iterable[Tuple[Fact, Tuple[int, ...]]]) -> Dict[tuple, list]:
     """Variants of facts that fit the slot's pattern, keyed by their values
     at the already-bound positions: key -> [(fact, values of the new
-    variables)].
+    variables)].  ``shaped`` holds (fact, its shape) pairs.
 
     Within one fact, a consistent variant and the binding it extends to
     correspond one to one, so dropping equal variants is the only
@@ -296,9 +427,9 @@ def _index(slot: _Slot, facts: Iterable[Fact]) -> Dict[tuple, list]:
     """
     index: Dict[tuple, list] = {}
     want = tuple(c for _, c in slot.consts)
-    for f in facts:
-        args = f.args  # its shape: each argument's rank among its points
-        for at, key, new in _admitted(slot, tuple(map(sorted(set(args)).index, args))):
+    for f, shape in shaped:
+        args = f.args
+        for at, key, new in _admitted(slot, shape):
             if want and at(args) != want:
                 continue
             index.setdefault(key(args), []).append((f, new(args)))
@@ -321,25 +452,30 @@ class JoinState:
     """One run of the join: the graph, grown by the state's derivations only,
     the predicates it can reach, the compiled rules that can fire,
     ``strict_sides``, and what it keeps across rounds: the known
-    variants of every graph fact by predicate, and per slot of the rules its
-    index over every usable fact taken in, in graph order."""
+    variants of every graph fact by predicate, per slot of the rules its
+    index over every usable fact taken in, in graph order, and per
+    conclusion predicate the verdict on every conclusion judged so far."""
 
     def __init__(self, dag: DerivationDag, rules: Iterable[Rule],
                  strict_sides: bool = False) -> None:
         if not isinstance(strict_sides, bool):  # "no" would run strict
             raise ValueError(f"strict_sides must be a bool, got {strict_sides!r}")
         self.dag = dag
-        rules = [compile_rule(rule) for rule in rules]
+        rules = list(rules)
         self.preds, n = {f.pred for f in dag}, -1
         while n < len(self.preds):  # close the graph's predicates under the conclusions
             n = len(self.preds)
-            self.preds.update(r.pred for r in rules
-                              if all(s.pred in self.preds for s in r.slots))
-        self.rules = [r for r in rules if all(s.pred in self.preds for s in r.slots)]
+            self.preds.update(r.conclusion.pred for r in rules
+                              if all(p.pred in self.preds for p in r.premises))
+        # only these rules are compiled, so only their kernels are built
+        self.rules = [compile_rule(r) for r in rules
+                      if all(p.pred in self.preds for p in r.premises)]
         self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
         self.taken = 0  # graph facts taken in, a prefix of graph order
         self.known: Dict[str, Set[Tuple[str, ...]]] = {}
+        # predicate -> conclusion arguments -> canonical fact, TAUTOLOGY or DEGENERATE
+        self.memo: Dict[str, Dict[tuple, object]] = {r.pred: {} for r in self.rules}
         self.indexes: Dict[_Slot, Dict[tuple, list]] = {
             slot: {} for rule in self.rules for slot in rule.slots}
 
@@ -357,12 +493,13 @@ class JoinState:
             self.known.setdefault(f.pred, set()).update(orbit(f))
         if not self.preds.issuperset(self.known):  # a rule left out could fire
             raise ValueError("the graph gained a fact that no rule of the state concludes")
-        groups: Dict[Tuple[str, str], List[Fact]] = {}  # (part, predicate) -> usable facts
+        # (part, predicate) -> usable facts with their shapes, each computed once
+        groups: Dict[Tuple[str, str], List[Tuple[Fact, Tuple[int, ...]]]] = {}
         for f in new:
             d = dag.node(f)
             if not (self.strict_sides and d.conditional):  # conditional facts serve as no premise
                 groups.setdefault((DELTA if d.round == dag.rounds else OLD, f.pred),
-                                  []).append(f)
+                                  []).append((f, _shape(f.args)))
         views = {}
         for slot, old in self.indexes.items():
             older, delta = groups.get((OLD, slot.pred)), groups.get((DELTA, slot.pred))
@@ -376,14 +513,9 @@ class JoinState:
 
 def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
     """Every (binding, facts used) of the rule over the slot indexes, in the
-    order of a depth-first walk: the partial bindings are extended one
-    slot at a time, each in place of the one it extends."""
-    rows = [(rule.consts, ())]
-    for key, index in zip(rule.keys, indexes):
-        get = index.get
-        rows = [(b + new, used + (f,))
-                for b, used in rows for f, new in get(key(b), ())]
-    return rows
+    order of a depth-first walk: the rule's own loop nest, its loop tests
+    included, with an innermost body that collects the rows."""
+    return _kernel(_source(rule, rows=True))(indexes, rule)
 
 
 def derive_round(state: JoinState):
@@ -396,12 +528,20 @@ def derive_round(state: JoinState):
     equals, which orbit order alone decides.  So the result depends on
     neither the order of rules (their names are unique) nor graph order.
     The counters count bindings of the full join: each kept binding adds
-    its orbit size.
+    its orbit size.  The degenerate counter leaves out the bindings that a
+    loop test rules out: a conclusion with equal points at one of its
+    ``DEGENERATE_PAIRS`` is degenerate, so it is never drawn.
 
     Each rule is joined under every plan of its compiled form, semi-naive:
     one slot over DELTA, the facts of round ``dag.rounds``, the slots before
     it over OLD, and those after over ALL.  Slots of one shape share their
-    indexes, and a plan with an empty one is skipped.
+    indexes, and a plan with an empty one is skipped.  A plan runs the
+    rule's kernel, one generated loop nest per rule: one loop per slot,
+    the distinct and degenerate-pair tests at the loop that binds their
+    second point, and innermost the known-variant test, the verdict from
+    the state's memo (each distinct conclusion is canonicalized and judged
+    once per run), the counters and the choice of the least derivation.
+    No list of rows is built.
     The state carries the indexes from its last call, whose graph has since
     gained one round; a fresh state takes in the whole graph, and the
     result is the same.
@@ -413,32 +553,13 @@ def derive_round(state: JoinState):
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in state.rules:
-        slots, swaps, distinct = rule.slots, rule.swaps, rule.distinct
-        pred, conclusion = rule.pred, rule.conclusion
-        known = state.known.get(pred, ())
+        known, memo = state.known.get(rule.pred, ()), state.memo[rule.pred]
         for plan in rule.plans:
-            indexes = [views[slot][part] for slot, part in zip(slots, plan)]
-            if not all(indexes):  # a join over an empty index yields no row
-                continue
-            for b, used in _join(rule, indexes):
-                if distinct and any(b[i] == b[j] for i, j in distinct):
-                    continue
-                args = conclusion(b)
-                if args in known:  # in the orbit of a fact the graph holds
-                    continue
-                concl = canonicalize(Fact(pred, args))
-                # a kept binding stands for 2**k full-join bindings
-                if is_tautology(concl):
-                    n_taut += 1 << sum(b[x] != b[y] for x, y in swaps)
-                    continue
-                if is_degenerate(concl):
-                    n_degen += 1 << sum(b[x] != b[y] for x, y in swaps)
-                    continue
-                # facts order as their text does (facts.Fact)
-                key = (rule.name, used)
-                cur = best.get(concl)
-                if cur is None or key < cur[0]:
-                    best[concl] = (key, rule, b)
+            indexes = [views[slot][part] for slot, part in zip(rule.slots, plan)]
+            if all(indexes):  # a join over an empty index yields no row
+                t, g = rule.kernel(indexes, known, memo, best, rule)
+                n_taut += t
+                n_degen += g
     ordered = []
     for f in sorted(best):
         (name, used), rule, b = best[f]

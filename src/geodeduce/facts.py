@@ -197,6 +197,17 @@ def is_degenerate(fact: Fact) -> bool:
     return False
 
 
+# predicate -> pairs (i, j) of argument positions: a fact with one point at
+# both is degenerate and never a tautology, whatever its other points are.
+# Any two points of a cyclic, and the two ends of a perp or eqangle side.
+# (A para's zero-length side is no such pair: para(A,A,A,A) is a tautology.)
+DEGENERATE_PAIRS: Dict[str, Tuple[Tuple[int, int], ...]] = {
+    "cyclic": tuple(itertools.combinations(range(4), 2)),
+    "perp": ((0, 1), (2, 3)),
+    "eqangle": ((0, 1), (2, 3), (4, 5), (6, 7)),
+}
+
+
 def fact_symbols(fact: Fact) -> Tuple[Tuple[str, ...], frozenset]:
     """Symbol multiset (predicate + one symbol per argument position) and
     the set of distinct symbols."""

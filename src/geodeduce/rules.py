@@ -4,6 +4,9 @@ Grammar (one rule per line, ``#`` starts a comment)::
 
     rule <name>: atom {, atom} {, side} => atom
 
+A rule has 1 to MAX_PREMISES = 20 premises: the engine joins them in one
+nested loop each, and CPython 3.10 to 3.12 allows 20 nested loops in one
+function.
 Atoms are ``pred(X,...)`` with uppercase identifiers as variables;
 lowercase identifiers are point constants.  Side conditions are
 ``distinct(X,Y)``, ``non_collinear(X,Y,Z)`` and
@@ -28,6 +31,7 @@ from typing import Dict, List, Tuple
 
 from .facts import ARITIES, IDENTIFIER, Fact, MalformedFactError, orbit, parse_atom
 
+MAX_PREMISES = 20  # CPython's limit on statically nested blocks (through 3.12)
 SIDE_ARITIES = {"distinct": 2, "non_collinear": 3, "distinct_lines": 4}
 _BODY_ARITIES = {**ARITIES, **SIDE_ARITIES}
 
@@ -144,6 +148,9 @@ def parse_rules(text: str) -> List[Rule]:
             (sides if atom.pred in SIDE_ARITIES else premises).append(atom)
         if not premises:
             raise RuleParseError("rule needs at least one premise", lineno)
+        if len(premises) > MAX_PREMISES:
+            raise RuleParseError(f"rule has {len(premises)} premises, at most "
+                                 f"{MAX_PREMISES} are allowed", lineno)
 
         conclusion = _parse_atom(concl_text, lineno, ARITIES, "conclusion predicate")
 

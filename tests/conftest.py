@@ -34,6 +34,11 @@ def naive_plans(compile=None):
         yield
 
 
+def shaped(facts):
+    """The facts with their shapes, as JoinState.take_in hands them to engine._index."""
+    return [(f, engine._shape(f.args)) for f in facts]
+
+
 EVALUATIONS = ("naive", "semi_naive")
 
 

@@ -115,6 +115,13 @@ def test_rules_validate_bad(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, code", [(20, 0), (21, 2)])
+def test_rules_validate_premise_limit(n, code, capsys, tmp_path):
+    f = tmp_path / "deep.gr"
+    f.write_text(f"rule deep: {', '.join(['coll(A,B,C)'] * n)} => cong(A,B,A,C)\n")
+    assert run(capsys, "rules", "--validate", str(f))[0] == code
+
+
 def test_check_subcommand(capsys, root):
     code, out, _ = run(capsys, "check", str(root / "examples" / "pappus.gc"),
                        "coll(G,H,I)", "--seeds", "20")

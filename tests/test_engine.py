@@ -1,5 +1,8 @@
 """Rule matching, saturation to a fixpoint, derivation DAG structure."""
 
+import ast
+import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -9,10 +12,12 @@ from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
 from geodeduce.engine import (_compile, _index, _join, compile_rule,
                               derive_round, Derivation, DerivationDag, JoinState)
-from geodeduce.facts import orbit
-from geodeduce.rules import is_variable
+from geodeduce.facts import (DEGENERATE_PAIRS, Fact, canonicalize, is_degenerate,
+                             is_tautology, orbit)
+from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
 
-from conftest import EVALUATIONS, concyclic_text, evaluating, feet_text, naive_plans
+from conftest import (EVALUATIONS, concyclic_text, evaluating, feet_text, naive_plans,
+                      shaped)
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -338,6 +343,17 @@ def _hashable(pairs):
     return [(tuple(sorted(b.items())), used) for b, used in pairs]
 
 
+def _drawn(rule, binding):
+    """Whether the kernel's slot and loop tests let a reference binding
+    through: every distinct side holds, and the conclusion has no point at
+    two positions of a degenerate pair (facts.DEGENERATE_PAIRS)."""
+    head = [binding.get(a, a) for a in rule.conclusion.args]
+    return (all(binding.get(x, x) != binding.get(y, y)
+                for s in rule.side_conditions if s.pred == "distinct" for x, y in [s.args])
+            and all(head[i] != head[j]
+                    for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())))
+
+
 # fuzz figures give coll/cong/midp/para/perp; inscribed adds cyclic/eqangle
 @pytest.mark.parametrize("seed", [*range(10), "inscribed"])
 def test_indexed_join_equals_reference(seed, default_rules, inscribed):
@@ -348,12 +364,13 @@ def test_indexed_join_equals_reference(seed, default_rules, inscribed):
         lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
                  for p in rule.premises]
         compiled = _compile(rule)
-        indexes = [_index(s, lst) for s, lst in zip(compiled.slots, lists)]
+        indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
         # tuple bindings as variable -> point, through the compiled variable order
         k = len(compiled.consts)
         got = _hashable((dict(zip(compiled.names[k:], b[k:])), used)
                         for b, used in _join(compiled, indexes))
-        want = _hashable(_reference_join(rule, lists))
+        want = _hashable((b, used) for b, used in _reference_join(rule, lists)
+                         if _drawn(rule, b))
         assert Counter(got) == Counter(want), rule.name
         # the order decides which of two equal-ranked derivations is kept
         assert got == want, rule.name
@@ -365,7 +382,10 @@ def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch)
                         lambda rule: calls.append(rule) or compile_rule(rule))
     res = saturate(initial_facts(inscribed), default_rules)
     assert res.dag.rounds >= 3
-    assert calls == default_rules
+    # once each, and only the rules that can fire: no coll, midp, para or perp fact arises
+    assert calls == [r for r in default_rules if r.name in (
+        "equidist_cyclic", "inscribed_angle", "inscribed_converse", "eqangle_trans",
+        "cong_trans")]
 
 
 def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
@@ -397,7 +417,7 @@ def _check_carried_state(text, rules, evaluation, strict_sides):
             assert all(index == copy for index, copy in before), r
             usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
             for slot, index in state.indexes.items():
-                assert index == _index(slot, [f for f in usable if f.pred == slot.pred])
+                assert index == _index(slot, shaped(f for f in usable if f.pred == slot.pred))
             if not got[0]:
                 break
             dag.add(*got[0])
@@ -450,7 +470,7 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
                 parts = {engine.OLD: [f for f in facts if dag.node(f).round < last],
                          engine.DELTA: [f for f in facts if dag.node(f).round == last],
                          engine.ALL: facts}
-                out[slot] = {part: _index(slot, fs) for part, fs in parts.items()}
+                out[slot] = {part: _index(slot, shaped(fs)) for part, fs in parts.items()}
             return out
 
         with monkeypatch.context() as m:
@@ -501,3 +521,144 @@ def test_state_leaves_out_rules_that_cannot_fire(default_rules):
     dag.add(Derivation(make_fact("cong", "A", "B", "F1", "X1"), "given", (), 1))
     with pytest.raises(ValueError, match="no rule of the state concludes"):
         derive_round(state)
+
+
+# --- the generated kernels ------------------------------------------------
+
+def _reference_round(dag, rules):
+    """derive_round by the reference matcher, naive, with no symmetry
+    breaking, memo or loop tests: every binding of every rule over every
+    graph fact, judged afresh; (derivations, n_tautologies)."""
+    facts = list(dag)
+    known = {v for f in facts for v in orbit(f)}
+    best, n_taut = {}, 0
+    for rule in rules:
+        lists = [[f for f in facts if f.pred == p.pred] for p in rule.premises]
+        for b, used in _reference_join(rule, lists):
+            if any(b.get(x, x) == b.get(y, y)
+                   for s in rule.side_conditions if s.pred == "distinct" for x, y in [s.args]):
+                continue
+            args = tuple(b.get(a, a) for a in rule.conclusion.args)
+            if args in known:
+                continue
+            f = canonicalize(Fact(rule.conclusion.pred, args))
+            if is_tautology(f):
+                n_taut += 1
+            elif not is_degenerate(f) and (f not in best or (rule.name, used) < best[f][0]):
+                best[f] = ((rule.name, used), rule, b)
+    out = []
+    for f in sorted(best):
+        (name, used), rule, b = best[f]
+        conds = {Fact(s.pred, tuple(b.get(a, a) for a in s.args)) for s in rule.numeric_sides}
+        for p in used:
+            conds.update(dag.node(p).conditions)
+        out.append(Derivation(f, name, used, dag.rounds + 1, tuple(sorted(conds))))
+    return out, n_taut
+
+
+@pytest.mark.parametrize("seed", [*range(6), "inscribed"])
+def test_derive_round_equals_reference_matcher(seed, default_rules, inscribed):
+    """The kernels derive what the reference matcher derives, from the same
+    bindings, and under naive evaluation count the same tautologies."""
+    c = (inscribed if seed == "inscribed"
+         else parse_construction(random_construction_text(seed)))
+    d0 = initial_facts(c)
+    for rounds in (0, 1, 2):
+        dag = saturate(d0, default_rules, max_rounds=rounds).dag if rounds else DerivationDag(d0)
+        want, want_taut = _reference_round(dag, default_rules)
+        assert derive_round(JoinState(dag, default_rules))[0] == want, (seed, rounds)
+        with naive_plans():
+            got, n_taut, _ = derive_round(JoinState(dag, default_rules))
+        assert (got, n_taut) == (want, want_taut), (seed, rounds)
+
+
+def _loops(source):
+    """The loop nest of a kernel's source: from its first loop, the loops
+    and loop tests up to the innermost body."""
+    lines = source.splitlines()
+    lines = lines[next(i for i, line in enumerate(lines) if line.lstrip().startswith("for ")):]
+    return list(itertools.takewhile(
+        lambda line: re.match(r"\s*(for |if v\d+ == |continue$)", line), lines))
+
+
+def test_row_view_runs_the_kernels_loops(default_rules):
+    """_join, which the join tests check, walks the loops derive_round runs."""
+    rules = default_rules + parse_rules(
+        "rule r1: coll(A,B,C), coll(C,D,E), distinct(A,D) => cyclic(A,B,D,E)\n"
+        "rule r2: cong(o,A,o,B), perp(A,B,C,p), distinct(C,o) => perp(A,o,C,p)\n")
+    for rule in rules:
+        compiled = compile_rule(rule)
+        assert _loops(compiled.source), rule.name
+        assert _loops(engine._source(compiled, rows=True)) == _loops(compiled.source)
+
+
+ODD = "x')\n#"  # a name that would break generated text
+
+
+def test_kernel_source_holds_no_rule_text():
+    """A rule's name, predicates and points reach its kernel only as values:
+    a rule named and with a point constant spelt ODD derives what its
+    renamed copy derives, and its kernel's source names none of them."""
+    def rule(name, point):
+        return Rule(name, (Fact("coll", ("A", "B", point)), Fact("cong", ("A", "C", "B", "D"))),
+                    Fact("perp", ("A", point, "C", "D")),
+                    (Fact("distinct", ("C", point)), Fact("non_collinear", ("A", "B", point))))
+
+    def figure(point):
+        return [make_fact("coll", "A", "B", point), make_fact("coll", "B", "C", point),
+                make_fact("cong", "A", "C", "B", "D"), make_fact("cong", "B", "A", "C", point),
+                make_fact("cong", "A", point, "B", "D")]
+
+    def plain(f):
+        return Fact(f.pred, tuple("q" if a == ODD else a for a in f.args))
+
+    got = saturate(figure(ODD), [rule(ODD, ODD)]).dag.derivations()
+    want = saturate(figure("q"), [rule("r", "q")]).dag.derivations()
+    assert want and [Derivation(plain(d.fact), "r", tuple(map(plain, d.premises)), d.round,
+                                tuple(map(plain, d.conditions))) for d in got] == want
+    source = compile_rule(rule(ODD, ODD)).source
+    for text in (ODD, repr(ODD)[1:-1], "coll", "cong", "perp", "distinct", "non_collinear"):
+        assert text not in source, text
+    # its only literals are numbers and None
+    assert {type(node.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant)} <= {int, type(None)}
+
+
+def test_each_conclusion_is_judged_once_per_run(default_rules, monkeypatch):
+    """The state's memo judges each distinct conclusion once per run, and
+    only for that run.  The kernels read canonicalize through the engine's
+    globals at call time, so rebinding it after the rules were compiled, as
+    the benchmark's tracer does, reaches them."""
+    d0 = initial_facts(parse_construction(concyclic_text(5)))
+    saturate(d0, default_rules)  # compiles and memoizes the rules
+    calls = []
+    monkeypatch.setattr(engine, "canonicalize",
+                        lambda f: calls.append(f) or canonicalize(f))
+    res = saturate(d0, default_rules)
+    assert res.dag.rounds >= 2 and calls
+    assert len(calls) == len(set(calls))
+    first = len(calls)
+    saturate(d0, default_rules)
+    assert len(calls) == 2 * first
+
+
+def _deep(n):
+    """A rule of n premises, each the same coll pattern."""
+    return f"rule deep: {', '.join(['coll(A,B,C)'] * n)} => cong(A,B,A,C)"
+
+
+def test_premise_limit_boundary():
+    """A rule of MAX_PREMISES premises saturates as its one-premise copy;
+    one more premise is refused, in a rule file with its line number and
+    through the API by compile_rule."""
+    d0 = [make_fact("coll", "A", "B", "C"), make_fact("coll", "B", "D", "E")]
+    deep, = parse_rules(_deep(MAX_PREMISES))
+    one, = parse_rules(_deep(1))
+    assert set(saturate(d0, [deep]).dag) == set(saturate(d0, [one]).dag) != set(d0)
+    with pytest.raises(RuleParseError, match=f"line 2: rule has {MAX_PREMISES + 1} premises"):
+        parse_rules("\n" + _deep(MAX_PREMISES + 1))
+    too_deep = Rule("deep", deep.premises + deep.premises[:1], deep.conclusion, ())
+    with pytest.raises(ValueError, match=f"at most {MAX_PREMISES}"):
+        compile_rule(too_deep)
+    with pytest.raises(ValueError, match=f"at most {MAX_PREMISES}"):
+        saturate(d0, [too_deep])

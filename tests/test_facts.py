@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodeduce.facts import (ARITIES, SYMMETRIES, Fact, MalformedFactError,
+from geodeduce.facts import (ARITIES, DEGENERATE_PAIRS, SYMMETRIES, Fact, MalformedFactError,
                              canonicalize, fact_symbols, is_degenerate,
                              is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
@@ -111,6 +111,42 @@ ADVERSARIAL = st.sampled_from(["A", "A0", "A1", "A10", "A_", "AB", "Ab", "Aa",
 def test_canonical_facts_sort_as_their_text(facts):
     facts = [canonicalize(f) for f in facts]
     assert sorted(facts) == sorted(facts, key=str)
+
+
+def _equality_patterns(n):
+    """Every equality pattern of n arguments: each argument's point, numbered
+    in order of first use (restricted growth strings)."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(used + 1):
+            yield from grow(prefix + (c,), max(used, c + 1))
+    yield from grow((), 0)
+
+
+BELL = {3: 5, 4: 15, 8: 4140}  # the number of equality patterns of n arguments
+
+
+@pytest.mark.parametrize("pred", sorted(ARITIES))
+def test_degenerate_pairs_are_exact(pred):
+    """Equal points at a pair of DEGENERATE_PAIRS make the fact degenerate
+    and no tautology, for every equality pattern of its arguments under two
+    orders of its points.  Each pair left out has a pattern where they do
+    not, so the engine's loops test every such pair."""
+    n = ARITIES[pred]
+    pairs = DEGENERATE_PAIRS.get(pred, ())
+    left_out = set(itertools.combinations(range(n), 2)) - set(pairs)
+    patterns = list(_equality_patterns(n))
+    assert len(patterns) == BELL[n]
+    for shape in patterns:
+        for names in ("ABCDEFGH", "HGFEDCBA"):
+            f = canonicalize(Fact(pred, tuple(names[c] for c in shape)))
+            if is_degenerate(f) and not is_tautology(f):
+                continue
+            assert not any(shape[i] == shape[j] for i, j in pairs), (shape, names)
+            left_out -= {(i, j) for i, j in left_out if shape[i] == shape[j]}
+    assert not left_out
 
 
 def test_fact_is_immutable_with_a_stable_repr():

@@ -50,3 +50,22 @@ def test_no_module_imports_a_name_it_never_uses():
     files += [*(ROOT / "tools").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in sorted(files)}
     assert {p: names for p, names in unused.items() if names} == {}
+
+
+def test_ladder_times_runs_one_figure(default_rules):
+    """tools/ladder_times.py times a figure in a fresh interpreter and prints
+    one table row with the report's facts; the timings are not checked."""
+    from geodeduce import parse_construction
+    from geodeduce.pipeline import PipelineConfig, run_pipeline
+    from conftest import concyclic_text
+
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder_times.py"),
+                          "--repeat", "1", "circle4"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    header, _, row = out.stdout.splitlines()
+    columns = [c.strip() for c in header.strip("|").split("|")]
+    cells = dict(zip(columns, (c.strip() for c in row.strip("|").split("|"))))
+    assert columns[:6] == ["input", "total", "saturate", "filter", "score", "emit"]
+    assert cells["input"] == "circle4" and cells["peak RSS"].endswith(" MB")
+    report = run_pipeline(parse_construction(concyclic_text(4)), default_rules, PipelineConfig())
+    assert cells["facts"] == str(len(report.records))

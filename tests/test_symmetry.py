@@ -14,10 +14,10 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
                        parse_rules, saturate)
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, _join,
                               compile_rule, derive_round)
-from geodeduce.facts import ARITIES, Fact, canonicalize, orbit
-from geodeduce.rules import Rule, is_variable
+from geodeduce.facts import ARITIES, DEGENERATE_PAIRS, Fact, canonicalize, orbit
+from geodeduce.rules import Rule
 
-from conftest import ROOT, concyclic_text, naive_plans
+from conftest import ROOT, concyclic_text, naive_plans, shaped
 from fuzzing import random_construction_text
 
 CIRCLE4 = concyclic_text(4)
@@ -72,27 +72,22 @@ def _ground(args, binding):
 def _join_list(compiled, rule, facts):
     """The join's (binding, facts used), each tuple binding mapped to
     variable -> point through the compiled variable order.  The kernel's
-    conclusion getter and distinct tests read the tuple; they must agree
-    with grounding by name, point constants included.  A distinct side
-    whose two variables share a premise is tested in that premise's slot,
-    so every drawn binding satisfies it; the others are tested per
-    binding, by ``compiled.distinct``."""
+    conclusion positions read the tuple; they must agree with grounding by
+    name, point constants included.  The slot and loop tests pass every
+    distinct side and no conclusion with one point at two positions of
+    ``DEGENERATE_PAIRS``, so every drawn binding satisfies them all."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
-    indexes = [_index(s, lst) for s, lst in zip(compiled.slots, lists)]
+    indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
     k = len(compiled.consts)
-    in_slot, spanning = [], []
-    for s in rule.side_conditions:
-        if s.pred == "distinct":
-            shared = any({*s.args} <= {*p.args} for p in rule.premises)
-            (in_slot if shared and all(map(is_variable, s.args)) else spanning).append(s.args)
+    sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     out = []
     for b, used in _join(compiled, indexes):
         named = dict(zip(compiled.names[k:], b[k:]))
-        assert compiled.conclusion(b) == _ground(rule.conclusion.args, named)
-        assert all(len(set(_ground(args, named))) == 2 for args in in_slot)
-        assert ([b[i] == b[j] for i, j in compiled.distinct]
-                == [len(set(_ground(args, named))) == 1 for args in spanning])
+        head = tuple(b[i] for i in compiled.conclusion)
+        assert head == _ground(rule.conclusion.args, named)
+        assert all(len(set(_ground(args, named))) == 2 for args in sides)
+        assert all(head[i] != head[j] for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ()))
         out.append((named, used))
     return out
 
@@ -380,13 +375,20 @@ def test_index_equals_variant_filtering_reference(data, default_rules):
     for compiled in (compile_rule(rule), _compile(rule)):
         for slot in compiled.slots:
             facts = data.draw(random_facts(slot.pred))
-            got, want = _index(slot, facts), _reference_index(slot, facts)
+            got, want = _index(slot, shaped(facts)), _reference_index(slot, facts)
             assert list(got.items()) == list(want.items()), (rule, slot)
 
 
 def test_distinct_sides_move_into_slots(default_rules):
     compiled = {r.name: compile_rule(r) for r in default_rules}
-    assert all(not c.distinct for c in compiled.values())
+    # every distinct side of the default rules is a slot test; the loops
+    # test only degenerate pairs of the conclusions
+    assert {n: c.distinct for n, c in compiled.items() if c.distinct} == {
+        "equidist_cyclic": ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+        "inscribed_angle": ((0, 2), (1, 2), (0, 3), (1, 3)),
+        "inscribed_converse": ((1, 2), (0, 1), (1, 3), (0, 2), (2, 3), (0, 3)),
+        "para_perp_perp": ((0, 1), (4, 5)),
+        "eqangle_trans": ((0, 1), (2, 3), (8, 9), (10, 11))}
     # coll_merge: coll(A,B,C), coll(A,B,D), distinct(A,B); the first slot tests it
     assert [s.distinct for s in compiled["coll_merge"].slots] == [((0, 1),), ()]
     rule, = parse_rules("rule r: coll(A,B,C), coll(C,D,E), distinct(A,D) => coll(A,B,D)")
