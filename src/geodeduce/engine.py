@@ -33,8 +33,9 @@ side of a perp or eqangle).  Innermost, the kernel does the whole
 per-binding work: the known-variant test, the verdict, the drop counters
 and the choice of the least derivation.  The generated text holds only
 local names and numbers; the rule's name, predicates and points reach the
-kernel as values.  ``_join`` runs the same loop nest with an innermost
-body that collects the rows, for the tests.
+kernel as values.  There is one kernel per rule, the one ``derive_round``
+runs: the tests read the rows it draws through its ``memo`` and ``best``
+arguments.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
 ``pipeline.run_pipeline``) builds one ``JoinState`` per run, holding all
@@ -216,7 +217,6 @@ class CompiledRule(NamedTuple):
     conclusion: Tuple[int, ...]         # the binding positions of the conclusion's arguments
     # numeric side conditions: (predicate, binding -> their points)
     numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
-    source: str = ""                    # the kernel's generated source
     kernel: Optional[Callable] = None   # (indexes, known, memo, best, rule) -> counters
 
 
@@ -269,8 +269,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
         consts, tuple((at[x], at[y]) for x, y in pairs),
         tuple(dict.fromkeys((min(p), max(p)) for p in differ)), head,
         tuple((s.pred, _getter(tuple(at[a] for a in s.args))) for s in rule.numeric_sides))
-    source = _source(compiled)
-    return compiled._replace(source=source, kernel=_kernel(source))
+    return compiled._replace(kernel=_kernel(_source(compiled)))
 
 
 def _breaks(rule: Rule, x: str, y: str) -> bool:
@@ -305,7 +304,7 @@ def _tuple(prefix: str, items: Iterable[int]) -> str:
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
 
-def _source(rule: CompiledRule, rows: bool = False) -> str:
+def _source(rule: CompiledRule) -> str:
     """The source of the rule's loop nest, a function ``kernel``.  Loop i
     walks slot i's index under the key of the variables bound before it;
     binding position p is the local ``vp``, and slot i's fact is ``fi``.
@@ -317,8 +316,9 @@ def _source(rule: CompiledRule, rows: bool = False) -> str:
 
     The kernel ``(indexes, known, memo, best, rule)`` does the whole
     per-binding work of ``derive_round`` innermost and returns its
-    (tautology, degenerate) counters; with ``rows``, the kernel
-    ``(indexes, rule)`` returns every (binding, facts used) instead."""
+    (tautology, degenerate) counters.  It reads the memo and ``best`` only
+    through ``get`` and item assignment, so the tests read every row it
+    draws through these arguments."""
     k, n = len(rule.consts), len(rule.slots)
     depth = [0] * k  # binding position -> the loop that binds it
     for i, slot in enumerate(rule.slots):
@@ -327,13 +327,10 @@ def _source(rule: CompiledRule, rows: bool = False) -> str:
     for x, y in rule.distinct:
         tests[max(depth[x], depth[y])].append(f"v{x} == v{y}")
     binding, used = _tuple("v", range(len(depth))), _tuple("f", range(n))
-    if rows:
-        lines = ["def kernel(indexes, rule):", "    rows = []"]
-    else:
-        lines = ["def kernel(indexes, known, memo, best, rule):",
-                 "    name, pred = rule.name, rule.pred",
-                 "    memo_get, best_get = memo.get, best.get",
-                 "    n_taut = n_degen = 0"]
+    lines = ["def kernel(indexes, known, memo, best, rule):",
+             "    name, pred = rule.name, rule.pred",
+             "    memo_get, best_get = memo.get, best.get",
+             "    n_taut = n_degen = 0"]
     if k:
         lines.append(f"    {_tuple('v', range(k))} = rule.consts")
     lines.append(f"    {_tuple('get', range(n))} = [index.get for index in indexes]")
@@ -345,29 +342,26 @@ def _source(rule: CompiledRule, rows: bool = False) -> str:
         pad += "    "
         if tests[i]:
             lines += [f"{pad}if {' or '.join(tests[i])}:", f"{pad}    continue"]
-    if rows:
-        lines += [f"{pad}rows.append(({binding}, {used}))", "    return rows"]
-    else:
-        # a kept binding stands for 2**s full-join bindings, s the number of
-        # its swaps whose two points differ
-        weight = " + ".join(f"(v{x} != v{y})" for x, y in rule.swaps)
-        weight = f"1 << ({weight})" if weight else "1"
-        lines += [f"{pad}args = {_tuple('v', rule.conclusion)}",
-                  f"{pad}if args in known:  # in the orbit of a fact the graph holds",
-                  f"{pad}    continue",
-                  f"{pad}verdict = memo_get(args)",
-                  f"{pad}if verdict is None:",
-                  f"{pad}    verdict = _judge(memo, pred, args)",
-                  f"{pad}if verdict is TAUTOLOGY:",
-                  f"{pad}    n_taut += {weight}",
-                  f"{pad}elif verdict is DEGENERATE:",
-                  f"{pad}    n_degen += {weight}",
-                  f"{pad}else:  # facts order as their text does (facts.Fact)",
-                  f"{pad}    key = (name, {used})",
-                  f"{pad}    old = best_get(verdict)",
-                  f"{pad}    if old is None or key < old[0]:",
-                  f"{pad}        best[verdict] = (key, rule, {binding})",
-                  "    return n_taut, n_degen"]
+    # a kept binding stands for 2**s full-join bindings, s the number of
+    # its swaps whose two points differ
+    weight = " + ".join(f"(v{x} != v{y})" for x, y in rule.swaps)
+    weight = f"1 << ({weight})" if weight else "1"
+    lines += [f"{pad}args = {_tuple('v', rule.conclusion)}",
+              f"{pad}if args in known:  # in the orbit of a fact the graph holds",
+              f"{pad}    continue",
+              f"{pad}verdict = memo_get(args)",
+              f"{pad}if verdict is None:",
+              f"{pad}    verdict = _judge(memo, pred, args)",
+              f"{pad}if verdict is TAUTOLOGY:",
+              f"{pad}    n_taut += {weight}",
+              f"{pad}elif verdict is DEGENERATE:",
+              f"{pad}    n_degen += {weight}",
+              f"{pad}else:  # facts order as their text does (facts.Fact)",
+              f"{pad}    key = (name, {used})",
+              f"{pad}    old = best_get(verdict)",
+              f"{pad}    if old is None or key < old[0]:",
+              f"{pad}        best[verdict] = (key, rule, {binding})",
+              "    return n_taut, n_degen"]
     return "\n".join(lines) + "\n"
 
 
@@ -509,13 +503,6 @@ class JoinState:
             self.indexes[slot] = full = _extend(old, delta)
             views[slot] = {OLD: old, DELTA: delta, ALL: full}
         return views
-
-
-def _join(rule: CompiledRule, indexes: List[Dict[tuple, list]]) -> List[tuple]:
-    """Every (binding, facts used) of the rule over the slot indexes, in the
-    order of a depth-first walk: the rule's own loop nest, its loop tests
-    included, with an innermost body that collects the rows."""
-    return _kernel(_source(rule, rows=True))(indexes, rule)
 
 
 def derive_round(state: JoinState):

@@ -210,31 +210,25 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                         discarded))
         rounds, stop = sat.dag.rounds, sat.stop_reason
     else:  # filtered: only interesting survivors re-enter the fact list
-        rounds, stop = 0, "budget"
+        rounds = 0  # the rounds in which some candidate passed the run-time filter
         state = JoinState(dag, rules, strict_sides=cfg.strict_sides)  # for this run only
-        for r in range(1, cfg.max_rounds + 1):
+        for _ in range(cfg.max_rounds):
             candidates, n_taut, _ = derive_round(state)
             discarded["tautologies"] += n_taut
-            survivors = _admit(candidates, models, cfg.tol, held, blocked, discarded)
-            if not survivors:
-                stop = "fixpoint"
-                rounds = r - 1
+            new = _admit(candidates, models, cfg.tol, held, blocked, discarded)
+            if not new:
                 break
+            rounds += 1
             # score the survivors against the current fact list
             trial = dag.copy()
-            trial.add(*survivors)
-            interesting = interesting_among(trial, [d.fact for d in survivors],
-                                            cfg.metrics, memo)
-            added = [d for d in survivors if d.fact in interesting]
-            blocked.update(d.fact for d in survivors if d.fact not in interesting)
-            dag.add(*added)
-            rounds = r
-            if not added:
-                stop = "fixpoint"
+            trial.add(*new)
+            interesting = interesting_among(trial, [d.fact for d in new], cfg.metrics, memo)
+            blocked.update(d.fact for d in new if d.fact not in interesting)
+            new = [d for d in new if d.fact in interesting]
+            dag.add(*new)
+            if not new or len(dag) >= cfg.max_facts:
                 break
-            if len(dag) >= cfg.max_facts:
-                stop = "budget"
-                break
+        stop = "budget" if new else "fixpoint"  # fixpoint: the last round added nothing
     records = _build_records(dag, cfg, memo)
     return Report(construction.source(), rules_digest(rules), cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)

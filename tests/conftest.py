@@ -1,6 +1,7 @@
 import contextlib
 import pathlib
 import runpy
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -9,9 +10,10 @@ from geodeduce import engine, parse_construction, parse_rules
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# the ladder figures, kept in the tool that compares their reports
+# the ladder and Varignon figures, kept in the tool that compares their reports
 _LADDERS = runpy.run_path(str(ROOT / "tools" / "diff_reports.py"))
 concyclic_text, feet_text = _LADDERS["concyclic_text"], _LADDERS["feet_text"]
+VARIGNON = _LADDERS["VARIGNON"]
 
 _compile_rule = engine.compile_rule  # while naive_plans runs, engine's is the patch
 
@@ -37,6 +39,23 @@ def naive_plans(compile=None):
 def shaped(facts):
     """The facts with their shapes, as JoinState.take_in hands them to engine._index."""
     return [(f, engine._shape(f.args)) for f in facts]
+
+
+def kernel_rows(compiled, indexes):
+    """Every (binding, facts used, conclusion arguments) that the compiled
+    rule's kernel, the one derive_round runs, draws over the slot indexes,
+    in draw order.  No conclusion is known, and the memo records the
+    arguments of each conclusion the kernel builds and gives each a fresh
+    verdict, so every drawn row becomes its own ``best`` entry."""
+    drawn = []
+
+    def verdict(args):
+        drawn.append(args)
+        return object()
+
+    best = {}
+    assert compiled.kernel(indexes, (), SimpleNamespace(get=verdict), best, compiled) == (0, 0)
+    return [(b, used, args) for ((_, used), _, b), args in zip(best.values(), drawn)]
 
 
 EVALUATIONS = ("naive", "semi_naive")

@@ -51,18 +51,31 @@ def test_unknown_flag(capsys, root):
     assert code == 1
 
 
+# two lines through A and B that are one line; a fuzz figure whose second
+# foot coincides with its first; steps that repeat or collapse a reference
+DEGENERATE = ["point A B\non_line C A B\non_line D A B\nintersect X A C B D\n",
+              random_construction_text(8),
+              *(f"point A B\n{step}\n" for step in (
+                  "midpoint M A A", "on_line P A A", "on_circle P A A", "foot F A A B",
+                  "circumcenter O A B B", "intersect P A B A B",
+                  "midpoint M A B\nmidpoint N M M"))]
+
+
 def test_degenerate_construction(capsys, tmp_path, root):
+    """Every command ends a degenerate construction with exit 3, never a traceback."""
     bad = tmp_path / "degen.gc"
-    # two lines through A and B that are one line; a fuzz figure whose
-    # second foot coincides with its first
-    for text in ("point A B\non_line C A B\non_line D A B\nintersect X A C B D\n",
-                 random_construction_text(8)):
+    rules = ("--rules", str(root / "rules" / "gddm-default.gr"))
+    commands = [("run", *rules), ("run", *rules, "--mode", "filtered"),
+                ("saturate", *rules), ("rank", *rules), ("check",)]
+    for text in DEGENERATE:
         bad.write_text(text)
-        code, _, err = run(capsys, "run", str(bad),
-                           "--rules", str(root / "rules" / "gddm-default.gr"))
-        assert code == 3, text
-        assert "error: degenerate construction" in err
-        assert "Traceback" not in err
+        for command, *flags in commands:
+            argv = [command, str(bad)] + (["cong(A,B,B,A)"] if command == "check" else flags)
+            code, out, err = run(capsys, *argv)
+            assert code == 3, (text, argv)
+            assert ("error: degenerate construction" in err if command != "check"
+                    else out == "cong(A,B,A,B): degenerate\n"), (text, argv)
+            assert "Traceback" not in err
 
 
 def test_soundness_violation_exit(capsys, tmp_path, root):

@@ -1,8 +1,6 @@
 """Rule matching, saturation to a fixpoint, derivation DAG structure."""
 
 import ast
-import itertools
-import re
 from collections import Counter
 
 import pytest
@@ -10,14 +8,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
-from geodeduce.engine import (_compile, _index, _join, compile_rule,
+from geodeduce.engine import (_compile, _index, compile_rule,
                               derive_round, Derivation, DerivationDag, JoinState)
 from geodeduce.facts import (DEGENERATE_PAIRS, Fact, canonicalize, is_degenerate,
                              is_tautology, orbit)
 from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
 
-from conftest import (EVALUATIONS, concyclic_text, evaluating, feet_text, naive_plans,
-                      shaped)
+from conftest import (EVALUATIONS, concyclic_text, evaluating, feet_text, kernel_rows,
+                      naive_plans, shaped)
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -354,6 +352,30 @@ def _drawn(rule, binding):
                     for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())))
 
 
+def _assert_rows_equal_reference(rule, facts):
+    """The rows the rule's kernel draws, without its symmetries, are the
+    reference matcher's bindings that its slot and loop tests let through,
+    in the reference's order, and each row's conclusion arguments ground
+    the conclusion.  Returns the rows."""
+    lists = [sorted((f for f in facts if f.pred == p.pred), key=str) for p in rule.premises]
+    compiled = _compile(rule)
+    indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
+    k = len(compiled.consts)
+    got = []
+    for b, used, args in kernel_rows(compiled, indexes):
+        # the tuple binding as variable -> point, through the compiled variable order
+        named = dict(zip(compiled.names[k:], b[k:]))
+        assert args == tuple(named.get(a, a) for a in rule.conclusion.args), rule.name
+        got.append((named, used))
+    got = _hashable(got)
+    want = _hashable((b, used) for b, used in _reference_join(rule, lists)
+                     if _drawn(rule, b))
+    assert Counter(got) == Counter(want), rule.name
+    # the order decides which of two equal-ranked derivations is kept
+    assert got == want, rule.name
+    return got
+
+
 # fuzz figures give coll/cong/midp/para/perp; inscribed adds cyclic/eqangle
 @pytest.mark.parametrize("seed", [*range(10), "inscribed"])
 def test_indexed_join_equals_reference(seed, default_rules, inscribed):
@@ -361,19 +383,22 @@ def test_indexed_join_equals_reference(seed, default_rules, inscribed):
          else parse_construction(random_construction_text(seed)))
     facts = saturate(initial_facts(c), default_rules, max_rounds=2).dag
     for rule in default_rules:
-        lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
-                 for p in rule.premises]
-        compiled = _compile(rule)
-        indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
-        # tuple bindings as variable -> point, through the compiled variable order
-        k = len(compiled.consts)
-        got = _hashable((dict(zip(compiled.names[k:], b[k:])), used)
-                        for b, used in _join(compiled, indexes))
-        want = _hashable((b, used) for b, used in _reference_join(rule, lists)
-                         if _drawn(rule, b))
-        assert Counter(got) == Counter(want), rule.name
-        # the order decides which of two equal-ranked derivations is kept
-        assert got == want, rule.name
+        _assert_rows_equal_reference(rule, facts)
+
+
+def test_kernel_rows_with_spanning_distinct_and_constants():
+    """Two layouts the default rules lack draw the reference's rows: r1 has
+    a distinct side that spans two premises, tested at a loop, and r2 has
+    point constants, in a premise, a distinct side and the conclusion."""
+    r1, r2 = parse_rules(
+        "rule r1: coll(A,B,C), coll(C,D,E), distinct(A,D) => cyclic(A,B,D,E)\n"
+        "rule r2: cong(o,A,o,B), perp(A,B,C,p), distinct(C,o) => perp(A,o,C,p)\n")
+    facts = [make_fact("coll", "a", "b", "c"), make_fact("coll", "c", "d", "e"),
+             make_fact("coll", "a", "c", "o"), make_fact("cong", "o", "a", "o", "b"),
+             make_fact("cong", "o", "b", "o", "c"), make_fact("perp", "a", "b", "c", "p"),
+             make_fact("perp", "a", "b", "o", "p"), make_fact("perp", "b", "c", "a", "p")]
+    for rule in (r1, r2):
+        assert _assert_rows_equal_reference(rule, facts), rule.name
 
 
 def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch):
@@ -572,26 +597,6 @@ def test_derive_round_equals_reference_matcher(seed, default_rules, inscribed):
         assert (got, n_taut) == (want, want_taut), (seed, rounds)
 
 
-def _loops(source):
-    """The loop nest of a kernel's source: from its first loop, the loops
-    and loop tests up to the innermost body."""
-    lines = source.splitlines()
-    lines = lines[next(i for i, line in enumerate(lines) if line.lstrip().startswith("for ")):]
-    return list(itertools.takewhile(
-        lambda line: re.match(r"\s*(for |if v\d+ == |continue$)", line), lines))
-
-
-def test_row_view_runs_the_kernels_loops(default_rules):
-    """_join, which the join tests check, walks the loops derive_round runs."""
-    rules = default_rules + parse_rules(
-        "rule r1: coll(A,B,C), coll(C,D,E), distinct(A,D) => cyclic(A,B,D,E)\n"
-        "rule r2: cong(o,A,o,B), perp(A,B,C,p), distinct(C,o) => perp(A,o,C,p)\n")
-    for rule in rules:
-        compiled = compile_rule(rule)
-        assert _loops(compiled.source), rule.name
-        assert _loops(engine._source(compiled, rows=True)) == _loops(compiled.source)
-
-
 ODD = "x')\n#"  # a name that would break generated text
 
 
@@ -616,7 +621,7 @@ def test_kernel_source_holds_no_rule_text():
     want = saturate(figure("q"), [rule("r", "q")]).dag.derivations()
     assert want and [Derivation(plain(d.fact), "r", tuple(map(plain, d.premises)), d.round,
                                 tuple(map(plain, d.conditions))) for d in got] == want
-    source = compile_rule(rule(ODD, ODD)).source
+    source = engine._source(compile_rule(rule(ODD, ODD)))
     for text in (ODD, repr(ODD)[1:-1], "coll", "cong", "perp", "distinct", "non_collinear"):
         assert text not in source, text
     # its only literals are numbers and None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BUNDLED, concyclic_text, feet_text, naive_plans
+from conftest import BUNDLED, VARIGNON, concyclic_text, feet_text, naive_plans
 from geodeduce import make_fact, parse_construction, parse_rules
 from geodeduce.facts import Fact
 from geodeduce.pipeline import (MODES, FactRecord, PipelineConfig, Report,
@@ -328,6 +328,17 @@ def test_filtered_rounds_count_rounds_without_reported_facts(default_rules):
     rep = run_pipeline(_case("fuzz26"), default_rules, PipelineConfig(mode="filtered"))
     assert rep.rounds == 2 and rep.stop_reason == "fixpoint"
     assert max(r.round for r in rep.records) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_varignon_rule_coverage(mode, default_rules):
+    """On the Varignon figure midline makes each side of PQRS parallel to a
+    diagonal, and para_trans, which wins on no bundled example, pairs the
+    opposite sides."""
+    rep = run_pipeline(parse_construction(VARIGNON), default_rules, PipelineConfig(mode=mode))
+    assert Counter(r.rule for r in rep.records) == {None: 12, "midline": 4, "para_trans": 2}
+    assert {str(r.fact) for r in rep.records if r.rule == "para_trans"} == {
+        "para(P,Q,R,S)", "para(P,S,Q,R)"}
 
 
 def test_json_report_deterministic(midline, default_rules):

@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, Phase, find, given, settings, strategies as 
 
 from geodeduce import (engine, initial_facts, make_fact, parse_construction,
                        parse_rules, saturate)
-from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, _join,
-                              compile_rule, derive_round)
+from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, compile_rule,
+                              derive_round)
 from geodeduce.facts import ARITIES, DEGENERATE_PAIRS, Fact, canonicalize, orbit
 from geodeduce.rules import Rule
 
-from conftest import ROOT, concyclic_text, naive_plans, shaped
+from conftest import ROOT, concyclic_text, kernel_rows, naive_plans, shaped
 from fuzzing import random_construction_text
 
 CIRCLE4 = concyclic_text(4)
@@ -70,21 +70,21 @@ def _ground(args, binding):
 
 
 def _join_list(compiled, rule, facts):
-    """The join's (binding, facts used), each tuple binding mapped to
-    variable -> point through the compiled variable order.  The kernel's
-    conclusion positions read the tuple; they must agree with grounding by
-    name, point constants included.  The slot and loop tests pass every
-    distinct side and no conclusion with one point at two positions of
-    ``DEGENERATE_PAIRS``, so every drawn binding satisfies them all."""
+    """The rows the compiled rule's kernel draws, (binding, facts used), each
+    tuple binding mapped to variable -> point through the compiled variable
+    order.  The conclusion arguments the kernel builds from the tuple must
+    agree with grounding by name, point constants included.  The slot and
+    loop tests pass every distinct side and no conclusion with one point at
+    two positions of ``DEGENERATE_PAIRS``, so every drawn binding satisfies
+    them all."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
     indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
     k = len(compiled.consts)
     sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     out = []
-    for b, used in _join(compiled, indexes):
+    for b, used, head in kernel_rows(compiled, indexes):
         named = dict(zip(compiled.names[k:], b[k:]))
-        head = tuple(b[i] for i in compiled.conclusion)
         assert head == _ground(rule.conclusion.args, named)
         assert all(len(set(_ground(args, named))) == 2 for args in sides)
         assert all(head[i] != head[j] for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ()))

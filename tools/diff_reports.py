@@ -3,19 +3,19 @@
     python3 tools/diff_reports.py OLD_TREE NEW_TREE
 
 Runs the bundled examples, the circle ladder (k = 4..10 and 12 concyclic
-points) and the feet ladder (k = 8..20 and 26 feet on one line) in
-fixpoint and filtered mode through each tree's ``src/`` with that tree's
+points), the feet ladder (k = 8..20 and 26 feet on one line) and the
+Varignon figure in fixpoint and filtered mode through each tree's ``src/`` with that tree's
 default rules, the bundled examples once more in both modes with
 ``strict_sides``, and the bundled examples, circle 8 and feet 12 in
 filtered mode under three ranking metric configs (``top_k`` = 2;
 threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1):
-71 reports per tree.  Each tree runs in its own
+73 reports per tree.  Each tree runs in its own
 subprocess, under its own fixed PYTHONHASHSEED, and NEW_TREE runs the cases
 in reverse order, so ``diff_reports.py . .`` checks that no report depends
 on the hash seed or on what earlier runs left in a process-level memo
 (compiled rules, slot tables, draw prefixes).
-The inputs are this checkout's examples and the ladder figures below,
-which the tests import.  Prints each case whose report differs and exits 1
+The inputs are this checkout's examples and the figures below, which the
+tests import.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
 """
 
@@ -79,12 +79,19 @@ def feet_text(k: int) -> str:
                                     for i in range(1, k + 1))
 
 
+# the midpoints of a quadrilateral's sides form a parallelogram (Varignon):
+# midline gives each side's parallel to a diagonal, para_trans the opposite sides
+VARIGNON = ("point A B C D\nmidpoint P A B\nmidpoint Q B C\nmidpoint R C D\n"
+            "midpoint S D A\n")
+
+
 def cases() -> list:
     examples = [(path.stem, path.read_text())
                 for path in sorted((ROOT / "examples").glob("*.gc"))]
     # the two ladders, and each at its milestone size
     figures = examples + [(f"circle{k}", concyclic_text(k)) for k in [*range(4, 11), 12]]
     figures += [(f"feet{k}", feet_text(k)) for k in [*range(8, 21), 26]]
+    figures.append(("varignon", VARIGNON))
     ranked = examples + [("circle8", concyclic_text(8)), ("feet12", feet_text(12))]
     return ([[f"{name} {mode}", text, mode, False, {}] for name, text in figures for mode in MODES]
             + [[f"{name} {mode} strict", text, mode, True, {}]
