@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from importlib import resources
 
 from .construction import ConstructionError, parse_construction
 from .facts import MalformedFactError, parse_fact
@@ -26,7 +27,8 @@ EXIT_DEGENERATE = 3
 EXIT_UNSOUND = 4
 EXIT_FAILS = 5
 
-DEFAULT_RULES = "rules/gddm-default.gr"
+# the package's copy of rules/gddm-default.gr, read when --rules is not given
+DEFAULT_RULES = "gddm-default.gr"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +71,7 @@ _THRESHOLD = _checked(float, lambda x: not math.isnan(x), "a number")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rules", default=DEFAULT_RULES, help="rule file (.gr)")
+    p.add_argument("--rules", help="rule file (.gr); default: the bundled gddm-default.gr")
     p.add_argument("--mode", choices=MODES, default="fixpoint")
     p.add_argument("--max-rounds", type=_int_at_least(1), default=10)
     p.add_argument("--max-facts", type=_int_at_least(1), default=100000)
@@ -141,7 +143,8 @@ def cli_main(argv=None) -> int:
                 return EXIT_DEGENERATE
             return EXIT_OK if verdict.kind == "holds" else EXIT_FAILS
 
-        rules = parse_rules(_read(args.rules))
+        rules = parse_rules(_read(args.rules) if args.rules else
+                            resources.files(__package__).joinpath(DEFAULT_RULES).read_text("utf-8"))
         report = run_pipeline(construction, rules, _config(args))
         if args.format == "json":
             sys.stdout.write(emit_report(report, "json"))

@@ -15,9 +15,10 @@ Both modes send derivations through the same admission routine,
 ``_admit``.  A fact it blocks never comes back within the run, and a fact
 the graph holds keeps its one derivation, so a fact's derivation closure
 is fixed when it enters the graph, which stores it then.  One
-``ScoreMemo`` per run therefore computes each fact's seven fixed raw
-metrics once; each round (and the final scoring) redoes only pass 1,
-the usefulness counts and scale, and the final aggregates it reads.
+``ScoreMemo`` per run therefore keeps each fact's raw row, its seven
+fixed raw metrics, computed once; each round (and the final scoring)
+makes one pass per metric column over the derived facts and redoes the
+usefulness counts.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical

@@ -11,12 +11,16 @@ provisional interesting set.
 Cost model.  A fact's derivation never changes once the fact is scored:
 the graph is append-only, and a fact that a filtered round blocks never
 comes back.  The graph stores each fact's closure when the fact enters.
-A ``ScoreMemo`` that lives for one run keeps, per fact, the seven raw
-metrics other than usefulness, each computed once per fact per run.  It
-is built with the run's hypothesis point pairs.  Every call redoes pass 1
-over the derived facts and the usefulness counts and scale.  ``score_all``
-builds every fact's card; ``interesting_among`` builds none and computes
-final aggregates only for the facts asked about (all when top_k ranks).
+Per fact: a ``ScoreMemo`` that lives for one run keeps one raw row, the
+seven metrics other than usefulness, computed once per run.  Per call:
+one pass per metric column over the derived facts (their rows
+transposed), adding each fact's weighted, directed term to a running sum
+in METRICS order; both passes share the sums of the first seven, and
+only the usefulness counts and column are redone.  A derived value lies
+in its column's [min, max], so its unit value needs no clamp and every
+aggregate is the same float sum, term by term, as one fact at a time
+gives.  ``score_all`` builds every fact's card from clamped columns, as a
+hypothesis may lie outside that range; ``interesting_among`` builds none.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -29,7 +33,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact, fact_symbols
@@ -176,92 +180,66 @@ class ScoreMemo:
 
     # point pairs of the run's hypotheses, for surprisingness
     hyp_pairs: Set[FrozenSet[str]]
-    # fact -> raw metrics, usefulness left at 0.0
-    raw: Dict[Fact, Dict[str, float]] = field(default_factory=dict)
+    # fact -> its raw metrics but usefulness, in METRICS order
+    raw: Dict[Fact, Tuple[float, ...]] = field(default_factory=dict)
+
+    def rows(self, facts: List[Fact], dag: DerivationDag) -> List[Tuple[float, ...]]:
+        """The raw rows of facts, each computed the first time it is asked for."""
+        raw = self.raw
+        for f in [f for f in facts if f not in raw]:
+            leaves = hypotheses_used(f, dag)
+            raw[f] = (float(obviousness(f, dag)), float(weight(f)),
+                      float(complexity(f)), surprisingness(f, self.hyp_pairs),
+                      intensity(f, leaves), adaptivity(f), focus(f, leaves))
+        return list(map(raw.__getitem__, facts))
 
 
-def _raw_scores(facts: Iterable[Fact], dag: DerivationDag,
-                hyp_pairs: Set[FrozenSet[str]]) -> Dict[Fact, Dict[str, float]]:
-    out = {}
-    for f in facts:
-        leaves = hypotheses_used(f, dag)
-        out[f] = {
-            "obviousness": float(obviousness(f, dag)),
-            "weight": float(weight(f)),
-            "complexity": float(complexity(f)),
-            "surprisingness": surprisingness(f, hyp_pairs),
-            "intensity": intensity(f, leaves),
-            "adaptivity": adaptivity(f),
-            "focus": focus(f, leaves),
-            "usefulness": 0.0,
-        }
-    return out
+def _range(column: Sequence[float]) -> Tuple[float, float]:
+    """A metric's min and max over the derived facts; 0.0 and 0.0 if none."""
+    return (min(column), max(column)) if column else (0.0, 0.0)
 
 
-Scale = Tuple[str, float, float, float, bool]
+def _add_terms(sums: List[float], column: Sequence[float], lo: float, hi: float,
+               w: float, up: bool) -> List[float]:
+    """Each sum plus its fact's weighted, directed unit value of one metric:
+    (v - lo) / (hi - lo), or 0.5 for a metric constant over the derived
+    facts.  Left unclamped, so valid only for values in [lo, hi]."""
+    if hi == lo:
+        term = w * 0.5
+        return [s + term for s in sums]
+    span = hi - lo
+    if up:
+        return [s + w * ((v - lo) / span) for s, v in zip(sums, column)]
+    return [s + w * (1.0 - (v - lo) / span) for s, v in zip(sums, column)]
 
 
-def _scales(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
-            cfg: MetricConfig, metrics: Tuple[str, ...] = METRICS) -> List[Scale]:
-    """Per metric: its name, its min and max over the derived facts, its
-    normalized weight and its direction flag."""
+def _passes(dag: DerivationDag, cfg: MetricConfig, memo: ScoreMemo
+            ) -> Tuple[List[Fact], List[float], List[Tuple[float, float]], Counter]:
+    """The core of both passes: dag's derived facts, their final aggregates,
+    each metric's min and max over them and the usefulness counts."""
+    derived = [d.fact for d in dag.derivations()]
     w = cfg.normalized_weights()
-    out = []
-    for m in metrics:
-        column = [raw[f][m] for f in derived]
-        out.append((m, min(column, default=0.0), max(column, default=0.0),
-                    w[m], cfg.directions.get(m, True)))
-    return out
+    up = [cfg.directions.get(m, True) for m in METRICS]
+    # one column per metric but usefulness; none at all when nothing is derived
+    columns = list(zip(*memo.rows(derived, dag))) or [()] * (len(METRICS) - 1)
+    ranges = [_range(column) for column in columns]
+    partial = [0.0] * len(derived)  # the first seven terms, summed in METRICS order
+    for m, column, (lo, hi), u in zip(METRICS, columns, ranges, up):
+        partial = _add_terms(partial, column, lo, hi, w[m], u)
+
+    # pass 1: usefulness is 0.0 everywhere, a constant column, which adds w * 0.5
+    term = w["usefulness"] * 0.5
+    useful = usefulness(dag, {f for f, s in zip(derived, partial) if s + term >= cfg.threshold})
+
+    # pass 2: only the usefulness column and its range change
+    column = [float(useful[f]) for f in derived]
+    ranges.append(_range(column))
+    aggregates = _add_terms(partial, column, *ranges[-1], w["usefulness"], up[-1])
+    return derived, aggregates, ranges, useful
 
 
-def _unit(v: float, lo: float, hi: float) -> float:
-    """v mapped onto [0, 1] by a metric's min and max over the derived facts
-    and clamped there; 0.5 for a metric constant over them."""
-    return 0.5 if hi == lo else min(1.0, max(0.0, (v - lo) / (hi - lo)))
-
-
-def _aggregate(r: Dict[str, float], scales: List[Scale]) -> float:
-    """The weighted sum of r's normalized values, oriented so that larger
-    is more interesting."""
-    agg = 0.0
-    for m, lo, hi, w, up in scales:
-        n = _unit(r[m], lo, hi)
-        agg += w * (n if up else 1.0 - n)
-    return agg
-
-
-def _normalize(raw: Dict[Fact, Dict[str, float]], derived: List[Fact],
-               scales: List[Scale]) -> Dict[Fact, ScoreCard]:
-    derived_set = set(derived)
-    cards = {}
-    for f, r in raw.items():
-        norm = {m: _unit(r[m], lo, hi) for m, lo, hi, _, _ in scales}
-        cards[f] = ScoreCard(raw=r, normalized=norm, aggregate=_aggregate(r, scales),
-                             hypothesis=f not in derived_set)
-    return cards
-
-
-def _final_scales(dag: DerivationDag, cfg: MetricConfig, memo: Optional[ScoreMemo]
-                  ) -> Tuple[List[Fact], List[Scale], Callable[[Fact], Dict[str, float]]]:
-    """The core of both passes: dag's derived facts, the final scales and a
-    function giving a fact's final raw metrics."""
-    if memo is None:
-        memo = ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
-    raw = memo.raw
-    new = [f for f in dag if f not in raw]
-    if new:
-        raw.update(_raw_scores(new, dag, memo.hyp_pairs))
-    derived = [f for f in dag if dag.node(f).rule is not None]
-
-    # pass 1: usefulness is 0.0 everywhere; only derived aggregates count
-    scales = _scales(raw, derived, cfg)
-    provisional = {f for f in derived if _aggregate(raw[f], scales) >= cfg.threshold}
-
-    # pass 2: only the usefulness column (the last metric) and its scale change
-    useful = usefulness(dag, provisional)
-    column = {f: {"usefulness": float(useful[f])} for f in derived}
-    scales[-1:] = _scales(column, derived, cfg, METRICS[-1:])
-    return derived, scales, lambda f: dict(raw[f], usefulness=float(useful[f]))
+def _fresh_memo(dag: DerivationDag) -> ScoreMemo:
+    return ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
 
 
 def score_all(dag: DerivationDag, cfg: MetricConfig,
@@ -269,19 +247,36 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     """Two-pass scoring of every fact in dag; normalization over derived
     facts only.  Pass the same memo to every call on one growing graph;
     without one, every fact is scored afresh."""
-    derived, scales, final = _final_scales(dag, cfg, memo)
-    return _normalize({f: final(f) for f in dag}, derived, scales)
+    memo = memo or _fresh_memo(dag)
+    derived, _, ranges, useful = _passes(dag, cfg, memo)
+    facts = list(dag)
+    rows = [r + (float(useful[f]),) for f, r in zip(facts, memo.rows(facts, dag))]
+    # clamped: a hypothesis may lie outside the derived facts' range
+    units = [[0.5] * len(facts) if hi == lo else
+             [min(1.0, max(0.0, (v - lo) / (hi - lo))) for v in column]
+             for column, (lo, hi) in zip(zip(*rows), ranges)]
+    w = cfg.normalized_weights()
+    aggregates = [0.0] * len(facts)
+    for m, unit in zip(METRICS, units):
+        wm, up = w[m], cfg.directions.get(m, True)
+        aggregates = [a + wm * (n if up else 1.0 - n) for a, n in zip(aggregates, unit)]
+    derived_set = set(derived)
+    return {f: ScoreCard(raw=dict(zip(METRICS, r)), normalized=dict(zip(METRICS, n)),
+                         aggregate=a, hypothesis=f not in derived_set)
+            for f, r, n, a in zip(facts, rows, zip(*units), aggregates)}
 
 
 def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConfig,
                       memo: Optional[ScoreMemo] = None) -> Set[Fact]:
     """The facts of ``facts`` that filter_interesting(score_all(dag, cfg, memo),
-    cfg) picks, found without score cards: final aggregates are computed for
-    those facts alone, or for every derived fact when top_k ranks them."""
-    derived, scales, final = _final_scales(dag, cfg, memo)
+    cfg) picks, found from the derived facts' aggregates alone, without
+    score cards."""
+    derived, aggregates, _, _ = _passes(dag, cfg, memo or _fresh_memo(dag))
     wanted = set(facts)
-    pool = derived if cfg.top_k else [f for f in derived if f in wanted]
-    return wanted.intersection(_best({f: _aggregate(final(f), scales) for f in pool}, cfg))
+    pool = zip(derived, aggregates)
+    if not cfg.top_k:  # only a ranking needs the facts not asked about
+        pool = ((f, a) for f, a in pool if f in wanted)
+    return wanted.intersection(_best(dict(pool), cfg))
 
 
 def _config_number(convert, key: str, value: str, lineno: int):

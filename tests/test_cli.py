@@ -31,6 +31,20 @@ def test_run_json_format(capsys, root):
     assert payload["mode"] == "fixpoint"
 
 
+def test_packaged_default_rules_equal_the_rules_file(root):
+    packaged = root / "src" / "geodeduce" / "gddm-default.gr"
+    assert packaged.read_bytes() == (root / "rules" / "gddm-default.gr").read_bytes()
+
+
+def test_default_rules_need_no_checkout(capsys, root, tmp_path, monkeypatch):
+    """Without --rules, the packaged rules are read, from any directory."""
+    example = str(root / "examples" / "midline.gc")
+    given = run(capsys, "run", example, "--rules", str(root / "rules" / "gddm-default.gr"))
+    monkeypatch.chdir(tmp_path)  # no rules/ here
+    assert run(capsys, "run", example) == given
+    assert given[0] == 0
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "run", "missing.gc")
     assert code == 2

@@ -140,6 +140,43 @@ def test_memoised_scoring_equals_fresh_scoring(name, default_rules, monkeypatch)
     assert calls
 
 
+def test_raw_metrics_once_per_fact(default_rules, monkeypatch):
+    """A filtered run computes each fact's raw metrics once, however many
+    rounds score it again: one ancestor walk per fact that entered a trial
+    graph or the final ranking."""
+    from geodeduce import pipeline
+    from geodeduce.engine import DerivationDag
+    from geodeduce.numeric import DegenerateModelError
+    walks, scored = Counter(), set()
+    ancestors, real = DerivationDag.ancestors, pipeline.interesting_among
+    trial_facts = 0  # facts scored by a round, counted once per round
+
+    def counted(dag, fact):
+        walks[fact] += 1
+        return ancestors(dag, fact)
+
+    def among(trial, facts, cfg, memo):
+        nonlocal trial_facts
+        scored.update(trial)
+        trial_facts += len(trial)
+        return real(trial, facts, cfg, memo)
+
+    monkeypatch.setattr(DerivationDag, "ancestors", counted)
+    monkeypatch.setattr(pipeline, "interesting_among", among)
+    walked = 0
+    for s in range(10):
+        walks.clear()
+        scored.clear()
+        try:
+            rep = run_pipeline(_case(f"fuzz{s}"), default_rules, PipelineConfig(mode="filtered"))
+        except DegenerateModelError:
+            continue
+        scored.update(r.fact for r in rep.records)
+        assert walks == Counter(scored), s
+        walked += len(scored)
+    assert trial_facts > walked  # later rounds score the earlier facts again
+
+
 # the default, top_k ranking, lower thresholds, flipped directions and a heavy usefulness
 ROUND_CONFIGS = {
     "default": MetricConfig(),

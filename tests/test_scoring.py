@@ -1,16 +1,15 @@
 """Interestingness metrics, normalization, aggregation and filtering."""
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from geodeduce import initial_facts, make_fact, saturate
 from geodeduce.engine import Derivation, DerivationDag
-from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, _aggregate,
-                               _normalize, _raw_scores, _scales, adaptivity,
-                               complexity, filter_interesting, focus,
+from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, ScoreMemo,
+                               adaptivity, complexity, filter_interesting, focus,
                                hypothesis_pairs, hypotheses_used, intensity,
-                               obviousness, parse_metric_config, score_all,
-                               surprisingness, usefulness, weight)
+                               interesting_among, obviousness, parse_metric_config,
+                               score_all, surprisingness, usefulness, weight)
 
 
 @pytest.fixture(scope="session")
@@ -188,12 +187,25 @@ def _reference_normalize(raw, derived, cfg):
     return cards
 
 
-def _reference_score_all(dag, cfg):
-    """Both passes on full ScoreCards, every raw metric computed afresh."""
+def _reference_rows(dag):
+    """Every fact's raw metrics but usefulness, in METRICS order, computed afresh."""
+    hyp_pairs = hypothesis_pairs(f for f in dag if dag.node(f).rule is None)
+    rows = {}
+    for f in dag:
+        leaves = hypotheses_used(f, dag)
+        rows[f] = (float(obviousness(f, dag)), float(weight(f)), float(complexity(f)),
+                   surprisingness(f, hyp_pairs), intensity(f, leaves), adaptivity(f),
+                   focus(f, leaves))
+    return rows
+
+
+def _reference_score_all(dag, cfg, rows=None):
+    """Both passes on full ScoreCards, from rows (fact -> raw metrics but
+    usefulness), or from every raw metric computed afresh."""
     all_facts = sorted(dag, key=str)
     derived = [f for f in all_facts if dag.node(f).rule is not None]
-    hyp_pairs = hypothesis_pairs(f for f in all_facts if dag.node(f).rule is None)
-    raw = _raw_scores(all_facts, dag, hyp_pairs)
+    rows = _reference_rows(dag) if rows is None else rows
+    raw = {f: dict(zip(METRICS, rows[f] + (0.0,))) for f in all_facts}
     cards = _reference_normalize(raw, derived, cfg)
     provisional = {f for f in derived if cards[f].aggregate >= cfg.threshold}
     useful = usefulness(dag, provisional)
@@ -204,39 +216,75 @@ def _reference_score_all(dag, cfg):
 
 _VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
                     st.floats(0.0, 100.0, allow_nan=False))
+_POINTS = "CDEFGHIJKLMN"
+
+
+def _table(n_hyp, premises, values, weights, directions, threshold=0.5, top_k=0):
+    """(dag, rows, cfg): n_hyp hypotheses, then one derived fact per entry of
+    premises, derived from the earlier facts at those indexes; values[i] is
+    the raw row (all metrics but usefulness) of the i-th fact."""
+    facts = [make_fact("coll", "A", "B", p) for p in _POINTS[:n_hyp + len(premises)]]
+    dag = DerivationDag(facts[:n_hyp])
+    for i, picks in enumerate(premises, n_hyp):
+        ps = tuple(facts[j] for j in picks)
+        dag.add(Derivation(facts[i], "r", ps,
+                           max([dag.rounds] + [dag.node(p).round + 1 for p in ps])))
+    cfg = MetricConfig(weights=dict(zip(METRICS, weights)),
+                       directions=dict(zip(METRICS, directions)),
+                       threshold=threshold, top_k=top_k)
+    return dag, dict(zip(facts, map(tuple, values))), cfg
 
 
 @st.composite
 def raw_tables(draw):
-    """(raw, derived, cfg): raw metrics of up to 8 facts, some metrics
-    constant, some weights zero, random directions."""
-    facts = [make_fact("coll", "A", "B", p)
-             for p in "CDEFGHIJ"[:draw(st.integers(1, 8))]]
-    derived = draw(st.lists(st.sampled_from(facts), unique=True))
-    columns = {}
-    for m in METRICS:
-        if draw(st.booleans()):
-            columns[m] = dict.fromkeys(facts, draw(_VALUES))
-        else:
-            columns[m] = {f: draw(_VALUES) for f in facts}
-    raw = {f: {m: columns[m][f] for m in METRICS} for f in facts}
-    weights = {m: draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
-               for m in METRICS}
-    assume(any(weights.values()))
-    directions = {m: draw(st.booleans()) for m in METRICS}
-    return raw, derived, MetricConfig(weights=weights, directions=directions)
+    """_table's (dag, rows, cfg) for up to 4 hypotheses and 7 derived facts,
+    some metrics constant, some weights zero, random directions, thresholds
+    and top_k."""
+    n_hyp = draw(st.integers(1, 4))
+    premises = [draw(st.lists(st.integers(0, n_hyp + i - 1), min_size=1, max_size=3,
+                              unique=True)) for i in range(draw(st.integers(0, 7)))]
+    n = n_hyp + len(premises)
+    columns = [[draw(_VALUES)] * n if draw(st.booleans())
+               else [draw(_VALUES) for _ in range(n)] for _ in METRICS[:-1]]
+    weights = [draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)) for _ in METRICS]
+    assume(any(weights))
+    return _table(n_hyp, premises, list(zip(*columns)), weights,
+                  [draw(st.booleans()) for _ in METRICS],
+                  draw(st.sampled_from([0.0, 0.3, 0.5, 0.7])), draw(st.integers(0, 3)))
 
 
+_UP = [True] * len(METRICS)
+_FLIPPED = [False] * len(METRICS)
+
+
+# hypotheses outside the derived facts' range in every metric: the clamp path
+@example(_table(2, [[0], [1], [0, 2]],
+                [[-5.0] * 7, [1e3] * 7, [1.0, 2.0, 3.0, 0.0, 0.5, 0.25, 1.0],
+                 [2.0, 1.0, 0.0, 1.0, 0.25, 0.5, 0.0], [1.5] * 7],
+                [1.0] * 8, _UP))
+# a column constant over the derived facts but not the hypotheses: the 0.5 path
+@example(_table(1, [[0], [1], [1, 2]],
+                [[9.0] * 7, [3.0, 1.0, 2.0, 0.0, 0.5, 0.1, 0.2],
+                 [3.0, 2.0, 1.0, 1.0, 0.5, 0.2, 0.3], [3.0, 0.0, 4.0, 0.5, 0.5, 0.3, 0.1]],
+                [1.0] * 8, _UP, threshold=0.3))
+# zero weights with flipped directions
+@example(_table(2, [[0, 1], [2], [3, 0]],
+                [[0.0] * 7, [1.0] * 7, [1.0, 4.0, 2.0, 0.5, 0.1, 0.0, 1.0],
+                 [2.0, 3.0, 1.0, 0.25, 0.7, 0.5, 0.5], [4.0, 1.0, 5.0, 1.0, 0.3, 0.25, 0.0]],
+                [0.0, 2.0, 0.0, 1.0, 0.0, 3.0, 0.0, 1.0], _FLIPPED, threshold=0.4))
 @given(raw_tables())
-def test_aggregate_only_pass_equals_full_pass(table):
-    raw, derived, cfg = table
-    scales = _scales(raw, derived, cfg)
-    cards = _normalize(raw, derived, scales)
-    reference = _reference_normalize(raw, derived, cfg)
-    assert cards == reference
-    for f in derived:  # the provisional aggregate, bit for bit
-        assert (_aggregate(raw[f], scales) == cards[f].aggregate
-                == reference[f].aggregate)
+def test_column_core_equals_reference(table):
+    """The column-wise core gives the reference's score cards, aggregates bit
+    for bit, and interesting_among picks what filter_interesting picks."""
+    dag, rows, cfg = table
+    memo = ScoreMemo(set(), raw=dict(rows))  # every row given: no metric is computed
+    cards = score_all(dag, cfg, memo)
+    assert cards == _reference_score_all(dag, cfg, rows)
+    picked = {f for f, _ in filter_interesting(cards, cfg)}
+    derived = [d.fact for d in dag.derivations()]
+    for asked in (derived, derived[::2], derived[1:2]):
+        assert interesting_among(dag, asked, cfg, memo) == picked & set(asked)
+    assert memo.raw == rows
 
 
 @pytest.mark.parametrize("case", [*range(10), "midline", "pappus", "inscribed"])

@@ -1,17 +1,19 @@
 """Time the milestone ladder figures stage by stage, each in a fresh interpreter.
 
-    python3 tools/ladder_times.py [--tree DIR] [--repeat N] [FIGURE ...]
+    python3 tools/ladder_times.py [--tree DIR] [--repeat N] [--mode MODE] [FIGURE ...]
 
 Runs each figure (default: circle10, circle12, feet20 and feet26; a name
 is ``circle<k>`` or ``feet<k>``, the ladders of ``tools/diff_reports.py``)
-through ``run_pipeline`` in fixpoint mode with the default rules and emits
-its JSON report.  Each run is a new interpreter over the tree's ``src/``
-(this checkout by default), and the run with the least total of N (3 by
-default) is kept.  Prints one markdown table row per figure: total,
-saturate, filter, score and emit seconds, the report's facts (hypotheses
-included) and bytes, and the process's peak RSS.  Total covers parsing the
-construction, the pipeline and emit, not the imports or the rule file.
-Nothing is written.
+through ``run_pipeline`` in MODE (fixpoint by default, or filtered) with
+the default rules and emits its JSON report.  Each run is a new
+interpreter over the tree's ``src/`` (this checkout by default), and the
+run with the least total of N (3 by default) is kept.  Prints one
+markdown table row per figure: total, saturate, filter, score and emit
+seconds, the report's facts (hypotheses included) and bytes, and the
+process's peak RSS.  In filtered mode, saturate is the rounds' joins and
+score also covers each round's ``interesting_among``.  Total covers
+parsing the construction, the pipeline and emit, not the imports or the
+rule file.  Nothing is written.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from diff_reports import concyclic_text, feet_text  # noqa: E402
 LADDER = ("circle10", "circle12", "feet20", "feet26")
 STAGES = ("total", "saturate", "filter", "score", "emit")
 
-# reads the construction text on stdin and prints the timings as one JSON object;
-# runs with the tree as its cwd
+# reads the construction text on stdin and the mode as its argument and prints the
+# timings as one JSON object; runs with the tree as its cwd
 WORKER = """
 import json, resource, sys, time
 from geodeduce import parse_construction, parse_rules, pipeline
@@ -48,13 +50,15 @@ def timed(stage, fn):
     return wrapper
 
 pipeline.saturate = timed("saturate", pipeline.saturate)
+pipeline.derive_round = timed("saturate", pipeline.derive_round)
 pipeline._admit = timed("filter", pipeline._admit)
 pipeline.score_all = timed("score", pipeline.score_all)
+pipeline.interesting_among = timed("score", pipeline.interesting_among)
 rules = parse_rules(open("rules/gddm-default.gr").read())
 text = sys.stdin.read()
 start = time.perf_counter()
 report = pipeline.run_pipeline(parse_construction(text), rules,
-                               pipeline.PipelineConfig(mode="fixpoint"))
+                               pipeline.PipelineConfig(mode=sys.argv[1]))
 emitted = time.perf_counter()
 out = pipeline.emit_report(report, "json")
 end = time.perf_counter()
@@ -71,10 +75,10 @@ def figure_text(name: str) -> str:
     return (concyclic_text if m.group(1) == "circle" else feet_text)(int(m.group(2)))
 
 
-def run_once(tree: Path, text: str) -> dict:
+def run_once(tree: Path, text: str, mode: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", WORKER], cwd=tree, env=env, input=text,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", WORKER, mode], cwd=tree, env=env,
+                          input=text, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -89,6 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("figures", nargs="*", default=list(LADDER))
     parser.add_argument("--tree", type=Path, default=ROOT)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--mode", choices=("fixpoint", "filtered"), default="fixpoint")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -96,7 +101,7 @@ def main(argv=None) -> int:
     print("| input | " + " | ".join(STAGES) + " | facts | report | peak RSS |")
     print("|---" * (len(STAGES) + 4) + "|")
     for name, text in texts:
-        runs = [run_once(args.tree.resolve(), text) for _ in range(args.repeat)]
+        runs = [run_once(args.tree.resolve(), text, args.mode) for _ in range(args.repeat)]
         print(row(name, min(runs, key=lambda t: t["total"])), flush=True)
     return 0
 
