@@ -3,8 +3,8 @@
 from .construction import (Construction, ConstructionError, ConstructionStep,
                            initial_facts, parse_construction)
 from .engine import Derivation, DerivationDag, SaturationResult, saturate
-from .facts import (Fact, canonicalize, fact_symbols, is_degenerate,
-                    is_tautology, make_fact, parse_fact)
+from .facts import (Fact, canonicalize, is_degenerate, is_tautology, make_fact,
+                    parse_fact)
 from .numeric import (CoordinateModel, DegenerateModelError, Verdict,
                       eval_fact, instantiate, verify)
 from .pipeline import (PipelineConfig, Report, SoundnessViolationError,
@@ -21,7 +21,7 @@ __all__ = [
     "DerivationDag", "Fact", "MetricConfig", "PipelineConfig",
     "Report", "Rule", "RuleParseError", "SaturationResult", "ScoreCard",
     "SoundnessViolationError", "Verdict", "canonicalize", "emit_report",
-    "eval_fact", "fact_symbols", "filter_interesting", "initial_facts",
+    "eval_fact", "filter_interesting", "initial_facts",
     "instantiate", "is_degenerate", "is_tautology", "make_fact",
     "parse_construction", "parse_fact", "parse_metric_config",
     "parse_rules", "run_pipeline", "saturate", "score_all", "verify",

@@ -2,13 +2,15 @@
 
 Subcommands: run, saturate, rank, check, rules.  Exit codes: 0 success,
 1 usage error, 2 input parse error, 3 degenerate construction,
-4 soundness violation, 5 the fact given to ``check`` fails.
+4 soundness violation, 5 the fact given to ``check`` fails, 141 (128 +
+SIGPIPE) stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import resources
 
@@ -26,6 +28,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNSOUND = 4
 EXIT_FAILS = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 # the package's copy of rules/gddm-default.gr, read when --rules is not given
 DEFAULT_RULES = "gddm-default.gr"
@@ -120,6 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, as the signal module's
+        # docs advise, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

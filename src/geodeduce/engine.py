@@ -25,9 +25,9 @@ Datalog engines specialize each rule (Soufflé; Jordan, Scholz & Subotić
 points as locals, and index keys and the conclusion as tuple displays.
 The loops keep the depth-first order of a backtracking walk, and no list
 of rows or partial bindings is built.  A pair of points that must differ
-is tested at the loop that binds the later one: a ``distinct`` side that
-no single premise names, and a pair of conclusion arguments whose
-equality makes the fact degenerate and never a tautology
+is tested at the loop that binds the later one: every ``distinct`` side,
+and each pair of conclusion arguments whose equality makes the fact
+degenerate and never a tautology
 (``facts.DEGENERATE_PAIRS``: any two points of a cyclic, a zero-length
 side of a perp or eqangle).  Innermost, the kernel does the whole
 per-binding work: the known-variant test, the verdict, the drop counters
@@ -54,22 +54,21 @@ canonicalized.  Any other conclusion is judged once per run: the state's
 memo maps its arguments to its canonical fact, TAUTOLOGY or DEGENERATE.
 
 What depends on the rules alone is memoized once per process, with a fixed
-bound.  ``compile_rule`` makes all that ``derive_round`` reads: names,
-predicates, binding positions, the kernel and the symmetries it breaks,
-disjoint variable swaps (x y) from ``Rule.symmetries``.  A ``JoinState``
-compiles only the rules that can fire, and rules of one layout share one
-kernel.  A swapped binding uses the same facts and gives the same
-conclusion, so the join keeps only the one it would draw first
+bound.  ``compile_rule`` makes all that ``derive_round`` reads from a
+parsed rule: predicates, binding positions, the kernel and the symmetries
+it breaks, disjoint variable swaps (x y) that ``rules.symmetries`` finds.
+A ``JoinState`` compiles only the rules that can fire, and rules of one
+layout share one kernel.  A swapped binding uses the same facts and gives
+the same conclusion, so the join keeps only the one it would draw first
 (symmetry-breaking predicates, Crawford, Ginsberg, Luks & Roy 1996): the
-slot binding x and y admits only variants with v[px] <= v[py].  A ``distinct`` side is tested in a slot too if one
-premise names both its variables.  These tests read only a fact's shape,
-its arguments as ranks among its points, so ``_admitted`` runs them once
-per slot and shape, as Rete's alpha memories do (Forgy 1982); indexing a
-fact compares only point constants.  A kept binding stands for 2**k
-bindings of the full join, k the number of its swaps whose two points
-differ, and the drop counters add that weight, so they still count
-full-join bindings; the degenerate counter counts only the bindings that
-no slot or loop test rules out.
+slot binding x and y admits only variants with v[px] <= v[py].  This test
+and a slot's repeated variables read only a fact's shape, its arguments as
+ranks among its points, so ``_admitted`` runs them once per slot and
+shape; indexing a fact compares only point constants.  A kept binding
+stands for 2**k bindings of the full join, k the number of its swaps whose
+two points differ, and the drop counters add that weight, so they still
+count full-join bindings; the degenerate counter counts only the bindings
+that no loop test rules out.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTu
 
 from .facts import (DEGENERATE_PAIRS, LEX_ORBITS, SYMMETRIES, Fact, canonicalize,
                     is_degenerate, is_tautology, orbit)
-from .rules import MAX_PREMISES, Rule, is_variable
+from .rules import MAX_PREMISES, Rule, is_variable, symmetries
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,6 @@ class _Slot(NamedTuple):
     key_pos: Tuple[int, ...]              # first positions of variables bound before
     new_pos: Tuple[int, ...]              # first positions of variables bound here
     lex: Tuple[Tuple[int, int], ...] = ()  # (px, py): admit v[px] <= v[py] only
-    distinct: Tuple[Tuple[int, int], ...] = ()  # (p, q): admit v[p] != v[q] only
 
 
 class CompiledRule(NamedTuple):
@@ -208,10 +206,9 @@ class CompiledRule(NamedTuple):
     slots: Tuple[_Slot, ...]
     keys: Tuple[Tuple[int, ...], ...]   # per slot: the binding positions of its key
     plans: Tuple[Tuple[str, ...], ...]  # a round's joins: per slot, the part of the facts
-    names: Tuple[str, ...]              # the point at each binding position
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
     swaps: Tuple[Tuple[int, int], ...]     # symmetry swaps (x y) as binding positions, x first
-    # binding positions that must differ: distinct sides no slot tests and the
+    # binding positions that must differ: the distinct sides and the
     # conclusion's degenerate pairs, each tested at the loop that binds it
     distinct: Tuple[Tuple[int, int], ...]
     conclusion: Tuple[int, ...]         # the binding positions of the conclusion's arguments
@@ -225,15 +222,13 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     Binding positions number the rule's point constants, then its variables
     in the order the slots bind them.  Each swap (x y) of pairs is tested
     in the slot that binds x: a swap's two variables share every premise,
-    so that slot binds y too.  A distinct side is tested in the first slot
-    that names both its variables, or else at the loop that binds the later
-    one, as is each pair of conclusion arguments in ``DEGENERATE_PAIRS``.
-    The kernel is generated last."""
+    so that slot binds y too.  Each distinct side is tested at the loop that
+    binds the later of its points, as is each pair of conclusion arguments
+    in ``DEGENERATE_PAIRS``.  The kernel is generated last."""
     if len(rule.premises) > MAX_PREMISES:  # one nested loop per premise
         raise ValueError(f"rule {rule.name!r} has {len(rule.premises)} premises; "
                          f"the join takes at most {MAX_PREMISES}")
     atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
-    sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     consts = tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
     at = {c: i for i, c in enumerate(consts)}  # point -> binding position
     slots: List[_Slot] = []
@@ -250,23 +245,21 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
                 first[arg] = pos
         key = [v for v in first if v in at]
         new = [v for v in first if v not in at]
-        inside = [(x, y) for x, y in sides if x in first and y in first]
-        sides = [side for side in sides if side not in inside]
         slots.append(_Slot(pattern.pred, tuple(fixed), tuple(repeats),
                            tuple(first[v] for v in key), tuple(first[v] for v in new),
-                           tuple((first[x], first[y]) for x, y in pairs if x in new),
-                           tuple((first[x], first[y]) for x, y in inside)))
+                           tuple((first[x], first[y]) for x, y in pairs if x in new)))
         keys.append(tuple(at[v] for v in key))
         for v in new:
             at[v] = len(at)
     n = len(slots)  # plan i: slot i from the last round's facts, earlier ones older
     plans = tuple((OLD,) * i + (DELTA,) + (ALL,) * (n - i - 1) for i in range(n))
     head = tuple(at[a] for a in rule.conclusion.args)
-    differ = [(at[a], at[b]) for a, b in sides]
+    differ = [tuple(at[a] for a in s.args) for s in rule.side_conditions
+              if s.pred == "distinct"]
     differ += [(head[i], head[j]) for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())]
     compiled = CompiledRule(
-        rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans, tuple(at),
-        consts, tuple((at[x], at[y]) for x, y in pairs),
+        rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans, consts,
+        tuple((at[x], at[y]) for x, y in pairs),
         tuple(dict.fromkeys((min(p), max(p)) for p in differ)), head,
         tuple((s.pred, _getter(tuple(at[a] for a in s.args))) for s in rule.numeric_sides))
     return compiled._replace(kernel=_kernel(_source(compiled)))
@@ -286,12 +279,12 @@ def _breaks(rule: Rule, x: str, y: str) -> bool:
 @functools.lru_cache(maxsize=256)
 def compile_rule(rule: Rule) -> CompiledRule:
     """The rule's slot layouts and kernel, and the symmetries its join
-    breaks, chosen greedily in the order of ``rule.symmetries``, each
+    breaks, chosen greedily in the order of ``symmetries(rule)``, each
     disjoint from those before it; memoized, as it depends on the rule
     alone.  A rule of more than MAX_PREMISES premises raises ValueError."""
     pairs: List[Tuple[str, str]] = []
     taken: Set[str] = set()
-    for x, y in rule.symmetries:
+    for x, y in symmetries(rule):
         if x not in taken and y not in taken and _breaks(rule, x, y):
             pairs.append((x, y))
             taken.update((x, y))
@@ -388,12 +381,11 @@ def _judge(memo: Dict[tuple, object], pred: str, args: Tuple[str, ...]) -> objec
 @functools.lru_cache(maxsize=4096)
 def _admitted(slot: _Slot, shape: Tuple[int, ...]) -> Tuple[Tuple[Callable, ...], ...]:
     """The orbit permutations whose variant of a fact of this shape passes the
-    slot's repeat, lex and distinct tests, in orbit order and the first of
-    equal variants only, each as getters of the fact's arguments at the
-    variant's constant, key and new positions."""
+    slot's repeat and lex tests, in orbit order and the first of equal
+    variants only, each as getters of the fact's arguments at the variant's
+    constant, key and new positions."""
     tests = ([(operator.eq, p, q) for p, q in slot.repeats]
-             + [(operator.le, p, q) for p, q in slot.lex]
-             + [(operator.ne, p, q) for p, q in slot.distinct])
+             + [(operator.le, p, q) for p, q in slot.lex])
     at = [i for i, _ in slot.consts]
     out, seen = [], set()
     for perm in SYMMETRIES[slot.pred]:

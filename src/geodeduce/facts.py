@@ -207,10 +207,3 @@ DEGENERATE_PAIRS: Dict[str, Tuple[Tuple[int, int], ...]] = {
     "eqangle": ((0, 1), (2, 3), (4, 5), (6, 7)),
 }
 
-
-def fact_symbols(fact: Fact) -> Tuple[Tuple[str, ...], frozenset]:
-    """Symbol multiset (predicate + one symbol per argument position) and
-    the set of distinct symbols."""
-    multiset = (fact.pred,) + fact.args
-    return multiset, frozenset(multiset)
-

@@ -11,22 +11,24 @@ Atoms are ``pred(X,...)`` with uppercase identifiers as variables;
 lowercase identifiers are point constants.  Side conditions are
 ``distinct(X,Y)``, ``non_collinear(X,Y,Z)`` and
 ``distinct_lines(X,Y,U,V)``: distinct is decided symbolically at match
-time, the other two are attached to derived facts and checked by the
-numeric run-time filter.
+time, at the join loop that binds the later of its two points; the other
+two are attached to derived facts and checked by the numeric run-time
+filter.
 
 Every atom of a rule, premise, conclusion or side condition, is a
 ``facts.Fact`` over variable and constant names, kept as written: it is
 never canonicalized, so ``str(rule)`` gives back its text.
 
-A rule's symmetries, swaps of two variables that map it to an equivalent
-rule, are found once, when the rule is built (``Rule.symmetries``).
+A ``Rule`` is the parsed record and nothing more.  Its symmetries, swaps of
+two variables that map it to an equivalent rule, are found by
+``symmetries(rule)``, which ``engine.compile_rule`` calls once per rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .facts import ARITIES, IDENTIFIER, Fact, MalformedFactError, orbit, parse_atom
@@ -59,13 +61,6 @@ class Rule:
     premises: Tuple[Fact, ...]
     conclusion: Fact
     side_conditions: Tuple[Fact, ...]
-    # every swap (x y) of two premise variables, x named first, that maps each
-    # premise and the conclusion into its orbit and each side condition to an
-    # equivalent one, in itertools.combinations order
-    symmetries: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symmetries", tuple(_symmetries(self)))
 
     @property
     def numeric_sides(self) -> Tuple[Fact, ...]:
@@ -77,18 +72,23 @@ class Rule:
         return f"rule {self.name}: {body} => {self.conclusion}"
 
 
-def _symmetries(rule: Rule):
+def symmetries(rule: Rule) -> Tuple[Tuple[str, str], ...]:
+    """Every swap (x y) of two premise variables, x named first, that maps
+    each premise and the conclusion into its orbit and each side condition
+    to an equivalent one, in itertools.combinations order."""
     atoms = rule.premises + (rule.conclusion,)
     variants = [set(orbit(p)) for p in atoms]
     # the side conditions' point sets: distinct_lines names two lines
     point_sets = [g for s in rule.side_conditions for g in
                   ((s.args[:2], s.args[2:]) if s.pred == "distinct_lines" else (s.args,))]
     names = dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))
+    found = []
     for x, y in itertools.combinations(names, 2):
         swap = {x: y, y: x}
         if (all(tuple(map(swap.get, p.args, p.args)) in v for p, v in zip(atoms, variants))
                 and all({*map(swap.get, g, g)} == {*g} for g in point_sets)):
-            yield x, y
+            found.append((x, y))
+    return tuple(found)
 
 
 def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str) -> Fact:

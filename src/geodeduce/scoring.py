@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import DerivationDag
-from .facts import Fact, fact_symbols
+from .facts import Fact
 
 METRICS = ("obviousness", "weight", "complexity", "surprisingness",
            "intensity", "adaptivity", "focus", "usefulness")
@@ -107,14 +107,12 @@ def obviousness(f: Fact, dag: DerivationDag) -> int:
 
 def weight(f: Fact) -> int:
     """Symbol count of the formula (predicate + argument positions)."""
-    multiset, _ = fact_symbols(f)
-    return len(multiset)
+    return 1 + len(f.args)
 
 
 def complexity(f: Fact) -> int:
-    """Number of distinct symbols (predicate + distinct points)."""
-    _, distinct = fact_symbols(f)
-    return len(distinct)
+    """Number of distinct symbols: the predicate plus the distinct points."""
+    return 1 + len(f.points())
 
 
 def hypothesis_pairs(d0: Iterable[Fact]) -> Set[FrozenSet[str]]:

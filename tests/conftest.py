@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 
 from geodeduce import engine, parse_construction, parse_rules
+from geodeduce.rules import is_variable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,6 +40,15 @@ def naive_plans(compile=None):
 def shaped(facts):
     """The facts with their shapes, as JoinState.take_in hands them to engine._index."""
     return [(f, engine._shape(f.args)) for f in facts]
+
+
+def binding_names(rule):
+    """The point at each position of the rule's compiled bindings: the
+    rule's point constants, then its variables in premise order, the order
+    the join's slots bind them."""
+    atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
+    return (tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
+            + tuple(dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))))
 
 
 def kernel_rows(compiled, indexes):

@@ -1,10 +1,13 @@
 """CLI subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from geodeduce.cli import cli_main
+from geodeduce.cli import EXIT_PIPE, cli_main
 
 from fuzzing import random_construction_text
 
@@ -302,3 +305,28 @@ def test_check_malformed_fact(capsys, root, fact):
     code, out, err = run(capsys, "check", str(root / "examples" / "pappus.gc"), fact)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["run", "examples/inscribed.gc"], ["run", "examples/inscribed.gc", "--format", "json"],
+    ["rank", "examples/midline.gc"], ["saturate", "examples/inscribed.gc"],
+    ["check", "examples/pappus.gc", "coll(G,H,I)"]], ids=" ".join)
+def test_closed_stdout_exits_141(root, argv, buffered):
+    """A reader that is gone before the output is written ends the command
+    quietly with 128 + SIGPIPE, whether the write or the flush at exit
+    meets the closed pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from geodeduce.cli import main; main()", *argv],
+            cwd=root, env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr, proc.stderr
+    assert proc.returncode == EXIT_PIPE == 141

@@ -14,8 +14,8 @@ from geodeduce.facts import (DEGENERATE_PAIRS, Fact, canonicalize, is_degenerate
                              is_tautology, orbit)
 from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
 
-from conftest import (EVALUATIONS, concyclic_text, evaluating, feet_text, kernel_rows,
-                      naive_plans, shaped)
+from conftest import (EVALUATIONS, binding_names, concyclic_text, evaluating, feet_text,
+                      kernel_rows, naive_plans, shaped)
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -342,8 +342,8 @@ def _hashable(pairs):
 
 
 def _drawn(rule, binding):
-    """Whether the kernel's slot and loop tests let a reference binding
-    through: every distinct side holds, and the conclusion has no point at
+    """Whether the kernel's loop tests let a reference binding through:
+    every distinct side holds, and the conclusion has no point at
     two positions of a degenerate pair (facts.DEGENERATE_PAIRS)."""
     head = [binding.get(a, a) for a in rule.conclusion.args]
     return (all(binding.get(x, x) != binding.get(y, y)
@@ -354,17 +354,17 @@ def _drawn(rule, binding):
 
 def _assert_rows_equal_reference(rule, facts):
     """The rows the rule's kernel draws, without its symmetries, are the
-    reference matcher's bindings that its slot and loop tests let through,
+    reference matcher's bindings that its loop tests let through,
     in the reference's order, and each row's conclusion arguments ground
     the conclusion.  Returns the rows."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str) for p in rule.premises]
     compiled = _compile(rule)
     indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
-    k = len(compiled.consts)
+    names, k = binding_names(rule), len(compiled.consts)
     got = []
     for b, used, args in kernel_rows(compiled, indexes):
         # the tuple binding as variable -> point, through the compiled variable order
-        named = dict(zip(compiled.names[k:], b[k:]))
+        named = dict(zip(names[k:], b[k:]))
         assert args == tuple(named.get(a, a) for a in rule.conclusion.args), rule.name
         got.append((named, used))
     got = _hashable(got)
@@ -399,6 +399,19 @@ def test_kernel_rows_with_spanning_distinct_and_constants():
              make_fact("perp", "a", "b", "o", "p"), make_fact("perp", "b", "c", "a", "p")]
     for rule in (r1, r2):
         assert _assert_rows_equal_reference(rule, facts), rule.name
+
+
+def test_kernel_rows_with_distinct_side_repeated_in_a_fact():
+    """A distinct side whose two variables one premise names, on facts that
+    repeat a point at both of its positions: on_circle gives cong(O,A,O,B),
+    and its variants with the apex O at X and at Z must not be drawn."""
+    rule, = parse_rules("rule r: cong(X,Y,Z,W), distinct(X,Z) => para(X,Y,Z,W)")
+    facts = [f for f in initial_facts(parse_construction(concyclic_text(4)))
+             if f.pred == "cong"]
+    repeated = [b for b, _ in _reference_join(rule, [facts]) if b["X"] == b["Z"]]
+    assert repeated and not any(_drawn(rule, b) for b in repeated)
+    rows = _assert_rows_equal_reference(rule, facts)
+    assert rows and all(dict(b)["X"] != dict(b)["Z"] for b, _ in rows)
 
 
 def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch):

@@ -1,4 +1,4 @@
-"""Canonical forms, tautology/degeneracy verdicts, symbol counting."""
+"""Canonical forms and tautology/degeneracy verdicts."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from geodeduce.facts import (ARITIES, DEGENERATE_PAIRS, SYMMETRIES, Fact, MalformedFactError,
-                             canonicalize, fact_symbols, is_degenerate,
+                             canonicalize, is_degenerate,
                              is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
 
@@ -250,15 +250,6 @@ def test_degenerate_is_not_tautology():
     assert is_degenerate(self_perp) and not is_tautology(self_perp)
     assert is_tautology(make_fact("para", "A", "B", "A", "B"))
     assert not is_degenerate(make_fact("coll", "A", "B", "C"))
-
-
-def test_fact_symbols():
-    ms, ds = fact_symbols(make_fact("coll", "A", "B", "C"))
-    assert len(ms) == 4 and len(ds) == 4
-    ms, ds = fact_symbols(make_fact("cong", "M", "A", "M", "B"))
-    assert len(ms) == 5 and len(ds) == 4
-    ms, ds = fact_symbols(make_fact("eqangle", "C", "A", "C", "B", "D", "A", "D", "B"))
-    assert len(ms) == 9 and len(ds) == 5
 
 
 @given(raw_facts(), st.integers(0, 99))

@@ -15,9 +15,10 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, compile_rule,
                               derive_round)
 from geodeduce.facts import ARITIES, DEGENERATE_PAIRS, Fact, canonicalize, orbit
-from geodeduce.rules import Rule
+from geodeduce.rules import Rule, symmetries
 
-from conftest import ROOT, concyclic_text, kernel_rows, naive_plans, shaped
+from conftest import (ROOT, binding_names, concyclic_text, kernel_rows, naive_plans,
+                      shaped)
 from fuzzing import random_construction_text
 
 CIRCLE4 = concyclic_text(4)
@@ -60,9 +61,11 @@ def _semi_naive(compile=compile_rule):
     return mock.patch.object(engine, "compile_rule", compile)
 
 
-def _pairs(compiled):
-    """The compiled rule's symmetry swaps (x y) as point names."""
-    return tuple((compiled.names[x], compiled.names[y]) for x, y in compiled.swaps)
+def _pairs(rule):
+    """The symmetry swaps (x y) that the rule's compiled join breaks, as
+    point names."""
+    names = binding_names(rule)
+    return tuple((names[x], names[y]) for x, y in compile_rule(rule).swaps)
 
 
 def _ground(args, binding):
@@ -73,18 +76,20 @@ def _join_list(compiled, rule, facts):
     """The rows the compiled rule's kernel draws, (binding, facts used), each
     tuple binding mapped to variable -> point through the compiled variable
     order.  The conclusion arguments the kernel builds from the tuple must
-    agree with grounding by name, point constants included.  The slot and
-    loop tests pass every distinct side and no conclusion with one point at
-    two positions of ``DEGENERATE_PAIRS``, so every drawn binding satisfies
+    agree with grounding by name, point constants included.  The loop tests
+    pass every distinct side and no conclusion with one point at two
+    positions of ``DEGENERATE_PAIRS``, so every drawn binding satisfies
     them all."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
     indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
-    k = len(compiled.consts)
+    names, k = binding_names(rule), len(compiled.consts)
+    assert names[:k] == compiled.consts
     sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
     out = []
     for b, used, head in kernel_rows(compiled, indexes):
-        named = dict(zip(compiled.names[k:], b[k:]))
+        assert len(b) == len(names)
+        named = dict(zip(names[k:], b[k:]))
         assert head == _ground(rule.conclusion.args, named)
         assert all(len(set(_ground(args, named))) == 2 for args in sides)
         assert all(head[i] != head[j] for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ()))
@@ -110,7 +115,7 @@ def _conclusion(rule, binding):
 
 def check_compiled_join(rule, facts):
     compiled = compile_rule(rule)
-    pairs = _pairs(compiled)
+    pairs = _pairs(rule)
     full = _join_list(_compile(rule), rule, facts)
     got = _join_list(compiled, rule, facts)
     # the first-drawn binding of each orbit, in full-join order
@@ -153,7 +158,7 @@ def check_derive_round(dag, rules):
 
 
 def test_default_rule_symmetries(default_rules):
-    found = {r.name: _pairs(compile_rule(r)) for r in default_rules}
+    found = {r.name: _pairs(r) for r in default_rules}
     assert {n: p for n, p in found.items() if p} == EXPECTED_PAIRS
 
 
@@ -161,12 +166,12 @@ def test_side_conditions_must_be_preserved():
     # C<->D maps non_collinear(A,B,C) to non_collinear(A,B,D): no symmetry
     rule, = parse_rules("rule r: eqangle(C,A,C,B,D,A,D,B), non_collinear(A,B,C),"
                         " non_collinear(A,B,D) => cyclic(A,B,C,D)")
-    assert _pairs(compile_rule(rule)) == ()
+    assert _pairs(rule) == ()
     # distinct_lines is symmetric within each of its pairs only
     rule, = parse_rules("rule r: cong(A,B,C,D), distinct_lines(A,C,B,D) => cong(A,B,C,D)")
-    assert _pairs(compile_rule(rule)) == ()
+    assert _pairs(rule) == ()
     rule, = parse_rules("rule r: cong(A,B,C,D), distinct_lines(A,B,D,C) => cong(A,B,C,D)")
-    assert _pairs(compile_rule(rule)) == (("A", "B"), ("C", "D"))
+    assert _pairs(rule) == (("A", "B"), ("C", "D"))
 
 
 def _shapes(n):
@@ -191,7 +196,7 @@ def test_lex_constraint_picks_first_drawn_variant(pred):
         pattern = Fact(pred, tuple(names[c] for c in shape))
         n_vars = max(shape) + 1
         rule = Rule("r", (pattern,), pattern, ())
-        pairs = [(names.index(x), names.index(y)) for x, y in rule.symmetries
+        pairs = [(names.index(x), names.index(y)) for x, y in symmetries(rule)
                  if engine._breaks(rule, x, y)]
         for _ in range(12 if pairs else 0):
             values = [str(rng.randrange(n_vars)) for _ in range(n_vars)]
@@ -268,7 +273,7 @@ LOWER_FIGURES = ("fuzz0", "fuzz1", "circle4+midAC", "circle5")
 
 
 def _reference_symmetries(rule):
-    """Rule.symmetries by canonical forms: every swap of two premise
+    """rules.symmetries by canonical forms: every swap of two premise
     variables that leaves each premise's and the conclusion's canonical
     form, and each side condition's point sets, unchanged."""
     variables = list(dict.fromkeys(a for p in rule.premises for a in p.args
@@ -293,7 +298,7 @@ def _reference_symmetries(rule):
 
 def test_default_rules_symmetries_equal_reference(default_rules):
     for rule in default_rules:
-        assert rule.symmetries == _reference_symmetries(rule), rule.name
+        assert symmetries(rule) == _reference_symmetries(rule), rule.name
 
 
 @settings(max_examples=200, deadline=None,
@@ -304,28 +309,40 @@ def test_random_rule_compiled_join(data):
     dag = _lowercase(figure_dag(name))
     points = sorted({a for f in dag for a in f.args})
     rule = data.draw(random_rules(points, sorted({f.pred for f in dag})))
-    assert rule.symmetries == _reference_symmetries(rule)
+    assert symmetries(rule) == _reference_symmetries(rule)
     check_compiled_join(rule, list(dag))
     check_derive_round(dag, [rule])
 
 
+def _distinct_in_one_premise(rule):
+    """Whether a distinct side names two variables of one premise; each such
+    side must be one of the compiled rule's loop tests."""
+    names = binding_names(rule)
+    sides = [s.args for s in rule.side_conditions if s.pred == "distinct"
+             and all(a[0].isupper() for a in s.args)
+             and any({*s.args} <= {*p.args} for p in rule.premises)]
+    for x, y in sides:
+        assert tuple(sorted((names.index(x), names.index(y)))) in compile_rule(rule).distinct
+    return bool(sides)
+
+
 @pytest.mark.parametrize("wanted", [
-    lambda r: len(_pairs(compile_rule(r))) >= 2,
+    lambda r: len(_pairs(r)) >= 2,
     lambda r: any(p.pred in ("para", "perp", "cong", "eqangle") and s.lex
                   for p, s in zip(r.premises, compile_rule(r).slots)),
-    lambda r: _pairs(compile_rule(r)) and any(
+    lambda r: _pairs(r) and any(
         not a[0].isupper() for p in r.premises for a in p.args),
-    lambda r: _pairs(compile_rule(r)) and any(
+    lambda r: _pairs(r) and any(
         not a[0].isupper() for a in r.conclusion.args),
-    lambda r: _pairs(compile_rule(r)) and any(
+    lambda r: _pairs(r) and any(
         s.pred == "distinct" and not all(a[0].isupper() for a in s.args)
         for s in r.side_conditions),
-    lambda r: any(s.distinct for s in compile_rule(r).slots),
+    _distinct_in_one_premise,
     lambda r: len(r.premises) == 2 and compile_rule(r).distinct and all(
         a[0].isupper() for s in r.side_conditions if s.pred == "distinct" for a in s.args),
 ], ids=["two-swaps", "block-flip", "swap-and-constant",
         "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct",
-        "distinct-in-slot", "distinct-across-slots"])
+        "distinct-in-one-premise", "distinct-across-slots"])
 def test_random_rules_reach_symmetries(wanted):
     """The generator reaches the swaps the property test is about."""
     find(random_rules(["o", "a"]), wanted,
@@ -342,8 +359,7 @@ def _reference_index(slot, facts):
         for v in dict.fromkeys(orbit(f)):
             if (all(v[p] == c for p, c in slot.consts)
                     and all(v[p] == v[q] for p, q in slot.repeats)
-                    and all(v[p] <= v[q] for p, q in slot.lex)
-                    and all(v[p] != v[q] for p, q in slot.distinct)):
+                    and all(v[p] <= v[q] for p, q in slot.lex)):
                 index.setdefault(tuple(v[p] for p in slot.key_pos), []).append(
                     (f, tuple(v[p] for p in slot.new_pos)))
     return index
@@ -379,20 +395,23 @@ def test_index_equals_variant_filtering_reference(data, default_rules):
             assert list(got.items()) == list(want.items()), (rule, slot)
 
 
-def test_distinct_sides_move_into_slots(default_rules):
+def test_distinct_sides_are_loop_tests(default_rules):
     compiled = {r.name: compile_rule(r) for r in default_rules}
-    # every distinct side of the default rules is a slot test; the loops
-    # test only degenerate pairs of the conclusions
+    # the loops test every distinct side, then the conclusions' degenerate pairs
     assert {n: c.distinct for n, c in compiled.items() if c.distinct} == {
+        "coll_merge": ((0, 1),),
+        "midp_join": ((1, 2),),
         "equidist_cyclic": ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
         "inscribed_angle": ((0, 2), (1, 2), (0, 3), (1, 3)),
         "inscribed_converse": ((1, 2), (0, 1), (1, 3), (0, 2), (2, 3), (0, 3)),
         "para_perp_perp": ((0, 1), (4, 5)),
         "eqangle_trans": ((0, 1), (2, 3), (8, 9), (10, 11))}
-    # coll_merge: coll(A,B,C), coll(A,B,D), distinct(A,B); the first slot tests it
-    assert [s.distinct for s in compiled["coll_merge"].slots] == [((0, 1),), ()]
+    # coll_merge: coll(A,B,C), coll(A,B,D), distinct(A,B); the first loop,
+    # which binds both, tests it
+    lines = engine._source(compiled["coll_merge"]).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("for f0,"))
+    assert lines[at + 1].strip() == "if v0 == v1:"
     rule, = parse_rules("rule r: coll(A,B,C), coll(C,D,E), distinct(A,D) => coll(A,B,D)")
-    assert [s.distinct for s in compile_rule(rule).slots] == [(), ()]
     assert compile_rule(rule).distinct == ((0, 3),)
 
 

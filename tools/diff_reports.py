@@ -4,16 +4,19 @@
 
 Runs the bundled examples, the circle ladder (k = 4..10 and 12 concyclic
 points), the feet ladder (k = 8..20 and 26 feet on one line) and the
-Varignon figure in fixpoint and filtered mode through each tree's ``src/`` with that tree's
-default rules, the bundled examples once more in both modes with
-``strict_sides``, and the bundled examples, circle 8 and feet 12 in
-filtered mode under three ranking metric configs (``top_k`` = 2;
-threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1):
-73 reports per tree.  Each tree runs in its own
-subprocess, under its own fixed PYTHONHASHSEED, and NEW_TREE runs the cases
-in reverse order, so ``diff_reports.py . .`` checks that no report depends
-on the hash seed or on what earlier runs left in a process-level memo
-(compiled rules, slot tables, draw prefixes).
+Varignon figure in fixpoint and filtered mode through each tree's ``src/``
+with that tree's default rules, the bundled examples once more in both
+modes with ``strict_sides``, and the bundled examples, circle 8 and feet
+12 in filtered mode under three ranking metric configs (``top_k`` = 2;
+threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1).
+Then it runs, in both modes, a figure with lowercase point names under
+the small rule set below, which reaches what the default rules never do:
+a point constant in a premise, and a ``distinct`` side whose two points
+a graph fact repeats.  That makes 75 reports per tree.  Each tree runs in
+its own subprocess, under its own fixed PYTHONHASHSEED, and NEW_TREE runs
+the cases in reverse order, so ``diff_reports.py . .`` checks that no
+report depends on the hash seed or on what earlier runs left in a
+process-level memo (compiled rules, slot tables, draw prefixes).
 The inputs are this checkout's examples and the figures below, which the
 tests import.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
@@ -32,19 +35,20 @@ ROOT = Path(__file__).resolve().parents[1]
 HASH_SEEDS = ("1", "2")  # OLD_TREE's, NEW_TREE's
 MODES = ("fixpoint", "filtered")
 
-# reads [[name, construction text, mode, strict_sides, MetricConfig keywords], ...]
-# on stdin and prints {name: JSON report, or "error: ..."}; runs with the tree as its cwd
+# reads [[name, construction text, rules text or None for the tree's default
+# rules, mode, strict_sides, MetricConfig keywords], ...] on stdin and prints
+# {name: JSON report, or "error: ..."}; runs with the tree as its cwd
 WORKER = """
 import json, sys
 from geodeduce import parse_construction, parse_rules
 from geodeduce.pipeline import PipelineConfig, emit_report, run_pipeline
 from geodeduce.scoring import MetricConfig
-rules = parse_rules(open("rules/gddm-default.gr").read())
+default = open("rules/gddm-default.gr").read()
 out = {}
-for name, text, mode, strict, metrics in json.load(sys.stdin):
+for name, text, rules, mode, strict, metrics in json.load(sys.stdin):
     try:
         cfg = PipelineConfig(mode=mode, strict_sides=strict, metrics=MetricConfig(**metrics))
-        report = run_pipeline(parse_construction(text), rules, cfg)
+        report = run_pipeline(parse_construction(text), parse_rules(rules or default), cfg)
         out[name] = emit_report(report, "json")
     except Exception as e:
         out[name] = f"error: {type(e).__name__}: {e}"
@@ -84,6 +88,19 @@ def feet_text(k: int) -> str:
 VARIGNON = ("point A B C D\nmidpoint P A B\nmidpoint Q B C\nmidpoint R C D\n"
             "midpoint S D A\n")
 
+# rules for TWO_CIRCLES: the point constant o in every premise of on_o, and
+# in apex_trans a distinct side whose two points the radii facts repeat:
+# cong(o,a,o,b) binds both X and Z to o
+CONSTANT_RULES = (
+    "rule apex_trans: cong(X,Y,Z,W), cong(Z,W,U,V), distinct(X,Z) => cong(X,Y,U,V)\n"
+    "rule on_o: cong(o,A,o,B), cong(o,B,o,C), cong(o,C,o,D), non_collinear(A,B,C)"
+    " => cyclic(A,B,C,D)\n")
+
+# four points on the circle centred at o, and a radius of a second circle,
+# centred at p, that on_o must not read as one of o's
+TWO_CIRCLES = ("point o a\non_circle b o a\non_circle c o a\non_circle d o a\n"
+               "point p\non_circle e p a\n")
+
 
 def cases() -> list:
     examples = [(path.stem, path.read_text())
@@ -93,11 +110,14 @@ def cases() -> list:
     figures += [(f"feet{k}", feet_text(k)) for k in [*range(8, 21), 26]]
     figures.append(("varignon", VARIGNON))
     ranked = examples + [("circle8", concyclic_text(8)), ("feet12", feet_text(12))]
-    return ([[f"{name} {mode}", text, mode, False, {}] for name, text in figures for mode in MODES]
-            + [[f"{name} {mode} strict", text, mode, True, {}]
+    return ([[f"{name} {mode}", text, None, mode, False, {}]
+             for name, text in figures for mode in MODES]
+            + [[f"{name} {mode} strict", text, None, mode, True, {}]
                for name, text in examples for mode in MODES]
-            + [[f"{name} filtered {key}", text, "filtered", False, metrics]
-               for name, text in ranked for key, metrics in RANKED.items()])
+            + [[f"{name} filtered {key}", text, None, "filtered", False, metrics]
+               for name, text in ranked for key, metrics in RANKED.items()]
+            + [[f"two-circles {mode}", TWO_CIRCLES, CONSTANT_RULES, mode, False, {}]
+               for mode in MODES])
 
 
 def start(tree: Path, hash_seed: str, todo: list) -> subprocess.Popen:
