@@ -1,4 +1,4 @@
-"""Canonical forms and tautology/degeneracy verdicts."""
+"""Canonical forms, tautology/degeneracy verdicts, symbol counting."""
 
 import itertools
 
@@ -9,6 +9,7 @@ from geodeduce.facts import (ARITIES, DEGENERATE_PAIRS, SYMMETRIES, Fact, Malfor
                              canonicalize, is_degenerate,
                              is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
+from geodeduce.scoring import complexity, weight
 
 import numpy as np
 
@@ -250,6 +251,16 @@ def test_degenerate_is_not_tautology():
     assert is_degenerate(self_perp) and not is_tautology(self_perp)
     assert is_tautology(make_fact("para", "A", "B", "A", "B"))
     assert not is_degenerate(make_fact("coll", "A", "B", "C"))
+
+
+def test_fact_symbols():
+    # weight counts the predicate and every argument, complexity the
+    # predicate and each distinct point; a point named like a predicate
+    # is a point, not the predicate again
+    coll = make_fact("coll", "coll", "B", "C")
+    assert weight(coll) == 4 and complexity(coll) == 4
+    cong = make_fact("cong", "coll", "cong", "coll", "B")
+    assert weight(cong) == 5 and complexity(cong) == 4
 
 
 @given(raw_facts(), st.integers(0, 99))

@@ -56,11 +56,6 @@ def test_weight_and_complexity():
     assert complexity(make_fact("cong", "M", "A", "M", "B")) == 4
     eq = make_fact("eqangle", "C", "A", "C", "B", "D", "A", "D", "B")
     assert weight(eq) == 9 and complexity(eq) == 5
-    # a point named like a predicate is a point, not the predicate again
-    coll = make_fact("coll", "coll", "B", "C")
-    assert weight(coll) == 4 and complexity(coll) == 4
-    cong = make_fact("cong", "coll", "cong", "coll", "B")
-    assert weight(cong) == 5 and complexity(cong) == 4
 
 
 def test_surprisingness_midline(midline):
