@@ -30,8 +30,8 @@ and each pair of conclusion arguments whose equality makes the fact
 degenerate and never a tautology
 (``facts.DEGENERATE_PAIRS``: any two points of a cyclic, a zero-length
 side of a perp or eqangle).  Innermost, the kernel does the whole
-per-binding work: the known-variant test, the verdict, the drop counters
-and the choice of the least derivation.  The generated text holds only
+per-binding work: one lookup in the verdict store, the drop counters and
+the choice of the least derivation.  The generated text holds only
 local names and numbers; the rule's name, predicates and points reach the
 kernel as values.  There is one kernel per rule, the one ``derive_round``
 runs: the tests read the rows it draws through its ``memo`` and ``best``
@@ -42,16 +42,16 @@ The loop that grows the graph (``saturate``, and the filtered loop of
 that is fixed for it and only the rules that can fire; ``derive_round``
 takes only the state.  The graph is append-only and grows one round at a
 time, so each round takes in the last round's facts only: their symmetry
-orbits are added to the known variants of their predicate, and the facts
-are indexed in every slot of that predicate.  A slot's index over the
+orbits are written into their predicate's verdict store as KNOWN, and the
+facts are indexed in every slot of that predicate.  A slot's index over the
 older facts is the one the last round left, and its index over all facts
 appends the last round's entries to each key, sharing every list it leaves
 alone.  Entries keep the order a rebuild would give them: graph order,
 then orbit order.  Each fact's shape is computed once, when it is taken
-in.  A conclusion whose arguments are a known variant is a fact the graph
-holds (it lies in that fact's orbit), so it is dropped before it is
-canonicalized.  Any other conclusion is judged once per run: the state's
-memo maps its arguments to its canonical fact, TAUTOLOGY or DEGENERATE.
+in.  The state's memo is one verdict store per predicate: it maps a
+conclusion's arguments to KNOWN (a fact the graph holds, dropped before it
+is canonicalized), TAUTOLOGY, DEGENERATE or its canonical fact, and judges
+any conclusion that is not KNOWN once per run.
 
 What depends on the rules alone is memoized once per process, with a fixed
 bound.  ``compile_rule`` makes all that ``derive_round`` reads from a
@@ -185,7 +185,7 @@ def _getter(positions: Tuple[int, ...]) -> Callable[[tuple], tuple]:
 ALL, OLD, DELTA = "all", "old", "delta"
 
 # a conclusion's verdict in JoinState.memo, unless it is a canonical fact
-TAUTOLOGY, DEGENERATE = "tautology", "degenerate"
+KNOWN, TAUTOLOGY, DEGENERATE = "known", "tautology", "degenerate"
 
 
 class _Slot(NamedTuple):
@@ -214,7 +214,7 @@ class CompiledRule(NamedTuple):
     conclusion: Tuple[int, ...]         # the binding positions of the conclusion's arguments
     # numeric side conditions: (predicate, binding -> their points)
     numeric: Tuple[Tuple[str, Callable[[tuple], tuple]], ...]
-    kernel: Optional[Callable] = None   # (indexes, known, memo, best, rule) -> counters
+    kernel: Optional[Callable] = None   # (indexes, memo, best, rule) -> counters
 
 
 def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRule:
@@ -307,11 +307,11 @@ def _source(rule: CompiledRule) -> str:
     and points reach the kernel through its ``rule`` argument and the
     indexes.
 
-    The kernel ``(indexes, known, memo, best, rule)`` does the whole
-    per-binding work of ``derive_round`` innermost and returns its
-    (tautology, degenerate) counters.  It reads the memo and ``best`` only
-    through ``get`` and item assignment, so the tests read every row it
-    draws through these arguments."""
+    The kernel ``(indexes, memo, best, rule)`` does the whole per-binding
+    work of ``derive_round`` innermost, one lookup per row in ``memo``, and
+    returns its (tautology, degenerate) counters.  It reads the memo and
+    ``best`` only through ``get`` and item assignment, so the tests read
+    every row it draws through these arguments."""
     k, n = len(rule.consts), len(rule.slots)
     depth = [0] * k  # binding position -> the loop that binds it
     for i, slot in enumerate(rule.slots):
@@ -320,7 +320,7 @@ def _source(rule: CompiledRule) -> str:
     for x, y in rule.distinct:
         tests[max(depth[x], depth[y])].append(f"v{x} == v{y}")
     binding, used = _tuple("v", range(len(depth))), _tuple("f", range(n))
-    lines = ["def kernel(indexes, known, memo, best, rule):",
+    lines = ["def kernel(indexes, memo, best, rule):",
              "    name, pred = rule.name, rule.pred",
              "    memo_get, best_get = memo.get, best.get",
              "    n_taut = n_degen = 0"]
@@ -340,9 +340,9 @@ def _source(rule: CompiledRule) -> str:
     weight = " + ".join(f"(v{x} != v{y})" for x, y in rule.swaps)
     weight = f"1 << ({weight})" if weight else "1"
     lines += [f"{pad}args = {_tuple('v', rule.conclusion)}",
-              f"{pad}if args in known:  # in the orbit of a fact the graph holds",
-              f"{pad}    continue",
               f"{pad}verdict = memo_get(args)",
+              f"{pad}if verdict is KNOWN:",
+              f"{pad}    continue",
               f"{pad}if verdict is None:",
               f"{pad}    verdict = _judge(memo, pred, args)",
               f"{pad}if verdict is TAUTOLOGY:",
@@ -437,10 +437,10 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
 class JoinState:
     """One run of the join: the graph, grown by the state's derivations only,
     the predicates it can reach, the compiled rules that can fire,
-    ``strict_sides``, and what it keeps across rounds: the known
-    variants of every graph fact by predicate, per slot of the rules its
-    index over every usable fact taken in, in graph order, and per
-    conclusion predicate the verdict on every conclusion judged so far."""
+    ``strict_sides``, and what it keeps across rounds: per slot of the
+    rules its index over every usable fact taken in, in graph order, and
+    per predicate one verdict store: KNOWN for every orbit variant of every
+    graph fact, else the verdict on each conclusion judged so far."""
 
     def __init__(self, dag: DerivationDag, rules: Iterable[Rule],
                  strict_sides: bool = False) -> None:
@@ -459,26 +459,27 @@ class JoinState:
         self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
         self.taken = 0  # graph facts taken in, a prefix of graph order
-        self.known: Dict[str, Set[Tuple[str, ...]]] = {}
-        # predicate -> conclusion arguments -> canonical fact, TAUTOLOGY or DEGENERATE
-        self.memo: Dict[str, Dict[tuple, object]] = {r.pred: {} for r in self.rules}
+        # predicate -> conclusion arguments -> KNOWN, canonical fact, TAUTOLOGY or DEGENERATE
+        self.memo: Dict[str, Dict[tuple, object]] = {pred: {} for pred in self.preds}
         self.indexes: Dict[_Slot, Dict[tuple, list]] = {
             slot: {} for rule in self.rules for slot in rule.slots}
 
     def take_in(self) -> Dict[_Slot, Dict[str, Dict[tuple, list]]]:
         """Take in the graph facts added since the last call and index them
         in every slot of their predicate; returns each slot's OLD, DELTA and
-        ALL index.  DELTA holds the facts of the graph's last round."""
+        ALL index.  DELTA holds the facts of the graph's last round.  A fact's
+        orbit holds every tuple it is the canonical form of, so KNOWN replaces
+        only verdicts naming it: hypotheses precede all verdicts."""
         dag = self.dag
         if dag.rounds <= self.rounds:  # the stored indexes would hold DELTA facts
             raise ValueError(f"the graph gained no round since round {self.rounds}")
         self.rounds = dag.rounds
         new = list(itertools.islice(dag, self.taken, None))
         self.taken = len(dag)
-        for f in new:
-            self.known.setdefault(f.pred, set()).update(orbit(f))
-        if not self.preds.issuperset(self.known):  # a rule left out could fire
+        if any(f.pred not in self.memo for f in new):  # a rule left out could fire
             raise ValueError("the graph gained a fact that no rule of the state concludes")
+        for f in new:
+            self.memo[f.pred].update(dict.fromkeys(orbit(f), KNOWN))
         # (part, predicate) -> usable facts with their shapes, each computed once
         groups: Dict[Tuple[str, str], List[Tuple[Fact, Tuple[int, ...]]]] = {}
         for f in new:
@@ -517,9 +518,9 @@ def derive_round(state: JoinState):
     indexes, and a plan with an empty one is skipped.  A plan runs the
     rule's kernel, one generated loop nest per rule: one loop per slot,
     the distinct and degenerate-pair tests at the loop that binds their
-    second point, and innermost the known-variant test, the verdict from
-    the state's memo (each distinct conclusion is canonicalized and judged
-    once per run), the counters and the choice of the least derivation.
+    second point, and innermost the verdict from the state's store (KNOWN
+    drops the row; each other distinct conclusion is judged once per run),
+    the counters and the choice of the least derivation.
     No list of rows is built.
     The state carries the indexes from its last call, whose graph has since
     gained one round; a fresh state takes in the whole graph, and the
@@ -532,11 +533,11 @@ def derive_round(state: JoinState):
     best: Dict[Fact, tuple] = {}
     n_taut = n_degen = 0
     for rule in state.rules:
-        known, memo = state.known.get(rule.pred, ()), state.memo[rule.pred]
+        memo = state.memo[rule.pred]
         for plan in rule.plans:
             indexes = [views[slot][part] for slot, part in zip(rule.slots, plan)]
             if all(indexes):  # a join over an empty index yields no row
-                t, g = rule.kernel(indexes, known, memo, best, rule)
+                t, g = rule.kernel(indexes, memo, best, rule)
                 n_taut += t
                 n_degen += g
     ordered = []

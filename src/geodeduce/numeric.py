@@ -317,9 +317,6 @@ def _dirangle(a, b, c, d):
 def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],
                    tol_rel: float = DEFAULT_TOL) -> bool:
     """Evaluate a nondegeneracy side condition on the model."""
-    if kind == "distinct":
-        u = _vec(*(m.coords[n] for n in args))
-        return _dot(u, u) > tol_rel * m.scale
     if kind == "non_collinear":
         return not eval_fact(m, make_fact("coll", *args), tol_rel)
     if kind == "distinct_lines":

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 
 from geodeduce import engine, parse_construction, parse_rules
+from geodeduce.facts import Fact, canonicalize, orbit
 from geodeduce.rules import is_variable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,8 +65,25 @@ def kernel_rows(compiled, indexes):
         return object()
 
     best = {}
-    assert compiled.kernel(indexes, (), SimpleNamespace(get=verdict), best, compiled) == (0, 0)
+    assert compiled.kernel(indexes, SimpleNamespace(get=verdict), best, compiled) == (0, 0)
     return [(b, used, args) for ((_, used), _, b), args in zip(best.values(), drawn)]
+
+
+def check_verdict_store(state):
+    """The state's one verdict store per predicate: an entry is KNOWN iff
+    the canonical form of its key is a graph fact, and every orbit variant
+    of a graph fact is KNOWN; any other entry holds the verdict a fresh
+    judgment gives."""
+    graph = set(state.dag)
+    for f in graph:
+        assert all(state.memo[f.pred].get(v) is engine.KNOWN for v in orbit(f)), f
+    for pred, store in state.memo.items():
+        for args, verdict in store.items():
+            if canonicalize(Fact(pred, args)) in graph:
+                assert verdict is engine.KNOWN, (pred, args)
+            else:
+                assert verdict is not engine.KNOWN, (pred, args)
+                assert verdict == engine._judge({}, pred, args), (pred, args)
 
 
 EVALUATIONS = ("naive", "semi_naive")

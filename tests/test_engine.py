@@ -14,8 +14,8 @@ from geodeduce.facts import (DEGENERATE_PAIRS, Fact, canonicalize, is_degenerate
                              is_tautology, orbit)
 from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
 
-from conftest import (EVALUATIONS, binding_names, concyclic_text, evaluating, feet_text,
-                      kernel_rows, naive_plans, shaped)
+from conftest import (EVALUATIONS, binding_names, check_verdict_store, concyclic_text,
+                      evaluating, feet_text, kernel_rows, naive_plans, shaped)
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -317,6 +317,8 @@ def _reference_join(rule, candidate_lists):
         return out
 
     def match_premise(pattern, fact, binding):
+        if fact.pred != pattern.pred:
+            return
         seen = set()
         for variant in orbit(fact):
             b = unify(pattern, variant, binding)
@@ -335,6 +337,14 @@ def _reference_join(rule, candidate_lists):
                 yield from rec(i + 1, b, used + (fact,))
 
     yield from rec(0, {}, ())
+
+
+def test_reference_join_matches_the_premise_predicate_only():
+    """A coll fact gives no binding to a cong premise, though its three
+    arguments would fill the pattern's first three variables."""
+    rule, = parse_rules("rule r: cong(X,Y,Z,W) => cong(Z,W,X,Y)\n")
+    assert list(_reference_join(rule, [[make_fact("coll", "A", "B", "C")]])) == []
+    assert len(list(_reference_join(rule, [[make_fact("cong", "A", "B", "C", "D")]]))) == 8
 
 
 def _hashable(pairs):
@@ -501,7 +511,7 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
         got = derive_round(JoinState(dag, default_rules, strict_sides=strict_sides))
 
         def rebuilt(state):
-            views = take_in(state)  # fills state.known
+            views = take_in(state)  # writes the graph facts into state.memo as KNOWN
             out = {}
             for slot in views:
                 facts = [f for f in usable if f.pred == slot.pred]
@@ -516,6 +526,27 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
             assert got == derive_round(JoinState(dag, default_rules,
                                                  strict_sides=strict_sides)), rounds
     assert last >= 2
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+@pytest.mark.parametrize("figure", [*(f"fuzz{s}" for s in range(10)), "circle6", "feet8"])
+def test_one_verdict_store_per_predicate(figure, evaluation, strict_sides, default_rules):
+    """After every round of a carried state, its store holds KNOWN exactly
+    for the orbits of the graph's facts and a fresh verdict for every other
+    conclusion it judged."""
+    text = (random_construction_text(int(figure[4:])) if figure.startswith("fuzz")
+            else LADDER[figure])
+    dag = DerivationDag(initial_facts(parse_construction(text)))
+    with evaluating(evaluation):
+        state = JoinState(dag, default_rules, strict_sides=strict_sides)
+    for _ in range(10):
+        new, _, _ = derive_round(state)
+        check_verdict_store(state)
+        if not new:
+            break
+        dag.add(*new)
+    assert not new and dag.rounds >= 1
 
 
 def test_carried_state_needs_a_new_round(midline, default_rules):

@@ -72,7 +72,9 @@ def test_eval_fact_all_predicates():
 def test_eval_condition():
     coords = {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.0, 1.0), "D": (2.0, 0.0)}
     m = model_from_coords(coords)
-    assert eval_condition(m, "distinct", ("A", "B"))
+    # a distinct side is a loop test of the join and never reaches the model
+    with pytest.raises(ValueError):
+        eval_condition(m, "distinct", ("A", "B"))
     assert eval_condition(m, "non_collinear", ("A", "B", "C"))
     assert not eval_condition(m, "non_collinear", ("A", "B", "D"))
     assert eval_condition(m, "distinct_lines", ("A", "B", "A", "C"))
@@ -308,9 +310,6 @@ def _ref_eval_fact(m, f, tol=numeric.DEFAULT_TOL):
 
 
 def _ref_eval_condition(m, kind, args, tol=numeric.DEFAULT_TOL):
-    if kind == "distinct":
-        a, b = (np.asarray(m.coords[n]) for n in args)
-        return float((a - b) @ (a - b)) > tol * m.scale
     if kind == "non_collinear":
         return not _ref_eval_fact(m, make_fact("coll", *args), tol)
     if kind == "distinct_lines":
@@ -333,7 +332,7 @@ def _probe_facts(c, rules):
     return out
 
 
-_SIDES = (("distinct", 2), ("non_collinear", 3), ("distinct_lines", 4))
+_SIDES = (("non_collinear", 3), ("distinct_lines", 4))
 
 
 @pytest.mark.parametrize("case", [*BUNDLED, *range(50)])

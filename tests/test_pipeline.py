@@ -310,6 +310,34 @@ def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
     assert states and all(s is states[0] for s in states)
 
 
+def test_blocked_fact_keeps_its_verdict_in_filtered_run(default_rules, monkeypatch):
+    """A fact the run-time filter blocks never enters the graph: its
+    entries in the join's verdict store keep the fact as their verdict,
+    round after round, and never become KNOWN."""
+    from conftest import check_verdict_store
+    from geodeduce import engine, pipeline
+    from geodeduce.facts import orbit
+    real = pipeline.derive_round
+    states, candidates = [], set()
+
+    def checked(state):
+        got = real(state)
+        check_verdict_store(state)
+        states.append(state)
+        candidates.update(d.fact for d in got[0])
+        return got
+
+    monkeypatch.setattr(pipeline, "derive_round", checked)
+    run_pipeline(_case("fuzz10"), default_rules, PipelineConfig(mode="filtered"))
+    state = states[0]
+    blocked = candidates - set(state.dag)
+    assert len(states) >= 3 and blocked
+    for f in blocked:
+        store = state.memo[f.pred]
+        assert not any(store.get(v) is engine.KNOWN for v in orbit(f)), f
+        assert f in store.values(), f
+
+
 @pytest.mark.parametrize("strict_sides", [False, True])
 @pytest.mark.parametrize("mode", ["fixpoint", "filtered"])
 @pytest.mark.parametrize("name", BUNDLED)

@@ -12,13 +12,18 @@ threshold 0.3 and ``top_k`` = 3; usefulness weight 5 and ``top_k`` = 1).
 Then it runs, in both modes, a figure with lowercase point names under
 the small rule set below, which reaches what the default rules never do:
 a point constant in a premise, and a ``distinct`` side whose two points
-a graph fact repeats.  That makes 75 reports per tree.  Each tree runs in
+a graph fact repeats.  Last come the oracle pool inputs of the benchmark
+workloads that emit reports, 886 of ``circle4-fixpoint`` and 297 of
+``fuzz-filtered``, each in its workload's mode with the default config
+(``check100`` rows are verdicts, checked by ``check_oracle.py``).  That
+makes 1258 reports per tree.  Each tree runs in
 its own subprocess, under its own fixed PYTHONHASHSEED, and NEW_TREE runs
 the cases in reverse order, so ``diff_reports.py . .`` checks that no
 report depends on the hash seed or on what earlier runs left in a
 process-level memo (compiled rules, slot tables, draw prefixes).
-The inputs are this checkout's examples and the figures below, which the
-tests import.  Prints each case whose report differs and exits 1
+The inputs are this checkout's examples, the figures below, which the
+tests import, and the pools that ``geobench/workloads.py`` builds; nothing
+under ``geobench/`` is written.  Prints each case whose report differs and exits 1
 on any difference.  Nothing is written.
 """
 
@@ -102,7 +107,17 @@ TWO_CIRCLES = ("point o a\non_circle b o a\non_circle c o a\non_circle d o a\n"
                "point p\non_circle e p a\n")
 
 
+# the benchmark workloads whose outputs are reports
+POOLS = ("circle4-fixpoint", "fuzz-filtered")
+
+
 def cases() -> list:
+    # the pools come from geobench/workloads.py, imported here and not at
+    # import time, so that importing this file for its figures needs no geobench
+    sys.path.insert(0, str(ROOT / "geobench"))
+    from run import import_program  # geobench/run.py
+    wk = import_program()
+    pools = [wk.WORKLOADS[name] for name in POOLS]
     examples = [(path.stem, path.read_text())
                 for path in sorted((ROOT / "examples").glob("*.gc"))]
     # the two ladders, and each at its milestone size
@@ -117,7 +132,9 @@ def cases() -> list:
             + [[f"{name} filtered {key}", text, None, "filtered", False, metrics]
                for name, text in ranked for key, metrics in RANKED.items()]
             + [[f"two-circles {mode}", TWO_CIRCLES, CONSTANT_RULES, mode, False, {}]
-               for mode in MODES])
+               for mode in MODES]
+            + [[f"{wl.name} {key}", wl.make_input(key).text, None, wl.mode, False, {}]
+               for wl in pools for key in wk.load_oracle(wl)])
 
 
 def start(tree: Path, hash_seed: str, todo: list) -> subprocess.Popen:
