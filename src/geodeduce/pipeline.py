@@ -15,10 +15,11 @@ Both modes send derivations through the same admission routine,
 ``_admit``.  A fact it blocks never comes back within the run, and a fact
 the graph holds keeps its one derivation, so a fact's derivation closure
 is fixed when it enters the graph, which stores it then.  One
-``ScoreMemo`` per run therefore keeps each fact's raw row, its seven
-fixed raw metrics, computed once; each round (and the final scoring)
-makes one pass per metric column over the derived facts and redoes the
-usefulness counts.
+``ScoreMemo.of(dag)`` per run therefore keeps the hypotheses' point
+pairs and each fact's raw row, its seven fixed raw metrics, computed
+once; each round (and the final scoring) makes one pass per metric
+column over the derived facts and recounts usefulness from the stored
+closures.
 
 A ``fails`` verdict on an unconditional derived fact aborts the run: the
 engine promises to generate logical consequences only, so an empirical
@@ -43,7 +44,7 @@ from .numeric import (DEFAULT_TOL, check_tol, eval_condition, eval_fact,
                       sample_models)
 from .rules import Rule
 from .scoring import (METRICS, MetricConfig, ScoreCard, ScoreMemo,
-                      filter_interesting, hypothesis_pairs, interesting_among, score_all)
+                      filter_interesting, interesting_among, score_all)
 
 
 class SoundnessViolationError(RuntimeError):
@@ -200,7 +201,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
     blocked: Set[Fact] = set()  # discarded facts never come back within a run
     held: Set[Fact] = set()  # side conditions true on every model of the run
     dag = DerivationDag(hypotheses)  # the hypotheses plus every kept fact
-    memo = ScoreMemo(hypothesis_pairs(hypotheses))  # fixed scoring work, this run only
+    memo = ScoreMemo.of(dag)  # fixed scoring work, this run only
 
     if cfg.mode == "fixpoint":
         sat = saturate(hypotheses, rules, cfg.max_rounds, cfg.max_facts,

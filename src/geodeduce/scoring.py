@@ -11,16 +11,15 @@ provisional interesting set.
 Cost model.  A fact's derivation never changes once the fact is scored:
 the graph is append-only, and a fact that a filtered round blocks never
 comes back.  The graph stores each fact's closure when the fact enters.
-Per fact: a ``ScoreMemo`` that lives for one run keeps one raw row, the
-seven metrics other than usefulness, computed once per run.  Per call:
-one pass per metric column over the derived facts (their rows
-transposed), adding each fact's weighted, directed term to a running sum
-in METRICS order; both passes share the sums of the first seven, and
-only the usefulness counts and column are redone.  A derived value lies
-in its column's [min, max], so its unit value needs no clamp and every
-aggregate is the same float sum, term by term, as one fact at a time
-gives.  ``score_all`` builds every fact's card from clamped columns, as a
-hypothesis may lie outside that range; ``interesting_among`` builds none.
+Per run: ``ScoreMemo.of(dag)`` keeps the hypotheses' point pairs and,
+per fact, one raw row, the seven metrics other than usefulness.  Per
+call: ``_units`` turns each metric column of the derived facts into unit
+values and ``_add_terms`` adds their weighted, directed terms in METRICS
+order; both passes share the first seven sums and redo only the
+usefulness counts, one Counter over the stored closures.  ``score_all``
+clamps every fact's unit values into [0, 1], as a hypothesis may lie
+outside the derived facts' range; the clamp leaves a derived fact's unit
+value unchanged.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -33,7 +32,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact
@@ -115,19 +114,17 @@ def complexity(f: Fact) -> int:
     return 1 + len(f.points())
 
 
-def hypothesis_pairs(d0: Iterable[Fact]) -> Set[FrozenSet[str]]:
-    """Point pairs that co-occur in some hypothesis."""
-    return {frozenset(pq) for h in d0
-            for pq in itertools.combinations(sorted(h.points()), 2)}
+def hypothesis_pairs(d0: Iterable[Fact]) -> Set[Tuple[str, str]]:
+    """Point pairs, as sorted tuples, that co-occur in some hypothesis."""
+    return {pq for h in d0 for pq in itertools.combinations(sorted(h.points()), 2)}
 
 
-def surprisingness(f: Fact, hyp_pairs: Set[FrozenSet[str]]) -> float:
+def surprisingness(f: Fact, hyp_pairs: Set[Tuple[str, str]]) -> float:
     """Fraction of f's point pairs that co-occur in no single hypothesis."""
     pairs = list(itertools.combinations(sorted(f.points()), 2))
     if not pairs:
         return 0.0
-    new = sum(1 for pq in pairs if frozenset(pq) not in hyp_pairs)
-    return new / len(pairs)
+    return sum(pq not in hyp_pairs for pq in pairs) / len(pairs)
 
 
 def hypotheses_used(f: Fact, dag: DerivationDag) -> Set[Fact]:
@@ -161,9 +158,8 @@ def focus(f: Fact, leaves: Set[Fact]) -> float:
 def usefulness(dag: DerivationDag, interesting: Set[Fact]) -> Counter:
     """Per fact, how many other derived interesting facts have it in their
     ancestor closure."""
-    count: Counter = Counter()
-    for g in interesting:  # a hypothesis's closure is itself alone
-        count.update(dag.closure(g) - {g})
+    count = Counter(itertools.chain.from_iterable(map(dag.closure, interesting)))
+    count.subtract(interesting)  # each closure holds its own fact
     return count
 
 
@@ -177,9 +173,14 @@ class ScoreMemo:
     """
 
     # point pairs of the run's hypotheses, for surprisingness
-    hyp_pairs: Set[FrozenSet[str]]
+    hyp_pairs: Set[Tuple[str, str]]
     # fact -> its raw metrics but usefulness, in METRICS order
     raw: Dict[Fact, Tuple[float, ...]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, dag: DerivationDag) -> "ScoreMemo":
+        """A fresh memo for a run on dag's hypotheses."""
+        return cls(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
 
     def rows(self, facts: List[Fact], dag: DerivationDag) -> List[Tuple[float, ...]]:
         """The raw rows of facts, each computed the first time it is asked for."""
@@ -197,18 +198,27 @@ def _range(column: Sequence[float]) -> Tuple[float, float]:
     return (min(column), max(column)) if column else (0.0, 0.0)
 
 
-def _add_terms(sums: List[float], column: Sequence[float], lo: float, hi: float,
-               w: float, up: bool) -> List[float]:
-    """Each sum plus its fact's weighted, directed unit value of one metric:
-    (v - lo) / (hi - lo), or 0.5 for a metric constant over the derived
-    facts.  Left unclamped, so valid only for values in [lo, hi]."""
+def _units(column: Sequence[float], lo: float, hi: float) -> List[float]:
+    """Each value's unit value (v - lo) / (hi - lo), or 0.5 for a metric
+    constant over the derived facts; in [0, 1] for values in [lo, hi]."""
     if hi == lo:
-        term = w * 0.5
-        return [s + term for s in sums]
+        return [0.5] * len(column)
     span = hi - lo
-    if up:
-        return [s + w * ((v - lo) / span) for s, v in zip(sums, column)]
-    return [s + w * (1.0 - (v - lo) / span) for s, v in zip(sums, column)]
+    return [(v - lo) / span for v in column]
+
+
+def _add_terms(sums: List[float], units: Iterable[Sequence[float]], cfg: MetricConfig,
+               metrics: Sequence[str] = METRICS) -> List[float]:
+    """Each sum plus its fact's weighted, directed terms, one unit-value
+    column per metric of metrics, added in that order."""
+    w = cfg.normalized_weights()
+    for m, column in zip(metrics, units):
+        wm = w[m]
+        if cfg.directions.get(m, True):
+            sums = [s + wm * n for s, n in zip(sums, column)]
+        else:
+            sums = [s + wm * (1.0 - n) for s, n in zip(sums, column)]
+    return sums
 
 
 def _passes(dag: DerivationDag, cfg: MetricConfig, memo: ScoreMemo
@@ -216,28 +226,22 @@ def _passes(dag: DerivationDag, cfg: MetricConfig, memo: ScoreMemo
     """The core of both passes: dag's derived facts, their final aggregates,
     each metric's min and max over them and the usefulness counts."""
     derived = [d.fact for d in dag.derivations()]
-    w = cfg.normalized_weights()
-    up = [cfg.directions.get(m, True) for m in METRICS]
     # one column per metric but usefulness; none at all when nothing is derived
     columns = list(zip(*memo.rows(derived, dag))) or [()] * (len(METRICS) - 1)
     ranges = [_range(column) for column in columns]
-    partial = [0.0] * len(derived)  # the first seven terms, summed in METRICS order
-    for m, column, (lo, hi), u in zip(METRICS, columns, ranges, up):
-        partial = _add_terms(partial, column, lo, hi, w[m], u)
+    partial = _add_terms([0.0] * len(derived),  # the first seven terms
+                         [_units(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)], cfg)
+    last = METRICS[-1:]  # usefulness
 
-    # pass 1: usefulness is 0.0 everywhere, a constant column, which adds w * 0.5
-    term = w["usefulness"] * 0.5
-    useful = usefulness(dag, {f for f, s in zip(derived, partial) if s + term >= cfg.threshold})
+    # pass 1: usefulness is 0.0 everywhere, a constant column
+    provisional = _add_terms(partial, [_units([0.0] * len(derived), 0.0, 0.0)], cfg, last)
+    useful = usefulness(dag, {f for f, a in zip(derived, provisional) if a >= cfg.threshold})
 
     # pass 2: only the usefulness column and its range change
     column = [float(useful[f]) for f in derived]
     ranges.append(_range(column))
-    aggregates = _add_terms(partial, column, *ranges[-1], w["usefulness"], up[-1])
+    aggregates = _add_terms(partial, [_units(column, *ranges[-1])], cfg, last)
     return derived, aggregates, ranges, useful
-
-
-def _fresh_memo(dag: DerivationDag) -> ScoreMemo:
-    return ScoreMemo(hypothesis_pairs(f for f in dag if dag.node(f).rule is None))
 
 
 def score_all(dag: DerivationDag, cfg: MetricConfig,
@@ -245,19 +249,14 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     """Two-pass scoring of every fact in dag; normalization over derived
     facts only.  Pass the same memo to every call on one growing graph;
     without one, every fact is scored afresh."""
-    memo = memo or _fresh_memo(dag)
+    memo = memo or ScoreMemo.of(dag)
     derived, _, ranges, useful = _passes(dag, cfg, memo)
     facts = list(dag)
     rows = [r + (float(useful[f]),) for f, r in zip(facts, memo.rows(facts, dag))]
     # clamped: a hypothesis may lie outside the derived facts' range
-    units = [[0.5] * len(facts) if hi == lo else
-             [min(1.0, max(0.0, (v - lo) / (hi - lo))) for v in column]
+    units = [[min(1.0, max(0.0, n)) for n in _units(column, lo, hi)]
              for column, (lo, hi) in zip(zip(*rows), ranges)]
-    w = cfg.normalized_weights()
-    aggregates = [0.0] * len(facts)
-    for m, unit in zip(METRICS, units):
-        wm, up = w[m], cfg.directions.get(m, True)
-        aggregates = [a + wm * (n if up else 1.0 - n) for a, n in zip(aggregates, unit)]
+    aggregates = _add_terms([0.0] * len(facts), units, cfg)
     derived_set = set(derived)
     return {f: ScoreCard(raw=dict(zip(METRICS, r)), normalized=dict(zip(METRICS, n)),
                          aggregate=a, hypothesis=f not in derived_set)
@@ -269,7 +268,7 @@ def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConf
     """The facts of ``facts`` that filter_interesting(score_all(dag, cfg, memo),
     cfg) picks, found from the derived facts' aggregates alone, without
     score cards."""
-    derived, aggregates, _, _ = _passes(dag, cfg, memo or _fresh_memo(dag))
+    derived, aggregates, _, _ = _passes(dag, cfg, memo or ScoreMemo.of(dag))
     wanted = set(facts)
     pool = zip(derived, aggregates)
     if not cfg.top_k:  # only a ranking needs the facts not asked about

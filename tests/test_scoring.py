@@ -187,15 +187,25 @@ def _reference_normalize(raw, derived, cfg):
     return cards
 
 
+def _reference_surprisingness(f, hypotheses):
+    """The share of f's point pairs that no single hypothesis names both of."""
+    pts = sorted(f.points())
+    pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+    if not pairs:
+        return 0.0
+    old = sum(any({p, q} <= h.points() for h in hypotheses) for p, q in pairs)
+    return (len(pairs) - old) / len(pairs)
+
+
 def _reference_rows(dag):
     """Every fact's raw metrics but usefulness, in METRICS order, computed afresh."""
-    hyp_pairs = hypothesis_pairs(f for f in dag if dag.node(f).rule is None)
+    hypotheses = [f for f in dag if dag.node(f).rule is None]
     rows = {}
     for f in dag:
         leaves = hypotheses_used(f, dag)
         rows[f] = (float(obviousness(f, dag)), float(weight(f)), float(complexity(f)),
-                   surprisingness(f, hyp_pairs), intensity(f, leaves), adaptivity(f),
-                   focus(f, leaves))
+                   _reference_surprisingness(f, hypotheses), intensity(f, leaves),
+                   adaptivity(f), focus(f, leaves))
     return rows
 
 
