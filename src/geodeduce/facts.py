@@ -5,7 +5,9 @@ A fact is a predicate applied to an ordered tuple of point names, e.g.
 canonical form: the lexicographic minimum over the predicate's symmetry
 orbit.  This makes set membership, hashing and fixpoint detection
 well defined.  A rule's atoms use the same record over variable names,
-as written (rules.py).
+as written (rules.py).  Canonical forms and verdicts are one closed form
+per predicate, each table keyed by predicate; docs/predicates.md lists
+every predicate's arity, symmetries, canonical form and verdicts.
 """
 
 from __future__ import annotations
@@ -101,27 +103,55 @@ def orbit(fact: Fact) -> List[Tuple[str, ...]]:
     return [variant(fact.args) for variant in _VARIANTS[fact.pred]]
 
 
-def canonicalize(fact: Fact) -> Fact:
-    """Return the unique representative of the fact's symmetry class.
+def _sort3(a: Tuple[str, ...]) -> Tuple[str, ...]:
+    x, y, z = sorted(a)
+    return (x, y, z)
 
-    This is ``min(orbit(fact))``, computed in closed form: coll/cyclic
-    sort all points and midp its endpoints; para/perp/cong/eqangle sort
-    each 2-point block, then take the smaller of the two half orders.
-    """
-    _check(fact.pred, fact.args)
-    a = fact.args
-    if fact.pred in ("coll", "cyclic"):
-        args = tuple(sorted(a))
-    elif fact.pred == "midp":
-        args = (a[0],) + tuple(sorted(a[1:]))
-    else:  # para, perp, cong (two segments), eqangle (two pairs of rays)
-        blocks = [(x, y) if x <= y else (y, x) for x, y in zip(a[0::2], a[1::2])]
-        half = len(blocks) // 2
-        first, second = blocks[:half], blocks[half:]
-        if second < first:
-            first, second = second, first
-        args = tuple(itertools.chain.from_iterable(first + second))
-    return Fact(fact.pred, args)
+
+def _sort4(a: Tuple[str, ...]) -> Tuple[str, ...]:
+    w, x, y, z = sorted(a)
+    return (w, x, y, z)
+
+
+def _midp(a: Tuple[str, ...]) -> Tuple[str, ...]:
+    m, x, y = a
+    return (m, x, y) if x <= y else (m, y, x)
+
+
+def _segments(a: Tuple[str, ...]) -> Tuple[str, ...]:
+    w, x, y, z = a
+    first, second = (w, x) if w <= x else (x, w), (y, z) if y <= z else (z, y)
+    return first + second if first <= second else second + first
+
+
+def _angles(a: Tuple[str, ...]) -> Tuple[str, ...]:
+    p, q, r, s, t, u, v, w = a
+    if q < p:
+        p, q = q, p
+    if s < r:
+        r, s = s, r
+    if u < t:
+        t, u = u, t
+    if w < v:
+        v, w = w, v
+    return (p, q, r, s, t, u, v, w) if (p, q, r, s) <= (t, u, v, w) else (t, u, v, w, p, q, r, s)
+
+
+# predicate -> min(orbit) in closed form, whose unpacking checks the arity:
+# coll/cyclic sort all points and midp its endpoints; para/perp/cong/eqangle
+# compare-swap each two-point block, then take the smaller of the two halves
+_CANONICAL = {"coll": _sort3, "cyclic": _sort4, "midp": _midp, "para": _segments,
+              "perp": _segments, "cong": _segments, "eqangle": _angles}
+
+
+def canonicalize(fact: Fact) -> Fact:
+    """Return the unique representative of the fact's symmetry class,
+    ``min(orbit(fact))``, in closed form (docs/predicates.md)."""
+    try:
+        return Fact(fact.pred, _CANONICAL[fact.pred](fact.args))
+    except (KeyError, ValueError):  # an unknown predicate or a wrong arity
+        _check(fact.pred, fact.args)
+        raise
 
 
 def make_fact(pred: str, *args: str) -> Fact:
@@ -149,52 +179,56 @@ def parse_fact(text: str) -> Fact:
     return make_fact(pred, *args)
 
 
-def is_tautology(fact: Fact) -> bool:
-    """True iff the fact holds under every assignment of coordinates.
-
-    coll with a repeated point, midp of a point with itself, and
-    cong/para/eqangle whose two sides coincide are tautologies.  A cong
-    whose both segments have zero length (e.g. cong(A,A,B,B)) also holds
-    everywhere and is flagged here.  Repeated-point cyclic, zero-length
-    para/perp/eqangle sides and identical-sides perp (a line is never
-    perpendicular to itself) are *degenerate*, not tautological
-    (see :func:`is_degenerate`).
-    """
-    a = fact.args
-    if fact.pred == "coll":
-        return len(set(a)) < 3
-    if fact.pred == "midp":
-        return a[0] == a[1] == a[2]
-    if fact.pred in ("para", "cong"):
-        # a segment is parallel/congruent to itself; a line is never
-        # perpendicular to itself, so identical-sides perp is degenerate
-        if a[0:2] == a[2:4]:
-            return True
-        return fact.pred == "cong" and a[0] == a[1] and a[2] == a[3]
-    if fact.pred == "eqangle":
-        return a[0:4] == a[4:8] and not is_degenerate(fact)
+def _never(a: Tuple[str, ...]) -> bool:
     return False
 
 
+# predicate -> whether a canonical fact's arguments make it a tautology
+_TAUTOLOGY = {
+    "coll": lambda a: len(set(a)) < 3,
+    "midp": lambda a: a[0] == a[1] == a[2],
+    "para": lambda a: a[0:2] == a[2:4],
+    "perp": _never,
+    "cong": lambda a: a[0:2] == a[2:4] or (a[0] == a[1] and a[2] == a[3]),
+    "cyclic": _never,
+    "eqangle": lambda a: a[0:4] == a[4:8] and a[0] != a[1] and a[2] != a[3],
+}
+# predicate -> whether a canonical fact's arguments make it degenerate
+_DEGENERATE = {
+    "coll": _never,
+    "midp": _never,
+    "para": lambda a: a[0] == a[1] or a[2] == a[3],
+    "perp": lambda a: a[0] == a[1] or a[2] == a[3] or a[0:2] == a[2:4],
+    "cong": lambda a: (a[0] == a[1]) != (a[2] == a[3]),
+    "cyclic": lambda a: len(set(a)) < 4,
+    "eqangle": lambda a: a[0] == a[1] or a[2] == a[3] or a[4] == a[5] or a[6] == a[7],
+}
+
+
+def is_tautology(fact: Fact) -> bool:
+    """True iff the canonical fact holds under every assignment of coordinates.
+
+    coll with a repeated point, midp of a point with itself, and
+    cong/para/eqangle whose two sides coincide are tautologies; an eqangle
+    only if it is not degenerate.  A cong whose both segments have zero
+    length (e.g. cong(A,A,B,B)) also holds everywhere and is flagged here.
+    Repeated-point cyclic, zero-length para/perp/eqangle sides and
+    identical-sides perp (a line is never perpendicular to itself) are
+    *degenerate*, not tautological (see :func:`is_degenerate`).
+    """
+    return _TAUTOLOGY[fact.pred](fact.args)
+
+
 def is_degenerate(fact: Fact) -> bool:
-    """True for facts whose predicate loses meaning on these arguments.
+    """True for canonical facts whose predicate loses meaning on these
+    arguments: a cyclic with a repeated point, a para, perp or eqangle
+    with a zero-length side, a perp with identical sides, and a cong with
+    exactly one zero-length side, which asserts a point coincidence.
 
     Degeneracy is a third verdict next to tautology/ordinary so the
     engine can reject such conclusions instead of silently keeping them.
     """
-    a = fact.args
-    if fact.pred == "cyclic":
-        return len(set(a)) < 4
-    if fact.pred == "para":
-        return a[0] == a[1] or a[2] == a[3]
-    if fact.pred == "perp":
-        return a[0] == a[1] or a[2] == a[3] or a[0:2] == a[2:4]
-    if fact.pred == "cong":
-        # exactly one zero-length side asserts a point coincidence
-        return (a[0] == a[1]) != (a[2] == a[3])
-    if fact.pred == "eqangle":
-        return any(a[i] == a[i + 1] for i in (0, 2, 4, 6))
-    return False
+    return _DEGENERATE[fact.pred](fact.args)
 
 
 # predicate -> pairs (i, j) of argument positions: a fact with one point at

@@ -5,6 +5,8 @@ sampled uniformly in [-1,1]^2, semi-free points sampled on their locus,
 determined points computed from their defining steps.  Facts are then
 evaluated within a relative tolerance, which lets the pipeline discard
 conjectures that are false on generic figures and flag unsound rules.
+Each predicate has one test, its arithmetic written out inline;
+docs/predicates.md gives each test and its tolerance form.
 
 Coordinates are computed in plain IEEE-754 double arithmetic on Python
 floats, so a model is the same on every host.  Each seed's stream of
@@ -271,47 +273,66 @@ def model_from_coords(coords: Dict[str, Tuple[float, float]], seed: int = 0) -> 
     return CoordinateModel(coords=dict(coords), seed=seed, scale=scale)
 
 
-def eval_fact(m: CoordinateModel, f: Fact, tol_rel: float = DEFAULT_TOL) -> bool:
-    """Evaluate a fact on the model within a scale-relative tolerance."""
-    p = [m.coords[name] for name in f.args]
-    tol = tol_rel
-    s = m.scale
-    if f.pred in ("coll", "para", "perp"):
-        u = _vec(p[0], p[1])
-        v = _vec(p[0], p[2]) if f.pred == "coll" else _vec(p[2], p[3])
-        x = _dot(u, v) if f.pred == "perp" else _cross(u, v)
-        return x * x <= tol * s * s
-    if f.pred == "midp":
-        mid = (0.5 * (p[1][0] + p[2][0]), 0.5 * (p[1][1] + p[2][1]))
-        u = _vec(mid, p[0])
-        return _dot(u, u) <= tol * s
-    if f.pred == "cong":
-        u = _vec(p[0], p[1])
-        v = _vec(p[2], p[3])
-        return abs(_dot(u, u) - _dot(v, v)) <= tol * s
-    if f.pred == "cyclic":
-        o = _circumcenter(p[0], p[1], p[2])
-        if o is None:
-            return False
-        u = _vec(o, p[0])
-        v = _vec(o, p[3])
-        return abs(_dot(v, v) - _dot(u, u)) <= tol * s
-    if f.pred == "eqangle":
-        t1 = _dirangle(p[0], p[1], p[2], p[3])
-        t2 = _dirangle(p[4], p[5], p[6], p[7])
-        if t1 is None or t2 is None:
-            return False
-        return abs(math.sin(t1 - t2)) <= tol
-    raise ValueError(f.pred)
+def _coll(tol, s, a, b, c) -> bool:
+    x = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return x * x <= tol * s * s
+
+
+def _para(tol, s, a, b, c, d) -> bool:
+    x = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+    return x * x <= tol * s * s
+
+
+def _perp(tol, s, a, b, c, d) -> bool:
+    x = (b[0] - a[0]) * (d[0] - c[0]) + (b[1] - a[1]) * (d[1] - c[1])
+    return x * x <= tol * s * s
+
+
+def _midp(tol, s, m, b, c) -> bool:
+    ux, uy = m[0] - 0.5 * (b[0] + c[0]), m[1] - 0.5 * (b[1] + c[1])
+    return ux * ux + uy * uy <= tol * s
+
+
+def _cong(tol, s, a, b, c, d) -> bool:
+    ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], d[0] - c[0], d[1] - c[1]
+    return abs((ux * ux + uy * uy) - (vx * vx + vy * vy)) <= tol * s
+
+
+def _cyclic(tol, s, a, b, c, d) -> bool:
+    o = _circumcenter(a, b, c)
+    if o is None:
+        return False
+    ux, uy, vx, vy = a[0] - o[0], a[1] - o[1], d[0] - o[0], d[1] - o[1]
+    return abs((vx * vx + vy * vy) - (ux * ux + uy * uy)) <= tol * s
+
+
+def _eqangle(tol, s, a, b, c, d, e, f, g, h) -> bool:
+    t1, t2 = _dirangle(a, b, c, d), _dirangle(e, f, g, h)
+    if t1 is None or t2 is None:
+        return False
+    return abs(math.sin(t1 - t2)) <= tol
 
 
 def _dirangle(a, b, c, d):
     """Directed angle between lines ab and cd, modulo pi."""
-    u = _vec(a, b)
-    v = _vec(c, d)
-    if _dot(u, u) == 0 or _dot(v, v) == 0:
+    ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], d[0] - c[0], d[1] - c[1]
+    if ux * ux + uy * uy == 0 or vx * vx + vy * vy == 0:
         return None
-    return math.atan2(_cross(u, v), _dot(u, v))
+    return math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+
+
+# predicate -> its test (tol, scale, one point per argument); the tolerance
+# forms are tol*s*s, tol*s and tol on |sin| (docs/predicates.md)
+_TESTS = {"coll": _coll, "para": _para, "perp": _perp, "midp": _midp,
+          "cong": _cong, "cyclic": _cyclic, "eqangle": _eqangle}
+
+
+def eval_fact(m: CoordinateModel, f: Fact, tol_rel: float = DEFAULT_TOL) -> bool:
+    """Evaluate a fact on the model within a scale-relative tolerance."""
+    test = _TESTS.get(f.pred)
+    if test is None:
+        raise ValueError(f.pred)
+    return test(tol_rel, m.scale, *map(m.coords.__getitem__, f.args))
 
 
 def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],

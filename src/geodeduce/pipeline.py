@@ -255,8 +255,17 @@ _FACT = _object({"verdict": '"holds"', "normalized": _SCORES, "raw": _SCORES, **
 _metric_values = operator.itemgetter(*sorted(METRICS))
 
 
+class _Quoted(dict):
+    """fact -> its text as a JSON string, each quoted the first time it is asked for."""
+
+    def __missing__(self, fact: Fact) -> str:
+        text = self[fact] = q(str(fact))
+        return text
+
+
 def _json_report(report: Report) -> str:
     memo: Dict[float, str] = {}  # each nonzero number of this report, as written
+    quoted = _Quoted().__getitem__  # each fact of this report, as written
 
     def num(x: float) -> str:
         if not x:  # 0.0 == -0.0 as keys, so a zero is told apart by its sign
@@ -269,9 +278,9 @@ def _json_report(report: Report) -> str:
         return s
 
     facts = [_FACT % (
-        num(rec.score.aggregate), q(str(rec.fact)), "true" if rec.interesting else "false",
+        num(rec.score.aggregate), quoted(rec.fact), "true" if rec.interesting else "false",
         *map(num, _metric_values(rec.score.normalized)),
-        _block([q(str(p)) for p in rec.premises], "      ", "[]"),
+        _block(list(map(quoted, rec.premises)), "      ", "[]"),
         *map(num, _metric_values(rec.score.raw)),
         rec.round, "null" if rec.rule is None else q(rec.rule))
         for rec in report.records]

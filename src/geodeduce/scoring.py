@@ -17,9 +17,10 @@ call: ``_units`` turns each metric column of the derived facts into unit
 values and ``_add_terms`` adds their weighted, directed terms in METRICS
 order; both passes share the first seven sums and redo only the
 usefulness counts, one Counter over the stored closures.  ``score_all``
-clamps every fact's unit values into [0, 1], as a hypothesis may lie
-outside the derived facts' range; the clamp leaves a derived fact's unit
-value unchanged.
+builds the derived facts' cards from the passes' unit values and
+aggregates.  Only the hypotheses get unit values and sums of their own,
+clamped into [0, 1], as a hypothesis may lie outside the derived facts'
+range; the clamp would leave a derived fact's unit values unchanged.
 
 Formulas and defaults are documented in docs/metrics.md; weights,
 directions and the threshold are user-configurable.
@@ -222,15 +223,17 @@ def _add_terms(sums: List[float], units: Iterable[Sequence[float]], cfg: MetricC
 
 
 def _passes(dag: DerivationDag, cfg: MetricConfig, memo: ScoreMemo
-            ) -> Tuple[List[Fact], List[float], List[Tuple[float, float]], Counter]:
+            ) -> Tuple[List[Fact], List[float], List[Tuple[float, float]], Counter,
+                       List[List[float]]]:
     """The core of both passes: dag's derived facts, their final aggregates,
-    each metric's min and max over them and the usefulness counts."""
+    each metric's min and max over them, the usefulness counts and each
+    metric's column of their unit values."""
     derived = [d.fact for d in dag.derivations()]
     # one column per metric but usefulness; none at all when nothing is derived
     columns = list(zip(*memo.rows(derived, dag))) or [()] * (len(METRICS) - 1)
     ranges = [_range(column) for column in columns]
-    partial = _add_terms([0.0] * len(derived),  # the first seven terms
-                         [_units(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)], cfg)
+    units = [_units(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)]
+    partial = _add_terms([0.0] * len(derived), units, cfg)  # the first seven terms
     last = METRICS[-1:]  # usefulness
 
     # pass 1: usefulness is 0.0 everywhere, a constant column
@@ -240,8 +243,9 @@ def _passes(dag: DerivationDag, cfg: MetricConfig, memo: ScoreMemo
     # pass 2: only the usefulness column and its range change
     column = [float(useful[f]) for f in derived]
     ranges.append(_range(column))
-    aggregates = _add_terms(partial, [_units(column, *ranges[-1])], cfg, last)
-    return derived, aggregates, ranges, useful
+    units.append(_units(column, *ranges[-1]))
+    aggregates = _add_terms(partial, units[-1:], cfg, last)
+    return derived, aggregates, ranges, useful, units
 
 
 def score_all(dag: DerivationDag, cfg: MetricConfig,
@@ -250,17 +254,18 @@ def score_all(dag: DerivationDag, cfg: MetricConfig,
     facts only.  Pass the same memo to every call on one growing graph;
     without one, every fact is scored afresh."""
     memo = memo or ScoreMemo.of(dag)
-    derived, _, ranges, useful = _passes(dag, cfg, memo)
-    facts = list(dag)
+    derived, aggregates, ranges, useful, units = _passes(dag, cfg, memo)
+    facts = list(dag)  # the hypotheses, then the derived facts
+    n = len(facts) - len(derived)
     rows = [r + (float(useful[f]),) for f, r in zip(facts, memo.rows(facts, dag))]
     # clamped: a hypothesis may lie outside the derived facts' range
-    units = [[min(1.0, max(0.0, n)) for n in _units(column, lo, hi)]
-             for column, (lo, hi) in zip(zip(*rows), ranges)]
-    aggregates = _add_terms([0.0] * len(facts), units, cfg)
-    derived_set = set(derived)
-    return {f: ScoreCard(raw=dict(zip(METRICS, r)), normalized=dict(zip(METRICS, n)),
-                         aggregate=a, hypothesis=f not in derived_set)
-            for f, r, n, a in zip(facts, rows, zip(*units), aggregates)}
+    hyp_units = [[min(1.0, max(0.0, u)) for u in _units(column, lo, hi)]
+                 for column, (lo, hi) in zip(zip(*rows[:n]), ranges)]
+    normalized = [*zip(*hyp_units), *zip(*units)]
+    aggregates = _add_terms([0.0] * n, hyp_units, cfg) + aggregates
+    return {f: ScoreCard(raw=dict(zip(METRICS, r)), normalized=dict(zip(METRICS, u)),
+                         aggregate=a, hypothesis=i < n)
+            for i, (f, r, u, a) in enumerate(zip(facts, rows, normalized, aggregates))}
 
 
 def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConfig,
@@ -268,7 +273,7 @@ def interesting_among(dag: DerivationDag, facts: Iterable[Fact], cfg: MetricConf
     """The facts of ``facts`` that filter_interesting(score_all(dag, cfg, memo),
     cfg) picks, found from the derived facts' aggregates alone, without
     score cards."""
-    derived, aggregates, _, _ = _passes(dag, cfg, memo or ScoreMemo.of(dag))
+    derived, aggregates, *_ = _passes(dag, cfg, memo or ScoreMemo.of(dag))
     wanted = set(facts)
     pool = zip(derived, aggregates)
     if not cfg.top_k:  # only a ranking needs the facts not asked about

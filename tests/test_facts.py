@@ -253,6 +253,34 @@ def test_degenerate_is_not_tautology():
     assert not is_degenerate(make_fact("coll", "A", "B", "C"))
 
 
+def _reference_verdicts(pred, a):
+    """(tautology, degenerate) for the fact pred(a), a in any argument
+    order, written from the docstrings of is_tautology and is_degenerate:
+    a side is the set of its two points, and a zero-length side names one
+    point twice.  An eqangle's two sides are its angles, each a pair of
+    lines."""
+    points = len(set(a))
+    if pred in ("coll", "midp", "cyclic"):
+        return {"coll": (points < 3, False), "midp": (points == 1, False),
+                "cyclic": (False, points < 4)}[pred]
+    side = [frozenset(a[i:i + 2]) for i in range(0, len(a), 2)]
+    zero = [a[i] == a[i + 1] for i in range(0, len(a), 2)]
+    return {
+        "para": (side[0] == side[1], any(zero)),
+        "perp": (False, any(zero) or side[0] == side[1]),
+        "cong": (side[0] == side[1] or all(zero), zero[0] != zero[1]),
+        "eqangle": (side[:2] == side[2:] and not any(zero), any(zero)),
+    }[pred]
+
+
+@pytest.mark.parametrize("pred", sorted(ARITIES))
+def test_verdicts_on_every_tuple_over_four_points(pred):
+    # every argument tuple over A-D: 65,536 for eqangle
+    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
+        f = canonicalize(Fact(pred, args))
+        assert (is_tautology(f), is_degenerate(f)) == _reference_verdicts(pred, args), args
+
+
 def test_fact_symbols():
     # weight counts the predicate and every argument, complexity the
     # predicate and each distinct point; a point named like a predicate

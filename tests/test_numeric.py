@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fuzzing import random_construction_text
 from geodeduce import (CoordinateModel, initial_facts, instantiate, make_fact,
                        parse_construction, saturate, verify)
 from geodeduce import numeric
+from geodeduce.facts import ARITIES
 from geodeduce.numeric import (DegenerateModelError, eval_condition, eval_fact,
                                model_from_coords, sample_models)
 
@@ -366,6 +369,109 @@ def test_plain_floats_match_numpy_reference(case, default_rules, monkeypatch):
                     args = f.args[:arity]
                     assert (eval_condition(m, kind, args)
                             == _ref_eval_condition(ref, kind, args)), (seed, kind, args)
+
+
+# -- eval_fact in its _vec/_dot/_cross form, kept as the reference ----------
+
+def _vec(a, b):
+    return (b[0] - a[0], b[1] - a[1])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _vector_dirangle(a, b, c, d):
+    u = _vec(a, b)
+    v = _vec(c, d)
+    if _dot(u, u) == 0 or _dot(v, v) == 0:
+        return None
+    return math.atan2(_cross(u, v), _dot(u, v))
+
+
+def _vector_eval_fact(m, f, tol):
+    p = [m.coords[name] for name in f.args]
+    s = m.scale
+    if f.pred in ("coll", "para", "perp"):
+        u = _vec(p[0], p[1])
+        v = _vec(p[0], p[2]) if f.pred == "coll" else _vec(p[2], p[3])
+        x = _dot(u, v) if f.pred == "perp" else _cross(u, v)
+        return x * x <= tol * s * s
+    if f.pred == "midp":
+        mid = (0.5 * (p[1][0] + p[2][0]), 0.5 * (p[1][1] + p[2][1]))
+        u = _vec(mid, p[0])
+        return _dot(u, u) <= tol * s
+    if f.pred == "cong":
+        u = _vec(p[0], p[1])
+        v = _vec(p[2], p[3])
+        return abs(_dot(u, u) - _dot(v, v)) <= tol * s
+    if f.pred == "cyclic":
+        o = numeric._circumcenter(p[0], p[1], p[2])
+        if o is None:
+            return False
+        u = _vec(o, p[0])
+        v = _vec(o, p[3])
+        return abs(_dot(v, v) - _dot(u, u)) <= tol * s
+    if f.pred == "eqangle":
+        t1 = _vector_dirangle(p[0], p[1], p[2], p[3])
+        t2 = _vector_dirangle(p[4], p[5], p[6], p[7])
+        if t1 is None or t2 is None:
+            return False
+        return abs(math.sin(t1 - t2)) <= tol
+    raise ValueError(f.pred)
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _flip(holds):
+    """The least double tol >= 0 at which holds(tol), a verdict that only
+    turns true as tol grows, is true; None if it is false at the largest
+    double.  Nonnegative doubles order as their bit patterns do."""
+    lo, hi = -1, _bits(sys.float_info.max)
+    if not holds(sys.float_info.max):
+        return None
+    while hi - lo > 1:  # holds at hi, fails at lo (or lo is below 0.0)
+        mid = (lo + hi) // 2
+        if holds(_double(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
+
+
+def test_eval_fact_flips_where_the_vector_form_does(default_rules):
+    # a reassociated expression moves the flip by a double or more, even
+    # where no report would show it
+    flipped = set()  # the predicates seen flipping above tol 0
+    for case in range(12):
+        c = parse_construction(random_construction_text(case))
+        points = c.points()
+        rng = np.random.default_rng(case)
+        facts = _probe_facts(c, default_rules)
+        for pred, arity in ARITIES.items():  # every predicate, over random points
+            facts += [make_fact(pred, *rng.choice(points, arity, replace=len(points) < arity))
+                      for _ in range(4)]
+        for seed in range(2):
+            try:
+                m = instantiate(c, seed)
+            except DegenerateModelError:
+                continue
+            for f in facts:
+                flip = _flip(lambda tol: _vector_eval_fact(m, f, tol))
+                assert _flip(lambda tol: eval_fact(m, f, tol)) == flip, (case, seed, f, flip)
+                if flip:
+                    flipped.add(f.pred)
+    assert flipped == set(ARITIES)
 
 
 @pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 1.0},

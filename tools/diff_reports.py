@@ -1,6 +1,6 @@
 """Compare the JSON reports of two source trees, byte for byte.
 
-    python3 tools/diff_reports.py OLD_TREE NEW_TREE
+    python3 tools/diff_reports.py OLD_TREE NEW_TREE [--mask FIELD ...]
 
 Runs the bundled examples, the circle ladder (k = 4..10 and 12 concyclic
 points), the feet ladder (k = 8..20 and 26 feet on one line) and the
@@ -24,7 +24,9 @@ process-level memo (compiled rules, slot tables, draw prefixes).
 The inputs are this checkout's examples, the figures below, which the
 tests import, and the pools that ``geobench/workloads.py`` builds; nothing
 under ``geobench/`` is written.  Prints each case whose report differs and exits 1
-on any difference.  Nothing is written.
+on any difference.  Nothing is written.  ``--mask FIELD``, repeatable,
+compares the reports with the named top-level JSON fields removed, for a
+change meant to move those fields only.
 """
 
 from __future__ import annotations
@@ -147,6 +149,18 @@ def start(tree: Path, hash_seed: str, todo: list) -> subprocess.Popen:
     return proc
 
 
+def masked(report: str, fields) -> str:
+    """The report without the named top-level JSON fields, laid out as
+    emit_report lays it out; an error text, or any report when no field is
+    named, as it is."""
+    if not fields or report.startswith("error: "):
+        return report
+    obj = json.loads(report)
+    for name in fields:
+        obj.pop(name, None)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def first_difference(a: str, b: str) -> str:
     for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
         if x != y:
@@ -158,6 +172,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
+    parser.add_argument("--mask", action="append", default=[], metavar="FIELD",
+                        help="compare without this top-level report field; repeatable")
     args = parser.parse_args(argv)
     todo = cases()
     trees = (args.old_tree.resolve(), args.new_tree.resolve())
@@ -169,7 +185,8 @@ def main(argv=None) -> int:
         if proc.wait():
             print(f"{tree}: the worker failed (exit {proc.returncode})")
             return 1
-        reports.append(json.loads(out))
+        reports.append({name: masked(text, args.mask)
+                        for name, text in json.loads(out).items()})
     old, new = reports
     differ = [name for name, *_ in todo if old[name] != new[name]]
     for name in differ:
