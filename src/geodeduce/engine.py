@@ -27,10 +27,9 @@ The loops keep the depth-first order of a backtracking walk, and no list
 of rows or partial bindings is built.  A pair of points that must differ
 is tested at the loop that binds the later one: every ``distinct`` side,
 and each pair of conclusion arguments whose equality makes the fact
-degenerate and never a tautology
-(``facts.DEGENERATE_PAIRS``: any two points of a cyclic, a zero-length
-side of a perp or eqangle).  Innermost, the kernel does the whole
-per-binding work: one lookup in the verdict store, the drop counters and
+degenerate and never a tautology (its ``facts.PREDICATES`` record's
+``degenerate_pairs``: any two points of a cyclic, a zero-length side of a
+perp or eqangle).  Innermost, the kernel does the whole per-binding work: one lookup in the verdict store, the drop counters and
 the choice of the least derivation.  The generated text holds only
 local names and numbers; the rule's name, predicates and points reach the
 kernel as values.  There is one kernel per rule, the one ``derive_round``
@@ -80,8 +79,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .facts import (DEGENERATE_PAIRS, LEX_ORBITS, SYMMETRIES, Fact, canonicalize,
-                    is_degenerate, is_tautology, orbit)
+from .facts import PREDICATES, Fact, canonicalize, orbit
 from .rules import MAX_PREMISES, Rule, is_variable, symmetries
 
 
@@ -224,7 +222,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     in the slot that binds x: a swap's two variables share every premise,
     so that slot binds y too.  Each distinct side is tested at the loop that
     binds the later of its points, as is each pair of conclusion arguments
-    in ``DEGENERATE_PAIRS``.  The kernel is generated last."""
+    in its predicate's ``degenerate_pairs``.  The kernel is generated last."""
     if len(rule.premises) > MAX_PREMISES:  # one nested loop per premise
         raise ValueError(f"rule {rule.name!r} has {len(rule.premises)} premises; "
                          f"the join takes at most {MAX_PREMISES}")
@@ -256,7 +254,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     head = tuple(at[a] for a in rule.conclusion.args)
     differ = [tuple(at[a] for a in s.args) for s in rule.side_conditions
               if s.pred == "distinct"]
-    differ += [(head[i], head[j]) for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())]
+    differ += [(head[i], head[j]) for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs]
     compiled = CompiledRule(
         rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans, consts,
         tuple((at[x], at[y]) for x, y in pairs),
@@ -268,10 +266,10 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
 def _breaks(rule: Rule, x: str, y: str) -> bool:
     """Whether the slot binding the symmetry (x y), the first premise that
     names x, draws the variant with v[px] <= v[py] before its swapped image.
-    Outside the lexicographic orbits only a swap of whole segments or rays
-    does: each two-point block naming x or y is {x, y}."""
+    Outside the lexicographic groups (the record's ``lex``) only a swap of
+    whole segments or rays does: each two-point block naming x or y is {x, y}."""
     pattern = next(p for p in rule.premises if x in p.args)
-    return pattern.pred in LEX_ORBITS or all(
+    return PREDICATES[pattern.pred].lex or all(
         {u, v} == {x, y} for u, v in zip(pattern.args[0::2], pattern.args[1::2])
         if {u, v} & {x, y})
 
@@ -372,8 +370,8 @@ def _judge(memo: Dict[tuple, object], pred: str, args: Tuple[str, ...]) -> objec
     """The verdict on a conclusion's arguments, stored in the memo: its
     canonical fact, TAUTOLOGY or DEGENERATE."""
     fact = canonicalize(Fact(pred, args))
-    verdict = (TAUTOLOGY if is_tautology(fact) else
-               DEGENERATE if is_degenerate(fact) else fact)
+    verdict = (TAUTOLOGY if PREDICATES[pred].tautology(fact.args) else
+               DEGENERATE if PREDICATES[pred].degenerate(fact.args) else fact)
     memo[args] = verdict
     return verdict
 
@@ -388,7 +386,7 @@ def _admitted(slot: _Slot, shape: Tuple[int, ...]) -> Tuple[Tuple[Callable, ...]
              + [(operator.le, p, q) for p, q in slot.lex])
     at = [i for i, _ in slot.consts]
     out, seen = [], set()
-    for perm in SYMMETRIES[slot.pred]:
+    for perm in PREDICATES[slot.pred].group:
         v = operator.itemgetter(*perm)(shape)
         if v not in seen and all([test(v[p], v[q]) for test, p, q in tests]):
             out.append(tuple(_getter(tuple(map(perm.__getitem__, pos)))
@@ -510,7 +508,7 @@ def derive_round(state: JoinState):
     The counters count bindings of the full join: each kept binding adds
     its orbit size.  The degenerate counter leaves out the bindings that a
     loop test rules out: a conclusion with equal points at one of its
-    ``DEGENERATE_PAIRS`` is degenerate, so it is never drawn.
+    predicate's ``degenerate_pairs`` is degenerate, so it is never drawn.
 
     Each rule is joined under every plan of its compiled form, semi-naive:
     one slot over DELTA, the facts of round ``dag.rounds``, the slots before

@@ -5,29 +5,20 @@ A fact is a predicate applied to an ordered tuple of point names, e.g.
 canonical form: the lexicographic minimum over the predicate's symmetry
 orbit.  This makes set membership, hashing and fixpoint detection
 well defined.  A rule's atoms use the same record over variable names,
-as written (rules.py).  Canonical forms and verdicts are one closed form
-per predicate, each table keyed by predicate; docs/predicates.md lists
-every predicate's arity, symmetries, canonical form and verdicts.
+as written (rules.py).  Each predicate is one ``Predicate`` record in
+``PREDICATES``: its symmetry group, built from generators, its canonical
+form in closed form, its two verdicts and its degenerate pairs;
+docs/predicates.md lists every predicate's arity, symmetries, canonical
+form and verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
-from typing import Dict, List, NamedTuple, Tuple
-
-# predicate name -> arity
-ARITIES: Dict[str, int] = {
-    "coll": 3,
-    "para": 4,
-    "perp": 4,
-    "midp": 3,
-    "cong": 4,
-    "cyclic": 4,
-    "eqangle": 8,
-}
-
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 # a point name, in facts, rules and constructions alike
 IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -59,48 +50,37 @@ class Fact(NamedTuple):
         return frozenset(self.args)
 
 
-def _check(pred: str, args: Tuple[str, ...]) -> None:
-    if pred not in ARITIES:
-        raise MalformedFactError(f"unknown predicate {pred!r}")
-    if len(args) != ARITIES[pred]:
-        raise MalformedFactError(
-            f"{pred} expects {ARITIES[pred]} arguments, got {len(args)}"
-        )
+class Predicate(NamedTuple):
+    """One predicate's meaning.  :func:`_predicate` computes the first four
+    fields from the generators of the symmetry group; the last four are given."""
+
+    group: Tuple[Tuple[int, ...], ...]  # the symmetry group, sorted: identity first
+    arity: int
+    variants: Tuple[Callable, ...]  # an itemgetter per permutation of group
+    lex: bool  # group is the whole symmetric group on the positions it moves
+    canonical: Callable[[Tuple[str, ...]], Tuple[str, ...]]  # args -> min(orbit)
+    tautology: Callable[[Tuple[str, ...]], bool]  # on canonical arguments
+    degenerate: Callable[[Tuple[str, ...]], bool]  # on canonical arguments
+    degenerate_pairs: Tuple[Tuple[int, int], ...]
 
 
-# predicates whose orbit lists the variants in lexicographic order
-LEX_ORBITS = ("coll", "cyclic", "midp")
+def _never(a: Tuple[str, ...]) -> bool:
+    return False
 
 
-def _block_perms(n_blocks: int) -> List[Tuple[int, ...]]:
-    """Flip any subset of the two-point blocks, then keep or swap the halves."""
-    half, perms = n_blocks // 2, []
-    for flips in itertools.product((0, 1), repeat=n_blocks):
-        blocks = [(2 * i + f, 2 * i + 1 - f) for i, f in enumerate(flips)]
-        perms += (sum(blocks, ()), sum(blocks[half:] + blocks[:half], ()))
-    return perms
-
-
-# predicate -> its symmetry group: index permutations in lexicographic order.
-# coll/cyclic are fully symmetric; midp swaps its endpoints; para/perp/cong
-# flip each segment and swap the pair; eqangle flips each ray (lines are
-# taken modulo orientation) and swaps its two angles.
-SYMMETRIES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
-    pred: tuple(sorted(perms)) for pred, perms in {
-        "coll": itertools.permutations(range(3)),
-        "cyclic": itertools.permutations(range(4)),
-        "midp": [(0, 1, 2), (0, 2, 1)],
-        **dict.fromkeys(("para", "perp", "cong"), _block_perms(2)),
-        "eqangle": _block_perms(4)}.items()}
-_VARIANTS = {pred: [operator.itemgetter(*p) for p in perms]
-             for pred, perms in SYMMETRIES.items()}
-
-
-def orbit(fact: Fact) -> List[Tuple[str, ...]]:
-    """Every argument tuple in the fact's symmetry class, repeats included,
-    in the lexicographic order of their argument permutations
-    (``SYMMETRIES``): the order the engine's symmetry breaking relies on."""
-    return [variant(fact.args) for variant in _VARIANTS[fact.pred]]
+def _predicate(generators: List[Tuple[int, ...]], canonical, tautology=_never,
+               degenerate=_never, degenerate_pairs=()) -> Predicate:
+    """The record whose group the generators, index permutations, span; a
+    verdict not given never holds."""
+    group, size = {tuple(range(len(generators[0])))}, 0
+    while len(group) > size:  # compose with the generators until nothing is new
+        size = len(group)
+        group |= {tuple(p[i] for i in g) for p in group for g in generators}
+    moved = {i for p in group for i, j in enumerate(p) if i != j}
+    perms = tuple(sorted(group))
+    return Predicate(perms, len(perms[0]), tuple(operator.itemgetter(*p) for p in perms),
+                     len(perms) == math.factorial(len(moved)),
+                     canonical, tautology, degenerate, degenerate_pairs)
 
 
 def _sort3(a: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -137,20 +117,68 @@ def _angles(a: Tuple[str, ...]) -> Tuple[str, ...]:
     return (p, q, r, s, t, u, v, w) if (p, q, r, s) <= (t, u, v, w) else (t, u, v, w, p, q, r, s)
 
 
-# predicate -> min(orbit) in closed form, whose unpacking checks the arity:
-# coll/cyclic sort all points and midp its endpoints; para/perp/cong/eqangle
-# compare-swap each two-point block, then take the smaller of the two halves
-_CANONICAL = {"coll": _sort3, "cyclic": _sort4, "midp": _midp, "para": _segments,
-              "perp": _segments, "cong": _segments, "eqangle": _angles}
+# predicate -> its record.  Symmetries: coll and cyclic are fully symmetric;
+# midp swaps its endpoints; para/perp/cong flip each segment and swap the
+# pair; eqangle flips each ray (lines are taken modulo orientation) and
+# swaps its two angles.  The canonical form is min(orbit) in closed form,
+# whose unpacking checks the arity: coll/cyclic sort all points and midp its
+# endpoints; para/perp/cong/eqangle compare-swap each two-point block, then
+# take the smaller of the two halves.  A degenerate pair (i, j) is two
+# argument positions where one point makes the fact degenerate and never a
+# tautology, whatever its other points are: any two points of a cyclic, and
+# the two ends of a perp or eqangle side.  (A para's zero-length side is no
+# such pair: para(A,A,A,A) is a tautology.)
+PREDICATES: Dict[str, Predicate] = {
+    "coll": _predicate([(1, 0, 2), (1, 2, 0)], _sort3, tautology=lambda a: len(set(a)) < 3),
+    "para": _predicate([(1, 0, 2, 3), (2, 3, 0, 1)], _segments,
+                       tautology=lambda a: a[0:2] == a[2:4],
+                       degenerate=lambda a: a[0] == a[1] or a[2] == a[3]),
+    "perp": _predicate([(1, 0, 2, 3), (2, 3, 0, 1)], _segments,
+                       degenerate=lambda a: a[0] == a[1] or a[2] == a[3] or a[0:2] == a[2:4],
+                       degenerate_pairs=((0, 1), (2, 3))),
+    "midp": _predicate([(0, 2, 1)], _midp, tautology=lambda a: a[0] == a[1] == a[2]),
+    "cong": _predicate([(1, 0, 2, 3), (2, 3, 0, 1)], _segments,
+                       tautology=lambda a: a[0:2] == a[2:4] or (a[0] == a[1] and a[2] == a[3]),
+                       degenerate=lambda a: (a[0] == a[1]) != (a[2] == a[3])),
+    "cyclic": _predicate([(1, 0, 2, 3), (1, 2, 3, 0)], _sort4,
+                         degenerate=lambda a: len(set(a)) < 4,
+                         degenerate_pairs=tuple(itertools.combinations(range(4), 2))),
+    # flip either ray of the first angle, swap the two angles
+    "eqangle": _predicate([(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 3, 2, 4, 5, 6, 7),
+                           (4, 5, 6, 7, 0, 1, 2, 3)], _angles,
+                          tautology=lambda a: a[0:4] == a[4:8] and a[0] != a[1] and a[2] != a[3],
+                          degenerate=lambda a: (a[0] == a[1] or a[2] == a[3]
+                                                or a[4] == a[5] or a[6] == a[7]),
+                          degenerate_pairs=((0, 1), (2, 3), (4, 5), (6, 7))),
+}
+
+
+def check_fact(fact: Fact) -> None:
+    """Raise MalformedFactError unless the fact's predicate is known and
+    takes as many arguments as the fact has."""
+    if fact.pred not in PREDICATES:
+        raise MalformedFactError(f"unknown predicate {fact.pred!r}")
+    arity = PREDICATES[fact.pred].arity
+    if len(fact.args) != arity:
+        raise MalformedFactError(
+            f"{fact.pred} expects {arity} arguments, got {len(fact.args)}"
+        )
+
+
+def orbit(fact: Fact) -> List[Tuple[str, ...]]:
+    """Every argument tuple in the fact's symmetry class, repeats included,
+    in the lexicographic order of their argument permutations (the record's
+    ``group``): the order the engine's symmetry breaking relies on."""
+    return [variant(fact.args) for variant in PREDICATES[fact.pred].variants]
 
 
 def canonicalize(fact: Fact) -> Fact:
     """Return the unique representative of the fact's symmetry class,
     ``min(orbit(fact))``, in closed form (docs/predicates.md)."""
     try:
-        return Fact(fact.pred, _CANONICAL[fact.pred](fact.args))
+        return Fact(fact.pred, PREDICATES[fact.pred].canonical(fact.args))
     except (KeyError, ValueError):  # an unknown predicate or a wrong arity
-        _check(fact.pred, fact.args)
+        check_fact(fact)
         raise
 
 
@@ -179,65 +207,32 @@ def parse_fact(text: str) -> Fact:
     return make_fact(pred, *args)
 
 
-def _never(a: Tuple[str, ...]) -> bool:
-    return False
-
-
-# predicate -> whether a canonical fact's arguments make it a tautology
-_TAUTOLOGY = {
-    "coll": lambda a: len(set(a)) < 3,
-    "midp": lambda a: a[0] == a[1] == a[2],
-    "para": lambda a: a[0:2] == a[2:4],
-    "perp": _never,
-    "cong": lambda a: a[0:2] == a[2:4] or (a[0] == a[1] and a[2] == a[3]),
-    "cyclic": _never,
-    "eqangle": lambda a: a[0:4] == a[4:8] and a[0] != a[1] and a[2] != a[3],
-}
-# predicate -> whether a canonical fact's arguments make it degenerate
-_DEGENERATE = {
-    "coll": _never,
-    "midp": _never,
-    "para": lambda a: a[0] == a[1] or a[2] == a[3],
-    "perp": lambda a: a[0] == a[1] or a[2] == a[3] or a[0:2] == a[2:4],
-    "cong": lambda a: (a[0] == a[1]) != (a[2] == a[3]),
-    "cyclic": lambda a: len(set(a)) < 4,
-    "eqangle": lambda a: a[0] == a[1] or a[2] == a[3] or a[4] == a[5] or a[6] == a[7],
-}
-
-
 def is_tautology(fact: Fact) -> bool:
-    """True iff the canonical fact holds under every assignment of coordinates.
+    """True iff the fact holds under every assignment of coordinates.
 
-    coll with a repeated point, midp of a point with itself, and
-    cong/para/eqangle whose two sides coincide are tautologies; an eqangle
-    only if it is not degenerate.  A cong whose both segments have zero
-    length (e.g. cong(A,A,B,B)) also holds everywhere and is flagged here.
+    The fact is canonicalized first, so every argument order gets the same
+    verdict, and a malformed fact raises MalformedFactError.  coll with a
+    repeated point, midp of a point with itself, and cong/para/eqangle
+    whose two sides coincide are tautologies; an eqangle only if it is not
+    degenerate.  A cong whose both segments have zero length (e.g.
+    cong(A,A,B,B)) also holds everywhere and is flagged here.
     Repeated-point cyclic, zero-length para/perp/eqangle sides and
     identical-sides perp (a line is never perpendicular to itself) are
     *degenerate*, not tautological (see :func:`is_degenerate`).
     """
-    return _TAUTOLOGY[fact.pred](fact.args)
+    c = canonicalize(fact)
+    return PREDICATES[c.pred].tautology(c.args)
 
 
 def is_degenerate(fact: Fact) -> bool:
-    """True for canonical facts whose predicate loses meaning on these
-    arguments: a cyclic with a repeated point, a para, perp or eqangle
-    with a zero-length side, a perp with identical sides, and a cong with
-    exactly one zero-length side, which asserts a point coincidence.
+    """True for facts whose predicate loses meaning on these arguments: a
+    cyclic with a repeated point, a para, perp or eqangle with a
+    zero-length side, a perp with identical sides, and a cong with exactly
+    one zero-length side, which asserts a point coincidence.  Like
+    :func:`is_tautology`, it canonicalizes the fact first.
 
     Degeneracy is a third verdict next to tautology/ordinary so the
     engine can reject such conclusions instead of silently keeping them.
     """
-    return _DEGENERATE[fact.pred](fact.args)
-
-
-# predicate -> pairs (i, j) of argument positions: a fact with one point at
-# both is degenerate and never a tautology, whatever its other points are.
-# Any two points of a cyclic, and the two ends of a perp or eqangle side.
-# (A para's zero-length side is no such pair: para(A,A,A,A) is a tautology.)
-DEGENERATE_PAIRS: Dict[str, Tuple[Tuple[int, int], ...]] = {
-    "cyclic": tuple(itertools.combinations(range(4), 2)),
-    "perp": ((0, 1), (2, 3)),
-    "eqangle": ((0, 1), (2, 3), (4, 5), (6, 7)),
-}
-
+    c = canonicalize(fact)
+    return PREDICATES[c.pred].degenerate(c.args)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .construction import Construction
-from .facts import Fact, make_fact
+from .facts import Fact, check_fact, make_fact
 
 MIN_SPACING = 1e-3        # pairwise distance floor, relative to the diameter
 MIN_SIN = 1e-3            # intersection-angle floor
@@ -372,9 +372,11 @@ def verify(f: Fact, c: Construction, n_models: int = 5,
            tol_rel: float = DEFAULT_TOL, master_seed: int = 0) -> Verdict:
     """holds iff f is true in all n non-degenerate sampled models.
 
-    Raises ValueError for a point f names that c does not define, a bad
-    tol_rel (see check_tol) or master_seed < 0.
+    Raises ValueError for a malformed f (MalformedFactError), a point f
+    names that c does not define, a bad tol_rel (see check_tol) or
+    master_seed < 0.
     """
+    check_fact(f)
     check_tol(tol_rel)
     undefined = sorted(set(f.args) - set(c.points()))
     if undefined:

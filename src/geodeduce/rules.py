@@ -31,11 +31,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .facts import ARITIES, IDENTIFIER, Fact, MalformedFactError, orbit, parse_atom
+from .facts import IDENTIFIER, PREDICATES, Fact, MalformedFactError, orbit, parse_atom
 
 MAX_PREMISES = 20  # CPython's limit on statically nested blocks (through 3.12)
 SIDE_ARITIES = {"distinct": 2, "non_collinear": 3, "distinct_lines": 4}
-_BODY_ARITIES = {**ARITIES, **SIDE_ARITIES}
 
 _HEAD = re.compile(r"\s*rule\s+(\w+)\s*:\s*(.*)$")
 
@@ -91,16 +90,17 @@ def symmetries(rule: Rule) -> Tuple[Tuple[str, str], ...]:
     return tuple(found)
 
 
-def _parse_atom(text: str, lineno: int, arities: Dict[str, int], what: str) -> Fact:
-    """One atom whose predicate is in arities, with that many arguments."""
+def _parse_atom(text: str, lineno: int, sides: Dict[str, int], what: str) -> Fact:
+    """One atom of a predicate of facts.PREDICATES or of sides, with its arity."""
     try:
         pred, args = parse_atom(text)
     except MalformedFactError as e:
         raise RuleParseError(str(e), lineno) from None
-    if pred not in arities:
+    arity = PREDICATES[pred].arity if pred in PREDICATES else sides.get(pred)
+    if arity is None:
         raise RuleParseError(f"unknown {what} {pred!r}", lineno)
-    if len(args) != arities[pred]:
-        raise RuleParseError(f"{pred} expects {arities[pred]} arguments", lineno)
+    if len(args) != arity:
+        raise RuleParseError(f"{pred} expects {arity} arguments", lineno)
     return Fact(pred, args)
 
 
@@ -144,7 +144,7 @@ def parse_rules(text: str) -> List[Rule]:
         premises: List[Fact] = []
         sides: List[Fact] = []
         for atom_text in _split_atoms(body_text):
-            atom = _parse_atom(atom_text, lineno, _BODY_ARITIES, "predicate")
+            atom = _parse_atom(atom_text, lineno, SIDE_ARITIES, "predicate")
             (sides if atom.pred in SIDE_ARITIES else premises).append(atom)
         if not premises:
             raise RuleParseError("rule needs at least one premise", lineno)
@@ -152,7 +152,7 @@ def parse_rules(text: str) -> List[Rule]:
             raise RuleParseError(f"rule has {len(premises)} premises, at most "
                                  f"{MAX_PREMISES} are allowed", lineno)
 
-        conclusion = _parse_atom(concl_text, lineno, ARITIES, "conclusion predicate")
+        conclusion = _parse_atom(concl_text, lineno, {}, "conclusion predicate")
 
         bound = set().union(*map(variables, premises))
         for v in sorted(variables(conclusion) - bound):

@@ -10,7 +10,7 @@ from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
 from geodeduce.engine import (_compile, _index, compile_rule,
                               derive_round, Derivation, DerivationDag, JoinState)
-from geodeduce.facts import (DEGENERATE_PAIRS, Fact, canonicalize, is_degenerate,
+from geodeduce.facts import (PREDICATES, Fact, canonicalize, is_degenerate,
                              is_tautology, orbit)
 from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
 
@@ -354,12 +354,12 @@ def _hashable(pairs):
 def _drawn(rule, binding):
     """Whether the kernel's loop tests let a reference binding through:
     every distinct side holds, and the conclusion has no point at
-    two positions of a degenerate pair (facts.DEGENERATE_PAIRS)."""
+    two positions of a degenerate pair (facts.PREDICATES)."""
     head = [binding.get(a, a) for a in rule.conclusion.args]
     return (all(binding.get(x, x) != binding.get(y, y)
                 for s in rule.side_conditions if s.pred == "distinct" for x, y in [s.args])
             and all(head[i] != head[j]
-                    for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ())))
+                    for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs))
 
 
 def _assert_rows_equal_reference(rule, facts):

@@ -1,13 +1,14 @@
 """Canonical forms, tautology/degeneracy verdicts, symbol counting."""
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodeduce.facts import (ARITIES, DEGENERATE_PAIRS, SYMMETRIES, Fact, MalformedFactError,
-                             canonicalize, is_degenerate,
-                             is_tautology, make_fact, orbit, parse_fact)
+from geodeduce.facts import (PREDICATES, Fact, MalformedFactError, canonicalize,
+                             is_degenerate, is_tautology, make_fact, orbit, parse_fact)
 from geodeduce.numeric import eval_fact, model_from_coords
 from geodeduce.scoring import complexity, weight
 
@@ -36,6 +37,12 @@ def test_arity_mismatch():
         make_fact("coll", "A", "B")
     with pytest.raises(MalformedFactError):
         make_fact("nosuch", "A", "B")
+    # the public verdicts check a fact as canonicalize does
+    for bad in [Fact("coll", ("A",)), Fact("coll", ("A", "B")), Fact("coll", tuple("ABCD")),
+                Fact("eqangle", tuple("ABCDABC")), Fact("nosuch", ("A", "B"))]:
+        for judge in (canonicalize, is_tautology, is_degenerate):
+            with pytest.raises(MalformedFactError):
+                judge(bad)
 
 
 def test_parse_fact_roundtrip():
@@ -45,13 +52,13 @@ def test_parse_fact_roundtrip():
 
 
 names = st.sampled_from(["A", "B", "C", "D", "E", "M", "N", "O"])
-preds = st.sampled_from(sorted(ARITIES))
+preds = st.sampled_from(sorted(PREDICATES))
 
 
 @st.composite
 def raw_facts(draw, names=names):
     pred = draw(preds)
-    args = tuple(draw(names) for _ in range(ARITIES[pred]))
+    args = tuple(draw(names) for _ in range(PREDICATES[pred].arity))
     return Fact(pred, args)
 
 
@@ -107,8 +114,8 @@ ADVERSARIAL = st.sampled_from(["A", "A0", "A1", "A10", "A_", "AB", "Ab", "Aa",
 
 # the engine, scoring and the report sort facts as tuples and rely on this
 @given(st.lists(raw_facts(ADVERSARIAL), max_size=12))
-@example([make_fact(p, *["A", "A1", "A_", "Ab", "a", "a1", "AB", "A0"][:n])
-          for p, n in ARITIES.items()])
+@example([make_fact(p, *["A", "A1", "A_", "Ab", "a", "a1", "AB", "A0"][:r.arity])
+          for p, r in PREDICATES.items()])
 def test_canonical_facts_sort_as_their_text(facts):
     facts = [canonicalize(f) for f in facts]
     assert sorted(facts) == sorted(facts, key=str)
@@ -129,14 +136,13 @@ def _equality_patterns(n):
 BELL = {3: 5, 4: 15, 8: 4140}  # the number of equality patterns of n arguments
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_degenerate_pairs_are_exact(pred):
-    """Equal points at a pair of DEGENERATE_PAIRS make the fact degenerate
+    """Equal points at one of its degenerate pairs make the fact degenerate
     and no tautology, for every equality pattern of its arguments under two
     orders of its points.  Each pair left out has a pattern where they do
     not, so the engine's loops test every such pair."""
-    n = ARITIES[pred]
-    pairs = DEGENERATE_PAIRS.get(pred, ())
+    n, pairs = PREDICATES[pred].arity, PREDICATES[pred].degenerate_pairs
     left_out = set(itertools.combinations(range(n), 2)) - set(pairs)
     patterns = list(_equality_patterns(n))
     assert len(patterns) == BELL[n]
@@ -157,9 +163,9 @@ def test_fact_is_immutable_with_a_stable_repr():
     assert repr(f) == "Fact(pred='coll', args=('A', 'B', 'C'))"
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_canonicalize_is_orbit_minimum_exhaustive(pred):
-    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
+    for args in itertools.product("ABCD", repeat=PREDICATES[pred].arity):
         f = Fact(pred, args)
         assert canonicalize(f).args == min(orbit(f))
 
@@ -199,9 +205,9 @@ def _reference_orbit(fact):
 SAME_ORDER_AS_LOOPS = ("coll", "cyclic", "midp", "eqangle")
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_orbit_table_matches_reference_loops_exhaustive(pred):
-    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
+    for args in itertools.product("ABCD", repeat=PREDICATES[pred].arity):
         f = Fact(pred, args)
         got, want = orbit(f), list(_reference_orbit(f))
         if pred in SAME_ORDER_AS_LOOPS:
@@ -210,20 +216,35 @@ def test_orbit_table_matches_reference_loops_exhaustive(pred):
             assert sorted(got) == sorted(want), f
 
 
-GROUP_SIZES = {"coll": 6, "cyclic": 24, "midp": 2, "para": 8, "perp": 8,
-               "cong": 8, "eqangle": 32}
+def _documented_sizes():
+    """predicate -> (arity, group size), read from the "arity, group size"
+    column of the table in docs/predicates.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "predicates.md").read_text()
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in text.splitlines() if line.startswith("|")]
+    col = rows[0].index("arity, group size")
+    return {re.match(r"`(\w+)\(", row[0]).group(1): tuple(map(int, row[col].split(",")))
+            for row in rows[2:]}
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+DOCUMENTED_SIZES = _documented_sizes()
+
+
+def test_predicates_page_lists_every_predicate():
+    assert sorted(DOCUMENTED_SIZES) == sorted(PREDICATES)
+
+
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_symmetry_table_is_a_sorted_group(pred):
-    n = ARITIES[pred]
+    n, size = DOCUMENTED_SIZES[pred]
+    assert PREDICATES[pred].arity == n
     names = "ABCDEFGH"[:n]
     # on distinct points each variant spells out its index permutation
     perms = [tuple(names.index(x) for x in v) for v in orbit(Fact(pred, tuple(names)))]
-    assert perms == list(SYMMETRIES[pred])
+    assert perms == list(PREDICATES[pred].group)
     assert perms[0] == tuple(range(n))
     assert perms == sorted(perms)
-    assert len(set(perms)) == len(perms) == GROUP_SIZES[pred]
+    assert len(set(perms)) == len(perms) == size
     group = set(perms)
     for p, q in itertools.product(perms, repeat=2):
         assert tuple(p[i] for i in q) in group
@@ -237,6 +258,10 @@ def test_tautology_verdicts():
     assert is_tautology(make_fact("eqangle", "C", "A", "C", "B", "C", "A", "C", "B"))
     # both-sides-zero cong holds everywhere
     assert is_tautology(make_fact("cong", "A", "A", "B", "B"))
+    # any argument order gets the verdict of its canonical form
+    assert is_tautology(Fact("para", ("A", "B", "B", "A")))
+    assert is_tautology(Fact("cong", ("B", "A", "A", "B")))
+    assert is_degenerate(Fact("perp", ("C", "D", "D", "C")))
 
 
 def test_degenerate_is_not_tautology():
@@ -273,12 +298,13 @@ def _reference_verdicts(pred, a):
     }[pred]
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_verdicts_on_every_tuple_over_four_points(pred):
-    # every argument tuple over A-D: 65,536 for eqangle
-    for args in itertools.product("ABCD", repeat=ARITIES[pred]):
-        f = canonicalize(Fact(pred, args))
-        assert (is_tautology(f), is_degenerate(f)) == _reference_verdicts(pred, args), args
+    # every argument tuple over A-D, as written and canonical: 65,536 for eqangle
+    for args in itertools.product("ABCD", repeat=PREDICATES[pred].arity):
+        want = _reference_verdicts(pred, args)
+        for f in (Fact(pred, args), canonicalize(Fact(pred, args))):
+            assert (is_tautology(f), is_degenerate(f)) == want, f
 
 
 def test_fact_symbols():

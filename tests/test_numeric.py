@@ -14,7 +14,7 @@ from fuzzing import random_construction_text
 from geodeduce import (CoordinateModel, initial_facts, instantiate, make_fact,
                        parse_construction, saturate, verify)
 from geodeduce import numeric
-from geodeduce.facts import ARITIES
+from geodeduce.facts import PREDICATES, Fact, MalformedFactError
 from geodeduce.numeric import (DegenerateModelError, eval_condition, eval_fact,
                                model_from_coords, sample_models)
 
@@ -136,6 +136,11 @@ def test_verify_rejects_undefined_point(pappus, monkeypatch):
     monkeypatch.setattr(numeric, "sample_models", None)  # must not be reached
     with pytest.raises(ValueError, match="undefined point.* Z"):
         verify(make_fact("coll", "A", "B", "Z"), pappus)
+    # a malformed fact, even over defined points, is rejected before sampling
+    for bad in [Fact("coll", ("A", "B")), Fact("coll", tuple("ABCD")),
+                Fact("nosuch", ("A", "B"))]:
+        with pytest.raises(MalformedFactError):
+            verify(bad, pappus)
 
 
 # fuzz figures 8 and 14 put two points on one spot by construction
@@ -458,7 +463,8 @@ def test_eval_fact_flips_where_the_vector_form_does(default_rules):
         points = c.points()
         rng = np.random.default_rng(case)
         facts = _probe_facts(c, default_rules)
-        for pred, arity in ARITIES.items():  # every predicate, over random points
+        for pred, record in PREDICATES.items():  # every predicate, over random points
+            arity = record.arity
             facts += [make_fact(pred, *rng.choice(points, arity, replace=len(points) < arity))
                       for _ in range(4)]
         for seed in range(2):
@@ -471,7 +477,7 @@ def test_eval_fact_flips_where_the_vector_form_does(default_rules):
                 assert _flip(lambda tol: eval_fact(m, f, tol)) == flip, (case, seed, f, flip)
                 if flip:
                     flipped.add(f.pred)
-    assert flipped == set(ARITIES)
+    assert flipped == set(PREDICATES)
 
 
 @pytest.mark.parametrize("kwargs", [{"tol_rel": -1.0}, {"tol_rel": 1.0},

@@ -14,7 +14,7 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
                        parse_rules, saturate)
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, compile_rule,
                               derive_round)
-from geodeduce.facts import ARITIES, DEGENERATE_PAIRS, Fact, canonicalize, orbit
+from geodeduce.facts import PREDICATES, Fact, canonicalize, orbit
 from geodeduce.rules import Rule, symmetries
 
 from conftest import (ROOT, binding_names, concyclic_text, kernel_rows, naive_plans,
@@ -78,7 +78,7 @@ def _join_list(compiled, rule, facts):
     order.  The conclusion arguments the kernel builds from the tuple must
     agree with grounding by name, point constants included.  The loop tests
     pass every distinct side and no conclusion with one point at two
-    positions of ``DEGENERATE_PAIRS``, so every drawn binding satisfies
+    positions of its degenerate pairs, so every drawn binding satisfies
     them all."""
     lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
              for p in rule.premises]
@@ -92,7 +92,7 @@ def _join_list(compiled, rule, facts):
         named = dict(zip(names[k:], b[k:]))
         assert head == _ground(rule.conclusion.args, named)
         assert all(len(set(_ground(args, named))) == 2 for args in sides)
-        assert all(head[i] != head[j] for i, j in DEGENERATE_PAIRS.get(rule.conclusion.pred, ()))
+        assert all(head[i] != head[j] for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs)
         out.append((named, used))
     return out
 
@@ -185,14 +185,14 @@ def _shapes(n):
     yield from grow((), 0)
 
 
-@pytest.mark.parametrize("pred", sorted(ARITIES))
+@pytest.mark.parametrize("pred", sorted(PREDICATES))
 def test_lex_constraint_picks_first_drawn_variant(pred):
     """For every pattern shape and every swap (x y) its binding slot breaks,
     a variant v comes before its swapped image in the fact's orbit exactly
     when v[px] < v[py]."""
     rng = random.Random(pred)
     names = "ABCDEFGH"
-    for shape in _shapes(ARITIES[pred]):
+    for shape in _shapes(PREDICATES[pred].arity):
         pattern = Fact(pred, tuple(names[c] for c in shape))
         n_vars = max(shape) + 1
         rule = Rule("r", (pattern,), pattern, ())
@@ -232,13 +232,13 @@ def _lowercase(dag):
 
 
 @st.composite
-def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
+def random_rules(draw, constants, preds=tuple(sorted(PREDICATES))):
     # distinct variables, or few variables (so repeats) and some constants
     symbols = st.sampled_from(list(VARIABLES[:5]) * 4 + list(constants)[:5])
     premises = []
     for _ in range(draw(st.integers(1, 2))):
         pred = draw(st.sampled_from(preds))
-        n = ARITIES[pred]
+        n = PREDICATES[pred].arity
         if draw(st.booleans()):
             args = draw(st.permutations(VARIABLES))[:n]
         else:
@@ -254,13 +254,13 @@ def random_rules(draw, constants, preds=tuple(sorted(ARITIES))):
     # premise 0's arguments under a predicate of its arity keep the symmetries
     # it shares with that predicate; random arguments rarely keep any
     first = premises[0]
-    same_arity = sorted(p for p, n in ARITIES.items() if n == len(first.args))
+    same_arity = sorted(p for p, r in PREDICATES.items() if r.arity == len(first.args))
     if draw(st.booleans()):
         conclusion = Fact(draw(st.sampled_from(same_arity)), first.args)
     else:
-        pred = draw(st.sampled_from(sorted(ARITIES)))
-        conclusion = Fact(pred, tuple(draw(st.lists(
-            points, min_size=ARITIES[pred], max_size=ARITIES[pred]))))
+        pred = draw(st.sampled_from(sorted(PREDICATES)))
+        n = PREDICATES[pred].arity
+        conclusion = Fact(pred, tuple(draw(st.lists(points, min_size=n, max_size=n))))
     sides = []
     for kind, n in (("distinct", 2), ("non_collinear", 3), ("distinct_lines", 4)):
         if draw(st.booleans()):
@@ -373,7 +373,7 @@ INDEX_POINTS = ("A", "B", "C", "D", "E", "a", "o")
 def random_facts(draw, pred):
     """Facts of pred, as written or canonical: few points, so often with
     repeats, or all points distinct."""
-    n = ARITIES[pred]
+    n = PREDICATES[pred].arity
     points = st.sampled_from(INDEX_POINTS[:draw(st.integers(2, len(INDEX_POINTS)))])
     args = st.one_of(st.lists(points, min_size=n, max_size=n),
                      st.permutations(INDEX_POINTS + tuple("FGH")).map(lambda p: p[:n]))
