@@ -29,12 +29,13 @@ is tested at the loop that binds the later one: every ``distinct`` side,
 and each pair of conclusion arguments whose equality makes the fact
 degenerate and never a tautology (its ``facts.PREDICATES`` record's
 ``degenerate_pairs``: any two points of a cyclic, a zero-length side of a
-perp or eqangle).  Innermost, the kernel does the whole per-binding work: one lookup in the verdict store, the drop counters and
-the choice of the least derivation.  The generated text holds only
-local names and numbers; the rule's name, predicates and points reach the
-kernel as values.  There is one kernel per rule, the one ``derive_round``
-runs: the tests read the rows it draws through its ``memo`` and ``best``
-arguments.
+perp or eqangle).  Innermost, the kernel does the whole per-binding work:
+one lookup in the verdict store, the drop counters and the choice of the
+least derivation.  The generated text holds only local names and numbers;
+the rule's name, predicates and points reach the kernel as values.  Join
+tests read ``derive_round``'s derivations and counters and ``saturate``'s
+graph, held to a naive reference (tests/conftest.py); the degenerate
+counter, read only by the benchmark's tracer, is compared engine to engine.
 
 The loop that grows the graph (``saturate``, and the filtered loop of
 ``pipeline.run_pipeline``) builds one ``JoinState`` per run, holding all
@@ -307,9 +308,8 @@ def _source(rule: CompiledRule) -> str:
 
     The kernel ``(indexes, memo, best, rule)`` does the whole per-binding
     work of ``derive_round`` innermost, one lookup per row in ``memo``, and
-    returns its (tautology, degenerate) counters.  It reads the memo and
-    ``best`` only through ``get`` and item assignment, so the tests read
-    every row it draws through these arguments."""
+    returns its (tautology, degenerate) counters.  No test reads the rows
+    it draws: they are seen only through ``derive_round``'s result."""
     k, n = len(rule.consts), len(rule.slots)
     depth = [0] * k  # binding position -> the loop that binds it
     for i, slot in enumerate(rule.slots):

@@ -168,8 +168,12 @@ def check_fact(fact: Fact) -> None:
 def orbit(fact: Fact) -> List[Tuple[str, ...]]:
     """Every argument tuple in the fact's symmetry class, repeats included,
     in the lexicographic order of their argument permutations (the record's
-    ``group``): the order the engine's symmetry breaking relies on."""
-    return [variant(fact.args) for variant in PREDICATES[fact.pred].variants]
+    ``group``): the order the engine's symmetry breaking relies on.  A
+    malformed fact raises MalformedFactError."""
+    record = PREDICATES.get(fact.pred)
+    if record is None or len(fact.args) != record.arity:
+        check_fact(fact)
+    return [variant(fact.args) for variant in record.variants]
 
 
 def canonicalize(fact: Fact) -> Fact:

@@ -328,11 +328,16 @@ _TESTS = {"coll": _coll, "para": _para, "perp": _perp, "midp": _midp,
 
 
 def eval_fact(m: CoordinateModel, f: Fact, tol_rel: float = DEFAULT_TOL) -> bool:
-    """Evaluate a fact on the model within a scale-relative tolerance."""
+    """Evaluate a fact on the model within a scale-relative tolerance; a
+    malformed fact raises MalformedFactError."""
     test = _TESTS.get(f.pred)
     if test is None:
-        raise ValueError(f.pred)
-    return test(tol_rel, m.scale, *map(m.coords.__getitem__, f.args))
+        check_fact(f)  # an unknown predicate
+    try:
+        return test(tol_rel, m.scale, *map(m.coords.__getitem__, f.args))
+    except TypeError:  # the test takes one point per argument of its predicate
+        check_fact(f)
+        raise
 
 
 def eval_condition(m: CoordinateModel, kind: str, args: Tuple[str, ...],

@@ -1,21 +1,20 @@
 """Rule matching, saturation to a fixpoint, derivation DAG structure."""
 
 import ast
-from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geodeduce import engine
 from geodeduce import initial_facts, make_fact, parse_rules, saturate
-from geodeduce.engine import (_compile, _index, compile_rule,
-                              derive_round, Derivation, DerivationDag, JoinState)
-from geodeduce.facts import (PREDICATES, Fact, canonicalize, is_degenerate,
-                             is_tautology, orbit)
-from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError, is_variable
+from geodeduce.engine import (_index, compile_rule, derive_round, Derivation,
+                              DerivationDag, JoinState)
+from geodeduce.facts import Fact
+from geodeduce.rules import MAX_PREMISES, Rule, RuleParseError
 
-from conftest import (EVALUATIONS, binding_names, check_verdict_store, concyclic_text,
-                      evaluating, feet_text, kernel_rows, naive_plans, shaped)
+from conftest import (CONSTANT_RULES, EVALUATIONS, TWO_CIRCLES, VARIGNON, concyclic_text,
+                      evaluating, feet_text, naive_plans, reference_join, reference_round,
+                      reference_rounds, shaped)
 from fuzzing import random_construction_text
 from geodeduce import parse_construction
 
@@ -302,126 +301,56 @@ def test_strict_sides_must_be_a_bool(strict_sides, inscribed, default_rules):
         saturate(d0, default_rules, strict_sides=strict_sides)
 
 
-def _reference_join(rule, candidate_lists):
-    """The orbit-enumerating matcher the indexed join replaced: for every
-    partial binding, unify the pattern with each variant of each fact."""
-
-    def unify(pattern, variant, binding):
-        out = dict(binding)
-        for pat, val in zip(pattern.args, variant):
-            if is_variable(pat):
-                if out.setdefault(pat, val) != val:
-                    return None
-            elif pat != val:
-                return None
-        return out
-
-    def match_premise(pattern, fact, binding):
-        if fact.pred != pattern.pred:
-            return
-        seen = set()
-        for variant in orbit(fact):
-            b = unify(pattern, variant, binding)
-            if b is not None:
-                key = tuple(sorted(b.items()))
-                if key not in seen:
-                    seen.add(key)
-                    yield b
-
-    def rec(i, binding, used):
-        if i == len(rule.premises):
-            yield binding, used
-            return
-        for fact in candidate_lists[i]:
-            for b in match_premise(rule.premises[i], fact, binding):
-                yield from rec(i + 1, b, used + (fact,))
-
-    yield from rec(0, {}, ())
-
-
 def test_reference_join_matches_the_premise_predicate_only():
     """A coll fact gives no binding to a cong premise, though its three
     arguments would fill the pattern's first three variables."""
     rule, = parse_rules("rule r: cong(X,Y,Z,W) => cong(Z,W,X,Y)\n")
-    assert list(_reference_join(rule, [[make_fact("coll", "A", "B", "C")]])) == []
-    assert len(list(_reference_join(rule, [[make_fact("cong", "A", "B", "C", "D")]]))) == 8
-
-
-def _hashable(pairs):
-    return [(tuple(sorted(b.items())), used) for b, used in pairs]
-
-
-def _drawn(rule, binding):
-    """Whether the kernel's loop tests let a reference binding through:
-    every distinct side holds, and the conclusion has no point at
-    two positions of a degenerate pair (facts.PREDICATES)."""
-    head = [binding.get(a, a) for a in rule.conclusion.args]
-    return (all(binding.get(x, x) != binding.get(y, y)
-                for s in rule.side_conditions if s.pred == "distinct" for x, y in [s.args])
-            and all(head[i] != head[j]
-                    for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs))
-
-
-def _assert_rows_equal_reference(rule, facts):
-    """The rows the rule's kernel draws, without its symmetries, are the
-    reference matcher's bindings that its loop tests let through,
-    in the reference's order, and each row's conclusion arguments ground
-    the conclusion.  Returns the rows."""
-    lists = [sorted((f for f in facts if f.pred == p.pred), key=str) for p in rule.premises]
-    compiled = _compile(rule)
-    indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
-    names, k = binding_names(rule), len(compiled.consts)
-    got = []
-    for b, used, args in kernel_rows(compiled, indexes):
-        # the tuple binding as variable -> point, through the compiled variable order
-        named = dict(zip(names[k:], b[k:]))
-        assert args == tuple(named.get(a, a) for a in rule.conclusion.args), rule.name
-        got.append((named, used))
-    got = _hashable(got)
-    want = _hashable((b, used) for b, used in _reference_join(rule, lists)
-                     if _drawn(rule, b))
-    assert Counter(got) == Counter(want), rule.name
-    # the order decides which of two equal-ranked derivations is kept
-    assert got == want, rule.name
-    return got
+    assert list(reference_join(rule, [make_fact("coll", "A", "B", "C")])) == []
+    assert len(list(reference_join(rule, [make_fact("cong", "A", "B", "C", "D")]))) == 8
 
 
 # fuzz figures give coll/cong/midp/para/perp; inscribed adds cyclic/eqangle
 @pytest.mark.parametrize("seed", [*range(10), "inscribed"])
 def test_indexed_join_equals_reference(seed, default_rules, inscribed):
+    """Every round of a carried state equals the reference's, under both
+    evaluations, with strict sides or not."""
     c = (inscribed if seed == "inscribed"
          else parse_construction(random_construction_text(seed)))
-    facts = saturate(initial_facts(c), default_rules, max_rounds=2).dag
-    for rule in default_rules:
-        _assert_rows_equal_reference(rule, facts)
+    for evaluation in EVALUATIONS:
+        for strict_sides in (False, True):
+            _check_carried_state(initial_facts(c), default_rules, evaluation, strict_sides)
 
 
 def test_kernel_rows_with_spanning_distinct_and_constants():
-    """Two layouts the default rules lack draw the reference's rows: r1 has
-    a distinct side that spans two premises, tested at a loop, and r2 has
-    point constants, in a premise, a distinct side and the conclusion."""
-    r1, r2 = parse_rules(
+    """Two layouts the default rules lack derive what the reference
+    derives: r1 has a distinct side that spans two premises, tested at a
+    loop, and r2 has point constants, in a premise, a distinct side and
+    the conclusion."""
+    rules = parse_rules(
         "rule r1: coll(A,B,C), coll(C,D,E), distinct(A,D) => cyclic(A,B,D,E)\n"
         "rule r2: cong(o,A,o,B), perp(A,B,C,p), distinct(C,o) => perp(A,o,C,p)\n")
     facts = [make_fact("coll", "a", "b", "c"), make_fact("coll", "c", "d", "e"),
              make_fact("coll", "a", "c", "o"), make_fact("cong", "o", "a", "o", "b"),
              make_fact("cong", "o", "b", "o", "c"), make_fact("perp", "a", "b", "c", "p"),
              make_fact("perp", "a", "b", "o", "p"), make_fact("perp", "b", "c", "a", "p")]
-    for rule in (r1, r2):
-        assert _assert_rows_equal_reference(rule, facts), rule.name
+    for rule in rules:
+        assert reference_round(DerivationDag(facts), [rule])[0], rule.name
+    for evaluation in EVALUATIONS:
+        _check_carried_state(facts, rules, evaluation, False)
 
 
 def test_kernel_rows_with_distinct_side_repeated_in_a_fact():
     """A distinct side whose two variables one premise names, on facts that
     repeat a point at both of its positions: on_circle gives cong(O,A,O,B),
-    and its variants with the apex O at X and at Z must not be drawn."""
-    rule, = parse_rules("rule r: cong(X,Y,Z,W), distinct(X,Z) => para(X,Y,Z,W)")
+    whose variants with the apex O at X and at Z would conclude tautologies
+    that naive evaluation would count."""
+    rules = parse_rules("rule r: cong(X,Y,Z,W), distinct(X,Z) => coll(X,Z,W)")
     facts = [f for f in initial_facts(parse_construction(concyclic_text(4)))
              if f.pred == "cong"]
-    repeated = [b for b, _ in _reference_join(rule, [facts]) if b["X"] == b["Z"]]
-    assert repeated and not any(_drawn(rule, b) for b in repeated)
-    rows = _assert_rows_equal_reference(rule, facts)
-    assert rows and all(dict(b)["X"] != dict(b)["Z"] for b, _ in rows)
+    assert any(b["X"] == b["Z"] for b, _ in reference_join(rules[0], facts))
+    assert reference_round(DerivationDag(facts), rules)[0]
+    for evaluation in EVALUATIONS:
+        _check_carried_state(facts, rules, evaluation, False)
 
 
 def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch):
@@ -436,24 +365,16 @@ def test_saturate_compiles_each_rule_once(inscribed, default_rules, monkeypatch)
         "cong_trans")]
 
 
-def test_orbit_calls_bounded_by_facts_per_round(inscribed, default_rules,
-                                                 monkeypatch):
-    calls = []
-    monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
-    d0 = initial_facts(inscribed)
-    res = saturate(d0, default_rules)
-    present = [sum(1 for f in res.dag if res.dag.node(f).round < r)
-               for r in range(1, res.dag.rounds + 2)]
-    assert calls and len(calls) <= sum(present)
-
-
-def _check_carried_state(text, rules, evaluation, strict_sides):
-    """Grow the figure's graph round by round as ``saturate`` does, with one
-    carried JoinState, and check that every round returns exactly what a
-    fresh state returns, that each stored index equals a rebuild over the
-    graph's usable facts, and that no index a round began with was changed;
-    the number of rounds run."""
-    dag = DerivationDag(initial_facts(parse_construction(text)))
+def _check_carried_state(hypotheses, rules, evaluation, strict_sides):
+    """Grow the graph round by round as ``saturate`` does, with one carried
+    JoinState, and check that every round returns exactly what a fresh
+    state returns and derives what the reference derives (under naive
+    evaluation, with its tautology count too), that each stored index
+    equals a rebuild over the graph's usable facts, and that no index a
+    round began with was changed; the number of rounds run."""
+    hypotheses = tuple(hypotheses)
+    want = reference_rounds(hypotheses, tuple(rules), strict_sides)
+    dag = DerivationDag(hypotheses)
     with evaluating(evaluation):
         state = JoinState(dag, rules, strict_sides)
         for r in range(1, 11):
@@ -461,7 +382,8 @@ def _check_carried_state(text, rules, evaluation, strict_sides):
                       for index in state.indexes.values()]
             got = derive_round(state)
             assert got == derive_round(JoinState(dag, rules, strict_sides)), r
-            assert all(d.round == r for d in got[0]), r
+            assert tuple(got[0]) == want[r - 1][0], r
+            assert evaluation != "naive" or got[1] == want[r - 1][1], r
             assert all(index == copy for index, copy in before), r
             usable = [f for f in dag if not (strict_sides and dag.node(f).conditional)]
             for slot, index in state.indexes.items():
@@ -469,11 +391,12 @@ def _check_carried_state(text, rules, evaluation, strict_sides):
             if not got[0]:
                 break
             dag.add(*got[0])
+    assert r == len(want)
     return r
 
 
 LADDER = {**{f"circle{k}": concyclic_text(k) for k in range(4, 8)},
-          **{f"feet{k}": feet_text(k) for k in (2, 4, 8, 12)}}
+          **{f"feet{k}": feet_text(k) for k in (2, 4, 8, 12)}, "varignon": VARIGNON}
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])
@@ -481,7 +404,17 @@ LADDER = {**{f"circle{k}": concyclic_text(k) for k in range(4, 8)},
 @pytest.mark.parametrize("figure", LADDER)
 def test_carried_join_state_equals_fresh_ladder(figure, evaluation, strict_sides,
                                                 default_rules):
-    assert _check_carried_state(LADDER[figure], default_rules, evaluation,
+    d0 = initial_facts(parse_construction(LADDER[figure]))
+    assert _check_carried_state(d0, default_rules, evaluation, strict_sides) >= 2
+
+
+@pytest.mark.parametrize("strict_sides", [False, True])
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+def test_carried_join_state_equals_fresh_two_circles(evaluation, strict_sides):
+    """The lowercase two-circle figure under rules with a point constant in
+    every premise and a distinct side that the radii facts repeat."""
+    d0 = initial_facts(parse_construction(TWO_CIRCLES))
+    assert _check_carried_state(d0, parse_rules(CONSTANT_RULES), evaluation,
                                 strict_sides) >= 2
 
 
@@ -490,8 +423,8 @@ def test_carried_join_state_equals_fresh_ladder(figure, evaluation, strict_sides
        evaluation=st.sampled_from(EVALUATIONS), strict_sides=st.booleans())
 def test_carried_join_state_equals_fresh_fuzz(seed, max_points, evaluation, strict_sides,
                                               default_rules):
-    _check_carried_state(random_construction_text(seed, max_points), default_rules,
-                         evaluation, strict_sides)
+    d0 = initial_facts(parse_construction(random_construction_text(seed, max_points)))
+    _check_carried_state(d0, default_rules, evaluation, strict_sides)
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])
@@ -532,21 +465,21 @@ def test_fresh_state_indexes_equal_rebuild(figure, strict_sides, default_rules,
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
 @pytest.mark.parametrize("figure", [*(f"fuzz{s}" for s in range(10)), "circle6", "feet8"])
 def test_one_verdict_store_per_predicate(figure, evaluation, strict_sides, default_rules):
-    """After every round of a carried state, its store holds KNOWN exactly
-    for the orbits of the graph's facts and a fresh verdict for every other
-    conclusion it judged."""
+    """A run's verdict store, one per predicate and kept across its rounds,
+    drops exactly the conclusions the graph holds and judges every other
+    as a fresh judgment does: a whole saturation derives, round by round,
+    what the reference derives and stops as it stops, and under naive
+    evaluation it counts the reference's tautologies."""
     text = (random_construction_text(int(figure[4:])) if figure.startswith("fuzz")
             else LADDER[figure])
-    dag = DerivationDag(initial_facts(parse_construction(text)))
+    d0 = tuple(initial_facts(parse_construction(text)))
+    want = reference_rounds(d0, tuple(default_rules), strict_sides)
     with evaluating(evaluation):
-        state = JoinState(dag, default_rules, strict_sides=strict_sides)
-    for _ in range(10):
-        new, _, _ = derive_round(state)
-        check_verdict_store(state)
-        if not new:
-            break
-        dag.add(*new)
-    assert not new and dag.rounds >= 1
+        res = saturate(d0, default_rules, strict_sides=strict_sides)
+    assert res.dag.derivations() == [d for new, _ in want for d in new]
+    assert res.stop_reason == "fixpoint" and not want[-1][0]
+    if evaluation == "naive":
+        assert res.dropped_tautologies == sum(t for _, t in want)
 
 
 def test_carried_state_needs_a_new_round(midline, default_rules):
@@ -594,51 +527,24 @@ def test_state_leaves_out_rules_that_cannot_fire(default_rules):
 
 # --- the generated kernels ------------------------------------------------
 
-def _reference_round(dag, rules):
-    """derive_round by the reference matcher, naive, with no symmetry
-    breaking, memo or loop tests: every binding of every rule over every
-    graph fact, judged afresh; (derivations, n_tautologies)."""
-    facts = list(dag)
-    known = {v for f in facts for v in orbit(f)}
-    best, n_taut = {}, 0
-    for rule in rules:
-        lists = [[f for f in facts if f.pred == p.pred] for p in rule.premises]
-        for b, used in _reference_join(rule, lists):
-            if any(b.get(x, x) == b.get(y, y)
-                   for s in rule.side_conditions if s.pred == "distinct" for x, y in [s.args]):
-                continue
-            args = tuple(b.get(a, a) for a in rule.conclusion.args)
-            if args in known:
-                continue
-            f = canonicalize(Fact(rule.conclusion.pred, args))
-            if is_tautology(f):
-                n_taut += 1
-            elif not is_degenerate(f) and (f not in best or (rule.name, used) < best[f][0]):
-                best[f] = ((rule.name, used), rule, b)
-    out = []
-    for f in sorted(best):
-        (name, used), rule, b = best[f]
-        conds = {Fact(s.pred, tuple(b.get(a, a) for a in s.args)) for s in rule.numeric_sides}
-        for p in used:
-            conds.update(dag.node(p).conditions)
-        out.append(Derivation(f, name, used, dag.rounds + 1, tuple(sorted(conds))))
-    return out, n_taut
-
-
 @pytest.mark.parametrize("seed", [*range(6), "inscribed"])
 def test_derive_round_equals_reference_matcher(seed, default_rules, inscribed):
-    """The kernels derive what the reference matcher derives, from the same
-    bindings, and under naive evaluation count the same tautologies."""
+    """A fresh state over the hypotheses and over saturate's first rounds,
+    with strict sides or not, derives what the reference derives, from the
+    same bindings, and under naive evaluation counts the same tautologies."""
     c = (inscribed if seed == "inscribed"
          else parse_construction(random_construction_text(seed)))
     d0 = initial_facts(c)
     for rounds in (0, 1, 2):
-        dag = saturate(d0, default_rules, max_rounds=rounds).dag if rounds else DerivationDag(d0)
-        want, want_taut = _reference_round(dag, default_rules)
-        assert derive_round(JoinState(dag, default_rules))[0] == want, (seed, rounds)
-        with naive_plans():
-            got, n_taut, _ = derive_round(JoinState(dag, default_rules))
-        assert (got, n_taut) == (want, want_taut), (seed, rounds)
+        for strict_sides in (False, True):
+            dag = (saturate(d0, default_rules, max_rounds=rounds,
+                            strict_sides=strict_sides).dag if rounds else DerivationDag(d0))
+            want, want_taut = reference_round(dag, default_rules, strict_sides)
+            state = JoinState(dag, default_rules, strict_sides)
+            assert derive_round(state)[0] == want, (seed, rounds, strict_sides)
+            with naive_plans():
+                got, n_taut, _ = derive_round(JoinState(dag, default_rules, strict_sides))
+            assert (got, n_taut) == (want, want_taut), (seed, rounds, strict_sides)
 
 
 ODD = "x')\n#"  # a name that would break generated text
@@ -675,14 +581,16 @@ def test_kernel_source_holds_no_rule_text():
 
 def test_each_conclusion_is_judged_once_per_run(default_rules, monkeypatch):
     """The state's memo judges each distinct conclusion once per run, and
-    only for that run.  The kernels read canonicalize through the engine's
-    globals at call time, so rebinding it after the rules were compiled, as
-    the benchmark's tracer does, reaches them."""
+    only for that run.  The kernels read ``_judge`` through the engine's
+    globals at call time, so rebinding it after the rules were compiled,
+    as the benchmark's tracer rebinds what it counts, reaches them."""
     d0 = initial_facts(parse_construction(concyclic_text(5)))
     saturate(d0, default_rules)  # compiles and memoizes the rules
     calls = []
-    monkeypatch.setattr(engine, "canonicalize",
-                        lambda f: calls.append(f) or canonicalize(f))
+    judge = engine._judge
+    monkeypatch.setattr(engine, "_judge",
+                        lambda memo, pred, args: calls.append((pred, args))
+                        or judge(memo, pred, args))
     res = saturate(d0, default_rules)
     assert res.dag.rounds >= 2 and calls
     assert len(calls) == len(set(calls))

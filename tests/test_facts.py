@@ -37,10 +37,10 @@ def test_arity_mismatch():
         make_fact("coll", "A", "B")
     with pytest.raises(MalformedFactError):
         make_fact("nosuch", "A", "B")
-    # the public verdicts check a fact as canonicalize does
+    # the public verdicts and orbit check a fact as canonicalize does
     for bad in [Fact("coll", ("A",)), Fact("coll", ("A", "B")), Fact("coll", tuple("ABCD")),
                 Fact("eqangle", tuple("ABCDABC")), Fact("nosuch", ("A", "B"))]:
-        for judge in (canonicalize, is_tautology, is_degenerate):
+        for judge in (canonicalize, is_tautology, is_degenerate, orbit):
             with pytest.raises(MalformedFactError):
                 judge(bad)
 

@@ -136,11 +136,15 @@ def test_verify_rejects_undefined_point(pappus, monkeypatch):
     monkeypatch.setattr(numeric, "sample_models", None)  # must not be reached
     with pytest.raises(ValueError, match="undefined point.* Z"):
         verify(make_fact("coll", "A", "B", "Z"), pappus)
-    # a malformed fact, even over defined points, is rejected before sampling
+    # a malformed fact, even over defined points, is rejected before sampling,
+    # and by eval_fact on a model
+    model = instantiate(pappus, 0)
     for bad in [Fact("coll", ("A", "B")), Fact("coll", tuple("ABCD")),
-                Fact("nosuch", ("A", "B"))]:
+                Fact("nosuch", ("A", "B")), Fact("eqangle", tuple("ABCDEFG"))]:
         with pytest.raises(MalformedFactError):
             verify(bad, pappus)
+        with pytest.raises(MalformedFactError):
+            eval_fact(model, bad)
 
 
 # fuzz figures 8 and 14 put two points on one spot by construction

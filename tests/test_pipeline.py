@@ -311,31 +311,34 @@ def test_carried_join_state_equals_fresh_in_filtered_run(name, strict_sides,
 
 
 def test_blocked_fact_keeps_its_verdict_in_filtered_run(default_rules, monkeypatch):
-    """A fact the run-time filter blocks never enters the graph: its
-    entries in the join's verdict store keep the fact as their verdict,
-    round after round, and never become KNOWN."""
-    from conftest import check_verdict_store
-    from geodeduce import engine, pipeline
-    from geodeduce.facts import orbit
+    """A fact the run-time filter blocks never enters the graph, so the
+    join keeps judging it a new fact.  Every round of a filtered run
+    derives over the run's graph what the reference derives: under naive
+    evaluation blocked facts again included, and under semi-naive, which
+    joins only with the last round's facts, all but those blocked before."""
+    from geodeduce import pipeline
+    from conftest import EVALUATIONS, evaluating, reference_round
     real = pipeline.derive_round
-    states, candidates = [], set()
+    for evaluation in EVALUATIONS:
+        derived, again = set(), set()
 
-    def checked(state):
-        got = real(state)
-        check_verdict_store(state)
-        states.append(state)
-        candidates.update(d.fact for d in got[0])
-        return got
+        def checked(state):
+            got = real(state)
+            want = reference_round(state.dag, default_rules)[0]
+            blocked = derived - set(state.dag)
+            if evaluation == "naive":
+                assert got[0] == want, state.dag.rounds
+            assert ([d for d in got[0] if d.fact not in blocked]
+                    == [d for d in want if d.fact not in blocked]), state.dag.rounds
+            assert {d.fact for d in got[0]} <= {d.fact for d in want}
+            again.update(d.fact for d in got[0] if d.fact in blocked)
+            derived.update(d.fact for d in got[0])
+            return got
 
-    monkeypatch.setattr(pipeline, "derive_round", checked)
-    run_pipeline(_case("fuzz10"), default_rules, PipelineConfig(mode="filtered"))
-    state = states[0]
-    blocked = candidates - set(state.dag)
-    assert len(states) >= 3 and blocked
-    for f in blocked:
-        store = state.memo[f.pred]
-        assert not any(store.get(v) is engine.KNOWN for v in orbit(f)), f
-        assert f in store.values(), f
+        with monkeypatch.context() as m, evaluating(evaluation):
+            m.setattr(pipeline, "derive_round", checked)
+            run_pipeline(_case("fuzz10"), default_rules, PipelineConfig(mode="filtered"))
+        assert evaluation != "naive" or again
 
 
 @pytest.mark.parametrize("strict_sides", [False, True])
@@ -343,24 +346,27 @@ def test_blocked_fact_keeps_its_verdict_in_filtered_run(default_rules, monkeypat
 @pytest.mark.parametrize("name", BUNDLED)
 def test_one_orbit_enumeration_per_graph_fact(name, mode, strict_sides, default_rules,
                                               monkeypatch):
-    """A run enumerates each graph fact's orbit once, conditional facts
-    included: the join's state keeps them across rounds."""
-    from geodeduce import engine
+    """A run takes each graph fact in once, as the join's state keeps its
+    indexes across rounds: it computes the shape of each usable graph fact
+    once, and under strict_sides none of a conditional one."""
+    from geodeduce import engine, pipeline
     from geodeduce.construction import initial_facts
-    from geodeduce.facts import orbit
-    calls = []
-    monkeypatch.setattr(engine, "orbit", lambda f: calls.append(f) or orbit(f))
+    calls, graphs = [], []
+    shape, real = engine._shape, pipeline.derive_round
+    monkeypatch.setattr(engine, "_shape", lambda args: calls.append(args) or shape(args))
+    monkeypatch.setattr(pipeline, "derive_round",
+                        lambda state: graphs.append(state.dag) or real(state))
     c = _case(name)
     rep = run_pipeline(c, default_rules, PipelineConfig(mode=mode, strict_sides=strict_sides))
     monkeypatch.undo()
     assert rep.stop_reason == "fixpoint"
     if mode == "fixpoint":  # the saturated graph, before the run-time filter
-        graph = list(engine.saturate(initial_facts(c), default_rules,
-                                     strict_sides=strict_sides).dag)
+        dag = engine.saturate(initial_facts(c), default_rules, strict_sides=strict_sides).dag
     else:
-        graph = [r.fact for r in rep.records]
-    assert Counter(calls) == Counter(graph)
-    assert len(set(graph)) == len(graph)
+        dag = graphs[-1]
+        assert set(dag) == {r.fact for r in rep.records}
+    assert Counter(calls) == Counter(f.args for f in dag
+                                     if not (strict_sides and dag.node(f).conditional))
 
 
 def _outcome(c, rules, mode):

@@ -4,8 +4,6 @@ first-drawn binding of each orbit, and the orbit-size weights."""
 import functools
 import itertools
 import random
-from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
@@ -15,9 +13,9 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, compile_rule,
                               derive_round)
 from geodeduce.facts import PREDICATES, Fact, canonicalize, orbit
-from geodeduce.rules import Rule, symmetries
+from geodeduce.rules import Rule, is_variable, symmetries
 
-from conftest import (ROOT, binding_names, concyclic_text, kernel_rows, naive_plans,
+from conftest import (EVALUATIONS, ROOT, concyclic_text, evaluating, reference_round,
                       shaped)
 from fuzzing import random_construction_text
 
@@ -51,14 +49,13 @@ def figure_dag(name):
     return saturate(initial_facts(c), rules, max_rounds=2).dag
 
 
-def _uncompiled(rule):
-    """The rule without its symmetries: the full join, every weight 1."""
-    return _compile(rule)
-
-
-def _semi_naive(compile=compile_rule):
-    """The engine's own evaluation, with compile giving each rule's form."""
-    return mock.patch.object(engine, "compile_rule", compile)
+def binding_names(rule):
+    """The point at each position of the rule's compiled bindings: the
+    rule's point constants, then its variables in premise order, the order
+    the join's slots bind them."""
+    atoms = rule.premises + (rule.conclusion,) + rule.side_conditions
+    return (tuple(dict.fromkeys(a for p in atoms for a in p.args if not is_variable(a)))
+            + tuple(dict.fromkeys(a for p in rule.premises for a in p.args if is_variable(a))))
 
 
 def _pairs(rule):
@@ -68,93 +65,26 @@ def _pairs(rule):
     return tuple((names[x], names[y]) for x, y in compile_rule(rule).swaps)
 
 
-def _ground(args, binding):
-    return tuple(binding.get(a, a) for a in args)
-
-
-def _join_list(compiled, rule, facts):
-    """The rows the compiled rule's kernel draws, (binding, facts used), each
-    tuple binding mapped to variable -> point through the compiled variable
-    order.  The conclusion arguments the kernel builds from the tuple must
-    agree with grounding by name, point constants included.  The loop tests
-    pass every distinct side and no conclusion with one point at two
-    positions of its degenerate pairs, so every drawn binding satisfies
-    them all."""
-    lists = [sorted((f for f in facts if f.pred == p.pred), key=str)
-             for p in rule.premises]
-    indexes = [_index(s, shaped(lst)) for s, lst in zip(compiled.slots, lists)]
-    names, k = binding_names(rule), len(compiled.consts)
-    assert names[:k] == compiled.consts
-    sides = [s.args for s in rule.side_conditions if s.pred == "distinct"]
-    out = []
-    for b, used, head in kernel_rows(compiled, indexes):
-        assert len(b) == len(names)
-        named = dict(zip(names[k:], b[k:]))
-        assert head == _ground(rule.conclusion.args, named)
-        assert all(len(set(_ground(args, named))) == 2 for args in sides)
-        assert all(head[i] != head[j] for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs)
-        out.append((named, used))
-    return out
-
-
-def _orbit_key(binding, used, pairs):
-    """The same key for every binding in one orbit of the swaps."""
-    images = []
-    for mask in range(1 << len(pairs)):
-        b = dict(binding)
-        for k, (x, y) in enumerate(pairs):
-            if mask >> k & 1:
-                b[x], b[y] = binding[y], binding[x]
-        images.append(tuple(sorted(b.items())))
-    return used, min(images)
-
-
-def _conclusion(rule, binding):
-    return canonicalize(Fact(rule.conclusion.pred, _ground(rule.conclusion.args, binding)))
-
-
-def check_compiled_join(rule, facts):
-    compiled = compile_rule(rule)
-    pairs = _pairs(rule)
-    full = _join_list(_compile(rule), rule, facts)
-    got = _join_list(compiled, rule, facts)
-    # the first-drawn binding of each orbit, in full-join order
-    first, seen = [], set()
-    for b, used in full:
-        key = _orbit_key(b, used, pairs)
-        if key not in seen:
-            seen.add(key)
-            first.append((b, used))
-    assert got == first, rule
-    # each kept binding stands for its whole orbit
-    weights = Counter()
-    for b, used in got:
-        weights[used, _conclusion(rule, b)] += 1 << sum(b[x] != b[y] for x, y in pairs)
-    assert weights == Counter((used, _conclusion(rule, b)) for b, used in full), rule
-
-
-def _rounds(dag, rules, rounds=3):
-    """derive_round's output round by round, the dag growing as in saturate."""
-    dag = dag.copy()
-    state = JoinState(dag, rules)
-    out = []
-    for _ in range(rounds):
-        new, t, g = derive_round(state)
-        out.append((new, t, g))
-        if not new:  # a fixpoint: the graph gains no round
+def check_rounds(dag, rules, rounds=3, strict_sides=False):
+    """Grow the graph as saturate does, up to rounds rounds, with one
+    carried JoinState per evaluation: every round each derives what the
+    full join, the reference, derives, each fact from its first binding
+    drawn, and under naive evaluation counts its tautologies, each kept
+    binding weighing the bindings of its orbit."""
+    grown = dag.copy()
+    states = {}
+    for evaluation in EVALUATIONS:
+        with evaluating(evaluation):
+            states[evaluation] = JoinState(grown, rules, strict_sides)
+    for r in range(rounds):
+        want, n_taut = reference_round(grown, rules, strict_sides)
+        for evaluation, state in states.items():
+            new, t, _ = derive_round(state)
+            assert new == want, (evaluation, r, [str(rule) for rule in rules])
+            assert evaluation != "naive" or t == n_taut, (r, [str(rule) for rule in rules])
+        if not want:  # a fixpoint: the graph gains no round
             break
-        dag.add(*new)
-    return out
-
-
-def check_derive_round(dag, rules):
-    for evaluation in (naive_plans, _semi_naive):
-        with evaluation():
-            got = _rounds(dag, rules)
-        # the reference state compiles each rule without its symmetries
-        with evaluation(_uncompiled):
-            want = _rounds(dag, rules)
-        assert got == want, (evaluation.__name__, [str(r) for r in rules])
+        grown.add(*want)
 
 
 def test_default_rule_symmetries(default_rules):
@@ -211,14 +141,16 @@ def test_lex_constraint_picks_first_drawn_variant(pred):
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_compiled_join_keeps_first_of_each_orbit(figure, default_rules):
-    facts = list(figure_dag(figure))
-    for rule in default_rules:
-        check_compiled_join(rule, facts)
+    """A fresh state's next round over the figure, with strict sides or
+    not, derives what the full join derives: each fact with the side
+    conditions of the first binding drawn of its orbit."""
+    for strict_sides in (False, True):
+        check_rounds(figure_dag(figure), default_rules, 1, strict_sides)
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_derive_round_equals_full_join(figure, default_rules):
-    check_derive_round(figure_dag(figure), default_rules)
+    check_rounds(figure_dag(figure), default_rules)
 
 
 # --- random rules -------------------------------------------------------
@@ -310,8 +242,7 @@ def test_random_rule_compiled_join(data):
     points = sorted({a for f in dag for a in f.args})
     rule = data.draw(random_rules(points, sorted({f.pred for f in dag})))
     assert symmetries(rule) == _reference_symmetries(rule)
-    check_compiled_join(rule, list(dag))
-    check_derive_round(dag, [rule])
+    check_rounds(dag, [rule], 2, data.draw(st.booleans()))
 
 
 def _distinct_in_one_premise(rule):
