@@ -56,19 +56,24 @@ any conclusion that is not KNOWN once per run.
 What depends on the rules alone is memoized once per process, with a fixed
 bound.  ``compile_rule`` makes all that ``derive_round`` reads from a
 parsed rule: predicates, binding positions, the kernel and the symmetries
-it breaks, disjoint variable swaps (x y) that ``rules.symmetries`` finds.
-A ``JoinState`` compiles only the rules that can fire, and rules of one
-layout share one kernel.  A swapped binding uses the same facts and gives
-the same conclusion, so the join keeps only the one it would draw first
+it breaks, disjoint variable swaps (x y) that ``rules.symmetries`` finds
+and the premise slots (i, j) that ``rules.mirrored_premises`` finds.
+A ``JoinState`` compiles only the rules that can fire, found once per rule
+tuple and set of graph predicates, and rules of one layout share one
+kernel.  A swapped binding uses the same facts and gives the same
+conclusion, so the join keeps only the one it would draw first
 (symmetry-breaking predicates, Crawford, Ginsberg, Luks & Roy 1996): the
 slot binding x and y admits only variants with v[px] <= v[py].  This test
 and a slot's repeated variables read only a fact's shape, its arguments as
 ranks among its points, so ``_admitted`` runs them once per slot and
-shape; indexing a fact compares only point constants.  A kept binding
-stands for 2**k bindings of the full join, k the number of its swaps whose
-two points differ, and the drop counters add that weight, so they still
-count full-join bindings; the degenerate counter counts only the bindings
-that no loop test rules out.
+shape; indexing a fact compares only point constants.  A binding's mirror
+holds its facts f_i and f_j in swapped slots, passes the same loop tests
+and gives the same conclusion, so loop j skips a binding with f_j < f_i,
+whose mirror has the smaller premises.  A kept binding stands for 2**k
+bindings of the full join, k the number of its swaps whose two points
+differ, plus 1 if its facts f_i and f_j differ, and the drop counters add
+that weight, so they still count full-join bindings; the degenerate
+counter counts only the bindings that no loop test rules out.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTu
                     Optional, Set, Tuple)
 
 from .facts import PREDICATES, Fact, canonicalize, orbit
-from .rules import MAX_PREMISES, Rule, is_variable, symmetries
+from .rules import MAX_PREMISES, Rule, is_variable, mirrored_premises, symmetries
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,20 @@ class DerivationDag:
         out._rounds = self._rounds
         return out
 
+    def restricted(self, kept: Iterable[Fact]) -> "DerivationDag":
+        """The graph of the hypotheses and the kept derived facts, in graph
+        order, sharing their closures; a kept fact's premises must be kept."""
+        out = DerivationDag()
+        keep = self._hypotheses.union(kept)
+        out._node = {f: d for f, d in self._node.items() if f in keep}
+        for d in out._node.values():
+            if not all(p in out._node for p in d.premises):
+                raise ValueError(f"a premise of {d.fact} is not kept")
+            out._rounds = d.round  # graph order is round order
+        out._hypotheses = self._hypotheses
+        out._closure = {f: self._closure[f] for f in out._node}
+        return out
+
     def node(self, fact: Fact) -> Derivation:
         return self._node[fact]
 
@@ -207,6 +226,7 @@ class CompiledRule(NamedTuple):
     plans: Tuple[Tuple[str, ...], ...]  # a round's joins: per slot, the part of the facts
     consts: Tuple[str, ...]             # the binding's prefix: the rule's constants
     swaps: Tuple[Tuple[int, int], ...]     # symmetry swaps (x y) as binding positions, x first
+    mirror: Tuple[int, ...]             # premise slots (i, j) that a symmetry swaps, or ()
     # binding positions that must differ: the distinct sides and the
     # conclusion's degenerate pairs, each tested at the loop that binds it
     distinct: Tuple[Tuple[int, int], ...]
@@ -216,7 +236,8 @@ class CompiledRule(NamedTuple):
     kernel: Optional[Callable] = None   # (indexes, memo, best, rule) -> counters
 
 
-def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRule:
+def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = (),
+             mirror: Tuple[int, ...] = ()) -> CompiledRule:
     """Slot layouts in premise order; premise i sees the variables of 0..i-1.
     Binding positions number the rule's point constants, then its variables
     in the order the slots bind them.  Each swap (x y) of pairs is tested
@@ -258,7 +279,7 @@ def _compile(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> CompiledRul
     differ += [(head[i], head[j]) for i, j in PREDICATES[rule.conclusion.pred].degenerate_pairs]
     compiled = CompiledRule(
         rule.name, rule.conclusion.pred, tuple(slots), tuple(keys), plans, consts,
-        tuple((at[x], at[y]) for x, y in pairs),
+        tuple((at[x], at[y]) for x, y in pairs), mirror,
         tuple(dict.fromkeys((min(p), max(p)) for p in differ)), head,
         tuple((s.pred, _getter(tuple(at[a] for a in s.args))) for s in rule.numeric_sides))
     return compiled._replace(kernel=_kernel(_source(compiled)))
@@ -287,7 +308,7 @@ def compile_rule(rule: Rule) -> CompiledRule:
         if x not in taken and y not in taken and _breaks(rule, x, y):
             pairs.append((x, y))
             taken.update((x, y))
-    return _compile(rule, tuple(pairs))
+    return _compile(rule, tuple(pairs), mirrored_premises(rule, tuple(pairs)))
 
 
 def _tuple(prefix: str, items: Iterable[int]) -> str:
@@ -301,7 +322,9 @@ def _source(rule: CompiledRule) -> str:
     walks slot i's index under the key of the variables bound before it;
     binding position p is the local ``vp``, and slot i's fact is ``fi``.
     A pair of positions that must differ is tested at the loop that binds
-    the later of the two, at the first loop if both are constants.  The
+    the later of the two, at the first loop if both are constants.  Loop j
+    of a mirror's slots (i, j) keeps only fi <= fj, and ``(fi != fj)``
+    joins the exponent of the weight of a binding.  The
     text holds only these names and numbers: the rule's name, predicates
     and points reach the kernel through its ``rule`` argument and the
     indexes.
@@ -317,6 +340,11 @@ def _source(rule: CompiledRule) -> str:
     tests: List[List[str]] = [[] for _ in range(n)]
     for x, y in rule.distinct:
         tests[max(depth[x], depth[y])].append(f"v{x} == v{y}")
+    terms = [f"(v{x} != v{y})" for x, y in rule.swaps]
+    if rule.mirror:
+        i, j = rule.mirror
+        tests[j].append(f"f{j} < f{i}")
+        terms.append(f"(f{i} != f{j})")
     binding, used = _tuple("v", range(len(depth))), _tuple("f", range(n))
     lines = ["def kernel(indexes, memo, best, rule):",
              "    name, pred = rule.name, rule.pred",
@@ -333,10 +361,9 @@ def _source(rule: CompiledRule) -> str:
         pad += "    "
         if tests[i]:
             lines += [f"{pad}if {' or '.join(tests[i])}:", f"{pad}    continue"]
-    # a kept binding stands for 2**s full-join bindings, s the number of
-    # its swaps whose two points differ
-    weight = " + ".join(f"(v{x} != v{y})" for x, y in rule.swaps)
-    weight = f"1 << ({weight})" if weight else "1"
+    # a kept binding stands for 2**s full-join bindings, s the number of its
+    # swaps whose two points differ, plus 1 if its mirrored facts differ
+    weight = f"1 << ({' + '.join(terms)})" if terms else "1"
     lines += [f"{pad}args = {_tuple('v', rule.conclusion)}",
               f"{pad}verdict = memo_get(args)",
               f"{pad}if verdict is KNOWN:",
@@ -432,6 +459,20 @@ def _extend(index: Dict[tuple, list], more: Dict[tuple, list]) -> Dict[tuple, li
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _reachable(rules: Tuple[Rule, ...], preds: FrozenSet[str]
+               ) -> Tuple[FrozenSet[str], Tuple[Rule, ...]]:
+    """preds closed under the rules' conclusions, and the rules whose
+    premises it covers: those that can fire."""
+    reached, n = set(preds), -1
+    while n < len(reached):
+        n = len(reached)
+        reached.update(r.conclusion.pred for r in rules
+                       if all(p.pred in reached for p in r.premises))
+    return frozenset(reached), tuple(r for r in rules
+                                     if all(p.pred in reached for p in r.premises))
+
+
 class JoinState:
     """One run of the join: the graph, grown by the state's derivations only,
     the predicates it can reach, the compiled rules that can fire,
@@ -445,20 +486,14 @@ class JoinState:
         if not isinstance(strict_sides, bool):  # "no" would run strict
             raise ValueError(f"strict_sides must be a bool, got {strict_sides!r}")
         self.dag = dag
-        rules = list(rules)
-        self.preds, n = {f.pred for f in dag}, -1
-        while n < len(self.preds):  # close the graph's predicates under the conclusions
-            n = len(self.preds)
-            self.preds.update(r.conclusion.pred for r in rules
-                              if all(p.pred in self.preds for p in r.premises))
+        preds, firing = _reachable(tuple(rules), frozenset(f.pred for f in dag))
         # only these rules are compiled, so only their kernels are built
-        self.rules = [compile_rule(r) for r in rules
-                      if all(p.pred in self.preds for p in r.premises)]
+        self.rules = [compile_rule(r) for r in firing]
         self.strict_sides = strict_sides
         self.rounds = -1  # the graph's last round at the last call
         self.taken = 0  # graph facts taken in, a prefix of graph order
         # predicate -> conclusion arguments -> KNOWN, canonical fact, TAUTOLOGY or DEGENERATE
-        self.memo: Dict[str, Dict[tuple, object]] = {pred: {} for pred in self.preds}
+        self.memo: Dict[str, Dict[tuple, object]] = {pred: {} for pred in preds}
         self.indexes: Dict[_Slot, Dict[tuple, list]] = {
             slot: {} for rule in self.rules for slot in rule.slots}
 

@@ -30,6 +30,7 @@ counterexample means a bad rule or a bug, never a valid outcome.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -120,6 +121,19 @@ def rules_digest(rules: List[Rule]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=64)
+def _rule_set(rules: Tuple[Rule, ...]) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    """The rules' digest, and each (rule name, point) where a conclusion or
+    numeric side names a point that no premise binds, rule by rule, atom by
+    atom, each atom's points sorted; it depends on the rules alone."""
+    unbound: List[Tuple[str, str]] = []
+    for rule in rules:
+        bound = {a for p in rule.premises for a in p.args}
+        for atom in (rule.conclusion,) + rule.numeric_sides:
+            unbound += [(rule.name, a) for a in sorted(set(atom.args) - bound)]
+    return rules_digest(list(rules)), tuple(unbound)
+
+
 def _filter_derived(d: Derivation, models, tol: float, held: Set[Fact]):
     """Run-time filter one derived fact.
 
@@ -189,12 +203,11 @@ def _build_records(dag: DerivationDag, cfg: PipelineConfig,
 
 def run_pipeline(construction: Construction, rules: List[Rule],
                  cfg: PipelineConfig) -> Report:
+    digest, unbound = _rule_set(tuple(rules))
     points = set(construction.points())
-    for rule in rules:  # a constant that a premise names too only stops the rule firing
-        bound = {a for p in rule.premises for a in p.args}
-        for atom in (rule.conclusion,) + rule.numeric_sides:
-            for a in sorted(set(atom.args) - bound - points):
-                raise ValueError(f"rule {rule.name}: point {a} is not in the construction")
+    for name, a in unbound:  # a constant that a premise names too only stops the rule firing
+        if a not in points:
+            raise ValueError(f"rule {name}: point {a} is not in the construction")
     hypotheses = initial_facts(construction)
     models = sample_models(construction, cfg.seeds, cfg.master_seed)
     discarded = {"tautologies": 0, "empirically_false": 0, "conditional_failed": 0}
@@ -207,9 +220,10 @@ def run_pipeline(construction: Construction, rules: List[Rule],
         sat = saturate(hypotheses, rules, cfg.max_rounds, cfg.max_facts,
                        strict_sides=cfg.strict_sides)
         discarded["tautologies"] = sat.dropped_tautologies
-        # in round order: every premise is judged before the facts it yields
-        dag.add(*_admit(sat.dag.derivations(), models, cfg.tol, held, blocked,
-                        discarded))
+        # in round order: every premise is judged before the facts it yields,
+        # so the admitted facts hold their premises and keep their closures
+        admitted = _admit(sat.dag.derivations(), models, cfg.tol, held, blocked, discarded)
+        dag = sat.dag.restricted(d.fact for d in admitted)
         rounds, stop = sat.dag.rounds, sat.stop_reason
     else:  # filtered: only interesting survivors re-enter the fact list
         rounds = 0  # the rounds in which some candidate passed the run-time filter
@@ -232,7 +246,7 @@ def run_pipeline(construction: Construction, rules: List[Rule],
                 break
         stop = "budget" if new else "fixpoint"  # fixpoint: the last round added nothing
     records = _build_records(dag, cfg, memo)
-    return Report(construction.source(), rules_digest(rules), cfg.mode,
+    return Report(construction.source(), digest, cfg.mode,
                   rounds, stop, records, discarded, cfg.seeds, cfg.master_seed)
 
 

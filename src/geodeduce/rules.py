@@ -21,7 +21,8 @@ never canonicalized, so ``str(rule)`` gives back its text.
 
 A ``Rule`` is the parsed record and nothing more.  Its symmetries, swaps of
 two variables that map it to an equivalent rule, are found by
-``symmetries(rule)``, which ``engine.compile_rule`` calls once per rule.
+``symmetries(rule)``, and a swap of two premises by ``mirrored_premises``;
+``engine.compile_rule`` calls both once per rule.
 """
 
 from __future__ import annotations
@@ -88,6 +89,32 @@ def symmetries(rule: Rule) -> Tuple[Tuple[str, str], ...]:
                 and all({*map(swap.get, g, g)} == {*g} for g in point_sets)):
             found.append((x, y))
     return tuple(found)
+
+
+def mirrored_premises(rule: Rule, pairs: Tuple[Tuple[str, str], ...] = ()) -> Tuple[int, ...]:
+    """The first premise slots (i, j), i < j, that a variable involution s
+    swaps up to orbit, or ().  s maps every other premise and the conclusion
+    into its orbit, the distinct sides and the swaps (x y) of pairs onto
+    themselves, and each point constant to itself."""
+    atoms = rule.premises + (rule.conclusion,)
+    variants = [set(orbit(p)) for p in atoms]
+    distinct = {frozenset(s.args) for s in rule.side_conditions if s.pred == "distinct"}
+    for i, j in itertools.combinations(range(len(rule.premises)), 2):
+        if atoms[i].pred != atoms[j].pred:
+            continue
+        slot = {i: j, j: i}  # the atom each atom's image must be a variant of
+        for image in variants[j]:
+            s: Dict[str, str] = {}  # a -> s(a), built as an involution
+            if not all((a == b or is_variable(a) and is_variable(b))
+                       and s.setdefault(a, b) == b and s.setdefault(b, a) == a
+                       for a, b in zip(atoms[i].args, image)):
+                continue
+            if (all(tuple(map(s.get, p.args, p.args)) in variants[slot.get(k, k)]
+                    for k, p in enumerate(atoms))
+                    and {frozenset(map(s.get, d, d)) for d in distinct} == distinct
+                    and {tuple(map(s.get, p, p)) for p in pairs} == set(pairs)):
+                return (i, j)
+    return ()
 
 
 def _parse_atom(text: str, lineno: int, sides: Dict[str, int], what: str) -> Fact:

@@ -33,7 +33,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact
@@ -110,9 +110,10 @@ def weight(f: Fact) -> int:
     return 1 + len(f.args)
 
 
-def complexity(f: Fact) -> int:
-    """Number of distinct symbols: the predicate plus the distinct points."""
-    return 1 + len(f.points())
+def complexity(points: FrozenSet[str]) -> int:
+    """Number of distinct symbols of a fact of these points: the predicate
+    plus the distinct points."""
+    return 1 + len(points)
 
 
 def hypothesis_pairs(d0: Iterable[Fact]) -> Set[Tuple[str, str]]:
@@ -120,9 +121,9 @@ def hypothesis_pairs(d0: Iterable[Fact]) -> Set[Tuple[str, str]]:
     return {pq for h in d0 for pq in itertools.combinations(sorted(h.points()), 2)}
 
 
-def surprisingness(f: Fact, hyp_pairs: Set[Tuple[str, str]]) -> float:
-    """Fraction of f's point pairs that co-occur in no single hypothesis."""
-    pairs = list(itertools.combinations(sorted(f.points()), 2))
+def surprisingness(points: FrozenSet[str], hyp_pairs: Set[Tuple[str, str]]) -> float:
+    """Fraction of a fact's point pairs that co-occur in no single hypothesis."""
+    pairs = list(itertools.combinations(sorted(points), 2))
     if not pairs:
         return 0.0
     return sum(pq not in hyp_pairs for pq in pairs) / len(pairs)
@@ -134,14 +135,13 @@ def hypotheses_used(f: Fact, dag: DerivationDag) -> Set[Fact]:
     return dag.leaf_ancestors(f) if dag.node(f).rule is not None else set()
 
 
-def intensity(f: Fact, leaves: Set[Fact]) -> float:
-    """How much f condenses the points of its leaves (hypotheses_used)."""
-    leaf_pts: Set[str] = set()
-    for leaf in leaves:
-        leaf_pts.update(leaf.points())
+def intensity(points: FrozenSet[str], leaves: Set[Fact]) -> float:
+    """How much a fact of these points condenses the points of its leaves
+    (hypotheses_used)."""
+    leaf_pts = frozenset().union(*[leaf.args for leaf in leaves])
     if not leaf_pts:
         return 0.0
-    v = 1.0 - len(f.points()) / len(leaf_pts)
+    v = 1.0 - len(points) / len(leaf_pts)
     return min(1.0, max(0.0, v))
 
 
@@ -187,10 +187,10 @@ class ScoreMemo:
         """The raw rows of facts, each computed the first time it is asked for."""
         raw = self.raw
         for f in [f for f in facts if f not in raw]:
-            leaves = hypotheses_used(f, dag)
+            leaves, points = hypotheses_used(f, dag), f.points()
             raw[f] = (float(obviousness(f, dag)), float(weight(f)),
-                      float(complexity(f)), surprisingness(f, self.hyp_pairs),
-                      intensity(f, leaves), adaptivity(f), focus(f, leaves))
+                      float(complexity(points)), surprisingness(points, self.hyp_pairs),
+                      intensity(points, leaves), adaptivity(f), focus(f, leaves))
         return list(map(raw.__getitem__, facts))
 
 

@@ -143,9 +143,9 @@ def test_criterion_8_metric_suite(midline, default_rules):
     para = make_fact("para", "M", "N", "B", "C")
     cong = make_fact("cong", "M", "A", "M", "B")
     assert weight(cong) == 5
-    assert complexity(cong) == 4
-    assert surprisingness(para, hypothesis_pairs(d0)) == pytest.approx(4 / 6)
-    assert intensity(para, hypotheses_used(para, res.dag)) == pytest.approx(0.2)
+    assert complexity(cong.points()) == 4
+    assert surprisingness(para.points(), hypothesis_pairs(d0)) == pytest.approx(4 / 6)
+    assert intensity(para.points(), hypotheses_used(para, res.dag)) == pytest.approx(0.2)
     assert focus(para, hypotheses_used(para, res.dag)) == pytest.approx(1 / 3)
     assert adaptivity(cong) == pytest.approx(0.25)
     for h in d0:

@@ -189,6 +189,23 @@ def test_closures_of_a_copy_are_independent():
     assert dag.leaf_ancestors(g) == trial.leaf_ancestors(g) == {h}
 
 
+def test_restricted_graph_equals_a_rebuilt_one():
+    h = make_fact("coll", "A", "B", "C")
+    f, g, e = (make_fact("coll", "A", "B", p) for p in "DEF")
+    dag = DerivationDag([h])
+    dag.add(Derivation(f, "r", (h,), 1), Derivation(g, "r", (h,), 1),
+            Derivation(e, "r", (f, h), 2))
+    for kept in ([], [g], [f], [g, f, e]):
+        rebuilt = DerivationDag([h])
+        rebuilt.add(*[d for d in dag.derivations() if d.fact in kept])
+        out = dag.restricted(kept)
+        assert list(out) == list(rebuilt) and out.rounds == rebuilt.rounds
+        assert all(out.node(x) == rebuilt.node(x) and out.closure(x) == rebuilt.closure(x)
+                   and out.leaf_ancestors(x) == rebuilt.leaf_ancestors(x) for x in out)
+    with pytest.raises(ValueError, match=r"a premise of coll\(A,B,F\) is not kept"):
+        dag.restricted([e])
+
+
 def test_saturate_rejects_empty_budget(midline, default_rules):
     for budget in ({"max_rounds": 0}, {"max_facts": 0}):
         with pytest.raises(ValueError):

@@ -312,9 +312,9 @@ def test_fact_symbols():
     # predicate and each distinct point; a point named like a predicate
     # is a point, not the predicate again
     coll = make_fact("coll", "coll", "B", "C")
-    assert weight(coll) == 4 and complexity(coll) == 4
+    assert weight(coll) == 4 and complexity(coll.points()) == 4
     cong = make_fact("cong", "coll", "cong", "coll", "B")
-    assert weight(cong) == 5 and complexity(cong) == 4
+    assert weight(cong) == 5 and complexity(cong.points()) == 4
 
 
 @given(raw_facts(), st.integers(0, 99))

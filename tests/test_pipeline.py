@@ -1,6 +1,7 @@
 """End-to-end pipeline behaviour and report serialization."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -58,6 +59,25 @@ def test_empty_rules(midline):
     rep = run_pipeline(midline, [], PipelineConfig())
     assert all(r.rule is None for r in rep.records)
     assert rep.rounds == 0 and rep.stop_reason == "fixpoint"
+
+
+def test_rule_set_memo_checks_each_run(midline, default_rules):
+    # the digest and each rule's unbound points are kept per rule tuple, but
+    # every run checks them against its own construction's points
+    rules = parse_rules("rule r: coll(A,B,C), non_collinear(A,B,z) => para(A,B,y,C)")
+    with_y = parse_construction(midline.source() + "point y z\n")
+    run = functools.partial(run_pipeline, rules=rules, cfg=PipelineConfig())
+    for construction in (midline, with_y, midline):
+        if construction is with_y:
+            run(construction)
+        else:
+            with pytest.raises(ValueError, match="^rule r: point y is not in the construction$"):
+                run(construction)
+    # two rule lists in one process: one digest each, that of the rules' text by name
+    for rule_list in (default_rules, default_rules[:-1], default_rules):
+        text = "\n".join(str(r) for r in sorted(rule_list, key=lambda r: r.name))
+        digest = run_pipeline(midline, rule_list, PipelineConfig()).rules_digest
+        assert digest == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_pappus_all_verdicts_hold(pappus, default_rules):

@@ -51,24 +51,24 @@ def test_obviousness_closure_counts_shared_nodes():
 
 def test_weight_and_complexity():
     assert weight(make_fact("coll", "A", "B", "C")) == 4
-    assert complexity(make_fact("coll", "A", "B", "C")) == 4
+    assert complexity(make_fact("coll", "A", "B", "C").points()) == 4
     assert weight(make_fact("cong", "M", "A", "M", "B")) == 5
-    assert complexity(make_fact("cong", "M", "A", "M", "B")) == 4
+    assert complexity(make_fact("cong", "M", "A", "M", "B").points()) == 4
     eq = make_fact("eqangle", "C", "A", "C", "B", "D", "A", "D", "B")
-    assert weight(eq) == 9 and complexity(eq) == 5
+    assert weight(eq) == 9 and complexity(eq.points()) == 5
 
 
 def test_surprisingness_midline(midline):
     d0 = list(initial_facts(midline))
-    assert surprisingness(PARA, hypothesis_pairs(d0)) == pytest.approx(4 / 6)
+    assert surprisingness(PARA.points(), hypothesis_pairs(d0)) == pytest.approx(4 / 6)
     for h in d0:
-        assert surprisingness(h, hypothesis_pairs(d0)) == 0.0
+        assert surprisingness(h.points(), hypothesis_pairs(d0)) == 0.0
 
 
 def test_intensity(midline_sat):
     dag = midline_sat.dag
-    assert intensity(HYP, hypotheses_used(HYP, dag)) == 0.0
-    assert intensity(PARA, hypotheses_used(PARA, dag)) == pytest.approx(0.2)
+    assert intensity(HYP.points(), hypotheses_used(HYP, dag)) == 0.0
+    assert intensity(PARA.points(), hypotheses_used(PARA, dag)) == pytest.approx(0.2)
 
 
 def test_intensity_full_coverage_is_zero():
@@ -77,7 +77,7 @@ def test_intensity_full_coverage_is_zero():
     dag = DerivationDag([h])
     g = make_fact("midp", "A", "B", "C")
     dag.add(Derivation(g, "r", (h,), 1))
-    assert intensity(g, hypotheses_used(g, dag)) == 0.0
+    assert intensity(g.points(), hypotheses_used(g, dag)) == 0.0
 
 
 def test_adaptivity():
@@ -203,8 +203,8 @@ def _reference_rows(dag):
     rows = {}
     for f in dag:
         leaves = hypotheses_used(f, dag)
-        rows[f] = (float(obviousness(f, dag)), float(weight(f)), float(complexity(f)),
-                   _reference_surprisingness(f, hypotheses), intensity(f, leaves),
+        rows[f] = (float(obviousness(f, dag)), float(weight(f)), float(complexity(f.points())),
+                   _reference_surprisingness(f, hypotheses), intensity(f.points(), leaves),
                    adaptivity(f), focus(f, leaves))
     return rows
 

@@ -1,9 +1,10 @@
-"""Symmetry breaking in the indexed join: compile_rule's swaps, the
-first-drawn binding of each orbit, and the orbit-size weights."""
+"""Symmetry breaking in the indexed join: compile_rule's swaps and mirrored
+premises, the first-drawn binding of each orbit, and the orbit-size weights."""
 
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
@@ -13,7 +14,7 @@ from geodeduce import (engine, initial_facts, make_fact, parse_construction,
 from geodeduce.engine import (DerivationDag, JoinState, _compile, _index, compile_rule,
                               derive_round)
 from geodeduce.facts import PREDICATES, Fact, canonicalize, orbit
-from geodeduce.rules import Rule, is_variable, symmetries
+from geodeduce.rules import Rule, is_variable, mirrored_premises, symmetries
 
 from conftest import (EVALUATIONS, ROOT, concyclic_text, evaluating, reference_round,
                       shaped)
@@ -104,6 +105,71 @@ def test_side_conditions_must_be_preserved():
     assert _pairs(rule) == (("A", "B"), ("C", "D"))
 
 
+EXPECTED_MIRRORS = {
+    **dict.fromkeys(("coll_merge", "para_trans", "perp_perp_para", "midline",
+                     "eqangle_trans", "cong_trans"), (0, 1)),
+    "equidist_cyclic": (0, 2),
+}
+
+
+def test_default_rule_mirrors(default_rules):
+    found = {r.name: compile_rule(r).mirror for r in default_rules}
+    assert {n: m for n, m in found.items() if m} == EXPECTED_MIRRORS
+
+
+def test_mirror_is_a_symmetry_of_the_whole_rule(default_rules):
+    def mirror(text):
+        rule, = parse_rules(text)
+        return compile_rule(rule).mirror
+
+    named = {r.name: r for r in default_rules}
+    # para_perp_perp: its premises' predicates differ
+    assert compile_rule(named["para_perp_perp"]).mirror == ()
+    # C<->D maps distinct(A,B) onto itself but moves distinct(A,C)
+    assert mirror("rule r: coll(A,B,C), coll(A,B,D), distinct(A,B) => coll(B,C,D)") == (0, 1)
+    assert mirror("rule r: coll(A,B,C), coll(A,B,D), distinct(A,C) => coll(B,C,D)") == ()
+    # a point constant stays put: coll_merge with A a constant keeps its
+    # mirror, cong_trans with A and F constants would need a<->E
+    assert mirror("rule r: coll(a,B,C), coll(a,B,D) => coll(B,C,D)") == (0, 1)
+    assert mirror("rule r: cong(a,B,C,D), cong(C,D,E,b) => cong(a,B,E,b)") == ()
+    # cong_trans: A<->E, B<->F maps the swaps (A B), (C D), (E F) onto
+    # themselves; with (A B) alone chosen, no involution does
+    cong_trans = named["cong_trans"]
+    assert mirrored_premises(cong_trans, _pairs(cong_trans)) == (0, 1)
+    assert mirrored_premises(cong_trans) == (0, 1)
+    assert mirrored_premises(cong_trans, (("A", "B"),)) == ()
+
+
+# the mirrored bindings of w and d draw two different para facts of one
+# direction, and each concludes a tautology or a degenerate fact
+MIRROR_RULES = parse_rules("rule w: para(A,B,C,D), para(A,B,E,F) => cong(A,B,A,B)\n"
+                           "rule d: para(A,B,C,D), para(A,B,E,F) => perp(A,B,A,B)")
+PARALLELS = DerivationDag(make_fact("para", *p) for p in ("ABCD", "ABEF", "CDEF", "ABAC"))
+
+
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+def test_mirrored_tautologies_weigh_their_mirror(evaluation):
+    """A fresh state's first round counts every binding of the full join,
+    those over two different facts in either slot, and over one fact."""
+    rule = MIRROR_RULES[0]
+    assert compile_rule(rule).mirror == (0, 1)
+    with evaluating(evaluation):
+        new, n_taut, _ = derive_round(JoinState(PARALLELS, [rule]))
+    assert (new, n_taut) == reference_round(PARALLELS, [rule]) and n_taut > 0
+
+
+@pytest.mark.parametrize("figure", ["parallels", *sorted(FIGURES)])
+def test_drop_counters_equal_those_of_the_unbroken_join(figure, default_rules):
+    """Each kept binding weighs the bindings its swaps and mirror stand for:
+    the counters equal those of the same rules compiled with neither."""
+    dag = PARALLELS if figure == "parallels" else figure_dag(figure)
+    rules = default_rules + MIRROR_RULES
+    broken = derive_round(JoinState(dag, rules))
+    with mock.patch.object(engine, "compile_rule", _compile):
+        assert derive_round(JoinState(dag, rules)) == broken
+    assert figure != "parallels" or broken[2] > 0
+
+
 def _shapes(n):
     """Every pattern of n arguments up to renaming its variables."""
     def grow(prefix, used):
@@ -176,6 +242,14 @@ def random_rules(draw, constants, preds=tuple(sorted(PREDICATES))):
         else:
             args = draw(st.lists(symbols, min_size=n, max_size=n))
         premises.append(Fact(pred, tuple(args)))
+    # or premise 1 mirrors premise 0: some of its variables swapped with fresh ones
+    moved = {}
+    if len(premises) == 2 and draw(st.booleans()):
+        first = premises[0]
+        names = sorted({a for a in first.args if a[0].isupper()})
+        moved = dict(zip([v for v in names if draw(st.booleans())],
+                         [v for v in VARIABLES if v not in names]))
+        premises[1] = Fact(first.pred, tuple(moved.get(a, a) for a in first.args))
     variables = sorted({a for p in premises for a in p.args if a[0].isupper()})
     if not variables:
         premises[0] = Fact(premises[0].pred, ("A",) + premises[0].args[1:])
@@ -183,16 +257,21 @@ def random_rules(draw, constants, preds=tuple(sorted(PREDICATES))):
     # conclusions and side conditions name bound variables and, less
     # often, point constants, which the join keeps in its bindings
     points = st.sampled_from(variables * 4 + list(constants)[:5])
+    # or the points a mirror fixes, so that a conclusion over them stays put
+    fixed = [v for v in variables if v not in moved and v not in moved.values()]
+    head = (st.sampled_from(fixed + list(constants)[:5])
+            if moved and (fixed or constants) and draw(st.booleans()) else None)
     # premise 0's arguments under a predicate of its arity keep the symmetries
     # it shares with that predicate; random arguments rarely keep any
     first = premises[0]
     same_arity = sorted(p for p, r in PREDICATES.items() if r.arity == len(first.args))
-    if draw(st.booleans()):
+    if head is None and draw(st.booleans()):
         conclusion = Fact(draw(st.sampled_from(same_arity)), first.args)
     else:
         pred = draw(st.sampled_from(sorted(PREDICATES)))
         n = PREDICATES[pred].arity
-        conclusion = Fact(pred, tuple(draw(st.lists(points, min_size=n, max_size=n))))
+        conclusion = Fact(pred, tuple(draw(st.lists(points if head is None else head,
+                                                    min_size=n, max_size=n))))
     sides = []
     for kind, n in (("distinct", 2), ("non_collinear", 3), ("distinct_lines", 4)):
         if draw(st.booleans()):
@@ -271,9 +350,14 @@ def _distinct_in_one_premise(rule):
     _distinct_in_one_premise,
     lambda r: len(r.premises) == 2 and compile_rule(r).distinct and all(
         a[0].isupper() for s in r.side_conditions if s.pred == "distinct" for a in s.args),
+    lambda r: compile_rule(r).mirror and _pairs(r) and PREDICATES[
+        r.conclusion.pred].tautology(canonicalize(r.conclusion).args),
+    lambda r: compile_rule(r).mirror and any(
+        s.pred == "distinct" for s in r.side_conditions),
 ], ids=["two-swaps", "block-flip", "swap-and-constant",
         "swap-and-constant-in-conclusion", "swap-and-constant-in-distinct",
-        "distinct-in-one-premise", "distinct-across-slots"])
+        "distinct-in-one-premise", "distinct-across-slots", "mirror-swaps-tautology",
+        "mirror-and-distinct"])
 def test_random_rules_reach_symmetries(wanted):
     """The generator reaches the swaps the property test is about."""
     find(random_rules(["o", "a"]), wanted,
