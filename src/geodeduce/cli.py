@@ -14,12 +14,12 @@ import os
 import sys
 from importlib import resources
 
-from .construction import ConstructionError, parse_construction
-from .facts import MalformedFactError, parse_fact
-from .numeric import DegenerateModelError, verify
+from .construction import parse_construction
+from .facts import parse_fact
+from .numeric import DEFAULT_TOL, DegenerateModelError, verify
 from .pipeline import (MODES, PipelineConfig, SoundnessViolationError,
                        emit_report, run_pipeline)
-from .rules import RuleParseError, parse_rules
+from .rules import parse_rules
 from .scoring import parse_metric_config
 
 EXIT_OK = 0
@@ -71,18 +71,19 @@ def _int_at_least(low: int):
 
 _TOL = _checked(float, lambda x: 0 < x < 1, "a number > 0 and < 1")
 _THRESHOLD = _checked(float, lambda x: not math.isnan(x), "a number")
+_DEFAULTS = PipelineConfig()  # the flags' defaults; .metrics is MetricConfig()
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", help="rule file (.gr); default: the bundled gddm-default.gr")
-    p.add_argument("--mode", choices=MODES, default="fixpoint")
-    p.add_argument("--max-rounds", type=_int_at_least(1), default=10)
-    p.add_argument("--max-facts", type=_int_at_least(1), default=100000)
-    p.add_argument("--seeds", type=_int_at_least(1), default=5)
-    p.add_argument("--tol", type=_TOL, default=1e-8)
-    p.add_argument("--master-seed", type=_int_at_least(0), default=0)
-    p.add_argument("--threshold", type=_THRESHOLD, default=0.5)
-    p.add_argument("--top", type=_int_at_least(0), default=0)
+    p.add_argument("--mode", choices=MODES, default=_DEFAULTS.mode)
+    p.add_argument("--max-rounds", type=_int_at_least(1), default=_DEFAULTS.max_rounds)
+    p.add_argument("--max-facts", type=_int_at_least(1), default=_DEFAULTS.max_facts)
+    p.add_argument("--seeds", type=_int_at_least(1), default=_DEFAULTS.seeds)
+    p.add_argument("--tol", type=_TOL, default=DEFAULT_TOL)
+    p.add_argument("--master-seed", type=_int_at_least(0), default=_DEFAULTS.master_seed)
+    p.add_argument("--threshold", type=_THRESHOLD, default=_DEFAULTS.metrics.threshold)
+    p.add_argument("--top", type=_int_at_least(0), default=_DEFAULTS.metrics.top_k)
     p.add_argument("--weights", default=None, help="metric config file")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--strict-sides", action="store_true")
@@ -113,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="numerically verify one fact")
     p_check.add_argument("construction")
     p_check.add_argument("fact", help="e.g. 'coll(G,H,I)'")
-    p_check.add_argument("--seeds", type=_int_at_least(1), default=5)
-    p_check.add_argument("--tol", type=_TOL, default=1e-8)
-    p_check.add_argument("--master-seed", type=_int_at_least(0), default=0)
+    p_check.add_argument("--seeds", type=_int_at_least(1), default=_DEFAULTS.seeds)
+    p_check.add_argument("--tol", type=_TOL, default=DEFAULT_TOL)
+    p_check.add_argument("--master-seed", type=_int_at_least(0),
+                         default=_DEFAULTS.master_seed)
 
     p_rules = sub.add_parser("rules", help="rule file utilities")
     p_rules.add_argument("--validate", metavar="FILE", required=True)
@@ -176,7 +178,7 @@ def _main(argv) -> int:
         return EXIT_OK
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except (ConstructionError, RuleParseError, MalformedFactError, ValueError) as e:
+    except ValueError as e:  # parse errors of every input are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateModelError as e:

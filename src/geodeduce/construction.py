@@ -1,17 +1,12 @@
 """Line-oriented DSL for geometric constructions and their hypothesis facts.
 
-Grammar (one statement per line, ``#`` starts a comment)::
-
-    point A B ...                free points
-    on_line P A B                P somewhere on line AB
-    on_circle P O A              P on the circle centred at O through A
-    midpoint M A B               M = midpoint of segment AB
-    intersect P A B C D          P = intersection of lines AB and CD
-    foot F P A B                 F = foot of the perpendicular from P to AB
-    circumcenter O A B C         O = circumcentre of triangle ABC
-
-Every argument after the defined point must refer to a previously
-defined point, and the defined point must be fresh.
+One statement per line; ``#`` starts a comment.  Each statement keyword is
+one ``Statement`` record in ``STATEMENTS``, its arity and its hypothesis
+facts, and README's "Construction language" table, which a test holds to
+the records, lists every statement, the point it defines and its facts.
+A statement defines its first point (``point`` all of its points), which
+must be fresh; its other points must be defined on earlier lines.  Each
+kind's geometry is its branch of the model sampler, ``numeric._sample_once``.
 """
 
 from __future__ import annotations
@@ -19,19 +14,27 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .facts import IDENTIFIER, Fact, make_fact
 
-# statement keyword -> number of point arguments (None = variadic, for "point")
-_STEP_ARITY = {
-    "point": None,
-    "on_line": 3,
-    "on_circle": 3,
-    "midpoint": 3,
-    "intersect": 5,
-    "foot": 4,
-    "circumcenter": 4,
+
+class Statement(NamedTuple):
+    """One statement keyword's meaning."""
+
+    arity: Optional[int]  # points after the keyword; None: any number, each a free point
+    facts: Tuple[Tuple[str, Tuple[int, ...]], ...]  # (predicate, indexes into the step's args)
+
+
+STATEMENTS: Dict[str, Statement] = {
+    "point": Statement(None, ()),
+    "on_line": Statement(3, (("coll", (0, 1, 2)),)),
+    "on_circle": Statement(3, (("cong", (1, 0, 1, 2)),)),
+    "midpoint": Statement(3, (("midp", (0, 1, 2)), ("coll", (0, 1, 2)),
+                              ("cong", (0, 1, 0, 2)))),
+    "intersect": Statement(5, (("coll", (0, 1, 2)), ("coll", (0, 3, 4)))),
+    "foot": Statement(4, (("coll", (0, 2, 3)), ("perp", (1, 0, 2, 3)))),
+    "circumcenter": Statement(4, (("cong", (0, 1, 0, 2)), ("cong", (0, 2, 0, 3)))),
 }
 
 
@@ -54,7 +57,7 @@ class ConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class ConstructionStep:
-    kind: str  # free_point | on_line | on_circle | midpoint | intersect | foot | circumcenter
+    kind: str  # the statement keyword, a key of STATEMENTS
     args: Tuple[str, ...]  # defined point first
 
     @property
@@ -63,8 +66,7 @@ class ConstructionStep:
 
     def __str__(self) -> str:
         """The step as a DSL statement (``point A`` for a free point)."""
-        kw = "point" if self.kind == "free_point" else self.kind
-        return f"{kw} {' '.join(self.args)}"
+        return f"{self.kind} {' '.join(self.args)}"
 
 
 @dataclass(frozen=True)
@@ -88,42 +90,35 @@ def parse_construction(text: str) -> Construction:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
-        kw = tokens[0]
-        if kw not in _STEP_ARITY:
+        kw, *args = line.split()
+        if kw not in STATEMENTS:
             raise ConstructionError(f"unknown statement {kw!r}", lineno,
                                     _column(line, 0))
-        args = tokens[1:]
         for i, tok in enumerate(args, start=1):
             if not IDENTIFIER.match(tok):
                 raise ConstructionError(f"bad identifier {tok!r}", lineno,
                                         _column(line, i))
-        arity = _STEP_ARITY[kw]
-        if arity is None:
-            if not args:
-                raise ConstructionError("point statement needs at least one name",
-                                        lineno)
-            for i, name in enumerate(args, start=1):
-                if name in defined:
-                    raise ConstructionError(f"{name} redefined", lineno,
-                                            _column(line, i))
-                defined.add(name)
-                steps.append(ConstructionStep("free_point", (name,)))
-            continue
-        if len(args) != arity:
+        arity = STATEMENTS[kw].arity
+        if arity is None and not args:
+            raise ConstructionError("point statement needs at least one name",
+                                    lineno)
+        if arity is not None and len(args) != arity:
             raise ConstructionError(
                 f"{kw} expects {arity} points, got {len(args)}", lineno)
-        name, refs = args[0], args[1:]
-        if name in defined:
-            raise ConstructionError(f"{name} redefined", lineno, _column(line, 1))
+        # a point statement defines all its names, any other its first
+        names, refs = (args, []) if arity is None else (args[:1], args[1:])
+        for i, name in enumerate(names, start=1):
+            if name in defined:
+                raise ConstructionError(f"{name} redefined", lineno,
+                                        _column(line, i))
+            defined.add(name)
         for i, ref in enumerate(refs, start=2):
-            if ref not in defined:
+            if ref not in defined or ref in names:  # nor the point it defines
                 raise ConstructionError(f"{ref} undefined", lineno,
                                         _column(line, i))
-        defined.add(name)
-        steps.append(ConstructionStep(kw, tuple(args)))
+        steps += [ConstructionStep(kw, (name, *refs)) for name in names]
 
-    if sum(s.kind == "free_point" for s in steps) < 2:
+    if sum(s.kind == "point" for s in steps) < 2:
         raise ConstructionError("construction needs at least two free points",
                                 max(1, len(text.splitlines())))
     return Construction(tuple(steps))
@@ -132,27 +127,7 @@ def parse_construction(text: str) -> Construction:
 def initial_facts(c: Construction) -> List[Fact]:
     """The distinct hypothesis facts encoded by the steps, in step order."""
     out: Dict[Fact, None] = {}  # an ordered set
-
-    def put(pred: str, *args: str) -> None:
-        out[make_fact(pred, *args)] = None
-
     for s in c.steps:
-        a = s.args
-        if s.kind == "on_line":
-            put("coll", a[0], a[1], a[2])
-        elif s.kind == "on_circle":
-            put("cong", a[1], a[0], a[1], a[2])
-        elif s.kind == "midpoint":
-            put("midp", a[0], a[1], a[2])
-            put("coll", a[0], a[1], a[2])
-            put("cong", a[0], a[1], a[0], a[2])
-        elif s.kind == "intersect":
-            put("coll", a[0], a[1], a[2])
-            put("coll", a[0], a[3], a[4])
-        elif s.kind == "foot":
-            put("coll", a[0], a[2], a[3])
-            put("perp", a[1], a[0], a[2], a[3])
-        elif s.kind == "circumcenter":
-            put("cong", a[0], a[1], a[0], a[2])
-            put("cong", a[0], a[2], a[0], a[3])
+        for pred, indexes in STATEMENTS[s.kind].facts:
+            out[make_fact(pred, *(s.args[i] for i in indexes))] = None
     return list(out)

@@ -123,7 +123,7 @@ def _sample_once(c: Construction, draw: Callable[[], float]):
     pts: Dict[str, Tuple[float, float]] = {}
     for step in c.steps:
         a = step.args
-        if step.kind == "free_point":
+        if step.kind == "point":
             pts[a[0]] = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
         elif step.kind == "on_line":
             t = -1.0 + 3.0 * draw()

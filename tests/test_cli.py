@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from geodeduce.cli import EXIT_PIPE, cli_main
+from geodeduce.cli import EXIT_PIPE, _config, build_parser, cli_main
+from geodeduce.pipeline import PipelineConfig
 
 from fuzzing import random_construction_text
 
@@ -32,6 +33,10 @@ def test_run_json_format(capsys, root):
     assert code == 0
     payload = json.loads(out)
     assert payload["mode"] == "fixpoint"
+
+
+def test_flag_defaults_are_the_config_defaults():
+    assert _config(build_parser().parse_args(["run", "FILE"])) == PipelineConfig()
 
 
 def test_packaged_default_rules_equal_the_rules_file(root):

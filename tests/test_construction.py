@@ -1,17 +1,21 @@
 """Construction DSL parsing and hypothesis fact emission."""
 
+import re
+
 import pytest
 
+from conftest import ROOT
 from geodeduce import (ConstructionError, initial_facts, make_fact,
                        parse_construction)
-from geodeduce.facts import is_tautology
+from geodeduce.construction import STATEMENTS
+from geodeduce.facts import is_tautology, parse_fact
 from geodeduce.numeric import eval_fact, sample_models
 
 
 def test_parse_simple():
     c = parse_construction("point A B\nmidpoint M A B\n")
     kinds = [s.kind for s in c.steps]
-    assert kinds == ["free_point", "free_point", "midpoint"]
+    assert kinds == ["point", "point", "midpoint"]
     assert c.steps[2].args == ("M", "A", "B")
 
 
@@ -54,6 +58,27 @@ def test_error_column_is_the_tokens_own(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("point A A", 1, 9, "A redefined"),
+    ("point A B\non_line P P A", 2, 11, "P undefined"),
+    # a redefinition is reported before an undefined point
+    ("point A B\non_line A X Y", 2, 9, "A redefined"),
+    ("point A B\non_circle A A B", 2, 11, "A redefined"),
+    ("point", 1, 1, "point statement needs at least one name"),
+    ("point A B\non_line P A", 2, 1, "on_line expects 3 points, got 2"),
+    ("point A B C\nmidpoint M A B C", 2, 1, "midpoint expects 3 points, got 4"),
+    ("point A B\n  circle O A B", 2, 3, "unknown statement 'circle'"),
+    ("point A B\nmidpoint M_1 A 9B", 2, 16, "bad identifier '9B'"),
+    ("# one point\npoint A\n", 2, 1, "construction needs at least two free points"),
+    ("", 1, 1, "construction needs at least two free points"),
+])
+def test_parse_error_text_and_column(text, line, column, message):
+    with pytest.raises(ConstructionError) as err:
+        parse_construction(text)
+    assert str(err.value) == f"line {line}, col {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_needs_two_free_points():
     with pytest.raises(ConstructionError, match="two free points"):
         parse_construction("point A")
@@ -67,7 +92,7 @@ def test_comments_and_blank_lines():
 def test_pappus_script_shape(pappus):
     assert len(pappus.steps) == 9
     kinds = [s.kind for s in pappus.steps]
-    assert kinds.count("free_point") == 4
+    assert kinds.count("point") == 4
     assert kinds.count("on_line") == 2
     assert kinds.count("intersect") == 3
 
@@ -146,3 +171,51 @@ def test_source_round_trips():
 def test_step_prints_as_statement():
     c = parse_construction("point A B\nmidpoint M A B\n")
     assert [str(s) for s in c.steps] == ["point A", "point B", "midpoint M A B"]
+
+
+def _documented_statements():
+    """keyword -> (its points as written, its hypothesis facts), read from
+    the table in README's "Construction language" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Construction language")[1].split("\n## ")[0]
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    col = rows[0].index("hypothesis facts")
+    out = {}
+    for row in rows[2:]:
+        kw, *names = row[0].strip("`").split()
+        out[kw] = names, [parse_fact(f) for f in re.findall(r"`(\w+\([^)]*\))`", row[col])]
+    return out
+
+
+DOCUMENTED_STATEMENTS = _documented_statements()
+
+
+def test_readme_lists_every_statement():
+    assert sorted(DOCUMENTED_STATEMENTS) == sorted(STATEMENTS)
+
+
+@pytest.mark.parametrize("kw", sorted(STATEMENTS))
+def test_readme_statement_row_equals_its_record(kw):
+    names, facts = DOCUMENTED_STATEMENTS[kw]
+    arity, indexed = STATEMENTS[kw]
+    assert arity == (None if names[-1] == "..." else len(names))
+    assert facts == [make_fact(pred, *(names[i] for i in indexes))
+                     for pred, indexes in indexed]
+
+
+@pytest.mark.parametrize("kw", sorted(STATEMENTS))
+def test_sampler_makes_each_statements_facts_true(kw):
+    # the smallest figure that uses kw: free points, then one kw statement
+    arity = STATEMENTS[kw].arity
+    refs = "ABCD"[:2 if arity is None else arity - 1]
+    text = f"point {' '.join(refs)}\n" + ("" if arity is None else f"{kw} X {' '.join(refs)}\n")
+    c = parse_construction(text)
+    step = c.steps[-1]
+    assert step.kind == kw
+    facts = [make_fact(pred, *(step.args[i] for i in indexes))
+             for pred, indexes in STATEMENTS[kw].facts]
+    for m in sample_models(c, 5, master_seed=0):
+        assert sorted(m.coords) == sorted(c.points())
+        for f in facts:
+            assert eval_fact(m, f), f"{f} false on seed {m.seed}"

@@ -207,7 +207,7 @@ def _ref_sample_once(c, rng):
     pts = {}
     for step in c.steps:
         a = step.args
-        if step.kind == "free_point":
+        if step.kind == "point":
             pts[a[0]] = rng.uniform(-1.0, 1.0, size=2)
         elif step.kind == "on_line":
             t = rng.uniform(-1.0, 2.0)

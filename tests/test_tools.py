@@ -1,4 +1,5 @@
-"""The benchmark's tracer bindings and the report comparison tool."""
+"""The benchmark's tracer bindings, the report comparison tool and the
+join row counter."""
 
 import json
 import runpy
@@ -9,6 +10,7 @@ import pytest
 from conftest import ROOT
 
 masked = runpy.run_path(str(ROOT / "tools" / "diff_reports.py"))["masked"]
+join_rows = runpy.run_path(str(ROOT / "tools" / "join_rows.py"))
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +61,16 @@ def test_diff_reports_mask_removes_the_named_fields():
     assert json.loads(masked(old, ["discarded", "rounds"])) == {
         k: v for k, v in json.loads(old).items() if k not in ("discarded", "rounds")}
     assert masked("error: ValueError: x", ["discarded"]) == "error: ValueError: x"
+
+
+@pytest.mark.parametrize("figure", ["circle6", "feet8"])
+def test_join_rows_counts_agree_with_the_saturation(default_rules, figure):
+    # join_rows patches engine.JoinState and engine._judge and reads
+    # engine.KNOWN, so an engine change can break its counts silently
+    from geodeduce import engine, initial_facts, parse_construction
+    hypotheses = initial_facts(parse_construction(join_rows["figure_text"](figure)))
+    counts = join_rows["count"](engine, hypotheses, default_rules)
+    sat = engine.saturate(hypotheses, default_rules)
+    assert sum(c["tautologies"] for c in counts.values()) == sat.dropped_tautologies > 0
+    assert all(c["known"] <= c["rows"] for c in counts.values())
+    assert sum(c["judged"] for c in counts.values()) >= len(sat.dag) - len(hypotheses) > 0
