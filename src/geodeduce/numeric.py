@@ -2,11 +2,14 @@
 
 A construction is realized with concrete plane coordinates: free points
 sampled uniformly in [-1,1]^2, semi-free points sampled on their locus,
-determined points computed from their defining steps.  Facts are then
-evaluated within a relative tolerance, which lets the pipeline discard
-conjectures that are false on generic figures and flag unsound rules.
-Each predicate has one test, its arithmetic written out inline;
-docs/predicates.md gives each test and its tolerance form.
+determined points computed from their defining steps.  Each step's
+arithmetic is written out in ``_sample_once``, in the operation order
+that docs/predicates.md pins, and a model is a ``CoordinateModel``
+NamedTuple of (coords, seed, scale).  Facts are then evaluated within a
+relative tolerance, which lets the pipeline discard conjectures that are
+false on generic figures and flag unsound rules.  Each predicate has one
+test, its arithmetic written out inline; docs/predicates.md gives each
+test and its tolerance form.
 
 Coordinates are computed in plain IEEE-754 double arithmetic on Python
 floats, so a model is the same on every host.  Each seed's stream of
@@ -35,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .construction import Construction
 from .facts import Fact, check_fact, make_fact
@@ -56,8 +59,7 @@ class DegenerateModelError(RuntimeError):
         self.seed = seed
 
 
-@dataclass(frozen=True)
-class CoordinateModel:
+class CoordinateModel(NamedTuple):
     """An assignment of plane coordinates to every construction point."""
 
     coords: Dict[str, Tuple[float, float]]
@@ -76,39 +78,28 @@ class Verdict:
         return self.kind
 
 
-def _vec(a, b):
-    """The vector from point a to point b."""
-    return (b[0] - a[0], b[1] - a[1])
-
-
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _cross(u, v) -> float:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _line_intersection(a, b, c, d):
     """Intersection of lines AB and CD, or None if (nearly) parallel."""
-    r = _vec(a, b)
-    s = _vec(c, d)
-    denom = _cross(r, s)
-    nr = math.hypot(*r) * math.hypot(*s)
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    nr = math.hypot(rx, ry) * math.hypot(sx, sy)
     if nr == 0 or abs(denom) / nr < MIN_SIN:
         return None
-    t = _cross(_vec(a, c), s) / denom
-    return (a[0] + t * r[0], a[1] + t * r[1])
+    t = ((cx - ax) * sy - (cy - ay) * sx) / denom
+    return (ax + t * rx, ay + t * ry)
 
 
 def _circumcenter(a, b, c):
     """Circumcentre of triangle abc, or None if (nearly) collinear."""
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    diam2 = max(_pair_d2((a, b, c)))
+    diam2 = max((ax - bx) * (ax - bx) + (ay - by) * (ay - by),
+                (ax - cx) * (ax - cx) + (ay - cy) * (ay - cy),
+                (bx - cx) * (bx - cx) + (by - cy) * (by - cy))
     if diam2 == 0 or abs(d) / diam2 < MIN_SIN:
         return None
-    aa, bb, cc = _dot(a, a), _dot(b, b), _dot(c, c)
+    aa, bb, cc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
     uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
     return (ux, uy)
@@ -122,36 +113,36 @@ def _sample_once(c: Construction, draw: Callable[[], float]):
     # low + (high - low) * draw() is rng.uniform(low, high) bit for bit
     pts: Dict[str, Tuple[float, float]] = {}
     for step in c.steps:
-        a = step.args
-        if step.kind == "point":
+        kind, a = step.kind, step.args
+        if kind == "point":
             pts[a[0]] = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
-        elif step.kind == "on_line":
+        elif kind == "on_line":
             t = -1.0 + 3.0 * draw()
-            p, q = pts[a[1]], pts[a[2]]
-            pts[a[0]] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-        elif step.kind == "on_circle":
+            (px, py), (qx, qy) = pts[a[1]], pts[a[2]]
+            pts[a[0]] = (px + t * (qx - px), py + t * (qy - py))
+        elif kind == "on_circle":
             theta = 2.0 * math.pi * draw()
-            o = pts[a[1]]
-            u = _vec(o, pts[a[2]])
-            r = math.sqrt(_dot(u, u))
-            pts[a[0]] = (o[0] + r * math.cos(theta), o[1] + r * math.sin(theta))
-        elif step.kind == "midpoint":
-            p, q = pts[a[1]], pts[a[2]]
-            pts[a[0]] = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-        elif step.kind == "intersect":
+            (ox, oy), (qx, qy) = pts[a[1]], pts[a[2]]
+            ux, uy = qx - ox, qy - oy
+            r = math.sqrt(ux * ux + uy * uy)
+            pts[a[0]] = (ox + r * math.cos(theta), oy + r * math.sin(theta))
+        elif kind == "midpoint":
+            (px, py), (qx, qy) = pts[a[1]], pts[a[2]]
+            pts[a[0]] = (0.5 * (px + qx), 0.5 * (py + qy))
+        elif kind == "intersect":
             p = _line_intersection(pts[a[1]], pts[a[2]], pts[a[3]], pts[a[4]])
             if p is None:
                 return None
             pts[a[0]] = p
-        elif step.kind == "foot":
-            o = pts[a[2]]
-            u = _vec(o, pts[a[3]])
-            nn = _dot(u, u)
+        elif kind == "foot":
+            (px, py), (ox, oy), (qx, qy) = pts[a[1]], pts[a[2]], pts[a[3]]
+            ux, uy = qx - ox, qy - oy
+            nn = ux * ux + uy * uy
             if nn == 0:
                 return None
-            t = _dot(_vec(o, pts[a[1]]), u) / nn
-            pts[a[0]] = (o[0] + t * u[0], o[1] + t * u[1])
-        elif step.kind == "circumcenter":
+            t = ((px - ox) * ux + (py - oy) * uy) / nn
+            pts[a[0]] = (ox + t * ux, oy + t * uy)
+        elif kind == "circumcenter":
             o = _circumcenter(pts[a[1]], pts[a[2]], pts[a[3]])
             if o is None:
                 return None
@@ -161,9 +152,8 @@ def _sample_once(c: Construction, draw: Callable[[], float]):
 
 def _pair_d2(points) -> List[float]:
     """Squared distance of every pair of points."""
-    ps = list(points)
     return [(x - u) * (x - u) + (y - v) * (y - v)
-            for i, (x, y) in enumerate(ps) for u, v in ps[i + 1:]]
+            for (x, y), (u, v) in itertools.combinations(points, 2)]
 
 
 def _nondegenerate(pts: Dict[str, Tuple[float, float]]) -> Optional[float]:
@@ -264,7 +254,7 @@ def instantiate(c: Construction, seed: int) -> CoordinateModel:
         pts = _sample_once(c, draw)
         scale = None if pts is None else _nondegenerate(pts)
         if scale is not None:
-            return CoordinateModel(coords=pts, seed=seed, scale=scale)
+            return CoordinateModel(pts, seed, scale)
     raise DegenerateModelError(seed)
 
 

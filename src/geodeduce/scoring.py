@@ -123,10 +123,11 @@ def hypothesis_pairs(d0: Iterable[Fact]) -> Set[Tuple[str, str]]:
 
 def surprisingness(points: FrozenSet[str], hyp_pairs: Set[Tuple[str, str]]) -> float:
     """Fraction of a fact's point pairs that co-occur in no single hypothesis."""
-    pairs = list(itertools.combinations(sorted(points), 2))
-    if not pairs:
+    k = len(points)
+    if k < 2:
         return 0.0
-    return sum(pq not in hyp_pairs for pq in pairs) / len(pairs)
+    n = k * (k - 1) // 2
+    return (n - len(hyp_pairs.intersection(itertools.combinations(sorted(points), 2)))) / n
 
 
 def hypotheses_used(f: Fact, dag: DerivationDag) -> Set[Fact]:

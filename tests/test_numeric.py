@@ -1,5 +1,6 @@
 """Coordinate sampling, fact evaluation, empirical verdicts."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from fuzzing import random_construction_text
 from geodeduce import (CoordinateModel, initial_facts, instantiate, make_fact,
                        parse_construction, saturate, verify)
 from geodeduce import numeric
+from geodeduce.construction import STATEMENTS
 from geodeduce.facts import PREDICATES, Fact, MalformedFactError
 from geodeduce.numeric import (DegenerateModelError, eval_condition, eval_fact,
                                model_from_coords, sample_models)
@@ -41,6 +43,13 @@ def test_forced_parallel_intersection_is_degenerate():
     with pytest.raises(DegenerateModelError) as err:
         instantiate(c, seed=3)
     assert err.value.seed == 3
+
+
+def test_model_is_a_named_tuple(midline):
+    m = instantiate(midline, seed=0)
+    coords, seed, scale = m
+    assert m == (m.coords, 0, m.scale) and (coords, seed, scale) == tuple(m)
+    assert m._fields == ("coords", "seed", "scale")
 
 
 def test_determinism_bit_for_bit(bundled):
@@ -167,17 +176,60 @@ def _hex_model(m):
             "coords": {n: [x.hex(), y.hex()] for n, (x, y) in m.coords.items()}}
 
 
+# one step of every statement kind
+ALL_KINDS = ("point A B C\non_line D A B\non_circle E A B\nmidpoint F B C\n"
+             "intersect G A C B E\nfoot H C A B\ncircumcenter O A B C\n")
+
+
+def test_all_kinds_figure_samples_every_kind():
+    c = parse_construction(ALL_KINDS)
+    assert {step.kind for step in c.steps} == set(STATEMENTS)
+    d0 = initial_facts(c)
+    assert len(d0) == 11
+    for m in sample_models(c, 100):
+        for f in d0:
+            assert eval_fact(m, f)
+
+
 def test_coordinates_match_golden():
-    """Every coordinate and scale of the bundled examples at seeds 0-2, bit
-    for bit.  Models are plain double arithmetic on the seed's PCG64 stream,
-    so they must not change with the host, the CPU or the BLAS build.  The
-    file was written with ``{name: {seed: _hex_model(instantiate(c, seed))}}``.
+    """Every coordinate and scale of the bundled examples and of the
+    all-kinds figure at seeds 0-2, bit for bit.  Models are plain double
+    arithmetic on the seed's PCG64 stream, so they must not change with the
+    host, the CPU or the BLAS build.  The file was written with
+    ``{name: {seed: _hex_model(instantiate(c, seed))}}``.
     """
     golden = json.loads(GOLDEN_COORDS.read_text())
-    got = {name: {str(seed): _hex_model(instantiate(load_construction(name), seed))
-                  for seed in range(3)}
-           for name in ("midline", "pappus", "inscribed")}
+    figures = {name: load_construction(name) for name in ("midline", "pappus", "inscribed")}
+    figures["all_kinds"] = parse_construction(ALL_KINDS)
+    got = {name: {str(seed): _hex_model(instantiate(c, seed)) for seed in range(3)}
+           for name, c in figures.items()}
     assert got == golden
+
+
+# fuzz figures 8, 14, 43 and 54 are degenerate under every seed
+FUZZ_DEGENERATE = {(case, seed) for case in (8, 14, 43, 54) for seed in range(5)}
+FUZZ_MODELS_SHA256 = "77405f283ce0600f0ae2b677fd87f22c5843af1138ad368bed2cc360a54b4490"
+
+
+def test_fuzz_models_match_pinned_digest():
+    """Every model of fuzz figures 0-63 at seeds 0-4, bit for bit: the
+    sha256 of ``json.dumps([case, seed, _hex_model(m)], sort_keys=True)``
+    in case and seed order, with "degenerate" in place of the model of a
+    seed that exhausts its attempts.  Reordered arithmetic, or a model
+    found on another attempt, changes it."""
+    digest = hashlib.sha256()
+    degenerate = set()
+    for case in range(64):
+        c = parse_construction(random_construction_text(case))
+        for seed in range(5):
+            try:
+                got = _hex_model(instantiate(c, seed))
+            except DegenerateModelError:
+                got = "degenerate"
+                degenerate.add((case, seed))
+            digest.update(json.dumps([case, seed, got], sort_keys=True).encode())
+    assert degenerate == FUZZ_DEGENERATE
+    assert digest.hexdigest() == FUZZ_MODELS_SHA256
 
 
 # -- the numpy sampler the plain-float one replaced, kept as the reference ---

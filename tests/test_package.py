@@ -69,6 +69,7 @@ def test_ladder_times_runs_one_figure(default_rules):
         columns = [c.strip() for c in header.strip("|").split("|")]
         cells = dict(zip(columns, (c.strip() for c in row.strip("|").split("|"))))
         assert columns[:6] == ["input", "total", "saturate", "filter", "score", "emit"]
+        assert columns[6] == "sample" and float(cells["sample"]) >= 0
         assert cells["input"] == "circle4" and cells["peak RSS"].endswith(" MB")
         report = run_pipeline(parse_construction(concyclic_text(4)), default_rules,
                               PipelineConfig(mode=mode))

@@ -1,6 +1,7 @@
 """Symmetry breaking in the indexed join: compile_rule's swaps and mirrored
 premises, the first-drawn binding of each orbit, and the orbit-size weights."""
 
+import collections
 import functools
 import itertools
 import random
@@ -322,6 +323,37 @@ def test_random_rule_compiled_join(data):
     rule = data.draw(random_rules(points, sorted({f.pred for f in dag})))
     assert symmetries(rule) == _reference_symmetries(rule)
     check_rounds(dag, [rule], 2, data.draw(st.booleans()))
+
+
+@st.composite
+def mirrored_tautology_rules(draw, dag):
+    """Rules whose premise 1 mirrors premise 0, over a predicate of which the
+    figure has two facts or more, concluding a tautology over points the
+    mirror fixes: each binding over two different facts weighs its mirror."""
+    counts = collections.Counter(f.pred for f in dag)
+    pred = draw(st.sampled_from(sorted(p for p, k in counts.items() if k >= 2)))
+    n = PREDICATES[pred].arity
+    first = draw(st.permutations(VARIABLES))[:n]
+    kept = first[:draw(st.integers(0, min(2, n - 1)))]
+    moved = dict(zip(first[len(kept):], "STUVWXYZ"))
+    points = st.sampled_from(list(kept) + sorted({a for f in dag for a in f.args})[:5])
+    x, y = draw(points), draw(points)
+    return Rule("mirror", (Fact(pred, tuple(first)),
+                           Fact(pred, tuple(moved.get(a, a) for a in first))),
+                Fact("coll", (x, x, y)), ())
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_random_mirrored_tautology_rule_compiled_join(data):
+    """Unlike random_rules, whose mirrored tautologies mostly bind one fact
+    in both slots, every binding here concludes a tautology, so the naive
+    tautology count sees each mirror weight."""
+    dag = _lowercase(figure_dag(data.draw(st.sampled_from(LOWER_FIGURES))))
+    rule = data.draw(mirrored_tautology_rules(dag))
+    assert compile_rule(rule).mirror == (0, 1)
+    check_rounds(dag, [rule], 2)
 
 
 def _distinct_in_one_premise(rule):

@@ -8,10 +8,12 @@ through ``run_pipeline`` in MODE (fixpoint by default, or filtered) with
 the default rules and emits its JSON report.  Each run is a new
 interpreter over the tree's ``src/`` (this checkout by default), and the
 run with the least total of N (3 by default) is kept.  Prints one
-markdown table row per figure: total, saturate, filter, score and emit
-seconds, the report's facts (hypotheses included) and bytes, and the
-process's peak RSS.  In filtered mode, saturate is the rounds' joins and
-score also covers each round's ``interesting_among``.  Total covers
+markdown table row per figure: total, saturate, filter, score, emit and
+sample seconds, the report's facts (hypotheses included) and bytes, and
+the process's peak RSS.  Sample is the time in
+``pipeline.sample_models``, the coordinate models of the run-time filter.
+In filtered mode, saturate is the rounds' joins and score also covers
+each round's ``interesting_among``.  Total covers
 parsing the construction, the pipeline and emit, not the imports or the
 rule file.  Nothing is written.
 """
@@ -31,14 +33,14 @@ sys.path.insert(0, str(ROOT / "tools"))
 from diff_reports import concyclic_text, feet_text  # noqa: E402
 
 LADDER = ("circle10", "circle12", "feet20", "feet26")
-STAGES = ("total", "saturate", "filter", "score", "emit")
+STAGES = ("total", "saturate", "filter", "score", "emit", "sample")
 
 # reads the construction text on stdin and the mode as its argument and prints the
 # timings as one JSON object; runs with the tree as its cwd
 WORKER = """
 import json, resource, sys, time
 from geodeduce import parse_construction, parse_rules, pipeline
-spent = dict.fromkeys(("saturate", "filter", "score"), 0.0)
+spent = dict.fromkeys(("saturate", "filter", "score", "sample"), 0.0)
 
 def timed(stage, fn):
     def wrapper(*args, **kwargs):
@@ -54,6 +56,7 @@ pipeline.derive_round = timed("saturate", pipeline.derive_round)
 pipeline._admit = timed("filter", pipeline._admit)
 pipeline.score_all = timed("score", pipeline.score_all)
 pipeline.interesting_among = timed("score", pipeline.interesting_among)
+pipeline.sample_models = timed("sample", pipeline.sample_models)
 rules = parse_rules(open("rules/gddm-default.gr").read())
 text = sys.stdin.read()
 start = time.perf_counter()
@@ -83,7 +86,7 @@ def run_once(tree: Path, text: str, mode: str) -> dict:
 
 
 def row(name: str, t: dict) -> str:
-    cells = [name] + [f"{t[s]:.3f} s" if s == "total" else f"{t[s]:.3f}" for s in STAGES]
+    cells = [name] + [f"{t[s]:.3f} s" if s == "total" else f"{t[s]:.4f}" for s in STAGES]
     cells += [str(t["facts"]), f"{t['report_bytes'] / 1e6:.1f} MB", f"{t['peak_rss_mb']:.0f} MB"]
     return "| " + " | ".join(cells) + " |"
 
