@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .facts import IDENTIFIER, Fact, make_fact
@@ -55,8 +54,7 @@ class ConstructionError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
+class ConstructionStep(NamedTuple):
     kind: str  # the statement keyword, a key of STATEMENTS
     args: Tuple[str, ...]  # defined point first
 
@@ -69,8 +67,7 @@ class ConstructionStep:
         return f"{self.kind} {' '.join(self.args)}"
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     steps: Tuple[ConstructionStep, ...]
 
     def points(self) -> List[str]:
@@ -127,7 +124,7 @@ def parse_construction(text: str) -> Construction:
 def initial_facts(c: Construction) -> List[Fact]:
     """The distinct hypothesis facts encoded by the steps, in step order."""
     out: Dict[Fact, None] = {}  # an ordered set
-    for s in c.steps:
-        for pred, indexes in STATEMENTS[s.kind].facts:
-            out[make_fact(pred, *(s.args[i] for i in indexes))] = None
+    for kind, args in c.steps:
+        for pred, indexes in STATEMENTS[kind].facts:
+            out[make_fact(pred, *(args[i] for i in indexes))] = None
     return list(out)

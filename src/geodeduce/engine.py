@@ -81,7 +81,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
@@ -89,8 +88,7 @@ from .facts import PREDICATES, Fact, canonicalize, orbit
 from .rules import MAX_PREMISES, Rule, is_variable, mirrored_premises, symmetries
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """How one fact entered the graph; rule is None for a hypothesis."""
 
     fact: Fact
@@ -584,8 +582,7 @@ def derive_round(state: JoinState):
     return ordered, n_taut, n_degen
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(NamedTuple):
     dag: DerivationDag  # the hypotheses plus every derived fact
     stop_reason: str  # fixpoint | budget
     dropped_tautologies: int = 0

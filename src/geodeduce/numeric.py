@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .construction import Construction
@@ -67,8 +66,7 @@ class CoordinateModel(NamedTuple):
     scale: float  # squared diameter of the point set
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # holds | fails | degenerate
     seed: Optional[int] = None  # witnessing seed for fails
 
@@ -112,8 +110,7 @@ def _sample_once(c: Construction, draw: Callable[[], float]):
     """
     # low + (high - low) * draw() is rng.uniform(low, high) bit for bit
     pts: Dict[str, Tuple[float, float]] = {}
-    for step in c.steps:
-        kind, a = step.kind, step.args
+    for kind, a in c.steps:
         if kind == "point":
             pts[a[0]] = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
         elif kind == "on_line":

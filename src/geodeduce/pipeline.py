@@ -36,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as q  # json.dumps's, in C
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .construction import Construction, initial_facts
 from .engine import Derivation, DerivationDag, JoinState, derive_round, saturate
@@ -93,8 +93,7 @@ class PipelineConfig:
             raise ValueError(f"strict_sides must be a bool, got {self.strict_sides!r}")
 
 
-@dataclass
-class FactRecord:
+class FactRecord(NamedTuple):
     fact: Fact
     round: int
     rule: Optional[str]          # None for hypotheses
@@ -103,8 +102,7 @@ class FactRecord:
     interesting: bool
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     construction: str
     rules_digest: str
     mode: str

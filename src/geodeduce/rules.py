@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .facts import IDENTIFIER, PREDICATES, Fact, MalformedFactError, orbit, parse_atom
 
@@ -55,8 +54,7 @@ def variables(atom: Fact) -> set:
     return {a for a in atom.args if is_variable(a)}
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     premises: Tuple[Fact, ...]
     conclusion: Fact

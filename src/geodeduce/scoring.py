@@ -33,7 +33,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .engine import DerivationDag
 from .facts import Fact
@@ -81,8 +81,11 @@ class MetricConfig:
             # an infinite weight would make every aggregate nan
             if not 0 <= w < math.inf:  # also rejects nan
                 raise ValueError(f"weight of {m} must be finite and >= 0, got {w}")
-        if not any(self.weights.values()):  # else caught only after saturation
+        total = sum(self.weights.get(m, 0.0) for m in METRICS)  # normalized_weights' divisor
+        if not total:  # else caught only after saturation
             raise ValueError("metric weights must not all be zero")
+        if total == math.inf:  # would scale every weight, so every aggregate, to 0
+            raise ValueError("metric weights must have a finite sum, got inf")
         for m, d in self.directions.items():  # "lower" is truthy and would read higher
             if not isinstance(d, bool):
                 raise ValueError(f"direction of {m} must be a bool, got {d!r}")
@@ -92,8 +95,7 @@ class MetricConfig:
         return {m: self.weights.get(m, 0.0) / total for m in METRICS}
 
 
-@dataclass
-class ScoreCard:
+class ScoreCard(NamedTuple):
     raw: Dict[str, float]
     normalized: Dict[str, float]
     aggregate: float

@@ -287,6 +287,29 @@ def test_bad_number_in_weights_file(capsys, tmp_path, root, line, message):
     assert f"metric config line 2: {message}" in err and not out
 
 
+def test_weights_whose_sum_overflows_rejected(capsys, tmp_path, root):
+    # each weight is finite but their sum is inf: every aggregate once read
+    # 0.0 and no fact was starred
+    w = tmp_path / "metrics.cfg"
+    w.write_text("weight.obviousness = 1e308\nweight.weight = 1e308\n")
+    code, out, err = run(capsys, "rank", str(root / "examples" / "midline.gc"),
+                         "--weights", str(w))
+    assert code == 2
+    assert "finite sum" in err and not out
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-inf"])
+def test_negative_threshold_is_passed_with_equals(capsys, root, value):
+    # after a space, argparse reads a negative number as a flag (README)
+    path = str(root / "examples" / "inscribed.gc")
+    code, out, _ = run(capsys, "rank", path, f"--threshold={value}")
+    assert code == 0
+    ranked = out.split("rank  aggregate  fact\n")[1].splitlines()
+    assert ranked and all(line[5] == "*" for line in ranked)
+    code, out, err = run(capsys, "rank", path, "--threshold", value)
+    assert code == 1 and "expected one argument" in err and not out
+
+
 _OUT_OF_RANGE = [("--tol", "-1"), ("--tol", "0"), ("--tol", "1"), ("--tol", "nan"),
                  ("--tol", "inf"), ("--master-seed", "-1"), ("--threshold", "nan")]
 

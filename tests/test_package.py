@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,29 @@ from conftest import ROOT
 def test_every_exported_name_resolves():
     assert [n for n in geodeduce.__all__ if not hasattr(geodeduce, n)] == []
     assert len(set(geodeduce.__all__)) == len(geodeduce.__all__)
+
+
+def _documented_records():
+    """record -> its fields, read from the table in README's "Python
+    records" section."""
+    section = (ROOT / "README.md").read_text().split("## Python records")[1].split("\n## ")[0]
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    return {row[0].strip("`"): tuple(re.findall(r"`(\w+)`", row[1])) for row in rows[2:]}
+
+
+# validated when built, so frozen dataclasses; or a store, not a record
+NOT_RECORDS = {"PipelineConfig", "MetricConfig", "DerivationDag"}
+
+
+def test_every_exported_record_is_a_named_tuple():
+    documented = _documented_records()
+    records = [obj for obj in map(geodeduce.__dict__.get, geodeduce.__all__)
+               if isinstance(obj, type) and not issubclass(obj, Exception)
+               and obj.__name__ not in NOT_RECORDS]
+    assert sorted(r.__name__ for r in records) == sorted(documented)
+    for r in records:
+        assert issubclass(r, tuple) and r._fields == documented[r.__name__], r
 
 
 def test_runtime_does_not_import_numpy():
@@ -70,6 +94,7 @@ def test_ladder_times_runs_one_figure(default_rules):
         cells = dict(zip(columns, (c.strip() for c in row.strip("|").split("|"))))
         assert columns[:6] == ["input", "total", "saturate", "filter", "score", "emit"]
         assert columns[6] == "sample" and float(cells["sample"]) >= 0
+        assert columns[7] == "import" and float(cells["import"]) > 0
         assert cells["input"] == "circle4" and cells["peak RSS"].endswith(" MB")
         report = run_pipeline(parse_construction(concyclic_text(4)), default_rules,
                               PipelineConfig(mode=mode))

@@ -1,6 +1,5 @@
 """End-to-end pipeline behaviour and report serialization."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -404,7 +403,7 @@ def test_rule_order_does_not_change_the_report(name, mode, default_rules):
     c = _case(name)
     # with each rule twice under two names, every derived fact has two
     # derivations that tie but for the rule name
-    twice = default_rules + [dataclasses.replace(r, name=f"{r.name}_again")
+    twice = default_rules + [r._replace(name=f"{r.name}_again")
                              for r in default_rules]
     for rules in (default_rules, twice):
         want = _outcome(c, rules, mode)

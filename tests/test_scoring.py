@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from conftest import ROOT
 from geodeduce import initial_facts, make_fact, saturate
 from geodeduce.engine import Derivation, DerivationDag
-from geodeduce.scoring import (METRICS, MetricConfig, ScoreCard, ScoreMemo,
-                               adaptivity, complexity, filter_interesting, focus,
-                               hypothesis_pairs, hypotheses_used, intensity,
+from geodeduce.scoring import (DEFAULT_DIRECTIONS, METRICS, MetricConfig, ScoreCard,
+                               ScoreMemo, adaptivity, complexity, filter_interesting,
+                               focus, hypothesis_pairs, hypotheses_used, intensity,
                                interesting_among, obviousness, parse_metric_config,
                                score_all, surprisingness, usefulness, weight)
 
@@ -19,6 +20,18 @@ def midline_sat(midline, default_rules):
 
 PARA = make_fact("para", "M", "N", "B", "C")
 HYP = make_fact("midp", "M", "A", "B")
+
+
+def test_metrics_page_table_matches_the_code():
+    """docs/metrics.md's table lists METRICS in order, each with its
+    default direction."""
+    text = (ROOT / "docs" / "metrics.md").read_text()
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in text.splitlines() if line.startswith("|")]
+    assert (rows[0][0], rows[0][-1]) == ("metric", "default direction")
+    # focus's formula holds a "|", so a row's direction is its last cell
+    assert [(row[0], row[-1]) for row in rows[2:]] == [
+        (m, "higher" if DEFAULT_DIRECTIONS[m] else "lower") for m in METRICS]
 
 
 def test_obviousness(midline_sat):
@@ -349,7 +362,9 @@ def test_parse_metric_config_errors():
                                     {"weights": {"obviousnes": 1.0, "weight": 1.0}},
                                     # all zero once failed only in scoring
                                     {"weights": {}}, {"weights": {"weight": 0.0}},
-                                    {"weights": dict.fromkeys(METRICS, 0.0)}])
+                                    {"weights": dict.fromkeys(METRICS, 0.0)},
+                                    # finite weights whose sum is inf once zeroed every aggregate
+                                    {"weights": {"obviousness": 1e308, "weight": 1e308}}])
 def test_metric_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         MetricConfig(**kwargs)

@@ -8,14 +8,16 @@ through ``run_pipeline`` in MODE (fixpoint by default, or filtered) with
 the default rules and emits its JSON report.  Each run is a new
 interpreter over the tree's ``src/`` (this checkout by default), and the
 run with the least total of N (3 by default) is kept.  Prints one
-markdown table row per figure: total, saturate, filter, score, emit and
-sample seconds, the report's facts (hypotheses included) and bytes, and
-the process's peak RSS.  Sample is the time in
+markdown table row per figure: total, saturate, filter, score, emit,
+sample and import seconds, the report's facts (hypotheses included) and
+bytes, and the process's peak RSS.  Sample is the time in
 ``pipeline.sample_models``, the coordinate models of the run-time filter.
 In filtered mode, saturate is the rounds' joins and score also covers
-each round's ``interesting_among``.  Total covers
-parsing the construction, the pipeline and emit, not the imports or the
-rule file.  Nothing is written.
+each round's ``interesting_among``.  Import is the time the interpreter
+spends importing ``geodeduce``; it runs with PYTHONDONTWRITEBYTECODE=1, so
+in a tree without ``__pycache__`` it compiles every module each run.
+Total covers parsing the construction, the pipeline and emit, not the
+imports or the rule file.  Nothing is written.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ sys.path.insert(0, str(ROOT / "tools"))
 from diff_reports import concyclic_text, feet_text  # noqa: E402
 
 LADDER = ("circle10", "circle12", "feet20", "feet26")
-STAGES = ("total", "saturate", "filter", "score", "emit", "sample")
+STAGES = ("total", "saturate", "filter", "score", "emit", "sample", "import")
 
 # reads the construction text on stdin and the mode as its argument and prints the
 # timings as one JSON object; runs with the tree as its cwd
 WORKER = """
 import json, resource, sys, time
+start = time.perf_counter()
 from geodeduce import parse_construction, parse_rules, pipeline
+imported = time.perf_counter() - start
 spent = dict.fromkeys(("saturate", "filter", "score", "sample"), 0.0)
 
 def timed(stage, fn):
@@ -65,7 +69,7 @@ report = pipeline.run_pipeline(parse_construction(text), rules,
 emitted = time.perf_counter()
 out = pipeline.emit_report(report, "json")
 end = time.perf_counter()
-print(json.dumps({**spent, "emit": end - emitted, "total": end - start,
+print(json.dumps({**spent, "emit": end - emitted, "import": imported, "total": end - start,
                   "facts": len(report.records), "report_bytes": len(out.encode()),
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
